@@ -19,6 +19,8 @@ __all__ = ["SubgroupAutomaton"]
 
 
 class _UF:
+    # Int-indexed lists, not graphs._UnionFind: _fold's hot loop measurably
+    # slows down on the dict-based union-find.
     def __init__(self, n):
         self.p = list(range(n))
 

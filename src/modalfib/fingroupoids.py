@@ -15,7 +15,7 @@ import random as _random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .graphs import _sort_key
+from .graphs import _sort_key, _UnionFind
 from .verdicts import Flag, LevelVerdicts
 
 __all__ = [
@@ -223,20 +223,10 @@ class FinGroupoid:
 
     def component_map(self):
         """dict object -> least object in its isomorphism class."""
-        rep = {o: o for o in self.objects}
-
-        def find(o):
-            while rep[o] != o:
-                rep[o] = rep[rep[o]]
-                o = rep[o]
-            return o
-
+        uf = _UnionFind(self.objects)
         for m in self.morphisms:
-            a, b = find(self.src[m]), find(self.dst[m])
-            if a != b:
-                lo, hi = sorted((a, b), key=_sort_key)
-                rep[hi] = lo
-        return {o: find(o) for o in self.objects}
+            uf.union(self.src[m], self.dst[m])
+        return uf.least()
 
     def __repr__(self):
         return "FinGroupoid(%d objects, %d morphisms)" % (
@@ -252,12 +242,13 @@ class FinFunctor:
 
     def __post_init__(self):
         S, T = self.source, self.target
+        tobjs, tmors = set(T.objects), set(T.morphisms)
         for x in S.objects:
-            if self.obj_map.get(x) not in set(T.objects):
+            if self.obj_map.get(x) not in tobjs:
                 raise FinGroupoidError("object %r has no image" % (x,))
         for m in S.morphisms:
             w = self.mor_map.get(m)
-            if w not in set(T.morphisms):
+            if w not in tmors:
                 raise FinGroupoidError("morphism %r has no image" % (m,))
             if T.src[w] != self.obj_map[S.src[m]] \
                     or T.dst[w] != self.obj_map[S.dst[m]]:
@@ -285,6 +276,26 @@ class FinFunctor:
 
 # ---------------------------------------------------------------------------
 # builders
+
+def _arrow_groupoid(objs, mors, compose, ident):
+    """Groupoid whose morphisms are (source, target, label) triples.
+
+    Two triples compose when the first ends where the second starts; the
+    composite carries compose(label, label2).  The identity at o is
+    (o, o, ident(o)).
+    """
+    by_src = {}
+    for t in mors:
+        by_src.setdefault(t[0], []).append(t)
+    comp = {}
+    for a, b, l in mors:
+        for _, c, l2 in by_src.get(b, ()):
+            comp[((a, b, l), (b, c, l2))] = (a, c, compose(l, l2))
+    return FinGroupoid(
+        objs, tuple(mors),
+        {t: t[0] for t in mors}, {t: t[1] for t in mors}, comp,
+        {o: (o, o, ident(o)) for o in objs})
+
 
 def empty_groupoid():
     return FinGroupoid((), (), {}, {}, {}, {})
@@ -436,39 +447,13 @@ def hfiber(F, y):
         for m2 in T.hom(F.obj_map[x2], y):
             m = T.comp[(F.mor_map[g], m2)]
             mors.append(((x, m), (x2, m2), g))
-    comp = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(t[0], []).append(t)
-    for a, b, g in mors:
-        for b2, c, h in by_src.get(b, ()):
-            comp[((a, b, g), (b2, c, h))] = (a, c, S.comp[(g, h)])
-    gpd = FinGroupoid(
-        objs, tuple(mors),
-        {t: t[0] for t in mors}, {t: t[1] for t in mors},
-        comp, {(x, m): ((x, m), (x, m), S.ident[x]) for (x, m) in objs})
+    gpd = _arrow_groupoid(objs, mors, lambda g, h: S.comp[(g, h)],
+                          lambda o: S.ident[o[0]])
     return HomotopyFiberG(F, y, gpd)
 
 
 # ---------------------------------------------------------------------------
 # lightweight fiber analysis (shared by the flag routes; no tables built)
-
-class _UF:
-    def __init__(self, items):
-        self.p = {x: x for x in items}
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb), key=_sort_key)
-            self.p[hi] = lo
-
 
 def _fiber_objects(F, y):
     return [(x, m) for x in F.source.objects
@@ -478,17 +463,12 @@ def _fiber_objects(F, y):
 def _fiber_component_map(F, y):
     """dict fiber object -> canonical representative."""
     S, T = F.source, F.target
-    objs = _fiber_objects(F, y)
-    uf = _UF(objs)
+    uf = _UnionFind(_fiber_objects(F, y))
     for g in S.morphisms:
         x, x2 = S.src[g], S.dst[g]
         for m2 in T.hom(F.obj_map[x2], y):
             uf.union((x, T.comp[(F.mor_map[g], m2)]), (x2, m2))
-    return {o: uf.find(o) for o in objs}
-
-
-def _fiber_classes(F, y):
-    return sorted(set(_fiber_component_map(F, y).values()), key=_sort_key)
+    return uf.least()
 
 
 def _transport(F, h, rep, target_map):
@@ -637,11 +617,6 @@ def functor_is_equivalence(F):
 # ---------------------------------------------------------------------------
 # the two factorizations
 
-def _class_transports(F):
-    """Per target object: fiber component map; plus helpers bound once."""
-    return {y: _fiber_component_map(F, y) for y in F.target.objects}
-
-
 def factor_connected_modal(F, level):
     """Factor F through the collapsed fibers: left crushes each fiber to
     its truncation, right projects.  Composite is strictly F."""
@@ -650,7 +625,7 @@ def factor_connected_modal(F, level):
     if level != 0:
         raise FinGroupoidError("level must be -1 or 0, got %r" % (level,))
     S, T = F.source, F.target
-    fcms = _class_transports(F)
+    fcms = {y: _fiber_component_map(F, y) for y in T.objects}
     classes = {y: sorted(set(fcms[y].values()), key=_sort_key)
                for y in T.objects}
     objs = tuple((y, c) for y in T.objects for c in classes[y])
@@ -659,17 +634,8 @@ def factor_connected_modal(F, level):
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
             mors.append(((y, c), (y2, _transport(F, h, c, fcms[y2])), h))
-    comp = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(t[0], []).append(t)
-    for a, b, h in mors:
-        for b2, c, h2 in by_src.get(b, ()):
-            comp[((a, b, h), (b2, c, h2))] = (a, c, T.comp[(h, h2)])
-    mid = FinGroupoid(
-        objs, tuple(mors),
-        {t: t[0] for t in mors}, {t: t[1] for t in mors}, comp,
-        {(y, c): ((y, c), (y, c), T.ident[y]) for (y, c) in objs})
+    mid = _arrow_groupoid(objs, mors, lambda h, h2: T.comp[(h, h2)],
+                          lambda o: T.ident[o[0]])
 
     def left_obj(x):
         y = F.obj_map[x]
@@ -710,17 +676,8 @@ def factor_equiv_etale(F, level):
     objs = tuple((y, d) for y in T.objects for d in over[ycm[y]])
     mors = tuple(((T.src[h], d), (T.dst[h], d), h)
                  for h in T.morphisms for d in over[ycm[T.src[h]]])
-    comp = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(t[0], []).append(t)
-    for a, b, h in mors:
-        for b2, c, h2 in by_src.get(b, ()):
-            comp[((a, b, h), (b2, c, h2))] = (a, c, T.comp[(h, h2)])
-    mid = FinGroupoid(
-        objs, mors,
-        {t: t[0] for t in mors}, {t: t[1] for t in mors}, comp,
-        {(y, d): ((y, d), (y, d), T.ident[y]) for (y, d) in objs})
+    mid = _arrow_groupoid(objs, mors, lambda h, h2: T.comp[(h, h2)],
+                          lambda o: T.ident[o[0]])
     left = FinFunctor(
         S, mid, {x: (F.obj_map[x], xcm[x]) for x in S.objects},
         {g: ((F.obj_map[S.src[g]], xcm[S.src[g]]),
@@ -795,19 +752,10 @@ def homotopy_pullback(F, G):
             for m2 in Z.hom(F.obj_map[x2], G.obj_map[y2]):
                 m = Z.comp[(Z.comp[(F.mor_map[g], m2)], Z.inv[G.mor_map[h]])]
                 mors.append(((x, y, m), (x2, y2, m2), (g, h)))
-    comp = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(t[0], []).append(t)
-    for a, b, gh in mors:
-        for b2, c, gh2 in by_src.get(b, ()):
-            comp[((a, b, gh), (b2, c, gh2))] = (
-                a, c, (X.comp[(gh[0], gh2[0])], Y.comp[(gh[1], gh2[1])]))
-    P = FinGroupoid(
-        objs, tuple(mors),
-        {t: t[0] for t in mors}, {t: t[1] for t in mors}, comp,
-        {(x, y, m): ((x, y, m), (x, y, m), (X.ident[x], Y.ident[y]))
-         for (x, y, m) in objs})
+    P = _arrow_groupoid(
+        objs, mors,
+        lambda p, q: (X.comp[(p[0], q[0])], Y.comp[(p[1], q[1])]),
+        lambda o: (X.ident[o[0]], Y.ident[o[1]]))
     proj1 = FinFunctor(P, X, {o: o[0] for o in P.objects},
                        {t: t[2][0] for t in P.morphisms})
     proj2 = FinFunctor(P, Y, {o: o[1] for o in P.objects},
@@ -820,19 +768,10 @@ def product_groupoid(A, B):
     objs = tuple((a, b) for a in A.objects for b in B.objects)
     mors = tuple(((A.src[g], B.src[h]), (A.dst[g], B.dst[h]), (g, h))
                  for g in A.morphisms for h in B.morphisms)
-    comp = {}
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(t[0], []).append(t)
-    for a, b, gh in mors:
-        for b2, c, gh2 in by_src.get(b, ()):
-            comp[((a, b, gh), (b2, c, gh2))] = (
-                a, c, (A.comp[(gh[0], gh2[0])], B.comp[(gh[1], gh2[1])]))
-    P = FinGroupoid(
+    P = _arrow_groupoid(
         objs, mors,
-        {t: t[0] for t in mors}, {t: t[1] for t in mors}, comp,
-        {(a, b): ((a, b), (a, b), (A.ident[a], B.ident[b]))
-         for (a, b) in objs})
+        lambda p, q: (A.comp[(p[0], q[0])], B.comp[(p[1], q[1])]),
+        lambda o: (A.ident[o[0]], B.ident[o[1]]))
     fst = FinFunctor(P, A, {o: o[0] for o in objs},
                      {t: t[2][0] for t in mors})
     snd = FinFunctor(P, B, {o: o[1] for o in objs},
@@ -974,7 +913,7 @@ def _pullback_preserved(F, G):
     ycm = Y.component_map()
     objs = [(x, y, m) for x in X.objects for y in Y.objects
             for m in Z.hom(F.obj_map[x], G.obj_map[y])]
-    uf = _UF(objs)
+    uf = _UnionFind(objs)
     for g in X.morphisms:
         for h in Y.morphisms:
             x, x2 = X.src[g], X.dst[g]
@@ -995,7 +934,7 @@ def _modal_factor_etale(F, fcms, classes, ycm):
     T = F.target
     # component map of the middle groupoid (y, c), without building it
     objs = [(y, c) for y in T.objects for c in classes[y]]
-    uf = _UF(objs)
+    uf = _UnionFind(objs)
     for h in T.morphisms:
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
@@ -1018,7 +957,7 @@ def _modal_factor_etale(F, fcms, classes, ycm):
 def _connecting_map_fibration(F, fcms, classes, gamma):
     T = F.target
     cm_objs = [(y, c) for y in T.objects for c in classes[y]]
-    uf = _UF(cm_objs)
+    uf = _UnionFind(cm_objs)
     for h in T.morphisms:
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
@@ -1026,11 +965,11 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
     cm_of = {o: uf.find(o) for o in cm_objs}
 
     ee_objs = [(y, d) for y in T.objects for d in set(gamma[y].values())]
-    uf2 = _UF(ee_objs)
+    uf2 = _UnionFind(ee_objs)
     for h in T.morphisms:
         y, y2 = T.src[h], T.dst[h]
         for d in set(gamma[y].values()):
-            if (y2, d) in uf2.p:
+            if (y2, d) in uf2.parent:
                 uf2.union((y, d), (y2, d))
     ee_of = {o: uf2.find(o) for o in ee_objs}
 
@@ -1046,7 +985,7 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
                  if gamma[y2][c2] == d for h in T.hom(y2, y)]
         if not fiber and cm_over_ee.get(ee_of[(y, d)]):
             return False
-        uf3 = _UF(fiber)
+        uf3 = _UnionFind(fiber)
         for (y2, c2, h) in fiber:
             for k in T.morphisms:
                 if T.src[k] != y2:

@@ -120,9 +120,6 @@ class FinGraph:
         u, v = self.ends[eid]
         return (u, v) if sign == +1 else (v, u)
 
-    def with_basepoint(self, v):
-        return FinGraph(self.vertices, self.edges, v)
-
     def __repr__(self):
         return "FinGraph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 
@@ -144,10 +141,11 @@ class GraphMap:
 
     def __post_init__(self):
         vm, em = self.vertex_map, self.edge_map
+        tverts = set(self.target.vertices)
         for x in self.source.vertices:
             if x not in vm:
                 raise GraphError("vertex %r has no image" % (x,))
-            if vm[x] not in self.target.ends and vm[x] not in set(self.target.vertices):
+            if vm[x] not in tverts:
                 raise GraphError("vertex image %r is not in target" % (vm[x],))
         for eid, u, v in self.source.edges:
             if eid not in em:
@@ -356,6 +354,8 @@ def product(a, b):
 
 
 class _UnionFind:
+    """Union by size with path halving, over hashable items."""
+
     def __init__(self, items):
         self.parent = {x: x for x in items}
         self.size = {x: 1 for x in items}
@@ -376,18 +376,23 @@ class _UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
 
+    def least(self):
+        """dict item -> least member of its class in _sort_key order,
+        keyed in item order."""
+        roots = {x: self.find(x) for x in self.parent}
+        classes = {}
+        for x, r in roots.items():
+            classes.setdefault(r, []).append(x)
+        rep = {r: min(xs, key=_sort_key) for r, xs in classes.items()}
+        return {x: rep[r] for x, r in roots.items()}
+
 
 def component_map(g):
     """dict vertex -> canonical component representative (least id)."""
     uf = _UnionFind(g.vertices)
     for _, u, v in g.edges:
         uf.union(u, v)
-    reps = {}
-    for v in g.vertices:
-        r = uf.find(v)
-        if r not in reps or _sort_key(v) < _sort_key(reps[r]):
-            reps[r] = v
-    return {v: reps[uf.find(v)] for v in g.vertices}
+    return uf.least()
 
 
 def pi0(g):

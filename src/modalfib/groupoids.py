@@ -87,14 +87,8 @@ class PresGroupoid:
         return reduce_word(tuple(
             letter for eid, sign in darts for letter in self.dart_word(eid, sign)))
 
-    def base_of(self, v):
-        return self.comp_of[v]
-
     def letters_at(self, v):
         return self.components[self.comp_of[v]].letters
-
-    def rank_at(self, v):
-        return len(self.letters_at(v))
 
     # -- morphisms as (u, v, word) ----------------------------------------
 

@@ -107,10 +107,6 @@ class CosetGroupoid:
     ambient_letters: tuple
     entries: list
 
-    @property
-    def ambient_rank(self):
-        return len(self.ambient_letters)
-
     def is_empty(self):
         return not self.entries
 
@@ -209,12 +205,7 @@ class _ComponentData:
                 deg_edges.append((eid, u, v))
             else:
                 nondeg.append((eid, u, v))
-        reps = {}
-        for v in comp.vertices:
-            r = uf.find(v)
-            if r not in reps or _sort_key(v) < _sort_key(reps[r]):
-                reps[r] = v
-        self.piece_of = {v: reps[uf.find(v)] for v in comp.vertices}
+        self.piece_of = uf.least()
         counts = {p: 0 for p in set(self.piece_of.values())}
         edge_counts = dict(counts)
         for v in comp.vertices:

@@ -20,14 +20,6 @@ class Flag:
         assert (self.bound is None) == (self.value != "undecided")
 
     @staticmethod
-    def yes():
-        return Flag("true")
-
-    @staticmethod
-    def no():
-        return Flag("false")
-
-    @staticmethod
     def of(b):
         return Flag("true") if b else Flag("false")
 

@@ -19,7 +19,6 @@ __all__ = [
     "reduce_word", "mul", "inv", "conj", "power",
     "cyclic_reduce", "is_cyclically_reduced", "primitive_root",
     "rotations", "conjugacy_witness", "solve_simultaneous_conjugacy",
-    "word_str", "free_rank_letters",
 ]
 
 EMPTY = ()
@@ -184,17 +183,3 @@ def solve_simultaneous_conjugacy(pairs, max_power=None):
             return h
     return Unknown(bound) if truncated else None
 
-
-def word_str(w, names=None):
-    if not w:
-        return "1"
-    parts = []
-    for g, s in w:
-        label = names[g] if names else str(g)
-        parts.append(label if s > 0 else label + "^-1")
-    return " ".join(parts)
-
-
-def free_rank_letters(rank):
-    """Default letter labels 0..rank-1."""
-    return tuple(range(rank))

@@ -255,9 +255,8 @@ def test_fiber_tables_match_component_routes():
         for y in F.target.objects:
             gpd = hfiber(F, y).groupoid
             light = _fiber_component_map(F, y)
-            assert set(gpd.objects) == set(light)
-            assert len(set(gpd.component_map().values())) \
-                == len(set(light.values()))
+            # same classes and the same least representative in each
+            assert gpd.component_map() == light
 
 
 # ---------------------------------------------------------------------------

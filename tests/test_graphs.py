@@ -15,6 +15,7 @@ from modalfib.graphs import (
     pi0, pi0_by_definition, component_map,
     flat, is_discrete, enumerate_graph_maps, graph_isomorphic,
     point, interval, cycle, path_graph, star, bouquet, disjoint_union,
+    _sort_key,
 )
 from modalfib.corpus import random_graph, random_map
 
@@ -39,6 +40,9 @@ def test_map_validation_catches_endpoint_mismatch():
     # degenerate image needs equal endpoint images
     with pytest.raises(GraphError):
         GraphMap(I, C, {0: 0, 1: 1}, {"e": None})
+    # an edge id is not a vertex image
+    with pytest.raises(GraphError):
+        GraphMap(I, interval(), {0: "e", 1: "e"}, {"e": None})
 
 
 def test_build_infers_sign():
@@ -108,11 +112,18 @@ def test_pi0_disjoint_union_adds():
 
 def test_component_map_constant_on_edges():
     rng = random.Random(103)
-    for _ in range(30):
-        g = random_graph(rng, 7, 9)
+    graphs = [random_graph(rng, 7, 9) for _ in range(30)]
+    # mixed int, str and (nested) tuple ids
+    graphs += [disjoint_union(star(3), random_graph(rng, 7, 8))
+               for _ in range(15)]
+    graphs.append(disjoint_union(disjoint_union(star(2), point()), cycle(3)))
+    for g in graphs:
         cm = component_map(g)
         for _, u, v in g.edges:
             assert cm[u] == cm[v]
+        for K in pi0_by_definition(g):
+            least = min(K, key=_sort_key)
+            assert all(cm[v] == least for v in K)
 
 
 def test_pi0_known_counts():
