@@ -12,53 +12,48 @@ membership are therefore two independent routes to subgroup equality,
 and the tests drive them against each other.
 """
 
-from .graphs import _sort_key
+from collections import deque
+
+from .graphs import _UnionFind, _sort_key
 from .words import reduce_word, mul, inv
 
 __all__ = ["SubgroupAutomaton"]
 
 
-class _UF:
-    # Int-indexed lists, not graphs._UnionFind: _fold's hot loop measurably
-    # slows down on the dict-based union-find.
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        p = self.p
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[rb] = ra
-
-
 def _fold(nstates, edges, root):
-    """Identify states until transitions are deterministic both ways."""
-    uf = _UF(nstates)
-    while True:
-        out = {}
-        inn = {}
-        merge = None
-        for u, a, v in edges:
-            ru, rv = uf.find(u), uf.find(v)
-            k = (ru, a)
-            if k in out and out[k] != rv:
-                merge = (out[k], rv)
-                break
-            out[k] = rv
-            k = (rv, a)
-            if k in inn and inn[k] != ru:
-                merge = (inn[k], ru)
-                break
-            inn[k] = ru
-        if merge is None:
-            break
-        uf.union(*merge)
+    """Identify states until transitions are deterministic both ways.
+
+    Worklist folding (Touikan, "A fast algorithm for Stallings' folding
+    process", IJAC 2006): each class keeps one dict of its darts keyed
+    (letter, +-1), so a clash is seen when a dart arrives and its far ends
+    are queued for merging; a dict never exceeds 2 * |letters| entries,
+    so each merge costs O(|letters|).
+    """
+    uf = _UnionFind(range(nstates))
+    darts = [{} for _ in range(nstates)]
+    pending = []
+
+    def seed(s, key, far):
+        d = darts[s]
+        if key in d:
+            pending.append((d[key], far))
+        else:
+            d[key] = far
+
+    for u, a, v in edges:
+        seed(u, (a, 1), v)
+        seed(v, (a, -1), u)
+    while pending:
+        x, y = pending.pop()
+        rx, ry = uf.find(x), uf.find(y)
+        if rx == ry:
+            continue
+        uf.union(rx, ry)
+        keep = uf.find(rx)
+        gone = ry if keep == rx else rx
+        for key, far in darts[gone].items():
+            seed(keep, key, far)
+        darts[gone] = None
     seen = set()
     delta = {}
     for u, a, v in edges:
@@ -68,21 +63,6 @@ def _fold(nstates, edges, root):
         seen.add(rv)
     seen.add(uf.find(root))
     return seen, delta, uf.find(root)
-
-
-def _trim(states, delta, root):
-    """Drop non-root states of degree one until the core remains."""
-    while True:
-        deg = {s: 0 for s in states}
-        for (u, a), v in delta.items():
-            deg[u] += 1
-            deg[v] += 1
-        leaves = {s for s in states if s != root and deg[s] <= 1}
-        if not leaves:
-            return states, delta
-        states = states - leaves
-        delta = {(u, a): v for (u, a), v in delta.items()
-                 if u not in leaves and v not in leaves}
 
 
 class SubgroupAutomaton:
@@ -122,8 +102,10 @@ class SubgroupAutomaton:
                 else:
                     edges.append((nxt, g, cur))
                 cur = nxt
+        # No trimming: each non-root state lies inside the folded image of
+        # a reduced closed path, which enters and leaves it by different
+        # edges, so the folded graph is already the core.
         states, delta, root = _fold(fresh[0], edges, 0)
-        states, delta = _trim(states, delta, root)
         return SubgroupAutomaton._canonical(letters, states, delta, root)
 
     @staticmethod
@@ -164,9 +146,9 @@ class SubgroupAutomaton:
         letters = tuple(sorted(set(letters), key=_sort_key))
         rdelta = {(v, a): u for (u, a), v in delta.items()}
         order = {root: 0}
-        queue = [root]
+        queue = deque([root])
         while queue:
-            s = queue.pop(0)
+            s = queue.popleft()
             for a in letters:
                 for nxt in (delta.get((s, a)), rdelta.get((s, a))):
                     if nxt is not None and nxt not in order:
@@ -184,9 +166,10 @@ class SubgroupAutomaton:
         return self.rdelta.get((state, letter))
 
     def trace(self, word, start=0):
+        delta, rdelta = self.delta, self.rdelta
         s = start
         for g, sg in reduce_word(word):
-            s = self.step(s, g, sg)
+            s = (delta if sg > 0 else rdelta).get((s, g))
             if s is None:
                 return None
         return s
@@ -218,9 +201,9 @@ class SubgroupAutomaton:
     def spanning_paths(self):
         """Word from the root to each state along a BFS tree."""
         paths = {0: ()}
-        queue = [0]
+        queue = deque([0])
         while queue:
-            s = queue.pop(0)
+            s = queue.popleft()
             for a in self.letters:
                 t = self.delta.get((s, a))
                 if t is not None and t not in paths:

@@ -146,6 +146,8 @@ def _build_graph(sec):
         elif key == "basepoint":
             if len(toks) != 1:
                 raise ParseError(line, "basepoint wants one vertex")
+            if bp is not None:
+                raise ParseError(line, "second basepoint line")
             bp = _atom(toks[0])
         else:
             raise ParseError(line, "unknown graph line %r" % (key,))
@@ -254,8 +256,10 @@ def _build_monodromy(sec, doc):
     shape = shape1(base_graph)
     letters = shape.components[shape.comp_of[base_graph.basepoint]].letters
     fiber = None
-    perm_rows = []
+    perm_rows = {}
     for line, key, toks in sec.rows:
+        if key in ("degree", "fiber") and fiber is not None:
+            raise ParseError(line, "second degree or fiber line")
         if key == "degree":
             if len(toks) != 1 or not _INT.match(toks[0]) or int(toks[0]) < 1:
                 raise ParseError(line, "degree wants a positive integer")
@@ -265,14 +269,17 @@ def _build_monodromy(sec, doc):
         elif key == "perm":
             if not toks:
                 raise ParseError(line, "perm wants a letter")
-            perm_rows.append((line, _atom(toks[0]), toks[1:]))
+            letter = _atom(toks[0])
+            if letter in perm_rows:
+                raise ParseError(line, "second perm line for %r" % (letter,))
+            perm_rows[letter] = (line, toks[1:])
         else:
             raise ParseError(line, "unknown monodromy line %r" % (key,))
     if fiber is None:
         raise ParseError(sec.header_line,
                          "monodromy needs a degree or fiber line")
     perms = {l: {p: p for p in fiber} for l in letters}
-    for line, letter, toks in perm_rows:
+    for letter, (line, toks) in perm_rows.items():
         if letter not in perms:
             raise ParseError(line, "%r is not a loop letter of the base; "
                              "letters are %s" % (letter, list(letters)))
@@ -393,11 +400,17 @@ def _build_fingroupoid(sec):
         elif key == "identity":
             if len(toks) != 2:
                 raise ParseError(line, "identity line wants: object morphism")
-            ident[_atom(toks[0])] = _atom(toks[1])
+            o = _atom(toks[0])
+            if o in ident:
+                raise ParseError(line, "second identity line for %r" % (o,))
+            ident[o] = _atom(toks[1])
         elif key == "compose":
             if len(toks) != 3:
                 raise ParseError(line, "compose line wants: f g h")
             f, g, h = (_atom(t) for t in toks)
+            if (f, g) in comp:
+                raise ParseError(line, "second compose line for %r %r"
+                                 % (f, g))
             comp[(f, g)] = h
         else:
             raise ParseError(line, "unknown fingroupoid line %r" % (key,))

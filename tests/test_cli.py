@@ -264,6 +264,14 @@ def test_parse_errors_exit_65(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_repeated_row_exits_65_naming_its_line(tmp_path, capsys):
+    p = tmp_path / "twice.txt"
+    p.write_text("graph: g\nvertices: 0\nedges: l 0 0\nbasepoint: 0\n\n"
+                 "monodromy: m g\ndegree: 2\nperm: l (1 2)\nperm: l\n")
+    assert main(["covers", "total", str(p)]) == 65
+    assert "line 9:" in capsys.readouterr().err
+
+
 def test_wrong_section_kind_exits_65(docs, capsys):
     assert main(["classify", docs["circle"]]) == 65
     assert "map" in capsys.readouterr().err

@@ -191,6 +191,44 @@ def test_monodromy_rejects_foreign_letter():
     assert "zz" in msg
 
 
+# a repeated row is rejected at its own line; none overrides another
+
+CIRCLE = "graph: g\nvertices: 0\nedges: l 0 0\nbasepoint: 0\n\n"
+B2_ROWS = ("fingroupoid: q\nobjects: o\nmorphisms: u o o\nmorphisms: t o o\n"
+           "identity: o u\ncompose: u u u\ncompose: u t t\n"
+           "compose: t u t\ncompose: t t u\n")
+
+
+def test_second_basepoint_rejected_at_its_line():
+    msg = err("graph: g\nvertices: 0 1\nbasepoint: 0\nbasepoint: 1\n")
+    assert msg.startswith("line 4:") and "basepoint" in msg
+
+
+@pytest.mark.parametrize("rows", ["degree: 2\ndegree: 3\n",
+                                  "fiber: a b\nfiber: a b\n",
+                                  "degree: 2\nfiber: a b\n"])
+def test_second_fiber_line_rejected_at_its_line(rows):
+    msg = err(CIRCLE + "monodromy: m g\n" + rows)
+    assert msg.startswith("line 8:")
+
+
+def test_repeated_perm_letter_rejected_at_its_line():
+    msg = err(CIRCLE + "monodromy: m g\ndegree: 3\n"
+              "perm: l (1 2)\nperm: l (2 3)\n")
+    assert msg.startswith("line 9:") and "'l'" in msg
+
+
+def test_repeated_identity_object_rejected_at_its_line():
+    parse_document(B2_ROWS)
+    msg = err(B2_ROWS + "identity: o t\n")
+    assert msg.startswith("line 10:") and "'o'" in msg
+
+
+def test_repeated_compose_pair_rejected_at_its_line():
+    msg = err(B2_ROWS + "compose: t t t\n")
+    assert msg.startswith("line 10:") and "'t' 't'" in msg
+
+
 # ---------------------------------------------------------------------------
 # token and cycle rendering
 

@@ -6,6 +6,7 @@ membership exactly in both directions.
 """
 
 import random
+import time
 from itertools import product as iproduct
 
 from hypothesis import given, settings, strategies as st
@@ -327,3 +328,116 @@ def test_coset_states_partition_words():
         for w2 in random_words(rng, 2, 3, 5):
             same_state = H.coset_state(w1) == H.coset_state(w2)
             assert same_state == H.contains(mul(w1, inv(w2)))
+
+
+# ---------------------------------------------------------------------------
+# Folding: the worklist fold against the plain fixpoint loop.
+
+def reference_automaton(letters, words):
+    """The plain fixpoint loops of Stallings' process: rescan every edge
+    after each single merge, then trim whole rounds of leaves."""
+    edges = []
+    fresh = 1
+    for w in map(reduce_word, words):
+        cur = 0
+        for i, (g, s) in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else fresh
+            fresh += nxt != 0
+            edges.append((cur, g, nxt) if s > 0 else (nxt, g, cur))
+            cur = nxt
+    p = list(range(fresh))
+
+    def find(x):
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    while True:
+        out = {}
+        inn = {}
+        merge = None
+        for u, a, v in edges:
+            ru, rv = find(u), find(v)
+            k = (ru, a)
+            if k in out and out[k] != rv:
+                merge = (out[k], rv)
+                break
+            out[k] = rv
+            k = (rv, a)
+            if k in inn and inn[k] != ru:
+                merge = (inn[k], ru)
+                break
+            inn[k] = ru
+        if merge is None:
+            break
+        p[find(merge[1])] = find(merge[0])
+    states = set()
+    delta = {}
+    for u, a, v in edges:
+        ru, rv = find(u), find(v)
+        delta[(ru, a)] = rv
+        states.add(ru)
+        states.add(rv)
+    root = find(0)
+    states.add(root)
+    while True:
+        deg = {s: 0 for s in states}
+        for (u, a), v in delta.items():
+            deg[u] += 1
+            deg[v] += 1
+        leaves = {s for s in states if s != root and deg[s] <= 1}
+        if not leaves:
+            break
+        states = states - leaves
+        delta = {(u, a): v for (u, a), v in delta.items()
+                 if u not in leaves and v not in leaves}
+    return SubgroupAutomaton._canonical(letters, states, delta, root)
+
+
+@st.composite
+def word_lists(draw):
+    """0-6 reduced words of length 0-40; some are conjugates by one
+    shared word, so they share long prefixes and suffixes."""
+    def reduced(n):
+        return st.lists(letters2, max_size=n).map(reduce_word)
+    u = draw(reduced(10))
+    out = []
+    for w in draw(st.lists(reduced(40), max_size=6)):
+        if len(w) <= 20 and draw(st.booleans()):
+            w = mul(inv(u), w, u)
+        out.append(w)
+    return out
+
+
+@settings(max_examples=300)
+@given(word_lists())
+def test_fold_matches_reference_fixpoint(words):
+    got = SubgroupAutomaton.from_words((0, 1), words)
+    assert got.key() == reference_automaton((0, 1), words).key()
+
+
+def test_fold_of_long_conjugates_is_near_linear():
+    # quadratic folding takes tens of seconds here
+    rng = random.Random(309)
+
+    def word(n):
+        w = [(rng.randrange(2), rng.choice((-1, 1)))]
+        while len(w) < n:
+            g = (rng.randrange(2), rng.choice((-1, 1)))
+            if g != (w[-1][0], -w[-1][1]):
+                w.append(g)
+        return tuple(w)
+
+    w = word(1000)
+    while w[0] == (w[-1][0], -w[-1][1]):
+        w = word(1000)
+    v = word(500)
+    gens = [mul(inv(u), w, u) for u in (mul(word(3), v) for _ in range(6))]
+    assert min(map(len, gens)) >= 1900
+    t0 = time.perf_counter()
+    A = SubgroupAutomaton.from_words((0, 1), gens)
+    elapsed = time.perf_counter() - t0
+    assert all(A.contains(g) for g in gens)
+    assert A.rank() <= 6
+    assert elapsed < 2.0, elapsed
