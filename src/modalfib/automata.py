@@ -78,7 +78,9 @@ class SubgroupAutomaton:
         self.n = n
         self.delta = dict(delta)
         self.rdelta = {(v, a): u for (u, a), v in self.delta.items()}
-        assert len(self.rdelta) == len(self.delta), "not folded"
+        if len(self.rdelta) != len(self.delta):
+            raise ValueError("not folded: two edges with one label enter "
+                             "one state")
 
     # -- construction ------------------------------------------------------
 

@@ -110,10 +110,9 @@ def _classify_pi0(f):
     if etale:
         for y in f.target.vertices:
             by_comp = {}
-            for x in f.source.vertices:
-                if f.vertex_map[x] == y:
-                    r = cm_src[x]
-                    by_comp[r] = by_comp.get(r, 0) + 1
+            for x in f.preimages[y][0]:
+                r = cm_src[x]
+                by_comp[r] = by_comp.get(r, 0) + 1
             if (sorted(by_comp, key=_sort_key) !=
                     sorted(over[cm_dst[y]], key=_sort_key)
                     or any(c != 1 for c in by_comp.values())):
@@ -183,8 +182,8 @@ def _etale_shape_route(f, F, over):
                 return False
             full = list(range(H.n))
             for y in tvs:
-                traces = sorted(H.trace(F.conj[x]) for x in comp.vertices
-                                if f.vertex_map[x] == y)
+                traces = sorted(H.trace(F.conj[x]) for x in f.preimages[y][0]
+                                if x in comp.vertices)
                 if traces != full:
                     return False
             by_edge = {d: [] for d in tes}
@@ -283,7 +282,7 @@ def etale_family_check(f):
     sizes = {}
     constant = True
     for y in f.target.vertices:
-        n = sum(1 for x in f.source.vertices if f.vertex_map[x] == y)
+        n = len(f.preimages[y][0])
         r = cm_dst[y]
         if r in sizes and sizes[r] != n:
             constant = False

@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field
 
 from .classify import (classify, constant_fiber_criterion,
-                       etale_family_check, factor0, FactorError)
+                       etale_family_check, factor0, FactorError,
+                       _classify_pi0)
 from .covers import (CoverError, CoverMap, enumerate_covers, monodromy,
                      shape_of_total, total_space, universal_cover_ball)
 from .dot import fin_groupoid_dot, graph_dot
@@ -26,6 +27,7 @@ from .fingroupoids import (FinGroupoid, classify_trunc, compare_modalities,
                            random_functor, random_functor_into,
                            random_groupoid)
 from .graphs import GraphError, pi0
+from .groupoids import induce_functor
 from .hfiber import gamma_is_equivalence, prism
 from .quotients import (ActionError, QUOTIENT_GROUP_BOUND, SizeError,
                         fiber_sequence_check, orbit_graph,
@@ -193,8 +195,8 @@ def _cmd_factor0(request):
     except FactorError as e:
         data = {"command": "factor0", "ok": False, "reason": str(e)}
         return data, ["factorization failed: %s" % e], 1
-    lv = classify(left).pi0
-    rv = classify(right).pi0
+    lv = _classify_pi0(left)
+    rv = _classify_pi0(right)
     data = {
         "command": "factor0",
         "ok": True,
@@ -256,9 +258,10 @@ def _cmd_prism(request):
         y = _coerce(y)
     if y not in f.target.vertices:
         raise InputError("vertex %r is not in the target" % (y,))
-    p = prism(f, y)
+    F = induce_functor(f)
+    p = prism(f, y, F=F)
     cosets = p.hfib.total_cosets()
-    gamma = gamma_is_equivalence(f, y)
+    gamma = gamma_is_equivalence(f, y, F=F)
     data = {
         "command": "prism",
         "vertex": y,

@@ -134,10 +134,10 @@ def _letter_loop(shape, base, letter):
     to the letter's tail, across, and home again."""
     comp = shape.components[shape.comp_of[base]]
     u, v = shape.graph.ends[letter]
-    to_root = tuple((e, -s) for e, s in reversed(comp.tree_paths[base]))
-    back = tuple((e, -s) for e, s in reversed(comp.tree_paths[v]))
-    return (to_root + comp.tree_paths[u] + ((letter, +1),) + back
-            + comp.tree_paths[base])
+    to_base = comp.tree_path(base)
+    to_root = tuple((e, -s) for e, s in reversed(to_base))
+    back = tuple((e, -s) for e, s in reversed(comp.tree_path(v)))
+    return (to_root + comp.tree_path(u) + ((letter, +1),) + back + to_base)
 
 
 def monodromy(p, base):

@@ -29,7 +29,7 @@ diagonals.  Edge ids of products and pullbacks are the canonical dart
 pairs themselves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 __all__ = [
@@ -76,7 +76,8 @@ class FinGraph:
     def __post_init__(self):
         vs = tuple(sorted(set(self.vertices), key=_sort_key))
         object.__setattr__(self, "vertices", vs)
-        vset = set(vs)
+        vset = frozenset(vs)
+        object.__setattr__(self, "vertex_set", vset)
         seen = set()
         es = []
         for eid, u, v in self.edges:
@@ -104,17 +105,22 @@ class FinGraph:
         return tuple(eid for eid, _, _ in self.edges)
 
     def darts(self, v):
-        """All darts leaving v, as (edge_id, sign, other_end) triples.
+        """All darts leaving v, as a tuple of (edge_id, sign, other_end)
+        triples in edge order.
 
-        A loop at v contributes both its darts.
+        A loop at v contributes both its darts, +1 first.  The adjacency
+        index behind this is built on the first call.
         """
-        out = []
-        for eid, a, b in self.edges:
-            if a == v:
-                out.append((eid, +1, b))
-            if b == v:
-                out.append((eid, -1, a))
-        return out
+        try:
+            adj = self._darts_cache
+        except AttributeError:
+            lists = {u: [] for u in self.vertices}
+            for eid, a, b in self.edges:
+                lists[a].append((eid, +1, b))
+                lists[b].append((eid, -1, a))
+            adj = {u: tuple(ds) for u, ds in lists.items()}
+            object.__setattr__(self, "_darts_cache", adj)
+        return adj.get(v, ())
 
     def dart_ends(self, eid, sign):
         u, v = self.ends[eid]
@@ -141,7 +147,7 @@ class GraphMap:
 
     def __post_init__(self):
         vm, em = self.vertex_map, self.edge_map
-        tverts = set(self.target.vertices)
+        tverts = self.target.vertex_set
         for x in self.source.vertices:
             if x not in vm:
                 raise GraphError("vertex %r has no image" % (x,))
@@ -200,6 +206,23 @@ class GraphMap:
         return GraphMap(g, g, {v: v for v in g.vertices},
                         {e: (e, +1) for e in g.edge_ids()})
 
+    @property
+    def preimages(self):
+        """dict target vertex y -> (source vertices over y, collapsed
+        source edges over y), both in source order; built once."""
+        try:
+            return self._preimage_cache
+        except AttributeError:
+            vm = self.vertex_map
+            index = {y: ([], []) for y in self.target.vertices}
+            for x in self.source.vertices:
+                index[vm[x]][0].append(x)
+            for e, u, v in self.source.edges:
+                if self.edge_map[e] is None:
+                    index[vm[u]][1].append((e, u, v))
+            object.__setattr__(self, "_preimage_cache", index)
+            return index
+
     def dart_image(self, eid, sign):
         """Image of a dart: ('e', edge, sign) or ('r', vertex)."""
         img = self.edge_map[eid]
@@ -244,14 +267,9 @@ def fiber(f, y):
     is degenerate at y.  Edges mapping onto actual edges (loops at y
     included) cover more than the single point y, so they are excluded.
     """
-    if y not in set(f.target.vertices):
+    if y not in f.target.vertex_set:
         raise GraphError("fiber base %r is not a target vertex" % (y,))
-    vm = f.vertex_map
-    verts = [x for x in f.source.vertices if vm[x] == y]
-    edges = []
-    for eid, u, v in f.source.edges:
-        if f.edge_map[eid] is None and vm[u] == y:
-            edges.append((eid, u, v))
+    verts, edges = f.preimages[y]
     sub = FinGraph(tuple(verts), tuple(edges))
     incl = GraphMap(sub, f.source, {v: v for v in verts},
                     {e: (e, +1) for e, _, _ in edges})

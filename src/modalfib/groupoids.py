@@ -19,6 +19,7 @@ simultaneous conjugacy problem over the target letters, which
 words.solve_simultaneous_conjugacy decides exactly.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 from .graphs import _sort_key, FinGraph, GraphMap
@@ -38,7 +39,18 @@ class Component:
     base: object
     vertices: frozenset
     letters: tuple                  # cotree edge ids, sorted
-    tree_paths: dict                # vertex -> tuple of darts from base
+    parent: dict                    # vertex -> tree dart (eid, sign) reaching
+                                    # it, None at the base; in BFS order
+    graph: FinGraph
+
+    def tree_path(self, v):
+        """The tree path from the base to v, as a tuple of darts."""
+        darts = []
+        while self.parent[v] is not None:
+            eid, sign = self.parent[v]
+            darts.append((eid, sign))
+            v = self.graph.dart_ends(eid, sign)[0]
+        return tuple(reversed(darts))
 
 
 class PresGroupoid:
@@ -46,40 +58,41 @@ class PresGroupoid:
         self.graph = graph
         self.components = {}
         self.comp_of = {}
-        visited = set()
+        parents = {}
+        tree_edges = set()
         for start in graph.vertices:
-            if start in visited:
+            if start in self.comp_of:
                 continue
-            tree_paths = {start: ()}
-            tree_edges = set()
-            order = [start]
-            visited.add(start)
-            queue = [start]
+            parent = {start: None}
+            queue = deque([start])
             while queue:
-                v = queue.pop(0)
-                ds = sorted(graph.darts(v),
-                            key=lambda d: (_sort_key(d[0]), -d[1]))
-                for eid, sign, other in ds:
-                    if other not in visited:
-                        visited.add(other)
+                v = queue.popleft()
+                # darts come in edge order, which is edge-id order, with +1
+                # before -1 on a loop: the lowest-id-first order of the BFS
+                for eid, sign, other in graph.darts(v):
+                    if other not in parent:
+                        parent[other] = (eid, sign)
                         tree_edges.add(eid)
-                        tree_paths[other] = tree_paths[v] + ((eid, sign),)
-                        order.append(other)
                         queue.append(other)
-            letters = tuple(sorted(
-                (eid for eid, u, w in graph.edges
-                 if u in tree_paths and eid not in tree_edges),
-                key=_sort_key))
-            comp = Component(start, frozenset(order), letters, tree_paths)
-            self.components[start] = comp
-            for v in order:
+            for v in parent:
                 self.comp_of[v] = start
+            parents[start] = parent
+        # one pass over the edges, already sorted by id, finds every
+        # component's cotree letters
+        letters = {start: [] for start in parents}
+        for eid, u, _ in graph.edges:
+            if eid not in tree_edges:
+                letters[self.comp_of[u]].append(eid)
+        self._letter_set = frozenset(l for ls in letters.values() for l in ls)
+        for start, parent in parents.items():
+            self.components[start] = Component(
+                start, frozenset(parent), tuple(letters[start]), parent,
+                graph)
 
     # -- words of paths ----------------------------------------------------
 
     def dart_word(self, eid, sign):
-        comp = self.components[self.comp_of[self.graph.ends[eid][0]]]
-        if eid in comp.letters:
+        if eid in self._letter_set:
             return ((eid, sign),)
         return ()
 
@@ -207,11 +220,14 @@ def induce_functor(f, src_shape=None, dst_shape=None):
     conj = {}
     gen_images = {}
     for base, comp in S.components.items():
-        for v in comp.vertices:
-            w = ()
-            for eid, sign in comp.tree_paths[v]:
-                w = mul(w, image_word(eid, sign))
-            conj[v] = w
+        # BFS order puts every tree parent before its children, so each
+        # conjugator extends its parent's by one dart image
+        for v, dart in comp.parent.items():
+            if dart is None:
+                conj[v] = ()
+            else:
+                u = f.source.dart_ends(*dart)[0]
+                conj[v] = mul(conj[u], image_word(*dart))
         for l in comp.letters:
             u, v = f.source.ends[l]
             gen_images[l] = mul(conj[u], image_word(l, +1), inv(conj[v]))

@@ -32,7 +32,8 @@ Deciding whether it is an equivalence is the heart of the package:
 All three conditions are exact; no bounds are involved.
 """
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .graphs import _sort_key, fiber, _UnionFind
 from .words import reduce_word, mul, inv
@@ -186,7 +187,6 @@ class _ComponentData:
     """Per-source-component facts independent of the queried vertex."""
 
     def __init__(self, F, f, comp, target_letters):
-        self.comp = comp
         T = F.dst
         self.subgroup = SubgroupAutomaton.from_words(
             target_letters, [F.gen_images[l] for l in comp.letters])
@@ -213,6 +213,12 @@ class _ComponentData:
         for _, u, _ in deg_edges:
             edge_counts[self.piece_of[u]] += 1
         self.piece_rank = {p: edge_counts[p] - counts[p] + 1 for p in counts}
+
+        # target vertex -> piece -> the fiber vertices in it
+        self.pieces_over = {}
+        for x in comp.vertices:
+            self.pieces_over.setdefault(F.obj[x], {}).setdefault(
+                self.piece_of[x], []).append(x)
 
         # incidence graph of pieces along non-degenerate edges
         pieces = sorted(counts, key=_sort_key)
@@ -259,11 +265,11 @@ class _ComponentData:
             adj.setdefault(u, []).append((v, label, i, +1))
             adj.setdefault(v, []).append((u, label, i, -1))
         tree_arcs = set()
-        queue = [nodes[0]]
+        queue = deque([nodes[0]])
         while queue:
-            u = queue.pop(0)
-            for v, label, i, sgn in sorted(
-                    adj.get(u, []), key=lambda t: (t[2], -t[3])):
+            u = queue.popleft()
+            # adjacency lists are built in arc order, +1 before -1 on a loop
+            for v, label, i, sgn in adj.get(u, ()):
                 if v not in transport:
                     transport[v] = mul(transport[u],
                                        label if sgn > 0 else inv(label))
@@ -276,13 +282,6 @@ class _ComponentData:
             gens.append(mul(transport[u], label, inv(transport[v])))
         folded = SubgroupAutomaton.from_words(target_letters, gens)
         return folded.rank() == len(gens)
-
-    def fiber_pieces_over(self, F, y):
-        out = {}
-        for x in self.comp.vertices:
-            if F.obj[x] == y:
-                out.setdefault(self.piece_of[x], []).append(x)
-        return out
 
 
 class GammaAnalyzer:
@@ -313,7 +312,7 @@ class GammaAnalyzer:
             if not data.complete:
                 return False
             H = data.subgroup
-            pieces = data.fiber_pieces_over(F, y)
+            pieces = data.pieces_over.get(y, {})
             if not pieces:
                 return False
             # (a) all cosets marked, (b) injectively

@@ -9,6 +9,7 @@ ActionGroupoid over the presented shape.  Group elements compose in
 diagram order like everything else here: mul(g, h) is "g then h".
 """
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -72,9 +73,9 @@ class FinGroup:
                     "generator %r is not a permutation of range(%d)"
                     % (p, self.degree))
         words = {base: ()}
-        queue = [base]
+        queue = deque([base])
         while queue:
-            a = queue.pop(0)
+            a = queue.popleft()
             for i, g in enumerate(self.generators):
                 b = _mul_perm(a, g)
                 if b not in words:

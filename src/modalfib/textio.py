@@ -354,6 +354,8 @@ def _build_automaton(sec):
         elif key == "states":
             if len(toks) != 1 or not _INT.match(toks[0]):
                 raise ParseError(line, "states wants an integer")
+            if n is not None:
+                raise ParseError(line, "second states line")
             n = int(toks[0])
         elif key == "delta":
             if len(toks) != 3:
@@ -361,7 +363,10 @@ def _build_automaton(sec):
             s, a, t = toks
             if not (_INT.match(s) and _INT.match(t)):
                 raise ParseError(line, "states are integers")
-            delta[(int(s), _atom(a))] = int(t)
+            arrow = (int(s), _atom(a))
+            if arrow in delta:
+                raise ParseError(line, "second delta line for %r %r" % arrow)
+            delta[arrow] = int(t)
         else:
             raise ParseError(line, "unknown automaton line %r" % (key,))
     if n is None:
@@ -375,7 +380,7 @@ def _build_automaton(sec):
                              "delta letter %r not declared" % (a,))
     try:
         return SubgroupAutomaton(tuple(letters), n, delta)
-    except AssertionError:
+    except ValueError:
         raise ParseError(sec.header_line,
                          "automaton %r is not folded" % (sec.name,))
 

@@ -55,7 +55,7 @@ def test_tree_paths_have_empty_words():
         S = shape1(g)
         for comp in S.components.values():
             for v in comp.vertices:
-                assert S.path_word(comp.tree_paths[v]) == ()
+                assert S.path_word(comp.tree_path(v)) == ()
 
 
 def test_loop_words_around_cycle():

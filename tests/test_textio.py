@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import modalfib
 from modalfib.graphs import FinGraph, GraphMap, cycle
 from modalfib.groupoids import shape1
 from modalfib.corpus import figure_eight
@@ -227,6 +233,32 @@ def test_repeated_identity_object_rejected_at_its_line():
 def test_repeated_compose_pair_rejected_at_its_line():
     msg = err(B2_ROWS + "compose: t t t\n")
     assert msg.startswith("line 10:") and "'t' 't'" in msg
+
+
+def test_repeated_delta_row_rejected_at_its_line():
+    msg = err("automaton: a\nletters: x\nstates: 2\n"
+              "delta: 0 x 1\ndelta: 0 x 0\n")
+    assert msg.startswith("line 5:") and "0 'x'" in msg
+
+
+def test_second_states_line_rejected_at_its_line():
+    msg = err("automaton: a\nletters: x\nstates: 2\nstates: 3\n")
+    assert msg.startswith("line 4:") and "states" in msg
+
+
+def test_unfolded_automaton_rejected_without_asserts(tmp_path):
+    # foldedness is a real check, so it holds under python -O as well
+    p = tmp_path / "unfolded.txt"
+    p.write_text("automaton: a\nletters: x\nstates: 2\n"
+                 "delta: 0 x 1\ndelta: 1 x 1\n")
+    src = str(Path(modalfib.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "modalfib.cli", "classify", str(p)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 65
+    assert "not folded" in run.stderr
 
 
 # ---------------------------------------------------------------------------
