@@ -128,8 +128,8 @@ class FinGroupoid:
 
     src/dst assign endpoints to morphism ids, ident picks the identity at
     each object, comp is defined on exactly the composable pairs (in
-    diagram order).  Construction checks every law and caches inverses
-    and a hom-set index.
+    diagram order).  Construction checks every law and caches inverses,
+    a hom-set index, the component map and a generating set.
     """
 
     objects: tuple
@@ -144,89 +144,153 @@ class FinGroupoid:
         mors = tuple(sorted(set(self.morphisms), key=_sort_key))
         object.__setattr__(self, "objects", objs)
         object.__setattr__(self, "morphisms", mors)
+        src, dst, comp, ident = self.src, self.dst, self.comp, self.ident
         oset, mset = set(objs), set(mors)
         for m in mors:
-            if self.src.get(m) not in oset or self.dst.get(m) not in oset:
+            if src.get(m) not in oset or dst.get(m) not in oset:
                 raise FinGroupoidError("morphism %r has bad endpoints" % (m,))
         for o in objs:
-            i = self.ident.get(o)
-            if i not in mset or self.src[i] != o or self.dst[i] != o:
+            i = ident.get(o)
+            if i not in mset or src[i] != o or dst[i] != o:
                 raise FinGroupoidError("object %r has no identity" % (o,))
         into, outof = {}, {}
         for m in mors:
-            outof[self.src[m]] = outof.get(self.src[m], 0) + 1
-            into[self.dst[m]] = into.get(self.dst[m], 0) + 1
+            outof[src[m]] = outof.get(src[m], 0) + 1
+            into[dst[m]] = into.get(dst[m], 0) + 1
         expected = sum(into.get(o, 0) * outof.get(o, 0) for o in objs)
-        if len(self.comp) != expected:
+        if len(comp) != expected:
             raise FinGroupoidError(
                 "composition table has %d entries, expected %d"
-                % (len(self.comp), expected))
-        for (g, h), k in self.comp.items():
-            if g not in mset or h not in mset \
-                    or self.dst[g] != self.src[h]:
+                % (len(comp), expected))
+        for (g, h), k in comp.items():
+            if g not in mset or h not in mset or dst[g] != src[h]:
                 raise FinGroupoidError("(%r, %r) is not composable" % (g, h))
-            if k not in mset or self.src[k] != self.src[g] \
-                    or self.dst[k] != self.dst[h]:
+            if k not in mset or src[k] != src[g] or dst[k] != dst[h]:
                 raise FinGroupoidError("composite of (%r, %r) ill-typed"
                                        % (g, h))
+        # from here on comp is defined on every composable pair
         for m in mors:
-            if self.comp[(self.ident[self.src[m]], m)] != m \
-                    or self.comp[(m, self.ident[self.dst[m]])] != m:
+            if comp[(ident[src[m]], m)] != m or comp[(m, ident[dst[m]])] != m:
                 raise FinGroupoidError("unit law fails at %r" % (m,))
-        if len(mors) <= 2048:
-            # integer-indexed rows keep the triple scan out of dict lookups;
-            # the quadratic table stays small at this size
-            midx = {m: i for i, m in enumerate(mors)}
-            table = [[-1] * len(mors) for _ in mors]
-            for (g, h), k in self.comp.items():
-                table[midx[g]][midx[h]] = midx[k]
-            by_src = {}
-            for i, m in enumerate(mors):
-                by_src.setdefault(self.src[m], []).append(i)
-            for (g, h), gh in self.comp.items():
-                row_gh = table[midx[gh]]
-                row_g = table[midx[g]]
-                row_h = table[midx[h]]
-                for ki in by_src.get(self.dst[h], ()):
-                    if row_gh[ki] != row_g[row_h[ki]]:
-                        raise FinGroupoidError(
-                            "associativity fails at (%r, %r, %r)"
-                            % (g, h, mors[ki]))
-        else:
-            for (g, h), gh in self.comp.items():
-                for k in mors:
-                    if self.src[k] == self.dst[h]:
-                        if self.comp[(gh, k)] != self.comp[(g, self.comp[(h, k)])]:
-                            raise FinGroupoidError(
-                                "associativity fails at (%r, %r, %r)"
-                                % (g, h, k))
-        inv = {}
         hom = {}
         for m in mors:
-            hom.setdefault((self.src[m], self.dst[m]), []).append(m)
+            hom.setdefault((src[m], dst[m]), []).append(m)
+        inv = {}
         for m in mors:
-            for w in hom.get((self.dst[m], self.src[m]), ()):
-                if self.comp[(m, w)] == self.ident[self.src[m]] \
-                        and self.comp[(w, m)] == self.ident[self.dst[m]]:
+            for w in hom.get((dst[m], src[m]), ()):
+                if comp[(m, w)] == ident[src[m]] \
+                        and comp[(w, m)] == ident[dst[m]]:
                     inv[m] = w
                     break
             if m not in inv:
                 raise FinGroupoidError("morphism %r has no inverse" % (m,))
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_hom", hom)
+        object.__setattr__(self, "_hom",
+                           {key: tuple(ms) for key, ms in hom.items()})
+        self._certify()
+
+    def _certify(self):
+        """Associativity by a normal-form certificate, in O(|comp|).
+
+        Each component gets its least object b as base and a tree arrow
+        t_a, the first of hom(b, a), for each of its objects a.  Every
+        m : a -> c is sent to phi(m) = t_a;m;inv(t_c) in G_b = hom(b, b).
+        The checks are: every hom(a, c) has |G_b| elements, every comp
+        entry obeys phi(g;h) = phi(g)phi(h), and G_b is associative, by
+        Light's test (Clifford-Preston, Algebraic Theory of Semigroups I,
+        1961, 1.2): the s with (x s) y = x (s y) for all x, y are closed
+        under products, so it is enough to test the s in a generating set.
+        With units and inverses G_b is then a group, and phi is a
+        bijection from each hom(a, c) onto G_b: phi turns x -> x;t_c and
+        y -> inv(t_a);y, which carry G_b into hom(b, c) and that into
+        hom(a, c), into translations.  So the table is isomorphic to the
+        groupoid obj x G_b x obj and is associative itself (Brown,
+        Topology and Groupoids, 2006, 6.7).
+
+        Keeps the component map, the `into` index (object -> morphisms
+        ending there) and a generating set: the tree arrows and the
+        generators of each G_b.  Their inverses need no place in it,
+        because a functor check that passes at s passes at inv(s).
+        """
+        objs, mors, hom = self.objects, self.morphisms, self._hom
+        src, dst, comp, inv = self.src, self.dst, self.comp, self.inv
+        out = {}
+        for a, c in hom:
+            out.setdefault(a, []).append(c)
+        # every morphism has an inverse and comp is total, so hom(b', a)
+        # and hom(b, a) both nonempty would make hom(b', b) nonempty: no
+        # object is reached from two bases, and a morphism a -> c never
+        # leaves the component of a, since t_a;m lies in hom(b, c)
+        base, tree, members = {}, {}, {}
+        for b in objs:
+            if b in base:
+                continue
+            members[b] = out[b]
+            for a in out[b]:
+                base[a] = b
+                tree[a] = hom[(b, a)][0]
+        for b, comp_objs in members.items():
+            order = len(hom[(b, b)])
+            for a in comp_objs:
+                for c in comp_objs:
+                    if len(hom.get((a, c), ())) != order:
+                        raise FinGroupoidError(
+                            "hom(%r, %r) has %d morphisms, hom(%r, %r) has %d"
+                            % (a, c, len(hom.get((a, c), ())), b, b, order))
+        phi = {m: comp[(comp[(tree[src[m]], m)], inv[tree[dst[m]]])]
+               for m in mors}
+        for (g, h), k in comp.items():
+            if phi[k] != comp[(phi[g], phi[h])]:
+                raise FinGroupoidError(
+                    "composite of (%r, %r) does not match its vertex group"
+                    % (g, h))
+        gens = []
+        for b in members:
+            group = hom[(b, b)]
+            # closure from the identity under right products: the
+            # identity passes Light's test by the unit laws, so the
+            # generators found here together with it generate G_b
+            reached = {self.ident[b]}
+            vgens = []
+            for x in group:
+                if x in reached:
+                    continue
+                vgens.append(x)
+                todo = [(y, x) for y in reached]
+                while todo:
+                    y, s = todo.pop()
+                    z = comp[(y, s)]
+                    if z not in reached:
+                        reached.add(z)
+                        todo.extend((z, t) for t in vgens)
+            for s in vgens:
+                s_then = {y: comp[(s, y)] for y in group}
+                for x in group:
+                    xs = comp[(x, s)]
+                    for y in group:
+                        if comp[(xs, y)] != comp[(x, s_then[y])]:
+                            raise FinGroupoidError(
+                                "associativity fails at (%r, %r, %r)"
+                                % (x, s, y))
+            gens.extend(vgens)
+        gens.extend(tree[a] for a in objs)
+        into = {o: [] for o in objs}
+        for m in mors:
+            into[dst[m]].append(m)
+        object.__setattr__(self, "_components", {o: base[o] for o in objs})
+        object.__setattr__(self, "_into", into)
+        object.__setattr__(self, "_gens", tuple(dict.fromkeys(gens)))
 
     def hom(self, a, b):
-        return tuple(self._hom.get((a, b), ()))
+        return self._hom.get((a, b), ())
 
     def aut(self, x):
         return self.hom(x, x)
 
     def component_map(self):
-        """dict object -> least object in its isomorphism class."""
-        uf = _UnionFind(self.objects)
-        for m in self.morphisms:
-            uf.union(self.src[m], self.dst[m])
-        return uf.least()
+        """dict object -> least object in its isomorphism class.  The
+        dict is shared by every caller: read it, do not change it."""
+        return self._components
 
     def __repr__(self):
         return "FinGroupoid(%d objects, %d morphisms)" % (
@@ -256,14 +320,23 @@ class FinFunctor:
         for o in S.objects:
             if self.mor_map[S.ident[o]] != T.ident[self.obj_map[o]]:
                 raise FinGroupoidError("identity at %r not preserved" % (o,))
-        for (g, h), k in S.comp.items():
-            if T.comp[(self.mor_map[g], self.mor_map[h])] != self.mor_map[k]:
-                raise FinGroupoidError(
-                    "composition not preserved at (%r, %r)" % (g, h))
+        # with identities preserved, the s with F(g;s) = F(g);F(s) for
+        # every g into src(s) are closed under composition and inverses,
+        # so checking the source's generating set checks every pair
+        fm, scomp, tcomp = self.mor_map, S.comp, T.comp
+        for s in S._gens:
+            fs = fm[s]
+            for g in S._into[S.src[s]]:
+                if tcomp[(fm[g], fs)] != fm[scomp[(g, s)]]:
+                    raise FinGroupoidError(
+                        "composition not preserved at (%r, %r)" % (g, s))
+        object.__setattr__(self, "_fiber_cms", {})
 
     def compose(self, other):
         """self then other."""
-        assert other.source == self.target
+        if other.source != self.target:
+            raise FinGroupoidError("functors do not compose: %r then %r"
+                                   % (self, other))
         return FinFunctor(
             self.source, other.target,
             {x: other.obj_map[self.obj_map[x]] for x in self.source.objects},
@@ -461,14 +534,19 @@ def _fiber_objects(F, y):
 
 
 def _fiber_component_map(F, y):
-    """dict fiber object -> canonical representative."""
-    S, T = F.source, F.target
-    uf = _UnionFind(_fiber_objects(F, y))
-    for g in S.morphisms:
-        x, x2 = S.src[g], S.dst[g]
-        for m2 in T.hom(F.obj_map[x2], y):
-            uf.union((x, T.comp[(F.mor_map[g], m2)]), (x2, m2))
-    return uf.least()
+    """dict fiber object -> canonical representative, computed once per
+    functor and base and shared by every caller: read it, do not change
+    it."""
+    fcm = F._fiber_cms.get(y)
+    if fcm is None:
+        S, T = F.source, F.target
+        uf = _UnionFind(_fiber_objects(F, y))
+        for g in S.morphisms:
+            x, x2 = S.src[g], S.dst[g]
+            for m2 in T.hom(F.obj_map[x2], y):
+                uf.union((x, T.comp[(F.mor_map[g], m2)]), (x2, m2))
+        fcm = F._fiber_cms[y] = uf.least()
+    return fcm
 
 
 def _transport(F, h, rep, target_map):
@@ -740,7 +818,9 @@ def homotopy_pullback(F, G):
     morphisms whose images commute with the connecting morphisms.
     Returns (P, proj1, proj2).
     """
-    assert F.target == G.target
+    if F.target != G.target:
+        raise FinGroupoidError("functors into different targets: %r and %r"
+                               % (F, G))
     X, Y, Z = F.source, G.source, F.target
     objs = tuple((x, y, m) for x in X.objects for y in Y.objects
                  for m in Z.hom(F.obj_map[x], G.obj_map[y]))
@@ -789,12 +869,10 @@ def compare_modalities(F):
     hi = classify_trunc(F, 0)
     t0, _ = trunc0(F.source)
     t0y, _ = trunc0(F.target)
-    cm = F.source.component_map()
+    ycm = F.target.component_map()
     shadow = FinFunctor(
-        t0, t0y, {c: F.target.component_map()[F.obj_map[c]]
-                  for c in t0.objects},
-        {m: t0y.ident[F.target.component_map()[F.obj_map[m[1]]]]
-         for m in t0.morphisms})
+        t0, t0y, {c: ycm[F.obj_map[c]] for c in t0.objects},
+        {m: t0y.ident[ycm[F.obj_map[m[1]]]] for m in t0.morphisms})
     shadow_lo = classify_trunc(shadow, -1)
 
     def imp(premise, conclusion):
@@ -1043,7 +1121,26 @@ def _random_blocks(rng, max_objects, max_morphisms):
             return blocks
 
 
+# Validated catalog assemblies, keyed by the block list.  Blocks have
+# k <= 3 objects, a list holds at most 3 blocks and there are 6 catalog
+# groups, so there are at most 18 + 18**2 + 18**3 = 6,174 keys; at the
+# defaults (6, 24) and (2, 8) only 1,356 and 37 lists are reachable, each
+# with at most 24 morphisms.  Every entry went through the constructor
+# once; a hit returns that same object.
+_ASSEMBLED = {}
+
+
 def _assemble_blocks(blocks):
+    """The disjoint union of the catalog blocks (k, group name), with
+    objects numbered from 0 block by block; memoized, uses no rng."""
+    key = tuple(blocks)
+    g = _ASSEMBLED.get(key)
+    if g is None:
+        g = _ASSEMBLED[key] = _build_blocks(key)
+    return g, blocks
+
+
+def _build_blocks(blocks):
     objects = []
     morphisms = []
     src, dst, comp, ident = {}, {}, {}, {}
@@ -1065,7 +1162,7 @@ def _assemble_blocks(blocks):
         for o in labels:
             ident[o] = (o, G.unit, o)
     return FinGroupoid(tuple(objects), tuple(morphisms),
-                       src, dst, comp, ident), blocks
+                       src, dst, comp, ident)
 
 
 def random_groupoid(rng, max_objects=6, max_morphisms=24):

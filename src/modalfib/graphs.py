@@ -234,7 +234,9 @@ class GraphMap:
 
     def compose(self, other):
         """self then other (source of other = target of self)."""
-        assert other.source is self.target or other.source == self.target
+        if other.source is not self.target and other.source != self.target:
+            raise GraphError("maps do not compose: %r then %r"
+                             % (self, other))
         vm = {x: other.vertex_map[self.vertex_map[x]] for x in self.source.vertices}
         em = {}
         for eid in self.source.edge_ids():
@@ -313,7 +315,8 @@ def pullback(f, g):
 
     Returns (P, proj1, proj2).
     """
-    assert f.target == g.target
+    if f.target != g.target:
+        raise GraphError("maps into different targets: %r and %r" % (f, g))
     X, Y = f.source, g.source
     verts = tuple((x, y) for x in X.vertices for y in Y.vertices
                   if f.vertex_map[x] == g.vertex_map[y])

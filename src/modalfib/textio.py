@@ -185,12 +185,16 @@ def _build_map(sec, doc):
                 raise ParseError(line, "unknown source vertex %r" % (u,))
             if w not in dst_vs:
                 raise ParseError(line, "unknown target vertex %r" % (w,))
+            if u in vm:
+                raise ParseError(line, "second v line for %r" % (u,))
             vm[u] = w
         elif key == "e":
             toks = _arrow(line, toks, "e id -> id' [+|-] or e id -> deg")
             e = _atom(toks[0])
             if e not in src_es:
                 raise ParseError(line, "unknown source edge %r" % (e,))
+            if e in em:
+                raise ParseError(line, "second e line for %r" % (e,))
             if toks[2] == "deg":
                 em[e] = None
             else:

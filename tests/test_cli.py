@@ -272,6 +272,15 @@ def test_repeated_row_exits_65_naming_its_line(tmp_path, capsys):
     assert "line 9:" in capsys.readouterr().err
 
 
+def test_repeated_map_row_exits_65_naming_its_line(tmp_path, capsys):
+    p = tmp_path / "twice.txt"
+    p.write_text("graph: a\nvertices: 0 1\nedges: l 0 1\n\n"
+                 "graph: b\nvertices: 0\nedges: k 0 0\n\n"
+                 "map: f a b\nv 0 -> 0\nv 1 -> 0\ne l -> deg\nv 1 -> 0\n")
+    assert main(["classify", str(p)]) == 65
+    assert "line 13:" in capsys.readouterr().err
+
+
 def test_wrong_section_kind_exits_65(docs, capsys):
     assert main(["classify", docs["circle"]]) == 65
     assert "map" in capsys.readouterr().err

@@ -311,6 +311,23 @@ def test_pullback_of_disjoint_points_is_empty():
     assert len(P.vertices) == 0 and len(P.edges) == 0
 
 
+@pytest.mark.parametrize("call", [
+    "GraphMap(pt, I, {'pt': 0}, {}).compose(terminal_map(J))",
+    "pullback(GraphMap(pt, I, {'pt': 0}, {}), GraphMap(pt, J, {'pt': 0}, {}))",
+])
+def test_mismatched_maps_rejected_without_asserts(call, run_optimized):
+    # J is the interval plus an isolated vertex: the tables line up, so
+    # only the check itself can refuse, and it holds under python -O
+    run = run_optimized(
+        "from modalfib.graphs import FinGraph, GraphMap, GraphError, "
+        "pullback, point, interval, terminal_map\n"
+        "pt, I = point(), interval()\n"
+        "J = FinGraph((0, 1, 2), (('e', 0, 1),))\n"
+        "try:\n    %s\nexcept GraphError:\n    print('rejected')\n" % call)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism testing sanity.
 

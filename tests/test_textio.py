@@ -246,6 +246,24 @@ def test_second_states_line_rejected_at_its_line():
     assert msg.startswith("line 4:") and "states" in msg
 
 
+# a loop at one vertex over a loop at one vertex; line 11 is the map row
+LOOP_TO_LOOP = ("graph: a\nvertices: 0\nedges: l 0 0\n\n"
+                "graph: b\nvertices: 0\nedges: k 0 0\n\n"
+                "map: f a b\nv 0 -> 0\ne l -> k +\n")
+
+
+def test_repeated_map_vertex_row_rejected_at_its_line():
+    parse_document(LOOP_TO_LOOP)
+    msg = err(LOOP_TO_LOOP + "v 0 -> 0\n")
+    assert msg.startswith("line 12:") and "v line for 0" in msg
+
+
+@pytest.mark.parametrize("row", ["e l -> k +\n", "e l -> deg\n"])
+def test_repeated_map_edge_row_rejected_at_its_line(row):
+    msg = err(LOOP_TO_LOOP + row)
+    assert msg.startswith("line 12:") and "e line for 'l'" in msg
+
+
 def test_unfolded_automaton_rejected_without_asserts(tmp_path):
     # foldedness is a real check, so it holds under python -O as well
     p = tmp_path / "unfolded.txt"
