@@ -25,9 +25,7 @@ component-collapsing left part and a discrete-fiber right part, the
 constant-fiber criterion, and the discrete-family check.
 """
 
-from .graphs import (
-    FinGraph, GraphMap, fiber, pi0, component_map, _sort_key,
-)
+from .graphs import FinGraph, GraphMap, component_map, _sort_key
 from .groupoids import induce_functor
 from .hfiber import GammaAnalyzer
 from .covers import is_cover
@@ -59,7 +57,8 @@ def _edges_over(f):
 
 def _comp_pairing(f):
     """Component data: rep maps on both sides and, for each target
-    component rep, the source component reps lying over it."""
+    component rep, the distinct source component reps lying over it,
+    sorted."""
     cm_src = component_map(f.source)
     cm_dst = component_map(f.target)
     over = {r: [] for r in set(cm_dst.values())}
@@ -68,19 +67,32 @@ def _comp_pairing(f):
     return cm_src, cm_dst, over
 
 
+def _pieces_over(f, y):
+    """The pieces over y, i.e. the components of the fiber over y, each
+    named by its least vertex."""
+    pieces = f.pieces
+    return {pieces[x] for x in f.preimages[y][0]}
+
+
+def _connected0(f, eo):
+    """Connected at the component level: one fiber component over every
+    target vertex and one source edge over every target edge."""
+    return (all(len(_pieces_over(f, y)) == 1 for y in f.target.vertices)
+            and all(len(es) == 1 for es in eo.values()))
+
+
 def _classify_pi0(f):
     cm_src, cm_dst, over = _comp_pairing(f)
     eo = _edges_over(f)
 
     modal = _edge_free(f)
 
-    connected = all(
-        len(sub.vertices) >= 1 and len(pi0(sub)) == 1
-        for sub in (fiber(f, y).subgraph for y in f.target.vertices))
-    if connected:
-        connected = all(len(es) == 1 for es in eo.values())
+    connected = _connected0(f, eo)
 
     equivalence = all(len(cs) == 1 for cs in over.values())
+    # each list in `over` holds distinct reps, so a set comparison (with a
+    # size check where the other side may repeat) compares sorted lists
+    over_set = {r: frozenset(cs) for r, cs in over.items()}
 
     def one_edge_per_component_over(d, es):
         counts = {}
@@ -88,16 +100,16 @@ def _classify_pi0(f):
             r = cm_src[f.source.ends[e][0]]
             counts[r] = counts.get(r, 0) + 1
         td = cm_dst[f.target.ends[d][0]]
-        return (sorted(counts, key=_sort_key) ==
-                sorted(over[td], key=_sort_key)
+        return (counts.keys() == over_set[td]
                 and all(c == 1 for c in counts.values()))
 
+    # each fiber component lies in one source component; those must be
+    # exactly the source components over y's component, once each
     fibration = True
     for y in f.target.vertices:
-        sub = fiber(f, y).subgraph
-        reps = [cm_src[min(K, key=_sort_key)] for K in pi0(sub)]
-        if sorted(reps, key=_sort_key) != sorted(over[cm_dst[y]],
-                                                 key=_sort_key):
+        reps = [cm_src[p] for p in _pieces_over(f, y)]
+        r = cm_dst[y]
+        if len(reps) != len(over[r]) or set(reps) != over_set[r]:
             fibration = False
             break
     if fibration:
@@ -113,8 +125,7 @@ def _classify_pi0(f):
             for x in f.preimages[y][0]:
                 r = cm_src[x]
                 by_comp[r] = by_comp.get(r, 0) + 1
-            if (sorted(by_comp, key=_sort_key) !=
-                    sorted(over[cm_dst[y]], key=_sort_key)
+            if (by_comp.keys() != over_set[cm_dst[y]]
                     or any(c != 1 for c in by_comp.values())):
                 etale = False
                 break
@@ -134,10 +145,11 @@ def _classify_pi1(f, F, analyzer):
 
     modal = _edge_free(f)
 
+    # a connected fiber is a tree when it has one edge fewer than vertices
     connected = all(
-        len(sub.vertices) >= 1 and len(pi0(sub)) == 1
-        and len(sub.edges) == len(sub.vertices) - 1
-        for sub in (fiber(f, y).subgraph for y in f.target.vertices))
+        len(_pieces_over(f, y)) == 1
+        and len(f.preimages[y][1]) == len(f.preimages[y][0]) - 1
+        for y in f.target.vertices)
     if connected:
         connected = all(len(es) == 1 for es in eo.values())
 
@@ -171,10 +183,20 @@ def _etale_shape_route(f, F, over):
     every target vertex hit each coset state exactly once, and so do the
     edges over every target edge."""
     S, T = F.src, F.dst
+    # one pass each: source vertices by (source component, image), source
+    # edges by component, target edges by component
+    verts_at = {}
+    for x in f.source.vertices:
+        verts_at.setdefault((S.comp_of[x], f.vertex_map[x]), []).append(x)
+    src_edges = {}
+    for e, u, v in f.source.edges:
+        src_edges.setdefault(S.comp_of[u], []).append((e, u, v))
+    tgt_edges = {}
+    for d, u, _ in f.target.edges:
+        tgt_edges.setdefault(T.comp_of[u], []).append(d)
     for tb, cbs in over.items():
-        tcomp = T.components[tb]
-        tvs = tcomp.vertices
-        tes = [d for d, u, v in f.target.edges if u in tvs]
+        tvs = T.components[tb].vertices
+        tes = tgt_edges.get(tb, ())
         for cb in cbs:
             comp = S.components[cb]
             H = F.image_subgroup(cb)
@@ -182,15 +204,12 @@ def _etale_shape_route(f, F, over):
                 return False
             full = list(range(H.n))
             for y in tvs:
-                traces = sorted(H.trace(F.conj[x]) for x in f.preimages[y][0]
-                                if x in comp.vertices)
+                traces = sorted(H.trace(F.conj[x])
+                                for x in verts_at.get((cb, y), ()))
                 if traces != full:
                     return False
             by_edge = {d: [] for d in tes}
-            for e in f.source.edge_ids():
-                u, v = f.source.ends[e]
-                if u not in comp.vertices:
-                    continue
+            for e, u, v in src_edges.get(cb, ()):
                 d, s = f.edge_map[e]
                 tail = u if s == +1 else v
                 by_edge[d].append(H.trace(F.conj[tail]))
@@ -220,9 +239,7 @@ def factor0(f):
     and is discrete-fibered.  The composite equals f on the nose.
     """
     X = f.source
-    sub_edges = [(e, u, v) for e, u, v in X.edges if f.edge_map[e] is None]
-    piece_graph = FinGraph(X.vertices, tuple(sub_edges))
-    piece_of = component_map(piece_graph)
+    piece_of = f.pieces
 
     mid_vertices = tuple(sorted(set(piece_of.values()), key=_sort_key))
     mid_edges = tuple((e, piece_of[u], piece_of[v])
@@ -239,11 +256,9 @@ def factor0(f):
 
     if left.compose(right) != f:
         raise FactorError("factorization does not recompose")
-    lv = _classify_pi0(left)
-    rv = _classify_pi0(right)
-    if not lv.connected.is_true:
+    if not _connected0(left, _edges_over(left)):
         raise FactorError("left factor is not component-connected")
-    if not rv.modal.is_true:
+    if not _edge_free(right):
         raise FactorError("right factor is not discrete-fibered")
     return mid, left, right
 
@@ -258,14 +273,17 @@ def constant_fiber_criterion(f):
     One-way evidence for being a fibration, not proof: the criterion
     ignores how fibers are glued over edges.
     """
+    pieces = f.pieces
     sigs = []
     for y in f.target.vertices:
-        sub = fiber(f, y).subgraph
-        ranks = []
-        for K in pi0(sub):
-            edges_in = sum(1 for _, u, _ in sub.edges if u in K)
-            ranks.append(edges_in - len(K) + 1)
-        sigs.append(tuple(sorted(ranks)))
+        verts, edges = f.preimages[y]
+        ranks = {}             # piece K -> |edges in K| - |K| + 1
+        for x in verts:
+            p = pieces[x]
+            ranks[p] = ranks.get(p, 1) - 1
+        for _, u, _ in edges:
+            ranks[pieces[u]] += 1
+        sigs.append(tuple(sorted(ranks.values())))
     return all(s == sigs[0] for s in sigs)
 
 

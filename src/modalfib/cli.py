@@ -197,18 +197,19 @@ def _cmd_factor0(request):
         return data, ["factorization failed: %s" % e], 1
     lv = _classify_pi0(left)
     rv = _classify_pi0(right)
+    components = len(pi0(mid))
     data = {
         "command": "factor0",
         "ok": True,
         "middle": {"vertices": len(mid.vertices),
                    "edges": len(mid.edges),
-                   "components": len(pi0(mid))},
+                   "components": components},
         "left": lv.as_dict(),
         "right": rv.as_dict(),
         "recomposes": left.compose(right) == f,
     }
     lines = ["middle graph: %d vertices, %d edges, %d components"
-             % (len(mid.vertices), len(mid.edges), len(pi0(mid))),
+             % (len(mid.vertices), len(mid.edges), components),
              _flag_line("left (collapse)", lv),
              _flag_line("right (spread)", rv),
              "recomposes: %s" % str(data["recomposes"]).lower()]

@@ -384,6 +384,11 @@ def discrete_groupoid(labels):
         {(m, m): m for m in mors}, ident)
 
 
+# The one-object groupoid that object_inclusion and trunc_prop land on or
+# come from; built and validated once.
+_POINT = discrete_groupoid(("pt",))
+
+
 def connected_groupoid(labels, group_name):
     """Connected groupoid on the given objects with the named vertex
     group: morphisms are (a, g, b) triples composing through the group."""
@@ -435,8 +440,7 @@ def identity_fin_functor(g):
 
 def object_inclusion(g, y):
     """The point groupoid landing on the object y."""
-    pt = discrete_groupoid(("pt",))
-    return FinFunctor(pt, g, {"pt": y}, {("id", "pt"): g.ident[y]})
+    return FinFunctor(_POINT, g, {"pt": y}, {("id", "pt"): g.ident[y]})
 
 
 def disjoint_union_groupoid(a, b):
@@ -472,12 +476,18 @@ def full_subgroupoid(g, objs):
 # truncations
 
 def trunc0(g):
-    """Discrete groupoid on isomorphism classes, with its unit functor."""
+    """Discrete groupoid on isomorphism classes, with its unit functor.
+    Built once per groupoid; every caller shares the pair."""
+    try:
+        return g._trunc0
+    except AttributeError:
+        pass
     cm = g.component_map()
     classes = tuple(sorted(set(cm.values()), key=_sort_key))
     t = discrete_groupoid(classes)
     unit = FinFunctor(g, t, {o: cm[o] for o in g.objects},
                       {m: t.ident[cm[g.src[m]]] for m in g.morphisms})
+    object.__setattr__(g, "_trunc0", (t, unit))
     return t, unit
 
 
@@ -486,7 +496,7 @@ def trunc_prop(g):
     if not g.objects:
         t = empty_groupoid()
         return t, FinFunctor(g, t, {}, {})
-    t = discrete_groupoid(("pt",))
+    t = _POINT
     unit = FinFunctor(g, t, {o: "pt" for o in g.objects},
                       {m: t.ident["pt"] for m in g.morphisms})
     return t, unit
@@ -1171,9 +1181,21 @@ def random_groupoid(rng, max_objects=6, max_morphisms=24):
     return g
 
 
-def _aut_group_of(T, y):
-    els = T.aut(y)
-    return els, {(a, b): T.comp[(a, b)] for a in els for b in els}, T.ident[y]
+def _homs_into_aut(G, T, y):
+    """_homs_into of the catalog group G into aut(y) of T, computed once
+    per (group, object) and kept on T; callers only read the list."""
+    try:
+        memo = T._homs_memo
+    except AttributeError:
+        memo = {}
+        object.__setattr__(T, "_homs_memo", memo)
+    key = (G.name, y)
+    homs = memo.get(key)
+    if homs is None:
+        els = T.aut(y)
+        mul = {(a, b): T.comp[(a, b)] for a in els for b in els}
+        homs = memo[key] = _homs_into(G, els, mul, T.ident[y])
+    return homs
 
 
 def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
@@ -1194,8 +1216,7 @@ def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
         labels = tuple(range(base, base + k))
         base += k
         y = rng.choice(target.objects)
-        els, mul, unit = _aut_group_of(target, y)
-        phi = rng.choice(_homs_into(G, els, mul, unit))
+        phi = rng.choice(_homs_into_aut(G, target, y))
         outgoing = [m for m in target.morphisms if target.src[m] == y]
         t = {o: rng.choice(outgoing) for o in labels}
         for o in labels:

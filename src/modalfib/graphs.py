@@ -67,6 +67,7 @@ class FinGraph:
     vertices: tuple of vertex ids (deduped, sorted).
     edges: tuple of (edge_id, tail, head) triples, sorted by edge id.
     basepoint: optional distinguished vertex.
+    vertex_set, edge_set: the vertex ids and the edge ids as frozensets.
     """
 
     vertices: tuple
@@ -89,6 +90,7 @@ class FinGraph:
             es.append((eid, u, v))
         es.sort(key=lambda t: _sort_key(t[0]))
         object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "edge_set", frozenset(seen))
         if self.basepoint is not None and self.basepoint not in vset:
             raise GraphError("basepoint %r is not a vertex" % (self.basepoint,))
 
@@ -189,16 +191,7 @@ class GraphMap:
             elif isinstance(img, tuple) and len(img) == 2 and img[1] in (+1, -1):
                 em[eid] = img
             else:
-                e2 = img
-                fit = None
-                for s in (+1, -1):
-                    a, b = target.dart_ends(e2, s)
-                    if (vm[u], vm[v]) == (a, b):
-                        fit = (e2, s)
-                        break
-                if fit is None:
-                    raise GraphError("edge %r cannot map onto %r" % (eid, e2))
-                em[eid] = fit
+                em[eid] = _dart_onto(target, eid, (vm[u], vm[v]), img)
         return GraphMap(source, target, vm, em)
 
     @staticmethod
@@ -222,6 +215,24 @@ class GraphMap:
                     index[vm[u]][1].append((e, u, v))
             object.__setattr__(self, "_preimage_cache", index)
             return index
+
+    @property
+    def pieces(self):
+        """dict source vertex -> least vertex of its piece, in source
+        order; built once.  A piece is a component of the subgraph of
+        collapsed edges, so it lies in one fiber, and the pieces over y
+        are the components of the fiber over y."""
+        try:
+            return self._piece_cache
+        except AttributeError:
+            uf = _UnionFind(self.source.vertices)
+            em = self.edge_map
+            for e, u, v in self.source.edges:
+                if em[e] is None:
+                    uf.union(u, v)
+            least = uf.least()
+            object.__setattr__(self, "_piece_cache", least)
+            return least
 
     def dart_image(self, eid, sign):
         """Image of a dart: ('e', edge, sign) or ('r', vertex)."""
@@ -251,6 +262,15 @@ class GraphMap:
 
     def __repr__(self):
         return "GraphMap(%r -> %r)" % (self.source, self.target)
+
+
+def _dart_onto(target, eid, ends, e2):
+    """The dart (e2, sign) of the target whose ends are `ends`, +1
+    preferred when both fit; eid names the source edge in the error."""
+    for s in (+1, -1):
+        if target.dart_ends(e2, s) == ends:
+            return (e2, s)
+    raise GraphError("edge %r cannot map onto %r" % (eid, e2))
 
 
 @dataclass(frozen=True)
@@ -409,11 +429,18 @@ class _UnionFind:
 
 
 def component_map(g):
-    """dict vertex -> canonical component representative (least id)."""
-    uf = _UnionFind(g.vertices)
-    for _, u, v in g.edges:
-        uf.union(u, v)
-    return uf.least()
+    """dict vertex -> canonical component representative (least id).
+    Built once per graph; the dict is shared by every caller: read it,
+    do not change it."""
+    try:
+        return g._component_cache
+    except AttributeError:
+        uf = _UnionFind(g.vertices)
+        for _, u, v in g.edges:
+            uf.union(u, v)
+        cm = uf.least()
+        object.__setattr__(g, "_component_cache", cm)
+        return cm
 
 
 def pi0(g):

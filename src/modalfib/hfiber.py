@@ -184,41 +184,32 @@ def prism(f, y, F=None):
 # The gamma decision procedure.
 
 class _ComponentData:
-    """Per-source-component facts independent of the queried vertex."""
+    """Per-source-component facts independent of the queried vertex.
 
-    def __init__(self, F, f, comp, target_letters):
+    pieces_over: target vertex -> piece -> the component's vertices over
+    it in that piece, in source order.  edges: the component's source
+    edges, in source order."""
+
+    def __init__(self, F, f, comp, target_letters, pieces_over, edges):
         T = F.dst
         self.subgroup = SubgroupAutomaton.from_words(
             target_letters, [F.gen_images[l] for l in comp.letters])
         self.complete = self.subgroup.complete()
 
         # pieces: components of the degenerate part, one fiber component
-        # per target vertex each
-        uf = _UnionFind(comp.vertices)
-        deg_edges = []
+        # per target vertex each; a piece lies over one target vertex
+        self.pieces_over = pieces_over
+        piece_of = f.pieces
+        counts = {p: len(xs) for ps in pieces_over.values()
+                  for p, xs in ps.items()}
+        edge_counts = dict.fromkeys(counts, 0)
         nondeg = []
-        for eid, u, v in f.source.edges:
-            if u not in comp.vertices:
-                continue
+        for eid, u, v in edges:
             if f.edge_map[eid] is None:
-                uf.union(u, v)
-                deg_edges.append((eid, u, v))
+                edge_counts[piece_of[u]] += 1
             else:
                 nondeg.append((eid, u, v))
-        self.piece_of = uf.least()
-        counts = {p: 0 for p in set(self.piece_of.values())}
-        edge_counts = dict(counts)
-        for v in comp.vertices:
-            counts[self.piece_of[v]] += 1
-        for _, u, _ in deg_edges:
-            edge_counts[self.piece_of[u]] += 1
         self.piece_rank = {p: edge_counts[p] - counts[p] + 1 for p in counts}
-
-        # target vertex -> piece -> the fiber vertices in it
-        self.pieces_over = {}
-        for x in comp.vertices:
-            self.pieces_over.setdefault(F.obj[x], {}).setdefault(
-                self.piece_of[x], []).append(x)
 
         # incidence graph of pieces along non-degenerate edges
         pieces = sorted(counts, key=_sort_key)
@@ -227,8 +218,8 @@ class _ComponentData:
         for eid, u, v in nondeg:
             img = f.dart_image(eid, +1)
             label = T.dart_word(img[1], img[2])
-            arcs.append((self.piece_of[u], self.piece_of[v], label))
-            inc_uf.union(self.piece_of[u], self.piece_of[v])
+            arcs.append((piece_of[u], piece_of[v], label))
+            inc_uf.union(piece_of[u], piece_of[v])
         self.inc_comp_of = {p: inc_uf.find(p) for p in pieces}
 
         # per incidence component: nodes, arcs, rank, injectivity into
@@ -290,7 +281,21 @@ class GammaAnalyzer:
 
     def __init__(self, f, F=None):
         self.f = f
-        self.F = F if F is not None else induce_functor(f)
+        self.F = F = F if F is not None else induce_functor(f)
+        S, T = F.src, F.dst
+        # one pass each: source components by target component, vertices
+        # by source component, image and piece, edges by source component
+        self._over = {}
+        for cb in S.components:
+            self._over.setdefault(T.comp_of[F.obj[cb]], []).append(cb)
+        pieces = f.pieces
+        self._pieces_over = {cb: {} for cb in S.components}
+        for x in f.source.vertices:
+            self._pieces_over[S.comp_of[x]].setdefault(
+                F.obj[x], {}).setdefault(pieces[x], []).append(x)
+        self._edges = {cb: [] for cb in S.components}
+        for edge in f.source.edges:             # (id, tail, head)
+            self._edges[S.comp_of[edge[1]]].append(edge)
         self._comp_data = {}
 
     def _data_for(self, cb):
@@ -298,16 +303,14 @@ class GammaAnalyzer:
             comp = self.F.src.components[cb]
             tb = self.F.dst.comp_of[self.F.obj[cb]]
             letters = self.F.dst.components[tb].letters
-            self._comp_data[cb] = _ComponentData(self.F, self.f, comp, letters)
+            self._comp_data[cb] = _ComponentData(
+                self.F, self.f, comp, letters, self._pieces_over[cb],
+                self._edges[cb])
         return self._comp_data[cb]
 
     def at_vertex(self, y):
         F = self.F
-        T = F.dst
-        base = T.comp_of[y]
-        for cb in F.src.components:
-            if T.comp_of[F.obj[cb]] != base:
-                continue
+        for cb in self._over.get(F.dst.comp_of[y], ()):
             data = self._data_for(cb)
             if not data.complete:
                 return False

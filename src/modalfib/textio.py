@@ -25,7 +25,7 @@ the same document.  Parse errors carry 1-based line numbers.
 
 import re
 
-from .graphs import FinGraph, GraphMap, GraphError, _sort_key
+from .graphs import FinGraph, GraphMap, GraphError, _dart_onto, _sort_key
 from .groupoids import PresGroupoid, shape1
 from .automata import SubgroupAutomaton
 from .covers import MonodromyAction, CoverError
@@ -41,8 +41,8 @@ __all__ = [
 
 SECTION_KINDS = ("graph", "map", "monodromy", "action",
                  "groupoid", "automaton", "fingroupoid")
+_KIND_SET = frozenset(SECTION_KINDS)
 
-_INT = re.compile(r"-?\d+\Z")
 _CYCLE = re.compile(r"\(([^()]*)\)")
 _BAD_TOKENS = {"deg", "->", "+", "-", ""}
 
@@ -53,8 +53,30 @@ class ParseError(ValueError):
         super().__init__("line %d: %s" % (line, message))
 
 
+def _is_int(tok):
+    """Does the token read as an integer: an optional minus sign, then
+    one or more Unicode decimal digits (the strings re's -?\\d+ accepts)?"""
+    return (tok[1:] if tok[:1] == "-" else tok).isdecimal()
+
+
+# Ids repeat across the rows and the documents of a session, so tokens
+# are memoized, in at most _ATOM_BOUND entries (about 0.8 MB when full of
+# short tokens); a full memo is emptied and starts over.  A dict is used
+# rather than functools.lru_cache, whose wrapper builds an argument tuple
+# on every call.
+_ATOM_BOUND = 8192
+_ATOMS = {}
+
+
 def _atom(tok):
-    return int(tok) if _INT.match(tok) else tok
+    try:
+        return _ATOMS[tok]
+    except KeyError:
+        pass
+    if len(_ATOMS) >= _ATOM_BOUND:
+        _ATOMS.clear()
+    a = _ATOMS[tok] = int(tok) if _is_int(tok) else tok
+    return a
 
 
 def token(x):
@@ -65,7 +87,7 @@ def token(x):
         return str(x)
     if not isinstance(x, str):
         raise ValueError("id %r is not representable as a token" % (x,))
-    if x in _BAD_TOKENS or _INT.match(x) or "(" in x or ")" in x \
+    if x in _BAD_TOKENS or _is_int(x) or "(" in x or ")" in x \
             or "#" in x or any(c.isspace() for c in x):
         raise ValueError("id %r is not representable as a token" % (x,))
     return x
@@ -109,26 +131,41 @@ class _Section:
         self.rows = []          # (line_no, key, tokens)
 
 
+def _uncomment(line):
+    return line.split("#", 1)[0] if "#" in line else line
+
+
+def _before_any_section(row):
+    raise ParseError(row[0], "content before any section header")
+
+
 def _split_sections(text):
+    """The sections in file order, each with its rows.  Each line is
+    split once; comments are cut only from lines that hold a '#'.  Rows
+    go to the section open at the time, and before the first header to
+    _before_any_section, which rejects them."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = list(map(_uncomment, lines))
     sections = []
-    current = None
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+    add_row = _before_any_section
+    for i, toks in enumerate(map(str.split, lines), start=1):
+        if not toks:
             continue
-        toks = line.split()
-        head = toks[0]
-        if not raw[0].isspace() and head.endswith(":") \
-                and head[:-1] in SECTION_KINDS:
-            if len(toks) < 2:
-                raise ParseError(i, "section %s needs a name" % (head,))
-            current = _Section(head[:-1], toks[1], i, toks[2:])
-            sections.append(current)
-            continue
-        if current is None:
-            raise ParseError(i, "content before any section header")
-        key = head[:-1] if head.endswith(":") else head
-        current.rows.append((i, key, toks[1:]))
+        key = head = toks[0]
+        if head[-1] == ":":
+            key = head[:-1]
+            # a header starts at the left margin (a commented line that
+            # starts with '#' has no tokens)
+            if key in _KIND_SET and not lines[i - 1][0].isspace():
+                if len(toks) < 2:
+                    raise ParseError(i, "section %s needs a name" % (head,))
+                current = _Section(key, toks[1], i, toks[2:])
+                sections.append(current)
+                add_row = current.rows.append
+                continue
+        del toks[0]
+        add_row((i, key, toks))
     return sections
 
 
@@ -137,12 +174,13 @@ def _build_graph(sec):
     edges = []
     bp = None
     for line, key, toks in sec.rows:
-        if key == "vertices":
-            verts.extend(_atom(t) for t in toks)
-        elif key == "edges":
+        if key == "edges":
             if len(toks) != 3:
                 raise ParseError(line, "edges line wants: id tail head")
-            edges.append(tuple(_atom(t) for t in toks))
+            e, u, v = toks
+            edges.append((_atom(e), _atom(u), _atom(v)))
+        elif key == "vertices":
+            verts.extend(map(_atom, toks))
         elif key == "basepoint":
             if len(toks) != 1:
                 raise ParseError(line, "basepoint wants one vertex")
@@ -155,6 +193,16 @@ def _build_graph(sec):
         return FinGraph(tuple(verts), tuple(edges), bp)
     except GraphError as e:
         raise ParseError(sec.header_line, str(e))
+
+
+_SIGNS = {"+": +1, "-": -1}
+
+
+def _sign(line, tok):
+    s = _SIGNS.get(tok)
+    if s is None:
+        raise ParseError(line, "sign must be + or -")
+    return s
 
 
 def _arrow(line, toks, want):
@@ -173,13 +221,17 @@ def _build_map(sec, doc):
                              "%s graph %r is not defined" % (role, gname))
         graphs[role] = doc.entries[gname]
     src, dst = graphs["source"], graphs["target"]
-    src_vs, dst_vs = set(src.vertices), set(dst.vertices)
-    src_es, dst_es = set(src.edge_ids()), set(dst.edge_ids())
+    src_vs, dst_vs = src.vertex_set, dst.vertex_set
+    src_es, dst_es = src.edge_set, dst.edge_set
     vm = {}
-    em = {}
+    em = {}             # source edge -> None, (edge, sign) or edge
+    unsigned = set()    # source edges mapped to a bare target edge
     for line, key, toks in sec.rows:
+        # map rows are the bulk of a document: the arrow check is written
+        # out here rather than called
         if key == "v":
-            toks = _arrow(line, toks, "v u -> w")
+            if len(toks) < 3 or toks[1] != "->":
+                raise ParseError(line, "expected: v u -> w")
             u, w = _atom(toks[0]), _atom(toks[2])
             if u not in src_vs:
                 raise ParseError(line, "unknown source vertex %r" % (u,))
@@ -189,7 +241,9 @@ def _build_map(sec, doc):
                 raise ParseError(line, "second v line for %r" % (u,))
             vm[u] = w
         elif key == "e":
-            toks = _arrow(line, toks, "e id -> id' [+|-] or e id -> deg")
+            if len(toks) < 3 or toks[1] != "->":
+                raise ParseError(line,
+                                 "expected: e id -> id' [+|-] or e id -> deg")
             e = _atom(toks[0])
             if e not in src_es:
                 raise ParseError(line, "unknown source edge %r" % (e,))
@@ -202,25 +256,32 @@ def _build_map(sec, doc):
                 if e2 not in dst_es:
                     raise ParseError(line, "unknown target edge %r" % (e2,))
                 if len(toks) == 4:
-                    if toks[3] not in ("+", "-"):
-                        raise ParseError(line, "sign must be + or -")
-                    em[e] = (e2, +1 if toks[3] == "+" else -1)
+                    em[e] = (e2, _sign(line, toks[3]))
                 else:
                     em[e] = e2
+                    unsigned.add(e)
         else:
             raise ParseError(line, "unknown map line %r" % (key,))
-    for u in src.vertices:
-        if u not in vm:
-            raise ParseError(sec.header_line,
-                             "map %r gives no image for vertex %r"
-                             % (sec.name, u))
-    for e in src.edge_ids():
-        if e not in em:
-            raise ParseError(sec.header_line,
-                             "map %r gives no image for edge %r"
-                             % (sec.name, e))
+    # every key was checked to be a source id, so a short dict misses one
+    if len(vm) < len(src.vertices):
+        for u in src.vertices:
+            if u not in vm:
+                raise ParseError(sec.header_line,
+                                 "map %r gives no image for vertex %r"
+                                 % (sec.name, u))
+    if len(em) < len(src.edges):
+        for e, _, _ in src.edges:
+            if e not in em:
+                raise ParseError(sec.header_line,
+                                 "map %r gives no image for edge %r"
+                                 % (sec.name, e))
     try:
-        return GraphMap.build(src, dst, vm, em)
+        if unsigned:
+            # as GraphMap.build does, in source edge order
+            for e, u, v in src.edges:
+                if e in unsigned:
+                    em[e] = _dart_onto(dst, e, (vm[u], vm[v]), em[e])
+        return GraphMap(src, dst, vm, em)
     except GraphError as e:
         raise ParseError(sec.header_line, "bad map %r: %s" % (sec.name, e))
 
@@ -265,7 +326,7 @@ def _build_monodromy(sec, doc):
         if key in ("degree", "fiber") and fiber is not None:
             raise ParseError(line, "second degree or fiber line")
         if key == "degree":
-            if len(toks) != 1 or not _INT.match(toks[0]) or int(toks[0]) < 1:
+            if len(toks) != 1 or not _is_int(toks[0]) or int(toks[0]) < 1:
                 raise ParseError(line, "degree wants a positive integer")
             fiber = tuple(range(1, int(toks[0]) + 1))
         elif key == "fiber":
@@ -319,10 +380,7 @@ def _build_action(sec, doc):
             if key == "vertex-perm":
                 vm[_atom(toks[0])] = _atom(toks[2])
             elif len(toks) == 4:
-                if toks[3] not in ("+", "-"):
-                    raise ParseError(line, "sign must be + or -")
-                em[_atom(toks[0])] = (_atom(toks[2]),
-                                      +1 if toks[3] == "+" else -1)
+                em[_atom(toks[0])] = (_atom(toks[2]), _sign(line, toks[3]))
             else:
                 em[_atom(toks[0])] = _atom(toks[2])
         else:
@@ -356,7 +414,7 @@ def _build_automaton(sec):
         if key == "letters":
             letters.extend(_atom(t) for t in toks)
         elif key == "states":
-            if len(toks) != 1 or not _INT.match(toks[0]):
+            if len(toks) != 1 or not _is_int(toks[0]):
                 raise ParseError(line, "states wants an integer")
             if n is not None:
                 raise ParseError(line, "second states line")
@@ -365,7 +423,7 @@ def _build_automaton(sec):
             if len(toks) != 3:
                 raise ParseError(line, "delta line wants: state letter state")
             s, a, t = toks
-            if not (_INT.match(s) and _INT.match(t)):
+            if not (_is_int(s) and _is_int(t)):
                 raise ParseError(line, "states are integers")
             arrow = (int(s), _atom(a))
             if arrow in delta:
