@@ -121,8 +121,10 @@ class SubgroupAutomaton:
         letters = tuple(sorted(set(letters), key=_sort_key))
         for a in letters:
             pa = perms[a]
-            assert sorted(pa.values(), key=_sort_key) == \
-                sorted(pa.keys(), key=_sort_key), "not a permutation"
+            # as many values as keys, so equal sets make a bijection
+            if set(pa.values()) != pa.keys():
+                raise ValueError("letter %r does not act by a permutation"
+                                 % (a,))
         states = set()
         delta = {}
         frontier = [basepoint]

@@ -210,7 +210,12 @@ class FinGroupoid:
         Keeps the component map, the `into` index (object -> morphisms
         ending there) and a generating set: the tree arrows and the
         generators of each G_b.  Their inverses need no place in it,
-        because a functor check that passes at s passes at inv(s).
+        because a functor check that passes at s passes at inv(s).  The
+        same set drives the level-0 component passes (fibers, the
+        pullback square, the two middles and the connecting map's
+        fibers): each unites along the generators only, since the
+        morphisms whose relation holds are closed under composition and
+        inverses.
         """
         objs, mors, hom = self.objects, self.morphisms, self._hom
         src, dst, comp, inv = self.src, self.dst, self.comp, self.inv
@@ -544,19 +549,47 @@ def _fiber_objects(F, y):
 
 
 def _fiber_component_map(F, y):
-    """dict fiber object -> canonical representative, computed once per
-    functor and base and shared by every caller: read it, do not change
-    it."""
-    fcm = F._fiber_cms.get(y)
-    if fcm is None:
+    """dict fiber object -> canonical representative, the least member
+    of its class in _sort_key order; computed once per functor and base
+    and shared by every caller: read it, do not change it.
+
+    The fiber's arrows are the source morphisms g : x -> x2, one from
+    (x, F(g);m2) to (x2, m2) for each m2 : F(x2) -> y.  The pass unites
+    their ends only for g in the source's generating set.  That is
+    enough: the g whose arrows all join united ends contain the
+    identities and are closed under composition (F(g;h);m3 = F(g);
+    (F(h);m3)) and inverses (take m2 = F(inv g);m), and the tree arrows
+    with the vertex-group generators generate every morphism, as
+    m = inv(t_a);(t_a;m;inv(t_c));t_c.
+    """
+    return _fiber_pass(F, y)[0]
+
+
+def _fiber_classes(F, y):
+    """The canonical representatives of _fiber_component_map(F, y), in
+    _sort_key order; shared like the map."""
+    return _fiber_pass(F, y)[1]
+
+
+def _fiber_pass(F, y):
+    hit = F._fiber_cms.get(y)
+    if hit is None:
         S, T = F.source, F.target
-        uf = _UnionFind(_fiber_objects(F, y))
-        for g in S.morphisms:
-            x, x2 = S.src[g], S.dst[g]
-            for m2 in T.hom(F.obj_map[x2], y):
-                uf.union((x, T.comp[(F.mor_map[g], m2)]), (x2, m2))
-        fcm = F._fiber_cms[y] = uf.least()
-    return fcm
+        objs = _fiber_objects(F, y)
+        pos = {o: i for i, o in enumerate(objs)}
+        uf = _UnionFind(range(len(objs)))
+        fm, om, tcomp = F.mor_map, F.obj_map, T.comp
+        for s in S._gens:
+            x, x2, fs = S.src[s], S.dst[s], fm[s]
+            for m2 in T.hom(om[x2], y):
+                uf.union(pos[(x, tcomp[(fs, m2)])], pos[(x2, m2)])
+        # objs is in _sort_key order (sorted objects, then sorted
+        # hom-sets), so the least member of a class is the first met
+        first, fcm = {}, {}
+        for i, o in enumerate(objs):
+            fcm[o] = first.setdefault(uf.find(i), o)
+        hit = F._fiber_cms[y] = (fcm, tuple(first.values()))
+    return hit
 
 
 def _transport(F, h, rep, target_map):
@@ -581,13 +614,21 @@ def _fiber_aut_trivial(F, y):
 
 
 def _classes_over(F):
-    """dict target component rep -> sorted source component reps over it."""
+    """(source component map, target component map, dict target
+    component rep -> sorted source component reps over it), computed
+    once per functor and shared by every caller: read it, do not change
+    it."""
+    try:
+        return F._over
+    except AttributeError:
+        pass
     xcm = F.source.component_map()
     ycm = F.target.component_map()
     over = {r: [] for r in set(ycm.values())}
     for r in sorted(set(xcm.values()), key=_sort_key):
         over[ycm[F.obj_map[r]]].append(r)
-    return xcm, ycm, over
+    object.__setattr__(F, "_over", (xcm, ycm, over))
+    return F._over
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +645,7 @@ def _flags_level0(F):
     fibration = True
     etale = True
     for y in T.objects:
-        fcm = _fiber_component_map(F, y)
-        classes = sorted(set(fcm.values()), key=_sort_key)
+        classes = _fiber_classes(F, y)
         if len(classes) != 1:
             connected = False
         want = over[ycm[y]]
@@ -635,8 +675,7 @@ def _flags_level_prop(F):
         objs = _fiber_objects(F, y)
         if not objs:
             return 0, True
-        fcm = _fiber_component_map(F, y)
-        return len(set(fcm.values())), _fiber_aut_trivial(F, y)
+        return len(_fiber_classes(F, y)), _fiber_aut_trivial(F, y)
 
     modal = True
     connected = True
@@ -714,8 +753,7 @@ def factor_connected_modal(F, level):
         raise FinGroupoidError("level must be -1 or 0, got %r" % (level,))
     S, T = F.source, F.target
     fcms = {y: _fiber_component_map(F, y) for y in T.objects}
-    classes = {y: sorted(set(fcms[y].values()), key=_sort_key)
-               for y in T.objects}
+    classes = {y: _fiber_classes(F, y) for y in T.objects}
     objs = tuple((y, c) for y in T.objects for c in classes[y])
     mors = []
     for h in T.morphisms:
@@ -917,8 +955,7 @@ def nine_way(F, rng=None, sampled_bases=3):
     T = F.target
     xcm, ycm, over = _classes_over(F)
     fcms = {y: _fiber_component_map(F, y) for y in T.objects}
-    classes = {y: sorted(set(fcms[y].values()), key=_sort_key)
-               for y in T.objects}
+    classes = {y: _fiber_classes(F, y) for y in T.objects}
     gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
 
     # (a) the comparison from collapsed fibers to classes is bijective
@@ -995,21 +1032,33 @@ def nine_way(F, rng=None, sampled_bases=3):
 
 
 def _pullback_preserved(F, G):
-    """Components of the iso-comma square against the set pullback."""
+    """Components of the iso-comma square against the set pullback.
+
+    An arrow (g, h) : (x, y, m) -> (x2, y2, m2) of the square, with
+    m = F(g);m2;inv(G(h)), is the composite (g, id);(id, h).  So the
+    pass unites along (s, id_y) for s in X's generating set and along
+    (id_x, t) for t in Y's: on each side the morphisms whose arrows all
+    join united ends contain the identities and are closed under
+    composition and inverses, so they are every morphism (see
+    _fiber_component_map).
+    """
     X, Y, Z = F.source, G.source, F.target
     xcm, zcm, _ = _classes_over(F)
     ycm = Y.component_map()
     objs = [(x, y, m) for x in X.objects for y in Y.objects
             for m in Z.hom(F.obj_map[x], G.obj_map[y])]
     uf = _UnionFind(objs)
-    for g in X.morphisms:
-        for h in Y.morphisms:
-            x, x2 = X.src[g], X.dst[g]
-            y, y2 = Y.src[h], Y.dst[h]
-            for m2 in Z.hom(F.obj_map[x2], G.obj_map[y2]):
-                m = Z.comp[(Z.comp[(F.mor_map[g], m2)],
-                            Z.inv[G.mor_map[h]])]
-                uf.union((x, y, m), (x2, y2, m2))
+    zcomp = Z.comp
+    for s in X._gens:
+        x, x2, fs = X.src[s], X.dst[s], F.mor_map[s]
+        for y in Y.objects:
+            for m2 in Z.hom(F.obj_map[x2], G.obj_map[y]):
+                uf.union((x, y, zcomp[(fs, m2)]), (x2, y, m2))
+    for t in Y._gens:
+        y, y2, back = Y.src[t], Y.dst[t], Z.inv[G.mor_map[t]]
+        for x in X.objects:
+            for m2 in Z.hom(F.obj_map[x], G.obj_map[y2]):
+                uf.union((x, y, zcomp[(m2, back)]), (x, y2, m2))
     reps = {uf.find(o) for o in objs}
     image = {(xcm[x], ycm[y]) for (x, y, m) in reps}
     want = {(cx, cy)
@@ -1019,11 +1068,17 @@ def _pullback_preserved(F, G):
 
 
 def _modal_factor_etale(F, fcms, classes, ycm):
+    """The middle groupoid of the modal factor has the objects (y, c)
+    and an arrow (y, c) -> (y2, h.c) for each h : y -> y2, where h.c is
+    the transport of the class c.  Transport is functorial on classes,
+    (h;k).c = k.(h.c) and inv(h).(h.c) = c, so uniting along the
+    target's generating set finds its components, as in
+    _fiber_component_map."""
     T = F.target
     # component map of the middle groupoid (y, c), without building it
     objs = [(y, c) for y in T.objects for c in classes[y]]
     uf = _UnionFind(objs)
-    for h in T.morphisms:
+    for h in T._gens:
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
             uf.union((y, c), (y2, _transport(F, h, c, fcms[y2])))
@@ -1043,10 +1098,17 @@ def _modal_factor_etale(F, fcms, classes, ycm):
 
 
 def _connecting_map_fibration(F, fcms, classes, gamma):
+    """Each of the three union passes runs over the target's generating
+    set.  The two middles are groupoids whose arrows are the target
+    morphisms acting functorially (see _modal_factor_etale; a class
+    downstairs is carried to itself).  The fiber of the connecting map
+    over (y, d) has an arrow ((y2, c2), h) -> ((y3, k.c2), inv(k);h)
+    for each k : y2 -> y3, and inv(k;l);h = inv(l);(inv(k);h), so it is
+    functorial too."""
     T = F.target
     cm_objs = [(y, c) for y in T.objects for c in classes[y]]
     uf = _UnionFind(cm_objs)
-    for h in T.morphisms:
+    for h in T._gens:
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
             uf.union((y, c), (y2, _transport(F, h, c, fcms[y2])))
@@ -1054,7 +1116,7 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
 
     ee_objs = [(y, d) for y in T.objects for d in set(gamma[y].values())]
     uf2 = _UnionFind(ee_objs)
-    for h in T.morphisms:
+    for h in T._gens:
         y, y2 = T.src[h], T.dst[h]
         for d in set(gamma[y].values()):
             if (y2, d) in uf2.parent:
@@ -1066,6 +1128,9 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
         cm_over_ee.setdefault(ee_of[(y, gamma[y][c])], set()).add(
             cm_of[(y, c)])
 
+    gens_from = {}
+    for k in T._gens:
+        gens_from.setdefault(T.src[k], []).append(k)
     for (y, d) in ee_objs:
         # fiber of the connecting map over (y, d): pairs ((y2, c2), h)
         # with h : y2 -> y and the class of c2 equal to d
@@ -1075,9 +1140,7 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
             return False
         uf3 = _UnionFind(fiber)
         for (y2, c2, h) in fiber:
-            for k in T.morphisms:
-                if T.src[k] != y2:
-                    continue
+            for k in gens_from.get(y2, ()):
                 y3 = T.dst[k]
                 c3 = _transport(F, k, c2, fcms[y3])
                 h3 = T.comp[(T.inv[k], h)]

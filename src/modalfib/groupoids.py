@@ -252,7 +252,9 @@ def natural_iso(F, G, max_power=None):
     must land in one target component and their generator images must be
     simultaneously conjugate.
     """
-    assert F.src is G.src or F.src.graph == G.src.graph
+    if F.src is not G.src and F.src.graph != G.src.graph:
+        raise ValueError("functors are not parallel: %r and %r"
+                         % (F.src.graph, G.src.graph))
     undecided = None
     for base, comp in F.src.components.items():
         fb = F.dst.comp_of[F.obj[base]]

@@ -1,0 +1,299 @@
+"""Level-0 fiber routes against the all-morphism passes they replace.
+
+The fiber component map, the pullback check, the modal factor's middle
+groupoid and the connecting map's fibers each unite along a generating
+set of their groupoid (the tree arrows and the vertex-group generators).
+The references below are the earlier passes, which unite along every
+morphism and pick representatives with `_UnionFind.least()`.  Each route
+must build the same partitions, return the same verdict, and keep the
+same representatives and the same order of classes.
+"""
+
+import gc
+import random
+import time
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modalfib import fingroupoids
+from modalfib.fingroupoids import (
+    FinFunctor, _classes_over, _connecting_map_fibration,
+    _fiber_classes, _fiber_component_map, _fiber_objects,
+    _modal_factor_etale, _pullback_preserved, _transport,
+    connected_groupoid, homotopy_pullback, nine_way, object_inclusion,
+    product_groupoid, random_functor, random_functor_into, random_groupoid,
+    GROUP_NAMES,
+)
+from modalfib.graphs import _sort_key, _UnionFind
+
+
+# ---------------------------------------------------------------------------
+# reference passes: every morphism, least() representatives
+
+def ref_fiber_component_map(F, y):
+    S, T = F.source, F.target
+    uf = _UnionFind(_fiber_objects(F, y))
+    for g in S.morphisms:
+        x, x2 = S.src[g], S.dst[g]
+        for m2 in T.hom(F.obj_map[x2], y):
+            uf.union((x, T.comp[(F.mor_map[g], m2)]), (x2, m2))
+    return uf.least()
+
+
+def ref_pullback_preserved(F, G):
+    """(verdict, least() map of the iso-comma components)."""
+    X, Y, Z = F.source, G.source, F.target
+    xcm, ycm, zcm = X.component_map(), Y.component_map(), Z.component_map()
+    objs = [(x, y, m) for x in X.objects for y in Y.objects
+            for m in Z.hom(F.obj_map[x], G.obj_map[y])]
+    uf = _UnionFind(objs)
+    for g in X.morphisms:
+        for h in Y.morphisms:
+            x, x2 = X.src[g], X.dst[g]
+            y, y2 = Y.src[h], Y.dst[h]
+            for m2 in Z.hom(F.obj_map[x2], G.obj_map[y2]):
+                m = Z.comp[(Z.comp[(F.mor_map[g], m2)],
+                            Z.inv[G.mor_map[h]])]
+                uf.union((x, y, m), (x2, y2, m2))
+    reps = {uf.find(o) for o in objs}
+    image = {(xcm[x], ycm[y]) for (x, y, m) in reps}
+    want = {(cx, cy)
+            for cx in set(xcm.values()) for cy in set(ycm.values())
+            if zcm[F.obj_map[cx]] == zcm[G.obj_map[cy]]}
+    return len(image) == len(reps) and image == want, uf.least()
+
+
+def middle_pass(F, fcms, classes):
+    T = F.target
+    uf = _UnionFind([(y, c) for y in T.objects for c in classes[y]])
+    for h in T.morphisms:
+        y, y2 = T.src[h], T.dst[h]
+        for c in classes[y]:
+            uf.union((y, c), (y2, _transport(F, h, c, fcms[y2])))
+    return uf
+
+
+def ref_modal_factor_etale(F, fcms, classes, ycm):
+    """(verdict, least() map of the middle groupoid)."""
+    T = F.target
+    uf = middle_pass(F, fcms, classes)
+    mids_over = {}
+    for (y, c) in uf.parent:
+        mids_over.setdefault(ycm[y], set()).add(uf.find((y, c)))
+    ok = True
+    for y in T.objects:
+        delta = {uf.find((y, c)) for c in classes[y]}
+        want = mids_over.get(ycm[y], set())
+        if len(delta) != len(classes[y]) or delta != want:
+            ok = False
+            break
+    return ok, uf.least()
+
+
+def ref_connecting_map_fibration(F, fcms, classes, gamma):
+    """(verdict, least() maps of every union pass made, in order)."""
+    T = F.target
+    uf = middle_pass(F, fcms, classes)
+    passes = [uf.least()]
+    ee_objs = [(y, d) for y in T.objects for d in set(gamma[y].values())]
+    uf2 = _UnionFind(ee_objs)
+    for h in T.morphisms:
+        y, y2 = T.src[h], T.dst[h]
+        for d in set(gamma[y].values()):
+            if (y2, d) in uf2.parent:
+                uf2.union((y, d), (y2, d))
+    passes.append(uf2.least())
+    cm_over_ee = {}
+    for (y, c) in uf.parent:
+        cm_over_ee.setdefault(uf2.find((y, gamma[y][c])), set()).add(
+            uf.find((y, c)))
+    for (y, d) in ee_objs:
+        fiber = [(y2, c2, h) for y2 in T.objects for c2 in classes[y2]
+                 if gamma[y2][c2] == d for h in T.hom(y2, y)]
+        if not fiber and cm_over_ee.get(uf2.find((y, d))):
+            return False, passes
+        uf3 = _UnionFind(fiber)
+        for (y2, c2, h) in fiber:
+            for k in T.morphisms:
+                if T.src[k] != y2:
+                    continue
+                y3 = T.dst[k]
+                uf3.union((y2, c2, h), (y3, _transport(F, k, c2, fcms[y3]),
+                                        T.comp[(T.inv[k], h)]))
+        passes.append(uf3.least())
+        reps = {uf3.find(o) for o in fiber}
+        image = {uf.find((y2, c2)) for (y2, c2, h) in reps}
+        want = cm_over_ee.get(uf2.find((y, d)), set())
+        if len(image) != len(reps) or image != want:
+            return False, passes
+    return True, passes
+
+
+@contextmanager
+def recorded_passes():
+    """Every union-find the routes build, in order of construction."""
+    made = []
+
+    class Recording(_UnionFind):
+        def __init__(self, items):
+            super().__init__(items)
+            made.append(self)
+
+    saved = fingroupoids._UnionFind
+    fingroupoids._UnionFind = Recording
+    try:
+        yield made
+    finally:
+        fingroupoids._UnionFind = saved
+
+
+# ---------------------------------------------------------------------------
+# inputs: random functors, product projections, pullback legs, and
+# functors into connected groupoids with mixed object ids
+
+MIXED_IDS = (0, 1, -3, "a", "b", (0, "a"), (1, (2, "c")), ("z",))
+
+
+def sample_functor(kind, rng):
+    if kind == "random":
+        return random_functor(rng, max_objects=4, max_morphisms=12)
+    if kind == "product":
+        A = random_groupoid(rng, max_objects=2, max_morphisms=6)
+        B = random_groupoid(rng, max_objects=2, max_morphisms=6)
+        return product_groupoid(A, B)[rng.choice((1, 2))]
+    if kind == "pullback":
+        F = random_functor(rng, max_objects=2, max_morphisms=6)
+        G = random_functor_into(rng, F.target, max_objects=2,
+                                max_morphisms=6)
+        return homotopy_pullback(F, G)[rng.choice((1, 2))]
+    labels = rng.sample(MIXED_IDS, rng.randint(1, 3))
+    T = connected_groupoid(labels, rng.choice(GROUP_NAMES))
+    return random_functor_into(rng, T, max_objects=4, max_morphisms=12)
+
+
+KINDS = st.sampled_from(["random", "product", "pullback", "connected"])
+
+
+def level0_data(F):
+    T = F.target
+    fcms = {y: _fiber_component_map(F, y) for y in T.objects}
+    classes = {y: _fiber_classes(F, y) for y in T.objects}
+    xcm = F.source.component_map()
+    gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
+    return fcms, classes, gamma
+
+
+# ---------------------------------------------------------------------------
+# the four routes against their references
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_fiber_component_map_matches_all_morphism_pass(kind, seed):
+    F = sample_functor(kind, random.Random(seed))
+    for y in F.target.objects:
+        ref = ref_fiber_component_map(F, y)
+        fcm = _fiber_component_map(F, y)
+        assert fcm == ref
+        assert list(fcm) == list(ref)
+        assert list(_fiber_classes(F, y)) \
+            == sorted(set(ref.values()), key=_sort_key)
+        # computed once and shared
+        assert _fiber_component_map(F, y) is fcm
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_pullback_route_matches_all_morphism_pass(kind, seed):
+    rng = random.Random(seed)
+    F = sample_functor(kind, rng)
+    T = F.target
+    legs = [object_inclusion(T, y) for y in T.objects]
+    legs += [random_functor_into(rng, T, max_objects=3, max_morphisms=8)
+             for _ in range(2)]
+    for G in legs:
+        want, ref = ref_pullback_preserved(F, G)
+        with recorded_passes() as made:
+            got = _pullback_preserved(F, G)
+        assert got == want
+        assert [uf.least() for uf in made] == [ref]
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_middle_routes_match_all_morphism_passes(kind, seed):
+    F = sample_functor(kind, random.Random(seed))
+    fcms, classes, gamma = level0_data(F)
+    ycm = F.target.component_map()
+
+    want, ref = ref_modal_factor_etale(F, fcms, classes, ycm)
+    with recorded_passes() as made:
+        got = _modal_factor_etale(F, fcms, classes, ycm)
+    assert got == want
+    assert [uf.least() for uf in made] == [ref]
+
+    want, refs = ref_connecting_map_fibration(F, fcms, classes, gamma)
+    with recorded_passes() as made:
+        got = _connecting_map_fibration(F, fcms, classes, gamma)
+    assert got == want
+    assert [uf.least() for uf in made] == refs
+
+
+def test_loops_that_move_fiber_classes():
+    # the point in a group groupoid: the fiber over o is the group itself,
+    # its classes are the group elements, and each loop moves them
+    for name in ("c2", "c3", "s3", "v4"):
+        T = connected_groupoid((0, "b"), name)
+        F = object_inclusion(T, 0)
+        fcms, classes, gamma = level0_data(F)
+        assert len(classes[0]) == len(T.aut(0)) > 1
+        ycm = T.component_map()
+        assert _modal_factor_etale(F, fcms, classes, ycm) \
+            == ref_modal_factor_etale(F, fcms, classes, ycm)[0]
+        assert _connecting_map_fibration(F, fcms, classes, gamma) \
+            == ref_connecting_map_fibration(F, fcms, classes, gamma)[0]
+        assert nine_way(F)["agree"]
+
+
+def test_classes_over_computed_once_per_functor():
+    F = random_functor(random.Random(8))
+    assert _classes_over(F) is _classes_over(F)
+
+
+# ---------------------------------------------------------------------------
+# scaling guard
+
+@pytest.fixture(scope="module")
+def big_projection():
+    """The first projection of a 16-object, 6,144-morphism product (about
+    2.4 million composition entries, some 0.8 GB while it lives).  The
+    collector is paused while the tables are built and the tables are
+    then frozen, so no full collection pass over them falls inside a
+    timed call."""
+    A = connected_groupoid(range(4), "s3")
+    B = connected_groupoid(range(4), "c4")
+    gc.disable()
+    try:
+        P, fst, _ = product_groupoid(A, B)
+    finally:
+        gc.enable()
+    gc.freeze()
+    yield A, P, fst
+    gc.unfreeze()
+
+
+def test_nine_way_on_large_product_projection(big_projection):
+    A, P, fst = big_projection
+    assert len(P.objects) == 16 and len(P.morphisms) == 6144
+    best = None
+    for _ in range(3):
+        # a fresh functor each time: no fiber map or class cache carried
+        F = FinFunctor(P, A, fst.obj_map, fst.mor_map)
+        t = time.perf_counter()
+        out = nine_way(F)
+        took = time.perf_counter() - t
+        best = took if best is None else min(best, took)
+        assert out["agree"] is True
+        assert out["pullbacks_preserved"] is True
+    assert best < 0.3, best

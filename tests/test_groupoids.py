@@ -196,3 +196,16 @@ def test_natural_iso_rejects_component_mismatch():
     F2 = induce_functor(f2, S, T)
     assert natural_iso(F1, F2) is False
     assert natural_iso(F1, F1) is True
+
+
+def test_natural_iso_rejects_non_parallel_without_asserts(run_optimized):
+    run = run_optimized(
+        "from modalfib.graphs import cycle, path_graph\n"
+        "from modalfib.groupoids import shape1, identity_functor, "
+        "natural_iso\n"
+        "F = identity_functor(shape1(cycle(3)))\n"
+        "G = identity_functor(shape1(path_graph(3)))\n"
+        "try:\n    natural_iso(F, G)\n"
+        "except ValueError:\n    print('rejected')\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"

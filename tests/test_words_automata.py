@@ -240,6 +240,18 @@ def test_schreier_automaton_complete_with_orbit_index():
         assert A.rank() == len(orbit) + 1
 
 
+def test_schreier_rejects_non_permutation_without_asserts(run_optimized):
+    # 1 and 2 are not reached from 0, so no fold clash can refuse the
+    # table; only the permutation check itself can, under python -O too
+    run = run_optimized(
+        "from modalfib.automata import SubgroupAutomaton\n"
+        "try:\n"
+        "    SubgroupAutomaton.from_schreier((0,), {0: {0: 0, 1: 0, 2: 1}}, 0)\n"
+        "except ValueError:\n    print('rejected')\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"
+
+
 def test_generators_regenerate_same_automaton():
     rng = random.Random(304)
     for _ in range(40):
