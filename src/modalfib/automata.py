@@ -169,7 +169,44 @@ class SubgroupAutomaton:
             return self.delta.get((state, letter))
         return self.rdelta.get((state, letter))
 
+    def _letter_columns(self):
+        """dict letter (g, +1) or (g, -1) -> dict state -> state."""
+        cols = {}
+        for (u, a), v in self.delta.items():
+            cols.setdefault((a, 1), {})[u] = v
+            cols.setdefault((a, -1), {})[v] = u
+        self._columns = cols
+        return cols
+
     def trace(self, word, start=0):
+        """State reached from `start` along the reduced form of `word`,
+        or None where the reduced word leaves the automaton.
+
+        One pass reads the word as given through per-letter columns,
+        built on the first trace.  This is exact: `__init__` makes rdelta
+        invert delta, so the automaton is folded, and a cancelling pair
+        x x^-1 returns to the state it left.  Free reduction only deletes
+        such pairs, so if every step of the unreduced word is defined, it
+        ends where the reduced word ends.  Whenever a step is undefined,
+        or a letter is not a hashable (g, +-1) of some transition, the
+        word is reduced and traced again from `start` (`_trace_reduced`).
+        """
+        try:
+            cols = self._columns
+        except AttributeError:
+            cols = self._letter_columns()
+        if not isinstance(word, (tuple, list)):
+            word = tuple(word)
+        s = start
+        try:
+            for x in word:
+                s = cols[x][s]
+        except (KeyError, TypeError):
+            return self._trace_reduced(word, start)
+        return s
+
+    def _trace_reduced(self, word, start):
+        """Reduce, then trace: the exact route for any word."""
         delta, rdelta = self.delta, self.rdelta
         s = start
         for g, sg in reduce_word(word):
@@ -189,8 +226,16 @@ class SubgroupAutomaton:
     # -- structure ---------------------------------------------------------
 
     def transitions(self):
-        return sorted(self.delta.items(),
-                      key=lambda kv: (kv[0][0], _sort_key(kv[0][1])))
+        """delta's items sorted by state, then by letter in _sort_key
+        order.  The (state, letter) keys are distinct, so the items
+        compare at them, and natural `<` answers as the key does wherever
+        it does not raise (see graphs._sorted_ids)."""
+        items = self.delta.items()
+        try:
+            return sorted(items)
+        except TypeError:
+            return sorted(items,
+                          key=lambda kv: (kv[0][0], _sort_key(kv[0][1])))
 
     def complete(self):
         need = self.n * len(self.letters)

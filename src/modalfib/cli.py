@@ -129,10 +129,12 @@ def _descriptive_status(data):
     return 2 if _has_undecided(data) else 0
 
 
-def _write_dot(request, text):
+def _write_dot(request, render, *args):
+    """Write render(*args) to the --dot path; render nothing without it."""
     path = request.opt("dot")
     if path is None:
         return None
+    text = render(*args)
     with open(path, "w") as fh:
         fh.write(text)
     return path
@@ -213,7 +215,7 @@ def _cmd_factor0(request):
              _flag_line("left (collapse)", lv),
              _flag_line("right (spread)", rv),
              "recomposes: %s" % str(data["recomposes"]).lower()]
-    path = _write_dot(request, graph_dot(mid, "middle"))
+    path = _write_dot(request, graph_dot, mid, "middle")
     if path:
         lines.append("dot written: %s" % path)
     return data, lines, _descriptive_status(data)
@@ -340,7 +342,7 @@ def _cmd_covers_total(request):
     lines = ["total space: %d vertices, %d edges, %d components"
              % (len(total.vertices), len(total.edges), len(comps)),
              "monodromy orbits: %d" % len(m.orbits())]
-    path = _write_dot(request, graph_dot(total, "total"))
+    path = _write_dot(request, graph_dot, total, "total")
     if path:
         lines.append("dot written: %s" % path)
     return data, lines, _descriptive_status(data)
@@ -358,7 +360,7 @@ def _cmd_covers_universal_ball(request):
             "components": len(pi0(U))}
     lines = ["radius-%d ball: %d vertices, %d edges"
              % (r, len(U.vertices), len(U.edges))]
-    path = _write_dot(request, graph_dot(U, "ball"))
+    path = _write_dot(request, graph_dot, U, "ball")
     if path:
         lines.append("dot written: %s" % path)
     return data, lines, _descriptive_status(data)
@@ -406,7 +408,7 @@ def _cmd_quotient_shape(request):
                 "morphisms": len(q.morphisms)}
         lines = ["quotient shape: groupoid with %d objects, %d morphisms"
                  % (len(q.objects), len(q.morphisms))]
-        path = _write_dot(request, fin_groupoid_dot(q, "quotient"))
+        path = _write_dot(request, fin_groupoid_dot, q, "quotient")
         if path:
             lines.append("dot written: %s" % path)
         return data, lines, _descriptive_status(data)
@@ -425,7 +427,7 @@ def _cmd_quotient_shape(request):
     dot_note = None
     if request.opt("dot") is not None:
         try:
-            path = _write_dot(request, graph_dot(orbit_graph(a), "orbit"))
+            path = _write_dot(request, graph_dot, orbit_graph(a), "orbit")
             lines.append("dot written: %s" % path)
         except ActionError:
             dot_note = "unavailable (action not free)"

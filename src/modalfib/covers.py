@@ -106,16 +106,6 @@ class MonodromyAction:
     def letters(self):
         return self.shape.components[self.shape.comp_of[self.base]].letters
 
-    def act(self, word, i):
-        """Apply a word letter by letter along the path direction."""
-        for g, s in word:
-            perm = self.perms[g]
-            if s > 0:
-                i = perm[i]
-            else:
-                i = next(k for k, v in perm.items() if v == i)
-        return i
-
     def orbits(self):
         uf = _UnionFind(self.fiber)
         for perm in self.perms.values():

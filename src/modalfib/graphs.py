@@ -60,6 +60,32 @@ def _sort_key(x):
     return (0, x)
 
 
+def _sorted_ids(xs):
+    """sorted(xs, key=_sort_key), sorting by natural `<` where it can.
+
+    Exact: Timsort uses only `<`, and wherever Python's `<` on ints, strs
+    and nested tuples does not raise, it answers as `_sort_key` does --
+    tuples compare at the first element that differs, and any int/str/
+    tuple mix there raises.  So when the natural sort finishes it made the
+    same comparisons with the same outcomes, and returns the same list.
+    When it raises, `sorted` worked on a copy and the keyed sort starts
+    over from xs, which must therefore be a collection, not an iterator.
+    """
+    try:
+        return sorted(xs)
+    except TypeError:
+        return sorted(xs, key=_sort_key)
+
+
+def _least_id(xs):
+    """min(xs, key=_sort_key), by natural `<` where it can; exact for the
+    reason given in `_sorted_ids`, since `min` also uses only `<`."""
+    try:
+        return min(xs)
+    except TypeError:
+        return min(xs, key=_sort_key)
+
+
 @dataclass(frozen=True)
 class FinGraph:
     """Finite undirected multigraph with stable edge ids.
@@ -75,7 +101,7 @@ class FinGraph:
     basepoint: object = None
 
     def __post_init__(self):
-        vs = tuple(sorted(set(self.vertices), key=_sort_key))
+        vs = tuple(_sorted_ids(set(self.vertices)))
         object.__setattr__(self, "vertices", vs)
         vset = frozenset(vs)
         object.__setattr__(self, "vertex_set", vset)
@@ -88,8 +114,8 @@ class FinGraph:
             if u not in vset or v not in vset:
                 raise GraphError("edge %r has endpoint outside vertex set" % (eid,))
             es.append((eid, u, v))
-        es.sort(key=lambda t: _sort_key(t[0]))
-        object.__setattr__(self, "edges", tuple(es))
+        # Edge ids are distinct, so the triples compare at their ids.
+        object.__setattr__(self, "edges", tuple(_sorted_ids(es)))
         object.__setattr__(self, "edge_set", frozenset(seen))
         if self.basepoint is not None and self.basepoint not in vset:
             raise GraphError("basepoint %r is not a vertex" % (self.basepoint,))
@@ -424,7 +450,7 @@ class _UnionFind:
         classes = {}
         for x, r in roots.items():
             classes.setdefault(r, []).append(x)
-        rep = {r: min(xs, key=_sort_key) for r, xs in classes.items()}
+        rep = {r: _least_id(xs) for r, xs in classes.items()}
         return {x: rep[r] for x, r in roots.items()}
 
 
@@ -449,7 +475,7 @@ def pi0(g):
     comps = {}
     for v, r in cm.items():
         comps.setdefault(r, set()).add(v)
-    return tuple(frozenset(comps[r]) for r in sorted(comps, key=_sort_key))
+    return tuple(frozenset(comps[r]) for r in _sorted_ids(comps))
 
 
 def pi0_by_definition(g, bound=12):

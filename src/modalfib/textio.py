@@ -410,6 +410,7 @@ def _build_automaton(sec):
     letters = []
     n = None
     delta = {}
+    row_of = {}
     for line, key, toks in sec.rows:
         if key == "letters":
             letters.extend(_atom(t) for t in toks)
@@ -429,16 +430,18 @@ def _build_automaton(sec):
             if arrow in delta:
                 raise ParseError(line, "second delta line for %r %r" % arrow)
             delta[arrow] = int(t)
+            row_of[arrow] = line
         else:
             raise ParseError(line, "unknown automaton line %r" % (key,))
     if n is None:
         raise ParseError(sec.header_line, "automaton needs a states line")
+    declared = set(letters)
     for (s, a), t in delta.items():
         if not (0 <= s < n and 0 <= t < n):
-            raise ParseError(sec.header_line,
+            raise ParseError(row_of[s, a],
                              "delta state out of range in %r" % (sec.name,))
-        if a not in set(letters):
-            raise ParseError(sec.header_line,
+        if a not in declared:
+            raise ParseError(row_of[s, a],
                              "delta letter %r not declared" % (a,))
     try:
         return SubgroupAutomaton(tuple(letters), n, delta)

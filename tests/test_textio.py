@@ -241,6 +241,19 @@ def test_repeated_delta_row_rejected_at_its_line():
     assert msg.startswith("line 5:") and "0 'x'" in msg
 
 
+def test_out_of_range_delta_state_rejected_at_its_row():
+    # the states line comes after the offending row
+    msg = err("automaton: a\nletters: x\ndelta: 0 x 0\n"
+              "delta: 1 x 2\nstates: 2\n")
+    assert msg.startswith("line 4:") and "out of range" in msg
+
+
+def test_undeclared_delta_letter_rejected_at_its_row():
+    msg = err("automaton: a\nletters: x\nstates: 1\n"
+              "delta: 0 x 0\ndelta: 0 y 0\n")
+    assert msg.startswith("line 5:") and "'y' not declared" in msg
+
+
 def test_second_states_line_rejected_at_its_line():
     msg = err("automaton: a\nletters: x\nstates: 2\nstates: 3\n")
     assert msg.startswith("line 4:") and "states" in msg
