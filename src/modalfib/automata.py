@@ -14,7 +14,7 @@ and the tests drive them against each other.
 
 from collections import deque
 
-from .graphs import _UnionFind, _sort_key
+from .graphs import _UnionFind, _sorted_ids
 from .words import reduce_word, mul, inv
 
 __all__ = ["SubgroupAutomaton"]
@@ -28,6 +28,13 @@ def _fold(nstates, edges, root):
     (letter, +-1), so a clash is seen when a dart arrives and its far ends
     are queued for merging; a dict never exceeds 2 * |letters| entries,
     so each merge costs O(|letters|).
+
+    The result is read off the live classes' dicts.  Merges only move
+    entries into the kept class or queue clashing far ends, so at the end
+    each edge u -a-> v has left (a, +1) -> f in u's class with find(f) ==
+    find(v), and every entry came from an edge: delta and the states (the
+    roots with a non-empty dict) are those that reading each edge through
+    `find` twice gives, hence the same `n` and `transitions()`.
     """
     uf = _UnionFind(range(nstates))
     darts = [{} for _ in range(nstates)]
@@ -54,15 +61,11 @@ def _fold(nstates, edges, root):
         for key, far in darts[gone].items():
             seed(keep, key, far)
         darts[gone] = None
-    seen = set()
-    delta = {}
-    for u, a, v in edges:
-        ru, rv = uf.find(u), uf.find(v)
-        delta[(ru, a)] = rv
-        seen.add(ru)
-        seen.add(rv)
-    seen.add(uf.find(root))
-    return seen, delta, uf.find(root)
+    root = uf.find(root)
+    seen = {root} | {r for r, d in enumerate(darts) if d}
+    delta = {(r, a): uf.find(far) for r, d in enumerate(darts) if d
+             for (a, sign), far in d.items() if sign == 1}
+    return seen, delta, root
 
 
 class SubgroupAutomaton:
@@ -74,7 +77,7 @@ class SubgroupAutomaton:
     """
 
     def __init__(self, letters, n, delta):
-        self.letters = tuple(sorted(set(letters), key=_sort_key))
+        self.letters = tuple(_sorted_ids(set(letters)))
         self.n = n
         self.delta = dict(delta)
         self.rdelta = {(v, a): u for (u, a), v in self.delta.items()}
@@ -118,7 +121,7 @@ class SubgroupAutomaton:
         finite point set).  The resulting automaton is complete, with one
         state per point reachable from the basepoint.
         """
-        letters = tuple(sorted(set(letters), key=_sort_key))
+        letters = tuple(_sorted_ids(set(letters)))
         for a in letters:
             pa = perms[a]
             # as many values as keys, so equal sets make a bijection
@@ -142,12 +145,12 @@ class SubgroupAutomaton:
     @staticmethod
     def full_group(letters):
         """The whole free group: one state, every letter a loop."""
-        letters = tuple(sorted(set(letters), key=_sort_key))
+        letters = tuple(_sorted_ids(set(letters)))
         return SubgroupAutomaton(letters, 1, {(0, a): 0 for a in letters})
 
     @staticmethod
     def _canonical(letters, states, delta, root):
-        letters = tuple(sorted(set(letters), key=_sort_key))
+        letters = tuple(_sorted_ids(set(letters)))
         rdelta = {(v, a): u for (u, a), v in delta.items()}
         order = {root: 0}
         queue = deque([root])
@@ -158,6 +161,7 @@ class SubgroupAutomaton:
                     if nxt is not None and nxt not in order:
                         order[nxt] = len(order)
                         queue.append(nxt)
+        # both callers pass only states reachable from root along delta
         assert len(order) == len(states), "automaton not connected"
         new_delta = {(order[u], a): order[v] for (u, a), v in delta.items()}
         return SubgroupAutomaton(letters, len(states), new_delta)
@@ -226,16 +230,9 @@ class SubgroupAutomaton:
     # -- structure ---------------------------------------------------------
 
     def transitions(self):
-        """delta's items sorted by state, then by letter in _sort_key
-        order.  The (state, letter) keys are distinct, so the items
-        compare at them, and natural `<` answers as the key does wherever
-        it does not raise (see graphs._sorted_ids)."""
-        items = self.delta.items()
-        try:
-            return sorted(items)
-        except TypeError:
-            return sorted(items,
-                          key=lambda kv: (kv[0][0], _sort_key(kv[0][1])))
+        """delta's items in id order of their (state, letter) keys."""
+        d = self.delta
+        return [(k, d[k]) for k in _sorted_ids(d)]
 
     def complete(self):
         need = self.n * len(self.letters)

@@ -25,7 +25,7 @@ component-collapsing left part and a discrete-fiber right part, the
 constant-fiber criterion, and the discrete-family check.
 """
 
-from .graphs import FinGraph, GraphMap, component_map, _sort_key
+from .graphs import FinGraph, GraphMap, component_map, _sorted_ids
 from .groupoids import induce_functor
 from .hfiber import GammaAnalyzer
 from .covers import is_cover
@@ -62,7 +62,7 @@ def _comp_pairing(f):
     cm_src = component_map(f.source)
     cm_dst = component_map(f.target)
     over = {r: [] for r in set(cm_dst.values())}
-    for r in sorted(set(cm_src.values()), key=_sort_key):
+    for r in _sorted_ids(set(cm_src.values())):
         over[cm_dst[f.vertex_map[r]]].append(r)
     return cm_src, cm_dst, over
 
@@ -154,7 +154,7 @@ def _classify_pi1(f, F, analyzer):
         connected = all(len(es) == 1 for es in eo.values())
 
     over = {tb: [] for tb in T.components}
-    for cb in sorted(S.components, key=_sort_key):
+    for cb in _sorted_ids(S.components):
         over[T.comp_of[F.obj[cb]]].append(cb)
     equivalence = all(len(cs) == 1 for cs in over.values())
     if equivalence:
@@ -241,17 +241,16 @@ def factor0(f):
     X = f.source
     piece_of = f.pieces
 
-    mid_vertices = tuple(sorted(set(piece_of.values()), key=_sort_key))
     mid_edges = tuple((e, piece_of[u], piece_of[v])
                       for e, u, v in X.edges if f.edge_map[e] is not None)
     bp = piece_of[X.basepoint] if X.basepoint is not None else None
-    mid = FinGraph(mid_vertices, mid_edges, bp)
+    mid = FinGraph(tuple(set(piece_of.values())), mid_edges, bp)
 
     left = GraphMap(X, mid, dict(piece_of),
                     {e: (None if f.edge_map[e] is None else (e, +1))
                      for e in X.edge_ids()})
     right = GraphMap(mid, f.target,
-                     {p: f.vertex_map[p] for p in mid_vertices},
+                     {p: f.vertex_map[p] for p in mid.vertices},
                      {e: f.edge_map[e] for e, _, _ in mid_edges})
 
     if left.compose(right) != f:

@@ -657,8 +657,7 @@ def _request_from(ns):
     if getattr(ns, "subcommand", None):
         command = "%s %s" % (command, ns.subcommand)
     options = {}
-    for key in ("format", "dot", "radius", "seed", "samples", "n",
-                "vertex", "max_group"):
+    for key in sorted(_KNOWN_OPTIONS):
         if getattr(ns, key, None) is not None:
             options[key] = getattr(ns, key)
     documents = ()

@@ -15,7 +15,7 @@ letters g then h moves a fiber point i to perm[h][perm[g][i]].
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
-from .graphs import FinGraph, GraphMap, pi0, _sort_key, _UnionFind
+from .graphs import FinGraph, GraphMap, pi0, _least_id, _sorted_ids, _UnionFind
 from .words import mul, inv, Unknown
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
@@ -38,15 +38,14 @@ def is_cover(p):
     the image star, with no degenerate edges anywhere."""
     if any(img is None for img in p.edge_map.values()):
         return False
-    target_stars = {v: sorted(((e, s) for e, s, _ in p.target.darts(v)),
-                              key=_sort_key)
+    target_stars = {v: _sorted_ids([(e, s) for e, s, _ in p.target.darts(v)])
                     for v in p.target.vertices}
     for x in p.source.vertices:
         images = []
         for e, s, _ in p.source.darts(x):
             img = p.dart_image(e, s)
             images.append((img[1], img[2]))
-        if sorted(images, key=_sort_key) != target_stars[p.vertex_map[x]]:
+        if _sorted_ids(images) != target_stars[p.vertex_map[x]]:
             return False
     return True
 
@@ -114,8 +113,8 @@ class MonodromyAction:
         groups = {}
         for i in self.fiber:
             groups.setdefault(uf.find(i), []).append(i)
-        return tuple(sorted((tuple(sorted(g, key=_sort_key))
-                             for g in groups.values()), key=_sort_key))
+        return tuple(_sorted_ids([tuple(_sorted_ids(g))
+                                  for g in groups.values()]))
 
 
 def _letter_loop(shape, base, letter):
@@ -138,8 +137,8 @@ def monodromy(p, base):
             "target not connected: decompose per component first")
     shape = shape1(cover.target)
     comp = shape.components[shape.comp_of[base]]
-    fiber = tuple(sorted((x for x in cover.source.vertices
-                          if cover.map.vertex_map[x] == base), key=_sort_key))
+    fiber = tuple(x for x in cover.source.vertices
+                  if cover.map.vertex_map[x] == base)
     perms = {}
     for letter in comp.letters:
         loop = _letter_loop(shape, base, letter)
@@ -154,16 +153,16 @@ def total_space(m):
     comp = m.shape.components[m.shape.comp_of[m.base]]
     graph = m.shape.graph
     letters = set(comp.letters)
-    vertices = [(v, i) for v in sorted(comp.vertices, key=_sort_key)
+    vertices = [(v, i) for v in graph.vertices if v in comp.vertices
                 for i in m.fiber]
     edges = []
     vm = {}
     em = {}
     for (v, i) in vertices:
         vm[(v, i)] = v
-    for eid in sorted((e for e, u, v in graph.edges
-                       if u in comp.vertices), key=_sort_key):
-        u, v = graph.ends[eid]
+    for eid, u, v in graph.edges:
+        if u not in comp.vertices:
+            continue
         for i in m.fiber:
             j = m.perms[eid][i] if eid in letters else i
             edges.append(((eid, i), (u, i), (v, j)))
@@ -294,7 +293,7 @@ def decompose_cover(p):
     X, B = cover.source, cover.target
     out = {}
     for K in pi0(B):
-        rep = min(K, key=_sort_key)
+        rep = _least_id(K)
         bverts = tuple(v for v in B.vertices if v in K)
         bedges = tuple((e, u, v) for e, u, v in B.edges if u in K)
         sub_b = FinGraph(bverts, bedges,
@@ -313,8 +312,8 @@ def decompose_cover(p):
 def _conjugate_tuple(letters, perms, sigma):
     inv_sigma = {v: k for k, v in sigma.items()}
     return tuple(
-        tuple(sorted(((i, sigma[perms[l][inv_sigma[i]]])
-                      for i in sigma.values()), key=_sort_key))
+        tuple(_sorted_ids([(i, sigma[perms[l][inv_sigma[i]]])
+                           for i in sigma.values()]))
         for l in letters)
 
 
@@ -329,8 +328,8 @@ def unmarked_cover_count(x, n):
     sigmas = [dict(zip(fiber, p)) for p in iter_permutations(fiber)]
     seen = set()
     for m in actions:
-        canon = min((_conjugate_tuple(letters, m.perms, s) for s in sigmas),
-                    key=_sort_key)
+        canon = _least_id([_conjugate_tuple(letters, m.perms, s)
+                           for s in sigmas])
         seen.add(canon)
     return len(seen)
 
@@ -399,6 +398,7 @@ def universal_cover_initiality(x, covers, r):
             vm[path] = other
             em[path] = (e2, s2)
         lift = GraphMap.build(U, cover.source, vm, em)
+        # each path's last dart was lifted over itself from its parent's lift
         assert lift.compose(cover.map) == proj
         count = _count_pointed_lifts(U, proj, cover)
         onto = set(vm.values()) == set(cover.source.vertices)

@@ -15,7 +15,7 @@ import random as _random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .graphs import _sort_key, _UnionFind
+from .graphs import _sorted_ids, _UnionFind
 from .verdicts import Flag, LevelVerdicts
 
 __all__ = [
@@ -140,8 +140,8 @@ class FinGroupoid:
     ident: dict
 
     def __post_init__(self):
-        objs = tuple(sorted(set(self.objects), key=_sort_key))
-        mors = tuple(sorted(set(self.morphisms), key=_sort_key))
+        objs = tuple(_sorted_ids(set(self.objects)))
+        mors = tuple(_sorted_ids(set(self.morphisms)))
         object.__setattr__(self, "objects", objs)
         object.__setattr__(self, "morphisms", mors)
         src, dst, comp, ident = self.src, self.dst, self.comp, self.ident
@@ -488,7 +488,7 @@ def trunc0(g):
     except AttributeError:
         pass
     cm = g.component_map()
-    classes = tuple(sorted(set(cm.values()), key=_sort_key))
+    classes = tuple(_sorted_ids(set(cm.values())))
     t = discrete_groupoid(classes)
     unit = FinFunctor(g, t, {o: cm[o] for o in g.objects},
                       {m: t.ident[cm[g.src[m]]] for m in g.morphisms})
@@ -550,8 +550,8 @@ def _fiber_objects(F, y):
 
 def _fiber_component_map(F, y):
     """dict fiber object -> canonical representative, the least member
-    of its class in _sort_key order; computed once per functor and base
-    and shared by every caller: read it, do not change it.
+    of its class in id order (graphs._sorted_ids); computed once per
+    functor and base and shared by every caller: read it, do not change it.
 
     The fiber's arrows are the source morphisms g : x -> x2, one from
     (x, F(g);m2) to (x2, m2) for each m2 : F(x2) -> y.  The pass unites
@@ -567,7 +567,7 @@ def _fiber_component_map(F, y):
 
 def _fiber_classes(F, y):
     """The canonical representatives of _fiber_component_map(F, y), in
-    _sort_key order; shared like the map."""
+    id order (graphs._sorted_ids); shared like the map."""
     return _fiber_pass(F, y)[1]
 
 
@@ -583,8 +583,8 @@ def _fiber_pass(F, y):
             x, x2, fs = S.src[s], S.dst[s], fm[s]
             for m2 in T.hom(om[x2], y):
                 uf.union(pos[(x, tcomp[(fs, m2)])], pos[(x2, m2)])
-        # objs is in _sort_key order (sorted objects, then sorted
-        # hom-sets), so the least member of a class is the first met
+        # objs is in id order (sorted objects, then sorted hom-sets),
+        # so the least member of a class is the first met
         first, fcm = {}, {}
         for i, o in enumerate(objs):
             fcm[o] = first.setdefault(uf.find(i), o)
@@ -625,7 +625,7 @@ def _classes_over(F):
     xcm = F.source.component_map()
     ycm = F.target.component_map()
     over = {r: [] for r in set(ycm.values())}
-    for r in sorted(set(xcm.values()), key=_sort_key):
+    for r in _sorted_ids(set(xcm.values())):
         over[ycm[F.obj_map[r]]].append(r)
     object.__setattr__(F, "_over", (xcm, ycm, over))
     return F._over
@@ -649,7 +649,7 @@ def _flags_level0(F):
         if len(classes) != 1:
             connected = False
         want = over[ycm[y]]
-        image = sorted({xcm[x] for (x, _) in classes}, key=_sort_key)
+        image = _sorted_ids({xcm[x] for (x, _) in classes})
         if len({xcm[x] for (x, _) in classes}) != len(classes) \
                 or image != want:
             fibration = False
@@ -658,7 +658,7 @@ def _flags_level0(F):
         if not _fiber_aut_trivial(F, y):
             etale = False
         else:
-            delta = sorted({xcm[x] for (x, _) in classes}, key=_sort_key)
+            delta = _sorted_ids({xcm[x] for (x, _) in classes})
             if len(classes) != len(want) or delta != want:
                 etale = False
     return LevelVerdicts(

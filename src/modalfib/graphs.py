@@ -381,7 +381,7 @@ def pullback(f, g):
                 continue
             pair = (a, b)
             rev = (_gdart_rev(a), _gdart_rev(b))
-            canon = min(pair, rev, key=_sort_key)
+            canon = _least_id((pair, rev))
             if canon in seen:
                 continue
             seen.add(canon)
@@ -444,7 +444,7 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
     def least(self):
-        """dict item -> least member of its class in _sort_key order,
+        """dict item -> least member of its class in id order,
         keyed in item order."""
         roots = {x: self.find(x) for x in self.parent}
         classes = {}
@@ -512,7 +512,8 @@ def pi0_by_definition(g, bound=12):
             continue
         if all((c & p) == c or (c & p) == 0 for p in detachables):
             out.append(frozenset(v for v in g.vertices if c & (1 << idx[v])))
-    return tuple(sorted(out, key=lambda s: _sort_key(sorted(s, key=_sort_key)[0])))
+    least = {_least_id(c): c for c in out}      # components are disjoint
+    return tuple(least[v] for v in _sorted_ids(least))
 
 
 def flat(g):
@@ -590,7 +591,7 @@ def graph_isomorphic(a, b):
         for _, u, v in g.edges:
             if vm is not None:
                 u, v = vm[u], vm[v]
-            key = tuple(sorted((u, v), key=_sort_key))
+            key = tuple(_sorted_ids((u, v)))
             out[key] = out.get(key, 0) + 1
         return out
 
@@ -620,7 +621,8 @@ def interval():
 
 
 def cycle(k):
-    assert k >= 1
+    if k < 1:
+        raise GraphError("a cycle needs k >= 1 vertices, got %r" % (k,))
     verts = tuple(range(k))
     edges = tuple(("e%d" % i, i, (i + 1) % k) for i in range(k))
     return FinGraph(verts, edges, 0)

@@ -22,7 +22,7 @@ words.solve_simultaneous_conjugacy decides exactly.
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import _sort_key, FinGraph, GraphMap
+from .graphs import _sorted_ids, FinGraph, GraphMap
 from .words import (
     reduce_word, mul, inv, solve_simultaneous_conjugacy, Unknown,
 )
@@ -111,7 +111,8 @@ class PresGroupoid:
     def compose(self, m1, m2):
         u1, v1, w1 = m1
         u2, v2, w2 = m2
-        assert v1 == u2
+        if v1 != u2:
+            raise ValueError("%r then %r do not compose" % (m1, m2))
         return (u1, v2, mul(w1, w2))
 
     def inverse(self, m):
@@ -122,13 +123,14 @@ class PresGroupoid:
         v = u
         for eid, sign in darts:
             a, b = self.graph.dart_ends(eid, sign)
-            assert a == v
+            if a != v:
+                raise ValueError("%r does not leave %r" % ((eid, sign), v))
             v = b
         return (u, v, self.path_word(darts))
 
     def summary(self):
         out = []
-        for base in sorted(self.components, key=_sort_key):
+        for base in _sorted_ids(self.components):
             c = self.components[base]
             out.append((base, len(c.vertices), len(c.letters)))
         return out
@@ -198,9 +200,8 @@ class GroupoidFunctor:
         return self.image_subgroup(base).rank() == len(comp.letters)
 
     def data_key(self):
-        return (tuple(sorted(self.obj.items(), key=lambda kv: _sort_key(kv[0]))),
-                tuple(sorted(self.gen_images.items(), key=lambda kv: _sort_key(kv[0]))),
-                tuple(sorted(self.conj.items(), key=lambda kv: _sort_key(kv[0]))))
+        return tuple(tuple((k, d[k]) for k in _sorted_ids(d))
+                     for d in (self.obj, self.gen_images, self.conj))
 
     def __repr__(self):
         return "GroupoidFunctor(%d objects)" % (len(self.obj),)

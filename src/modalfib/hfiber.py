@@ -35,7 +35,7 @@ All three conditions are exact; no bounds are involved.
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import _sort_key, fiber, _UnionFind
+from .graphs import _sorted_ids, fiber, _UnionFind
 from .words import reduce_word, mul, inv
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
@@ -128,12 +128,12 @@ def homotopy_fiber(F, y):
     base = T.comp_of[y]
     letters = T.components[base].letters
     entries = []
-    for cb in sorted(F.src.components, key=_sort_key):
+    for cb in _sorted_ids(F.src.components):
         comp = F.src.components[cb]
         if T.comp_of[F.obj[cb]] != base:
             continue
-        fib_vertices = sorted((x for x in comp.vertices if F.obj[x] == y),
-                              key=_sort_key)
+        fib_vertices = _sorted_ids([x for x in comp.vertices
+                                    if F.obj[x] == y])
         images = [F.gen_images[l] for l in comp.letters]
         basing = F.conj[fib_vertices[0]] if fib_vertices else ()
         rebased = [mul(inv(basing), w, basing) for w in images]
@@ -212,7 +212,7 @@ class _ComponentData:
         self.piece_rank = {p: edge_counts[p] - counts[p] + 1 for p in counts}
 
         # incidence graph of pieces along non-degenerate edges
-        pieces = sorted(counts, key=_sort_key)
+        pieces = _sorted_ids(counts)
         inc_uf = _UnionFind(pieces)
         arcs = []
         for eid, u, v in nondeg:

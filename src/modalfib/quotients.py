@@ -13,7 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .graphs import FinGraph, GraphMap, _sort_key, enumerate_graph_maps, pi0
+from .graphs import (FinGraph, GraphMap, _least_id, _sorted_ids,
+                     enumerate_graph_maps, pi0)
 from .groupoids import shape1, induce_functor
 from .fingroupoids import FinGroupoid, FinFunctor, discrete_groupoid
 
@@ -137,8 +138,7 @@ def _check_automorphism(m):
         if img is None:
             raise ActionError("automorphism cannot collapse edge %r" % (eid,))
         image_ids.append(img[0])
-    if sorted(image_ids, key=_sort_key) != \
-            sorted(m.source.edge_ids(), key=_sort_key):
+    if _sorted_ids(image_ids) != _sorted_ids(m.source.edge_ids()):
         raise ActionError("edge map is not a bijection")
 
 
@@ -181,8 +181,8 @@ class GraphAction:
     def orbit(self, x):
         if x not in set(self.space.vertices):
             raise ActionError("unknown vertex %r" % (x,))
-        return tuple(sorted({m.vertex_map[x] for m in self.maps.values()},
-                            key=_sort_key))
+        return tuple(_sorted_ids({m.vertex_map[x]
+                                  for m in self.maps.values()}))
 
     def stabilizer(self, x):
         if x not in set(self.space.vertices):
@@ -289,7 +289,7 @@ class ActionGroupoid:
     def __init__(self, action, shape):
         self.action = action
         self.shape = shape
-        self.objects = tuple(sorted(shape.components, key=_sort_key))
+        self.objects = tuple(_sorted_ids(shape.components))
 
     def _comp_orbit(self, c):
         S = self.shape
@@ -298,8 +298,8 @@ class ActionGroupoid:
 
     def component_reps(self):
         """One object per orbit of components: the quotient's pi0."""
-        reps = {min(self._comp_orbit(c), key=_sort_key) for c in self.objects}
-        return tuple(sorted(reps, key=_sort_key))
+        reps = {_least_id(self._comp_orbit(c)) for c in self.objects}
+        return tuple(_sorted_ids(reps))
 
     def vertex_group_rank(self, v):
         """Rank of the quotient's vertex group over v's component orbit.
@@ -334,7 +334,7 @@ def shape_of_quotient(a, max_group_order=QUOTIENT_GROUP_BOUND):
     """
     _check_bound(a.group, max_group_order)
     S = shape1(a.space)
-    reps = sorted(S.components, key=_sort_key)
+    reps = _sorted_ids(S.components)
     if any(S.components[c].letters for c in reps):
         return ActionGroupoid(a, S)
     G = a.group
@@ -384,17 +384,15 @@ def orbit_graph(a):
     G = a.group
     vrep = {}
     for v in a.space.vertices:
-        vrep[v] = min((a.maps[g].vertex_map[v] for g in G.elements),
-                      key=_sort_key)
+        vrep[v] = _least_id([a.maps[g].vertex_map[v] for g in G.elements])
     erep = {}
     for e in a.space.edge_ids():
         ids = {a.maps[g].edge_map[e][0] for g in G.elements}
-        erep[e] = min(ids, key=_sort_key)
-    verts = tuple(sorted(set(vrep.values()), key=_sort_key))
+        erep[e] = _least_id(ids)
     edges = tuple((e, vrep[u], vrep[v]) for e, u, v in a.space.edges
                   if erep[e] == e)
     bp = vrep[a.space.basepoint] if a.space.basepoint is not None else None
-    return FinGraph(verts, edges, bp)
+    return FinGraph(tuple(set(vrep.values())), edges, bp)
 
 
 def quotient_is_fibration(a, max_group_order=QUOTIENT_GROUP_BOUND):
@@ -414,7 +412,7 @@ def quotient_is_fibration(a, max_group_order=QUOTIENT_GROUP_BOUND):
     S = shape1(a.space)
     functors = {g: induce_functor(a.maps[g], S, S)
                 for g in a.group.elements}
-    comps = sorted(S.components, key=_sort_key)
+    comps = _sorted_ids(S.components)
     for target in comps:
         pairs = 0
         for c in comps:

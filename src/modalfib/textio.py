@@ -25,7 +25,7 @@ the same document.  Parse errors carry 1-based line numbers.
 
 import re
 
-from .graphs import FinGraph, GraphMap, GraphError, _dart_onto, _sort_key
+from .graphs import FinGraph, GraphMap, GraphError, _dart_onto, _sorted_ids
 from .groupoids import PresGroupoid, shape1
 from .automata import SubgroupAutomaton
 from .covers import MonodromyAction, CoverError
@@ -552,7 +552,7 @@ def cycles_of_perm(perm):
     omitted, identity rendered as the empty string."""
     seen = set()
     out = []
-    for start in sorted(perm, key=_sort_key):
+    for start in _sorted_ids(perm):
         if start in seen or perm[start] == start:
             continue
         cyc = [start]

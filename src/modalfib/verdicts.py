@@ -16,8 +16,9 @@ class Flag:
     bound: object = None
 
     def __post_init__(self):
-        assert self.value in ("true", "false", "undecided")
-        assert (self.bound is None) == (self.value != "undecided")
+        if self.value not in ("true", "false", "undecided") or \
+                (self.bound is None) != (self.value != "undecided"):
+            raise ValueError("bad flag %r, %r" % (self.value, self.bound))
 
     @staticmethod
     def of(b):

@@ -86,7 +86,8 @@ def primitive_root(w):
     Returns (r, k).
     """
     n = len(w)
-    assert n > 0 and is_cyclically_reduced(w)
+    if n == 0 or not is_cyclically_reduced(w):
+        raise ValueError("not a nonempty cyclically reduced word: %r" % (w,))
     for d in range(1, n + 1):
         if n % d:
             continue
@@ -116,6 +117,7 @@ def conjugacy_witness(a, b):
         if cb[i:] + cb[:i] == ca:
             u = cb[:i]
             h = mul(pa, inv(u), inv(pb))
+            # a = pa ca pa^-1, b = pb cb pb^-1 and cb = u ca u^-1
             assert mul(inv(h), a, h) == reduce_word(b)
             return h
     return None
@@ -178,6 +180,7 @@ def solve_simultaneous_conjugacy(pairs, max_power=None):
         rti = inv(rt)
         if all(mul(rti, X, rt) == Y for X, Y in prepared):
             h = mul(pa, rt, inv(pa), h0)
+            # r^t commutes with ca; r^-t X r^t == Y says h^-1 x h == y
             for aa, bb in pairs:
                 assert mul(inv(h), aa, h) == bb
             return h

@@ -7,6 +7,8 @@ seeded random maps.
 
 import random
 
+import pytest
+
 from modalfib.graphs import (
     FinGraph, GraphMap, cycle, interval, point, disjoint_union, product,
     pullback, terminal_map, component_map,
@@ -317,3 +319,15 @@ def test_discrete_family_check_rows():
     assert etale_family_check(bad_fold_figure_eight()) is False
     assert etale_family_check(collapse_fold()) == "inapplicable"
     assert etale_family_check(retraction_fold()) == "inapplicable"
+
+
+@pytest.mark.parametrize("call", [
+    "Flag('maybe')", "Flag('undecided')", "Flag('true', 3)",
+])
+def test_malformed_flags_rejected_without_asserts(call, run_optimized):
+    # an unknown value, and a bound that does not match decidedness
+    run = run_optimized(
+        "from modalfib.verdicts import Flag\n"
+        "try:\n    %s\nexcept ValueError:\n    print('rejected')\n" % call)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"

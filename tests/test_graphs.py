@@ -328,6 +328,14 @@ def test_mismatched_maps_rejected_without_asserts(call, run_optimized):
     assert run.stdout == "rejected\n"
 
 
+def test_cycle_rejects_no_vertices_without_asserts(run_optimized):
+    run = run_optimized(
+        "from modalfib.graphs import GraphError, cycle\n"
+        "try:\n    cycle(0)\nexcept GraphError:\n    print('rejected')\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism testing sanity.
 

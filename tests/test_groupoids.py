@@ -6,6 +6,8 @@ Functor laws are checked strictly on the stored presentation data.
 
 import random
 
+import pytest
+
 from modalfib.graphs import (
     cycle, star, bouquet, path_graph, point, disjoint_union, GraphMap,
 )
@@ -207,5 +209,20 @@ def test_natural_iso_rejects_non_parallel_without_asserts(run_optimized):
         "G = identity_functor(shape1(path_graph(3)))\n"
         "try:\n    natural_iso(F, G)\n"
         "except ValueError:\n    print('rejected')\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"
+
+
+@pytest.mark.parametrize("call", [
+    "S.compose((0, 1, ()), (0, 1, ()))",
+    "S.morphism_from_path(0, [('e0', 1), ('e0', 1)])",
+])
+def test_morphisms_that_do_not_meet_rejected_without_asserts(
+        call, run_optimized):
+    run = run_optimized(
+        "from modalfib.graphs import cycle\n"
+        "from modalfib.groupoids import shape1\n"
+        "S = shape1(cycle(3))\n"
+        "try:\n    %s\nexcept ValueError:\n    print('rejected')\n" % call)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "rejected\n"

@@ -9,6 +9,7 @@ import random
 import time
 from itertools import product as iproduct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modalfib.words import (
@@ -16,8 +17,9 @@ from modalfib.words import (
     cyclic_reduce, is_cyclically_reduced, primitive_root,
     conjugacy_witness, solve_simultaneous_conjugacy, Unknown,
 )
-from modalfib.automata import SubgroupAutomaton
+from modalfib.automata import SubgroupAutomaton, _fold
 from modalfib.corpus import random_words, random_permutation
+from modalfib.graphs import _UnionFind
 
 letters2 = st.tuples(st.integers(0, 1), st.sampled_from((-1, +1)))
 raw_words = st.lists(letters2, max_size=10).map(tuple)
@@ -69,6 +71,17 @@ def test_primitive_root_cases():
     assert r == (a,) and k == 1
     r, k = primitive_root((a, b))
     assert k == 1
+
+
+@pytest.mark.parametrize("word", ["()", "((0, 1), (1, 1), (0, -1))"])
+def test_primitive_root_rejects_bad_words_without_asserts(word, run_optimized):
+    # the empty word and a word that is not cyclically reduced
+    run = run_optimized(
+        "from modalfib.words import primitive_root\n"
+        "try:\n    primitive_root(%s)\n"
+        "except ValueError:\n    print('rejected')\n" % word)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"
 
 
 def brute_conjugate(a, b, max_len=4):
@@ -427,6 +440,60 @@ def word_lists(draw):
 def test_fold_matches_reference_fixpoint(words):
     got = SubgroupAutomaton.from_words((0, 1), words)
     assert got.key() == reference_automaton((0, 1), words).key()
+
+
+def fold_reading_every_edge(nstates, edges, root):
+    """The worklist fold with its result read edge by edge, through two
+    finds per edge: the reference for reading it off the dart dicts."""
+    uf = _UnionFind(range(nstates))
+    darts = [{} for _ in range(nstates)]
+    pending = []
+
+    def seed(s, key, far):
+        if key in darts[s]:
+            pending.append((darts[s][key], far))
+        else:
+            darts[s][key] = far
+
+    for u, a, v in edges:
+        seed(u, (a, 1), v)
+        seed(v, (a, -1), u)
+    while pending:
+        rx, ry = map(uf.find, pending.pop())
+        if rx == ry:
+            continue
+        uf.union(rx, ry)
+        keep = uf.find(rx)
+        gone = ry if keep == rx else rx
+        for key, far in darts[gone].items():
+            seed(keep, key, far)
+        darts[gone] = None
+    seen = set()
+    delta = {}
+    for u, a, v in edges:
+        ru, rv = uf.find(u), uf.find(v)
+        delta[(ru, a)] = rv
+        seen.add(ru)
+        seen.add(rv)
+    seen.add(uf.find(root))
+    return seen, delta, uf.find(root)
+
+
+@st.composite
+def edge_soups(draw):
+    """Any labelled multigraph on 1-8 states, isolated states, loops and
+    repeated edges included, with any root."""
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, st.sampled_from((0, 1, "x")),
+                                    state), max_size=16))
+    return n, edges, draw(state)
+
+
+@settings(max_examples=300)
+@given(edge_soups())
+def test_fold_reads_the_same_result_off_the_dart_dicts(soup):
+    assert _fold(*soup) == fold_reading_every_edge(*soup)
 
 
 def test_fold_of_long_conjugates_is_near_linear():
