@@ -20,6 +20,14 @@ from .words import reduce_word, mul, inv
 __all__ = ["SubgroupAutomaton"]
 
 
+class _AutomatonError(ValueError):
+    """`subject` names the offending transition, as ("arrow", (0, "a"))."""
+
+    def __init__(self, message, arrow):
+        super().__init__(message)
+        self.subject = ("arrow", arrow)
+
+
 def _fold(nstates, edges, root):
     """Identify states until transitions are deterministic both ways.
 
@@ -80,10 +88,20 @@ class SubgroupAutomaton:
         self.letters = tuple(_sorted_ids(set(letters)))
         self.n = n
         self.delta = dict(delta)
-        self.rdelta = {(v, a): u for (u, a), v in self.delta.items()}
-        if len(self.rdelta) != len(self.delta):
-            raise ValueError("not folded: two edges with one label enter "
-                             "one state")
+        declared = set(self.letters)
+        rdelta = self.rdelta = {}
+        for arrow, v in self.delta.items():
+            u, a = arrow
+            if not (0 <= u < n and 0 <= v < n):
+                why = "delta state out of range in %r %r -> %r" % (u, a, v)
+            elif a not in declared:
+                why = "delta letter %r not declared" % (a,)
+            elif (v, a) in rdelta:
+                why = "not folded: two edges with one label enter one state"
+            else:
+                rdelta[v, a] = u
+                continue
+            raise _AutomatonError(why, arrow)
 
     # -- construction ------------------------------------------------------
 

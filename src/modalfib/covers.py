@@ -30,7 +30,11 @@ __all__ = [
 
 
 class CoverError(Exception):
-    pass
+    """`subject` names the offending id, as ("letter", "l0"), or is None."""
+
+    def __init__(self, message, subject=None):
+        super().__init__(message)
+        self.subject = subject
 
 
 def is_cover(p):
@@ -94,12 +98,18 @@ class MonodromyAction:
     perms: dict                   # letter -> {fiber point -> fiber point}
 
     def __post_init__(self):
-        comp = self.shape.components[self.shape.comp_of[self.base]]
+        letters = self.letters
         fib = set(self.fiber)
-        for letter in comp.letters:
-            perm = self.perms[letter]
-            if set(perm) != fib or set(perm.values()) != fib:
-                raise CoverError("permutation not total and invertible")
+        for letter in letters:
+            perm = self.perms.get(letter)
+            if perm is None or set(perm) != fib or set(perm.values()) != fib:
+                raise CoverError("loop letter %r has no permutation of the "
+                                 "fiber" % (letter,), ("letter", letter))
+        # every loop letter is a key, so a longer dict has a foreign key
+        if len(self.perms) != len(letters):
+            x = next(x for x in self.perms if x not in letters)
+            raise CoverError("%r is not a loop letter of the base; letters "
+                             "are %s" % (x, list(letters)), ("letter", x))
 
     @property
     def letters(self):

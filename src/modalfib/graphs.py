@@ -47,7 +47,11 @@ DEG = "deg"
 
 
 class GraphError(ValueError):
-    pass
+    """`subject` names the offending id, as ("vertex", 7), or is None."""
+
+    def __init__(self, message, subject=None):
+        super().__init__(message)
+        self.subject = subject
 
 
 def _sort_key(x):
@@ -175,30 +179,43 @@ class GraphMap:
 
     def __post_init__(self):
         vm, em = self.vertex_map, self.edge_map
+        src = self.source
         tverts = self.target.vertex_set
-        for x in self.source.vertices:
+        for x in src.vertices:
             if x not in vm:
-                raise GraphError("vertex %r has no image" % (x,))
+                raise GraphError("vertex %r has no image" % (x,), ("vertex", x))
             if vm[x] not in tverts:
-                raise GraphError("vertex image %r is not in target" % (vm[x],))
-        for eid, u, v in self.source.edges:
+                raise GraphError("vertex image %r is not in target" % (vm[x],),
+                                 ("vertex", x))
+        # every source vertex is a key, so a longer dict has a foreign key
+        if len(vm) != len(src.vertices):
+            x = next(x for x in vm if x not in src.vertex_set)
+            raise GraphError("vertex %r not in source" % (x,), ("vertex", x))
+        for eid, u, v in src.edges:
             if eid not in em:
-                raise GraphError("edge %r has no image" % (eid,))
+                raise GraphError("edge %r has no image" % (eid,), ("edge", eid))
             img = em[eid]
             if img is None:
                 if vm[u] != vm[v]:
                     raise GraphError(
                         "edge %r collapses but endpoints map to %r != %r"
-                        % (eid, vm[u], vm[v]))
+                        % (eid, vm[u], vm[v]), ("edge", eid))
             else:
                 e2, s = img
                 if e2 not in self.target.ends:
-                    raise GraphError("edge image %r not in target" % (e2,))
+                    raise GraphError("edge image %r not in target" % (e2,),
+                                     ("edge", eid))
+                if s != 1 and s != -1:
+                    raise GraphError("edge %r has sign %r, not +1 or -1"
+                                     % (eid, s), ("edge", eid))
                 a, b = self.target.dart_ends(e2, s)
                 if (vm[u], vm[v]) != (a, b):
                     raise GraphError(
                         "edge %r endpoints map to (%r,%r), image dart has (%r,%r)"
-                        % (eid, vm[u], vm[v], a, b))
+                        % (eid, vm[u], vm[v], a, b), ("edge", eid))
+        if len(em) != len(src.edges):
+            x = next(x for x in em if x not in src.edge_set)
+            raise GraphError("edge %r not in source" % (x,), ("edge", x))
 
     @staticmethod
     def build(source, target, vertex_map, edge_map):
@@ -206,18 +223,25 @@ class GraphMap:
 
         edge_map values may be a bare edge id (sign inferred, +1 preferred
         when ambiguous), an (edge_id, sign) pair, None, or the string
-        "deg" for a degenerate image.
+        "deg" for a degenerate image.  The GraphMap constructor checks
+        the result.
         """
         vm = dict(vertex_map)
-        em = {}
+        em = dict(edge_map)
         for eid, u, v in source.edges:
-            img = edge_map[eid]
+            if eid not in em:
+                continue
+            img = em[eid]
             if img is None or img == DEG:
                 em[eid] = None
-            elif isinstance(img, tuple) and len(img) == 2 and img[1] in (+1, -1):
-                em[eid] = img
-            else:
-                em[eid] = _dart_onto(target, eid, (vm[u], vm[v]), img)
+            elif not (isinstance(img, tuple) and len(img) == 2
+                      and img[1] in (+1, -1)):
+                # -1 only when just the reverse dart fits; a dart that fits
+                # neither way is left for the constructor to reject
+                ends = (vm.get(u), vm.get(v))
+                rev = img in target.ends and target.dart_ends(img, +1) != ends \
+                    and target.dart_ends(img, -1) == ends
+                em[eid] = (img, -1 if rev else +1)
         return GraphMap(source, target, vm, em)
 
     @staticmethod
@@ -288,15 +312,6 @@ class GraphMap:
 
     def __repr__(self):
         return "GraphMap(%r -> %r)" % (self.source, self.target)
-
-
-def _dart_onto(target, eid, ends, e2):
-    """The dart (e2, sign) of the target whose ends are `ends`, +1
-    preferred when both fit; eid names the source edge in the error."""
-    for s in (+1, -1):
-        if target.dart_ends(e2, s) == ends:
-            return (e2, s)
-    raise GraphError("edge %r cannot map onto %r" % (eid, e2))
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,12 @@ the same document.  Parse errors carry 1-based line numbers.
 
 import re
 
-from .graphs import FinGraph, GraphMap, GraphError, _dart_onto, _sorted_ids
+from .graphs import FinGraph, GraphMap, GraphError, _sorted_ids
 from .groupoids import PresGroupoid, shape1
 from .automata import SubgroupAutomaton
 from .covers import MonodromyAction, CoverError
 from .fingroupoids import FinGroupoid, FinGroupoidError
-from .quotients import FinGroup, GraphAction, ActionError, graph_action
+from .quotients import FinGroup, ActionError, graph_action
 
 __all__ = [
     "ParseError", "Document", "parse_document", "serialize_document",
@@ -38,10 +38,6 @@ __all__ = [
     "serialize_action", "serialize_groupoid", "serialize_automaton",
     "serialize_fingroupoid", "cycles_of_perm",
 ]
-
-SECTION_KINDS = ("graph", "map", "monodromy", "action",
-                 "groupoid", "automaton", "fingroupoid")
-_KIND_SET = frozenset(SECTION_KINDS)
 
 _CYCLE = re.compile(r"\(([^()]*)\)")
 _BAD_TOKENS = {"deg", "->", "+", "-", ""}
@@ -169,7 +165,7 @@ def _split_sections(text):
     return sections
 
 
-def _build_graph(sec):
+def _build_graph(sec, doc):
     verts = []
     edges = []
     bp = None
@@ -195,95 +191,93 @@ def _build_graph(sec):
         raise ParseError(sec.header_line, str(e))
 
 
+def _build_groupoid(sec, doc):
+    return PresGroupoid(_build_graph(sec, doc))
+
+
 _SIGNS = {"+": +1, "-": -1}
 
-
-def _sign(line, tok):
-    s = _SIGNS.get(tok)
-    if s is None:
-        raise ParseError(line, "sign must be + or -")
-    return s
+# The rows that introduce each kind of id a constructor error can name.
+_INTRODUCED_BY = {"vertex": ("v", "vertex-perm"), "edge": ("e", "edge-perm"),
+                  "letter": ("perm",), "arrow": ("delta",)}
 
 
-def _arrow(line, toks, want):
-    if len(toks) < 3 or toks[1] != "->":
-        raise ParseError(line, "expected: %s" % (want,))
-    return toks
+def _line_of(rows, err, fallback):
+    """The line of the first of `rows` that introduced the id the error's
+    `subject` names, or `fallback` (a header or block line) when none
+    did, as for a missing image.  Only error paths scan the rows."""
+    subject = getattr(err, "subject", None)
+    if subject is not None:
+        kind, x = subject
+        for line, key, toks in rows:
+            if key in _INTRODUCED_BY[kind] and x == (
+                    (_atom(toks[0]), _atom(toks[1])) if kind == "arrow"
+                    else _atom(toks[0])):
+                return line
+    return fallback
+
+
+def _graph_arg(sec, doc, i, role):
+    """The graph that the header's i-th argument names."""
+    gname = sec.args[i]
+    if doc.kinds.get(gname) != "graph":
+        raise ParseError(sec.header_line,
+                         "%s graph %r is not defined" % (role, gname))
+    return doc.entries[gname]
+
+
+def _read_images(rows, vkey, ekey, kind):
+    """The vertex and edge images of a map section or an action block,
+    from its rows `vkey u -> w` and `ekey id -> id' [+|-]` or `ekey id ->
+    deg`; and whether some edge image is a bare edge, with its sign left
+    to infer."""
+    vm = {}
+    em = {}             # source edge -> None, (edge, sign) or bare edge
+    bare = False
+    for line, key, toks in rows:
+        # map rows are the bulk of a document: the row checks are written
+        # out here rather than called
+        if key == vkey:
+            if len(toks) != 3 or toks[1] != "->":
+                raise ParseError(line, "expected: %s u -> w" % (key,))
+            u = _atom(toks[0])
+            if u in vm:
+                raise ParseError(line, "second %s line for %r" % (key, u))
+            vm[u] = _atom(toks[2])
+        elif key == ekey:
+            n = len(toks)
+            s = _SIGNS.get(toks[3]) if n == 4 and toks[2] != "deg" else None
+            if (n != 3 and s is None) or toks[1] != "->":
+                raise ParseError(line, "expected: %s id -> id' [+|-] or %s "
+                                 "id -> deg" % (key, key))
+            e = _atom(toks[0])
+            if e in em:
+                raise ParseError(line, "second %s line for %r" % (key, e))
+            if s is not None:
+                em[e] = (_atom(toks[2]), s)
+            elif toks[2] == "deg":
+                em[e] = None
+            else:
+                em[e] = _atom(toks[2])
+                bare = True
+        else:
+            raise ParseError(line, "unknown %s line %r" % (kind, key))
+    return vm, em, bare
 
 
 def _build_map(sec, doc):
     if len(sec.args) != 2:
         raise ParseError(sec.header_line, "map header wants: name src dst")
-    graphs = {}
-    for role, gname in zip(("source", "target"), sec.args):
-        if doc.kinds.get(gname) != "graph":
-            raise ParseError(sec.header_line,
-                             "%s graph %r is not defined" % (role, gname))
-        graphs[role] = doc.entries[gname]
-    src, dst = graphs["source"], graphs["target"]
-    src_vs, dst_vs = src.vertex_set, dst.vertex_set
-    src_es, dst_es = src.edge_set, dst.edge_set
-    vm = {}
-    em = {}             # source edge -> None, (edge, sign) or edge
-    unsigned = set()    # source edges mapped to a bare target edge
-    for line, key, toks in sec.rows:
-        # map rows are the bulk of a document: the arrow check is written
-        # out here rather than called
-        if key == "v":
-            if len(toks) < 3 or toks[1] != "->":
-                raise ParseError(line, "expected: v u -> w")
-            u, w = _atom(toks[0]), _atom(toks[2])
-            if u not in src_vs:
-                raise ParseError(line, "unknown source vertex %r" % (u,))
-            if w not in dst_vs:
-                raise ParseError(line, "unknown target vertex %r" % (w,))
-            if u in vm:
-                raise ParseError(line, "second v line for %r" % (u,))
-            vm[u] = w
-        elif key == "e":
-            if len(toks) < 3 or toks[1] != "->":
-                raise ParseError(line,
-                                 "expected: e id -> id' [+|-] or e id -> deg")
-            e = _atom(toks[0])
-            if e not in src_es:
-                raise ParseError(line, "unknown source edge %r" % (e,))
-            if e in em:
-                raise ParseError(line, "second e line for %r" % (e,))
-            if toks[2] == "deg":
-                em[e] = None
-            else:
-                e2 = _atom(toks[2])
-                if e2 not in dst_es:
-                    raise ParseError(line, "unknown target edge %r" % (e2,))
-                if len(toks) == 4:
-                    em[e] = (e2, _sign(line, toks[3]))
-                else:
-                    em[e] = e2
-                    unsigned.add(e)
-        else:
-            raise ParseError(line, "unknown map line %r" % (key,))
-    # every key was checked to be a source id, so a short dict misses one
-    if len(vm) < len(src.vertices):
-        for u in src.vertices:
-            if u not in vm:
-                raise ParseError(sec.header_line,
-                                 "map %r gives no image for vertex %r"
-                                 % (sec.name, u))
-    if len(em) < len(src.edges):
-        for e, _, _ in src.edges:
-            if e not in em:
-                raise ParseError(sec.header_line,
-                                 "map %r gives no image for edge %r"
-                                 % (sec.name, e))
+    src = _graph_arg(sec, doc, 0, "source")
+    dst = _graph_arg(sec, doc, 1, "target")
+    vm, em, bare = _read_images(sec.rows, "v", "e", "map")
     try:
-        if unsigned:
-            # as GraphMap.build does, in source edge order
-            for e, u, v in src.edges:
-                if e in unsigned:
-                    em[e] = _dart_onto(dst, e, (vm[u], vm[v]), em[e])
+        if bare:
+            return GraphMap.build(src, dst, vm, em)
         return GraphMap(src, dst, vm, em)
     except GraphError as e:
-        raise ParseError(sec.header_line, "bad map %r: %s" % (sec.name, e))
+        raise ParseError(_line_of(sec.rows, e, sec.header_line),
+                         "bad map %r: %s" % (sec.name, e))
 
 
 def _parse_cycles(line, toks, points):
@@ -311,11 +305,7 @@ def _parse_cycles(line, toks, points):
 def _build_monodromy(sec, doc):
     if len(sec.args) != 1:
         raise ParseError(sec.header_line, "monodromy header wants: name base")
-    gname = sec.args[0]
-    if doc.kinds.get(gname) != "graph":
-        raise ParseError(sec.header_line,
-                         "base graph %r is not defined" % (gname,))
-    base_graph = doc.entries[gname]
+    base_graph = _graph_arg(sec, doc, 0, "base")
     if base_graph.basepoint is None:
         raise ParseError(sec.header_line, "base graph needs a basepoint")
     shape = shape1(base_graph)
@@ -343,74 +333,57 @@ def _build_monodromy(sec, doc):
     if fiber is None:
         raise ParseError(sec.header_line,
                          "monodromy needs a degree or fiber line")
+    # a letter without a perm row acts as the identity
     perms = {l: {p: p for p in fiber} for l in letters}
     for letter, (line, toks) in perm_rows.items():
-        if letter not in perms:
-            raise ParseError(line, "%r is not a loop letter of the base; "
-                             "letters are %s" % (letter, list(letters)))
         perms[letter] = _parse_cycles(line, toks, fiber)
     try:
         return MonodromyAction(shape, base_graph.basepoint, fiber, perms)
     except CoverError as e:
-        raise ParseError(sec.header_line, str(e))
+        raise ParseError(_line_of(sec.rows, e, sec.header_line), str(e))
 
 
 def _build_action(sec, doc):
     if len(sec.args) != 1:
         raise ParseError(sec.header_line, "action header wants: name space")
-    gname = sec.args[0]
-    if doc.kinds.get(gname) != "graph":
-        raise ParseError(sec.header_line,
-                         "space graph %r is not defined" % (gname,))
-    space = doc.entries[gname]
+    space = _graph_arg(sec, doc, 0, "space")
     gens = []
-    blocks = []
-    for line, key, toks in sec.rows:
+    blocks = []         # (group-gen line, rows of its block)
+    for row in sec.rows:
+        line, key, toks = row
         if key == "group-gen":
             try:
                 gens.append(tuple(int(t) for t in toks))
             except ValueError:
                 raise ParseError(line, "group-gen wants integer images")
-            blocks.append((line, {}, {}))
-        elif key in ("vertex-perm", "edge-perm"):
+            blocks.append((line, []))
+        elif key == "vertex-perm" or key == "edge-perm":
             if not blocks:
                 raise ParseError(line, "%s before any group-gen" % (key,))
-            _, vm, em = blocks[-1]
-            toks = _arrow(line, toks, key + ": a -> b")
-            if key == "vertex-perm":
-                vm[_atom(toks[0])] = _atom(toks[2])
-            elif len(toks) == 4:
-                em[_atom(toks[0])] = (_atom(toks[2]), _sign(line, toks[3]))
-            else:
-                em[_atom(toks[0])] = _atom(toks[2])
+            blocks[-1][1].append(row)
         else:
             raise ParseError(line, "unknown action line %r" % (key,))
     degree = len(gens[0]) if gens else 1
     if any(len(g) != degree for g in gens):
         raise ParseError(sec.header_line, "generators disagree on degree")
-    for line, vm, em in blocks:
-        for u in space.vertices:
-            if u not in vm:
-                raise ParseError(line, "generator block gives no image "
-                                 "for vertex %r" % (u,))
-        for e in space.edge_ids():
-            if e not in em:
-                raise ParseError(line, "generator block gives no image "
-                                 "for edge %r" % (e,))
+    maps = []
+    for line, rows in blocks:
+        vm, em, _ = _read_images(rows, "vertex-perm", "edge-perm", "action")
+        try:
+            maps.append(GraphMap.build(space, space, vm, em))
+        except GraphError as e:
+            raise ParseError(_line_of(rows, e, line),
+                             "bad action %r: %s" % (sec.name, e))
     try:
-        group = FinGroup(degree, tuple(gens))
-        images = [GraphMap.build(space, space, vm, em)
-                  for _, vm, em in blocks]
-        return graph_action(group, space, images)
+        return graph_action(FinGroup(degree, tuple(gens)), space, maps)
     except (ActionError, GraphError) as e:
         raise ParseError(sec.header_line, "bad action %r: %s" % (sec.name, e))
 
 
-def _build_automaton(sec):
+def _build_automaton(sec, doc):
     letters = []
     n = None
     delta = {}
-    row_of = {}
     for line, key, toks in sec.rows:
         if key == "letters":
             letters.extend(_atom(t) for t in toks)
@@ -430,27 +403,18 @@ def _build_automaton(sec):
             if arrow in delta:
                 raise ParseError(line, "second delta line for %r %r" % arrow)
             delta[arrow] = int(t)
-            row_of[arrow] = line
         else:
             raise ParseError(line, "unknown automaton line %r" % (key,))
     if n is None:
         raise ParseError(sec.header_line, "automaton needs a states line")
-    declared = set(letters)
-    for (s, a), t in delta.items():
-        if not (0 <= s < n and 0 <= t < n):
-            raise ParseError(row_of[s, a],
-                             "delta state out of range in %r" % (sec.name,))
-        if a not in declared:
-            raise ParseError(row_of[s, a],
-                             "delta letter %r not declared" % (a,))
     try:
         return SubgroupAutomaton(tuple(letters), n, delta)
-    except ValueError:
-        raise ParseError(sec.header_line,
-                         "automaton %r is not folded" % (sec.name,))
+    except ValueError as e:
+        raise ParseError(_line_of(sec.rows, e, sec.header_line),
+                         "bad automaton %r: %s" % (sec.name, e))
 
 
-def _build_fingroupoid(sec):
+def _build_fingroupoid(sec, doc):
     objs = []
     mors = []
     src = {}
@@ -491,23 +455,19 @@ def _build_fingroupoid(sec):
                          "bad fingroupoid %r: %s" % (sec.name, e))
 
 
+_BUILDERS = {
+    "graph": _build_graph, "map": _build_map, "monodromy": _build_monodromy,
+    "action": _build_action, "groupoid": _build_groupoid,
+    "automaton": _build_automaton, "fingroupoid": _build_fingroupoid,
+}
+SECTION_KINDS = tuple(_BUILDERS)
+_KIND_SET = frozenset(_BUILDERS)
+
+
 def parse_document(text):
     doc = Document()
     for sec in _split_sections(text):
-        if sec.kind == "graph":
-            obj = _build_graph(sec)
-        elif sec.kind == "map":
-            obj = _build_map(sec, doc)
-        elif sec.kind == "monodromy":
-            obj = _build_monodromy(sec, doc)
-        elif sec.kind == "action":
-            obj = _build_action(sec, doc)
-        elif sec.kind == "groupoid":
-            obj = PresGroupoid(_build_graph(sec))
-        elif sec.kind == "automaton":
-            obj = _build_automaton(sec)
-        else:
-            obj = _build_fingroupoid(sec)
+        obj = _BUILDERS[sec.kind](sec, doc)
         try:
             doc.add(sec.kind, sec.name, obj)
         except ValueError as e:
@@ -533,18 +493,21 @@ def serialize_graph(name, g):
     return "\n".join(["graph: " + token(name)] + _graph_body(g)) + "\n"
 
 
-def serialize_map(name, f, src_name, dst_name):
-    out = ["map: %s %s %s" % (token(name), token(src_name), token(dst_name))]
-    for u in f.source.vertices:
-        out.append("v %s -> %s" % (token(u), token(f.vertex_map[u])))
+def _image_rows(f, vkey, ekey):
+    """The rows of the map f that `_read_images` reads back."""
+    out = ["%s %s -> %s" % (vkey, token(u), token(f.vertex_map[u]))
+           for u in f.source.vertices]
     for e in f.source.edge_ids():
         img = f.edge_map[e]
-        if img is None:
-            out.append("e %s -> deg" % (token(e),))
-        else:
-            out.append("e %s -> %s %s"
-                       % (token(e), token(img[0]), "+" if img[1] > 0 else "-"))
-    return "\n".join(out) + "\n"
+        to = "deg" if img is None else \
+            "%s %s" % (token(img[0]), "+" if img[1] > 0 else "-")
+        out.append("%s %s -> %s" % (ekey, token(e), to))
+    return out
+
+
+def serialize_map(name, f, src_name, dst_name):
+    out = ["map: %s %s %s" % (token(name), token(src_name), token(dst_name))]
+    return "\n".join(out + _image_rows(f, "v", "e")) + "\n"
 
 
 def cycles_of_perm(perm):
@@ -584,14 +547,7 @@ def serialize_action(name, a, space_name):
     out = ["action: %s %s" % (token(name), token(space_name))]
     for gen in a.group.generators:
         out.append("group-gen: " + " ".join(str(i) for i in gen))
-        m = a.maps[gen]
-        for u in a.space.vertices:
-            out.append("vertex-perm: %s -> %s"
-                       % (token(u), token(m.vertex_map[u])))
-        for e in a.space.edge_ids():
-            e2, s = m.edge_map[e]
-            out.append("edge-perm: %s -> %s %s"
-                       % (token(e), token(e2), "+" if s > 0 else "-"))
+        out += _image_rows(a.maps[gen], "vertex-perm:", "edge-perm:")
     return "\n".join(out) + "\n"
 
 
@@ -619,9 +575,9 @@ def serialize_fingroupoid(name, q):
                    % (token(m), token(q.src[m]), token(q.dst[m])))
     for o in q.objects:
         out.append("identity: %s %s" % (token(o), token(q.ident[o])))
-    for (f, g), h in sorted(q.comp.items(),
-                            key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        out.append("compose: %s %s %s" % (token(f), token(g), token(h)))
+    for f, g in _sorted_ids(q.comp):
+        out.append("compose: %s %s %s"
+                   % (token(f), token(g), token(q.comp[f, g])))
     return "\n".join(out) + "\n"
 
 

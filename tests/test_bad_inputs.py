@@ -1,0 +1,213 @@
+"""One table of bad inputs, each rejected by the parser and by the API.
+
+Every invariant of a map, an action, an automaton or a monodromy action
+is checked once, by its constructor.  The parser adds only what the text
+alone knows (row syntax and arity, repeated rows) and places each
+constructor error at the row that introduced the offending id, or at the
+header or generator block line when no row did, as for a missing image.
+
+Each case is run as a document, which must fail with a ParseError at the
+stated line, and as the direct constructor call, which must fail with
+the stated error naming the same id as its `subject`.  Arity and
+repeated-row cases have no constructor call; a constructor input that no
+document can spell (a missing perm row is the identity) has no document.
+"""
+
+from collections import namedtuple
+
+import pytest
+
+from modalfib.covers import CoverError
+from modalfib.graphs import GraphError
+from modalfib.textio import ParseError, parse_document
+
+# Every call below is evaluated against this prelude, in this process
+# and under python -O.
+PRELUDE = """\
+from modalfib.automata import SubgroupAutomaton
+from modalfib.covers import CoverError, MonodromyAction
+from modalfib.graphs import GraphMap, cycle
+from modalfib.groupoids import shape1
+c, t, loop = cycle(2), cycle(3), shape1(cycle(1))
+"""
+
+Case = namedtuple("Case", "name doc line call error subject")
+
+# cycle(2) as text; the map header is line 6, its rows start at line 7
+C2 = "graph: c\nvertices: 0 1\nedges: e0 0 1\nedges: e1 1 0\n\nmap: f c c\n"
+C2_ID = "v 0 -> 0\nv 1 -> 1\ne e0 -> e0 +\ne e1 -> e1 +\n"
+C2_EDGES = "{'e0': ('e0', 1), 'e1': ('e1', 1)}"
+
+# cycle(1) with its basepoint; the monodromy header is line 6
+LOOP = "graph: g\nvertices: 0\nedges: e0 0 0\nbasepoint: 0\n\nmonodromy: m g\n"
+ID2 = "{1: 1, 2: 2}"
+
+# cycle(3) under the rotation and its square: the action header is line
+# 7, the blocks start at lines 8 and 15
+T3 = ("graph: t\nvertices: 0 1 2\nedges: e0 0 1\nedges: e1 1 2\n"
+      "edges: e2 2 0\n\naction: r t\n")
+ROT = ("group-gen: 1 2 0\nvertex-perm: 0 -> 1\nvertex-perm: 1 -> 2\n"
+       "vertex-perm: 2 -> 0\nedge-perm: e0 -> e1 +\nedge-perm: e1 -> e2 +\n"
+       "edge-perm: e2 -> e0 +\n")
+ROT2_ROWS = ["vertex-perm: 0 -> 2", "vertex-perm: 1 -> 0", "vertex-perm: 2 -> 1",
+             "edge-perm: e0 -> e2 +", "edge-perm: e1 -> e0 +",
+             "edge-perm: e2 -> e1 +"]
+ROT2_VM = {0: 2, 1: 0, 2: 1}
+ROT2_EM = {"e0": ("e2", 1), "e1": ("e0", 1), "e2": ("e1", 1)}
+
+
+def rot2(rows):
+    return T3 + ROT + "group-gen: 2 0 1\n" + "".join(r + "\n" for r in rows)
+
+
+CASES = [
+    # -- maps: a sign other than +-1, foreign keys, and GraphMap.build's
+    # former KeyErrors
+    Case("map sign 5",
+         C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e1 5\ne e1 -> e0 -\n", 9,
+         "GraphMap(c, c, {0: 0, 1: 1}, {'e0': ('e1', 5), 'e1': ('e0', -1)})",
+         GraphError, ("edge", "e0")),
+    Case("map foreign vertex key", C2 + C2_ID + "v 7 -> 0\n", 11,
+         "GraphMap(c, c, {0: 0, 1: 1, 7: 0}, %s)" % C2_EDGES,
+         GraphError, ("vertex", 7)),
+    Case("map foreign edge key", C2 + C2_ID + "e e3 -> e0 +\n", 11,
+         "GraphMap(c, c, {0: 0, 1: 1}, {'e0': ('e0', 1), 'e1': ('e1', 1), "
+         "'e3': ('e0', 1)})", GraphError, ("edge", "e3")),
+    Case("map foreign edge key beside a bare row",
+         C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e0\ne e1 -> e1\ne e3 -> e0\n", 11,
+         "GraphMap.build(c, c, {0: 0, 1: 1}, "
+         "{'e0': 'e0', 'e1': 'e1', 'e3': 'e0'})", GraphError, ("edge", "e3")),
+    Case("map target vertex unknown", C2 + "v 0 -> 0\nv 1 -> 9\n"
+         "e e0 -> e0 +\ne e1 -> e1 +\n", 8,
+         "GraphMap(c, c, {0: 0, 1: 9}, %s)" % C2_EDGES,
+         GraphError, ("vertex", 1)),
+    Case("build without a vertex image",
+         C2 + "v 0 -> 0\ne e0 -> e0\ne e1 -> e1\n", 6,
+         "GraphMap.build(c, c, {0: 0}, {'e0': 'e0', 'e1': 'e1'})",
+         GraphError, ("vertex", 1)),
+    Case("build onto an unknown bare edge",
+         C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> zz\ne e1 -> e1\n", 9,
+         "GraphMap.build(c, c, {0: 0, 1: 1}, {'e0': 'zz', 'e1': 'e1'})",
+         GraphError, ("edge", "e0")),
+    Case("build without an edge image",
+         C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e0\n", 6,
+         "GraphMap.build(c, c, {0: 0, 1: 1}, {'e0': 'e0'})",
+         GraphError, ("edge", "e1")),
+    Case("map edge onto a dart with other ends",
+         C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e1 +\ne e1 -> e1 +\n", 9,
+         "GraphMap(c, c, {0: 0, 1: 1}, {'e0': ('e1', 1), 'e1': ('e1', 1)})",
+         GraphError, ("edge", "e0")),
+    # -- automata: states out of range, undeclared letters, unfolded
+    Case("automaton state out of range",
+         "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 5\n", 4,
+         "SubgroupAutomaton(('a',), 1, {(0, 'a'): 5})",
+         ValueError, ("arrow", (0, "a"))),
+    Case("automaton letter not declared",
+         "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 0\ndelta: 0 b 0\n",
+         5, "SubgroupAutomaton(('a',), 1, {(0, 'a'): 0, (0, 'b'): 0})",
+         ValueError, ("arrow", (0, "b"))),
+    Case("automaton not folded",
+         "automaton: a\nletters: a\nstates: 2\ndelta: 0 a 1\ndelta: 1 a 1\n",
+         5, "SubgroupAutomaton(('a',), 2, {(0, 'a'): 1, (1, 'a'): 1})",
+         ValueError, ("arrow", (1, "a"))),
+    # -- monodromy: a foreign letter, a missing one, a non-permutation
+    Case("monodromy foreign letter",
+         LOOP + "degree: 2\nperm: e0 (1 2)\nperm: zz (1 2)\n", 9,
+         "MonodromyAction(loop, 0, (1, 2), {'e0': %s, 'zz': %s})"
+         % (ID2, ID2), CoverError, ("letter", "zz")),
+    Case("monodromy missing letter", None, None,
+         "MonodromyAction(loop, 0, (1, 2), {})",
+         CoverError, ("letter", "e0")),
+    Case("monodromy missing letter, empty fiber", None, None,
+         "MonodromyAction(loop, 0, (), {})", CoverError, ("letter", "e0")),
+    Case("monodromy not a permutation", None, None,
+         "MonodromyAction(loop, 0, (1, 2), {'e0': {1: 1, 2: 1}})",
+         CoverError, ("letter", "e0")),
+    # -- actions: the error lands in the failing generator block
+    Case("action image outside the space, second block",
+         rot2(["vertex-perm: 0 -> 9"] + ROT2_ROWS[1:]), 16,
+         "GraphMap.build(t, t, {0: 9, 1: 0, 2: 1}, %r)" % (ROT2_EM,),
+         GraphError, ("vertex", 0)),
+    Case("action missing vertex image, second block",
+         rot2(ROT2_ROWS[:2] + ROT2_ROWS[3:]), 15,
+         "GraphMap.build(t, t, {0: 2, 1: 0}, %r)" % (ROT2_EM,),
+         GraphError, ("vertex", 2)),
+    Case("action foreign edge key, second block",
+         rot2(ROT2_ROWS + ["edge-perm: e9 -> e0 +"]), 22,
+         "GraphMap.build(t, t, %r, %r)"
+         % (ROT2_VM, dict(ROT2_EM, e9=("e0", 1))),
+         GraphError, ("edge", "e9")),
+    # -- row arity and repeated rows: the text alone shows these
+    Case("v row with a trailing token", C2 + "v 0 -> 0 junk\n", 7,
+         None, None, None),
+    Case("e row to deg with a trailing token",
+         C2 + "v 0 -> 0\nv 1 -> 0\ne e0 -> deg junk\n", 9,
+         None, None, None),
+    Case("e row to deg with a sign",
+         C2 + "v 0 -> 0\nv 1 -> 0\ne e0 -> deg +\n", 9, None, None, None),
+    Case("e row with a token after its sign", C2 + "e e0 -> e0 + junk\n", 7,
+         None, None, None),
+    Case("e row with two signs", C2 + "e e0 -> e0 + -\n", 7,
+         None, None, None),
+    Case("e row with a bad sign", C2 + "e e0 -> e0 *\n", 7,
+         None, None, None),
+    Case("vertex-perm row with a trailing token",
+         T3 + "group-gen: 1 2 0\nvertex-perm: 0 -> 1 junk\n", 9,
+         None, None, None),
+    Case("vertex-perm row with a sign",
+         T3 + "group-gen: 1 2 0\nvertex-perm: 0 -> 1 +\n", 9,
+         None, None, None),
+    Case("edge-perm row with a token after its sign",
+         T3 + "group-gen: 1 2 0\nedge-perm: e0 -> e1 + junk\n", 9,
+         None, None, None),
+    Case("repeated vertex-perm row in a block",
+         rot2(ROT2_ROWS[:1] + ROT2_ROWS), 17, None, None, None),
+]
+
+
+def _name(case):
+    return case.name
+
+
+def raised(call):
+    """The error that `call` raises, evaluated against PRELUDE."""
+    scope = {}
+    exec(PRELUDE, scope)
+    with pytest.raises((ValueError, CoverError)) as info:
+        eval(call, scope)
+    return info.value
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.doc], ids=_name)
+def test_document_rejected_at_the_offending_row(case):
+    with pytest.raises(ParseError) as info:
+        parse_document(case.doc)
+    assert info.value.line == case.line, str(info.value)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.call], ids=_name)
+def test_constructor_names_the_same_subject(case):
+    e = raised(case.call)
+    assert isinstance(e, case.error) and e.subject == case.subject
+
+
+def test_constructor_checks_hold_without_asserts(run_optimized):
+    calls = [c for c in CASES if c.call]
+    run = run_optimized(
+        PRELUDE + "for call in %r:\n"
+        "    try:\n        eval(call)\n"
+        "    except (ValueError, CoverError) as e:\n"
+        "        print(repr(e.subject))\n"
+        "    else:\n        print('accepted')\n" % ([c.call for c in calls],))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [repr(c.subject) for c in calls]
+
+
+def test_good_versions_of_the_documents_parse():
+    # the fixtures are sound, so each case fails for its one fault
+    doc = parse_document(C2 + C2_ID)
+    assert doc.single("map").vertex_map == {0: 0, 1: 1}
+    doc = parse_document(rot2(ROT2_ROWS))
+    assert doc.single("action").group.order == 3
+    doc = parse_document(LOOP + "degree: 2\nperm: e0 (1 2)\n")
+    assert doc.single("monodromy").perms["e0"] == {1: 2, 2: 1}

@@ -112,6 +112,22 @@ def test_round_trip_preserves_automaton_and_fingroupoid():
     assert q.comp[(m, m)] == q.ident[q.objects[0]]
 
 
+def test_compose_rows_follow_id_order():
+    # ids 9 and 10 sort differently as strings and as ints
+    comp = {(9, 9): 9, (9, 10): 10, (10, 9): 10, (10, 10): 9}
+    q = FinGroupoid(("o",), (9, 10), {9: "o", 10: "o"}, {9: "o", 10: "o"},
+                    comp, {"o": 9})
+    doc = Document()
+    doc.add("fingroupoid", "z2", q)
+    text = serialize_document(doc)
+    assert [l for l in text.splitlines() if l.startswith("compose:")] == [
+        "compose: 9 9 9", "compose: 9 10 10",
+        "compose: 10 9 10", "compose: 10 10 9"]
+    again = parse_document(text).single("fingroupoid")
+    assert again.comp == comp
+    assert serialize_document(parse_document(text)) == text
+
+
 def test_parse_accepts_comments_and_blank_lines():
     text = """
 # leading comment
