@@ -92,7 +92,8 @@ class SubgroupAutomaton:
         rdelta = self.rdelta = {}
         for arrow, v in self.delta.items():
             u, a = arrow
-            if not (0 <= u < n and 0 <= v < n):
+            if not (isinstance(u, int) and isinstance(v, int)
+                    and 0 <= u < n and 0 <= v < n):
                 why = "delta state out of range in %r %r -> %r" % (u, a, v)
             elif a not in declared:
                 why = "delta letter %r not declared" % (a,)

@@ -98,6 +98,9 @@ class MonodromyAction:
     perms: dict                   # letter -> {fiber point -> fiber point}
 
     def __post_init__(self):
+        if self.base not in self.shape.comp_of:
+            raise CoverError("base %r is not a vertex of the base graph"
+                             % (self.base,), ("vertex", self.base))
         letters = self.letters
         fib = set(self.fiber)
         for letter in letters:

@@ -12,6 +12,7 @@ then h", matching the word convention used for graphs.
 
 import random as _random
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -124,19 +125,26 @@ def _homs_into(group, elements, mul, unit):
 
 @dataclass(frozen=True)
 class FinGroupoid:
-    """Groupoid as raw tables.
+    """Groupoid as tables, with two ways in.
 
-    src/dst assign endpoints to morphism ids, ident picks the identity at
-    each object, comp is defined on exactly the composable pairs (in
-    diagram order).  Construction checks every law and caches inverses,
-    a hom-set index, the component map and a generating set.
+    src/dst assign endpoints to morphism ids and ident picks the identity
+    at each object.  comp (in diagram order) is either
+    - raw: a dict defined on exactly the composable pairs, from the
+      parser, the catalog, unions, full subgroupoids or a direct caller;
+      construction checks every law (_certify) and keeps the dict; or
+    - built: the _ArrowComp of an arrow groupoid (_arrow_groupoid: the
+      products, pullbacks, fibers and factorization middles); construction
+      puts it in normal form and checks that (_normal_form), and comp
+      becomes a read-only mapping computed from the vertex groups.
+    Either way construction caches inverses, a hom-set index, the
+    component map and a generating set.
     """
 
     objects: tuple
     morphisms: tuple
     src: dict
     dst: dict
-    comp: dict
+    comp: Mapping
     ident: dict
 
     def __post_init__(self):
@@ -153,6 +161,14 @@ class FinGroupoid:
             i = ident.get(o)
             if i not in mset or src[i] != o or dst[i] != o:
                 raise FinGroupoidError("object %r has no identity" % (o,))
+        hom = {}
+        for m in mors:
+            hom.setdefault((src[m], dst[m]), []).append(m)
+        hom = {key: tuple(ms) for key, ms in hom.items()}
+        object.__setattr__(self, "_hom", hom)
+        if isinstance(comp, _ArrowComp) and comp.compose is not None:
+            self._normal_form()
+            return
         into, outof = {}, {}
         for m in mors:
             outof[src[m]] = outof.get(src[m], 0) + 1
@@ -172,9 +188,6 @@ class FinGroupoid:
         for m in mors:
             if comp[(ident[src[m]], m)] != m or comp[(m, ident[dst[m]])] != m:
                 raise FinGroupoidError("unit law fails at %r" % (m,))
-        hom = {}
-        for m in mors:
-            hom.setdefault((src[m], dst[m]), []).append(m)
         inv = {}
         for m in mors:
             for w in hom.get((dst[m], src[m]), ()):
@@ -185,27 +198,23 @@ class FinGroupoid:
             if m not in inv:
                 raise FinGroupoidError("morphism %r has no inverse" % (m,))
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "_hom",
-                           {key: tuple(ms) for key, ms in hom.items()})
         self._certify()
 
     def _certify(self):
-        """Associativity by a normal-form certificate, in O(|comp|).
+        """Associativity of a raw table by a normal-form certificate, in
+        O(|comp|).
 
         Each component gets its least object b as base and a tree arrow
-        t_a, the first of hom(b, a), for each of its objects a.  Every
-        m : a -> c is sent to phi(m) = t_a;m;inv(t_c) in G_b = hom(b, b).
-        The checks are: every hom(a, c) has |G_b| elements, every comp
-        entry obeys phi(g;h) = phi(g)phi(h), and G_b is associative, by
-        Light's test (Clifford-Preston, Algebraic Theory of Semigroups I,
-        1961, 1.2): the s with (x s) y = x (s y) for all x, y are closed
-        under products, so it is enough to test the s in a generating set.
-        With units and inverses G_b is then a group, and phi is a
-        bijection from each hom(a, c) onto G_b: phi turns x -> x;t_c and
-        y -> inv(t_a);y, which carry G_b into hom(b, c) and that into
-        hom(a, c), into translations.  So the table is isomorphic to the
-        groupoid obj x G_b x obj and is associative itself (Brown,
-        Topology and Groupoids, 2006, 6.7).
+        t_a, the first of hom(b, a), for each of its objects a (_frame).
+        Every m : a -> c is sent to phi(m) = t_a;m;inv(t_c) in G_b =
+        hom(b, b).  The checks are: every hom(a, c) has |G_b| elements,
+        every comp entry obeys phi(g;h) = phi(g)phi(h), and G_b, read off
+        comp as an int Cayley table, is a group (_vertex_group, by Light's
+        test).  Then phi is a bijection from each hom(a, c) onto G_b: phi
+        turns x -> x;t_c and y -> inv(t_a);y, which carry G_b into
+        hom(b, c) and that into hom(a, c), into translations.  So the
+        table is isomorphic to the groupoid obj x G_b x obj and is
+        associative itself (Brown, Topology and Groupoids, 2006, 6.7).
 
         Keeps the component map, the `into` index (object -> morphisms
         ending there) and a generating set: the tree arrows and the
@@ -219,29 +228,7 @@ class FinGroupoid:
         """
         objs, mors, hom = self.objects, self.morphisms, self._hom
         src, dst, comp, inv = self.src, self.dst, self.comp, self.inv
-        out = {}
-        for a, c in hom:
-            out.setdefault(a, []).append(c)
-        # every morphism has an inverse and comp is total, so hom(b', a)
-        # and hom(b, a) both nonempty would make hom(b', b) nonempty: no
-        # object is reached from two bases, and a morphism a -> c never
-        # leaves the component of a, since t_a;m lies in hom(b, c)
-        base, tree, members = {}, {}, {}
-        for b in objs:
-            if b in base:
-                continue
-            members[b] = out[b]
-            for a in out[b]:
-                base[a] = b
-                tree[a] = hom[(b, a)][0]
-        for b, comp_objs in members.items():
-            order = len(hom[(b, b)])
-            for a in comp_objs:
-                for c in comp_objs:
-                    if len(hom.get((a, c), ())) != order:
-                        raise FinGroupoidError(
-                            "hom(%r, %r) has %d morphisms, hom(%r, %r) has %d"
-                            % (a, c, len(hom.get((a, c), ())), b, b, order))
+        base, tree, members = _frame(objs, hom)
         phi = {m: comp[(comp[(tree[src[m]], m)], inv[tree[dst[m]]])]
                for m in mors}
         for (g, h), k in comp.items():
@@ -252,39 +239,96 @@ class FinGroupoid:
         gens = []
         for b in members:
             group = hom[(b, b)]
-            # closure from the identity under right products: the
-            # identity passes Light's test by the unit laws, so the
-            # generators found here together with it generate G_b
-            reached = {self.ident[b]}
-            vgens = []
-            for x in group:
-                if x in reached:
-                    continue
-                vgens.append(x)
-                todo = [(y, x) for y in reached]
-                while todo:
-                    y, s = todo.pop()
-                    z = comp[(y, s)]
-                    if z not in reached:
-                        reached.add(z)
-                        todo.extend((z, t) for t in vgens)
-            for s in vgens:
-                s_then = {y: comp[(s, y)] for y in group}
-                for x in group:
-                    xs = comp[(x, s)]
-                    for y in group:
-                        if comp[(xs, y)] != comp[(x, s_then[y])]:
-                            raise FinGroupoidError(
-                                "associativity fails at (%r, %r, %r)"
-                                % (x, s, y))
-            gens.extend(vgens)
-        gens.extend(tree[a] for a in objs)
-        into = {o: [] for o in objs}
+            pos = {x: i for i, x in enumerate(group)}
+            mul = [[pos[comp[(x, y)]] for y in group] for x in group]
+            _, vgens = _vertex_group(mul, pos[self.ident[b]], group)
+            gens.extend(group[i] for i in vgens)
+        _keep_frame(self, base, tree, gens)
+
+    def _normal_form(self):
+        """Put an arrow groupoid in normal form and check it in full.
+
+        Per component of _frame (base b, tree arrows t_a, hom-set sizes),
+        with the label composition: inv(t_c) by a search of hom(c, b),
+        G_b as an int Cayley table checked by _vertex_group, and phi(m) =
+        t_a;m;inv(t_c) as an index into hom(b, b).  Once phi with the
+        endpoints is a bijection onto the cells (a, c, g), g in G_b, and
+        every identity sits at the unit, comp[(p, q)] := the morphism of
+        hom(src p, dst q) at phi(p)phi(q) is the groupoid obj x G_b x obj
+        on these ids and identities, and inv(m) is the one at
+        phi(m)^-1.  That this comp is the labels' composition is the one
+        claim left; _arrow_groupoid proves it for its callers.
+        """
+        objs, mors, hom = self.objects, self.morphisms, self._hom
+        comp, ident = self.comp, self.ident
+        compose = comp.compose
+        base, tree, members = _frame(objs, hom)
+        back = {}
+        for c in objs:
+            b, t = base[c], tree[c][2]
+            for w in hom[(c, b)]:
+                if compose(t, w[2]) == ident[b][2] \
+                        and compose(w[2], t) == ident[c][2]:
+                    back[c] = w[2]
+                    break
+            else:
+                raise FinGroupoidError("morphism %r has no inverse"
+                                       % (tree[c],))
+        groups, gens, filled = {}, [], 0
+        for b, comp_objs in members.items():
+            group = hom[(b, b)]
+            labels = [m[2] for m in group]
+            pos = {x: i for i, x in enumerate(labels)}
+            mul = []
+            for x in labels:
+                row = [pos.get(compose(x, y)) for y in labels]
+                if None in row:
+                    raise FinGroupoidError(
+                        "composite of (%r, %r) leaves hom(%r, %r)"
+                        % ((b, b, x), group[row.index(None)], b, b))
+                mul.append(row)
+            e = pos[ident[b][2]]
+            ginv, vgens = _vertex_group(mul, e, group)
+            groups[b] = (pos, mul, ginv, e)
+            gens.extend(group[i] for i in vgens)
+            filled += len(comp_objs) ** 2 * len(group)
+        n = len(objs)
+        index = {o: i for i, o in enumerate(objs)}
+        at, cells = {}, {}
         for m in mors:
-            into[dst[m]].append(m)
-        object.__setattr__(self, "_components", {o: base[o] for o in objs})
-        object.__setattr__(self, "_into", into)
-        object.__setattr__(self, "_gens", tuple(dict.fromkeys(gens)))
+            a, c, label = m
+            b = base[a]
+            if base[c] != b:
+                raise FinGroupoidError("morphism %r joins two components"
+                                       % (m,))
+            pos, mul = groups[b][:2]
+            i = pos.get(compose(compose(tree[a][2], label), back[c]))
+            if i is None:
+                raise FinGroupoidError("transport of %r leaves hom(%r, %r)"
+                                       % (m, b, b))
+            key = index[a] * n + index[c]
+            cell = cells.get(key)
+            if cell is None:
+                cell = cells[key] = [None] * len(mul)
+            if cell[i] is not None:
+                raise FinGroupoidError("morphisms %r and %r take one cell"
+                                       % (cell[i], m))
+            cell[i] = m
+            at[m] = (index[a], index[c], i, mul)
+        if len(mors) != filled:
+            raise FinGroupoidError("%d morphisms leave cells empty"
+                                   % len(mors))
+        for o in objs:
+            if at[ident[o]][2] != groups[base[o]][3]:
+                raise FinGroupoidError("unit law fails at %r" % (ident[o],))
+        inv = {}
+        for m in mors:
+            a, c, i, _ = at[m]
+            inv[m] = cells[c * n + a][groups[base[m[0]]][2][i]]
+        object.__setattr__(self, "inv", inv)
+        comp.compose = None
+        comp._at, comp._cells, comp._n = at, cells, n
+        _keep_frame(self, base, tree, gens)
 
     def hom(self, a, b):
         return self._hom.get((a, b), ())
@@ -300,6 +344,147 @@ class FinGroupoid:
     def __repr__(self):
         return "FinGroupoid(%d objects, %d morphisms)" % (
             len(self.objects), len(self.morphisms))
+
+
+def _frame(objs, hom):
+    """Components of the groupoid with hom-sets `hom`, keyed by their least
+    objects b, with the tree arrows t_a = hom(b, a)[0]; checks that every
+    hom(a, c) inside a component has |hom(b, b)| elements.  Returns (base,
+    tree, members): object -> b, object -> t_a, b -> its objects."""
+    out = {}
+    for a, c in hom:
+        out.setdefault(a, []).append(c)
+    # with inverses and a total comp, hom(b', a) and hom(b, a) both
+    # nonempty would make hom(b', b) nonempty, so no object is reached
+    # from two bases and a morphism a -> c never leaves the component of
+    # a, since t_a;m lies in hom(b, c); _normal_form checks the second
+    # for built tables, which also rules out the first
+    base, tree, members = {}, {}, {}
+    for b in objs:
+        if b in base:
+            continue
+        members[b] = out[b]
+        for a in out[b]:
+            base[a] = b
+            tree[a] = hom[(b, a)][0]
+    for b, comp_objs in members.items():
+        order = len(hom[(b, b)])
+        for a in comp_objs:
+            for c in comp_objs:
+                if len(hom.get((a, c), ())) != order:
+                    raise FinGroupoidError(
+                        "hom(%r, %r) has %d morphisms, hom(%r, %r) has %d"
+                        % (a, c, len(hom.get((a, c), ())), b, b, order))
+    return base, tree, members
+
+
+def _vertex_group(mul, e, names):
+    """Check that the int Cayley table `mul` (rows of indices into names,
+    the elements of G_b) is a group with unit e: unit laws, two-sided
+    inverses, and associativity by Light's test (Clifford-Preston,
+    Algebraic Theory of Semigroups I, 1961, 1.2): the s with (x s) y =
+    x (s y) for all x, y are closed under products, so it is enough to
+    test the s in a generating set.  Returns (inverse indices, generator
+    indices); the generators are found by closure from the unit under
+    right products, scanning names in order."""
+    n = len(mul)
+    for x in range(n):
+        if mul[e][x] != x or mul[x][e] != x:
+            raise FinGroupoidError("unit law fails at %r" % (names[x],))
+    ginv = []
+    for x, row in enumerate(mul):
+        for w in range(n):
+            if row[w] == e and mul[w][x] == e:
+                ginv.append(w)
+                break
+        else:
+            raise FinGroupoidError("morphism %r has no inverse" % (names[x],))
+    # the unit passes Light's test by the unit laws, so the generators
+    # found here together with it generate G_b
+    reached = {e}
+    gens = []
+    for x in range(n):
+        if x in reached:
+            continue
+        gens.append(x)
+        todo = [(y, x) for y in reached]
+        while todo:
+            y, s = todo.pop()
+            z = mul[y][s]
+            if z not in reached:
+                reached.add(z)
+                todo.extend((z, t) for t in gens)
+    for s in gens:
+        s_then = mul[s]
+        for x, row in enumerate(mul):
+            xs_then = mul[row[s]]
+            if xs_then != [row[z] for z in s_then]:
+                y = next(y for y in range(n) if xs_then[y] != row[s_then[y]])
+                raise FinGroupoidError("associativity fails at (%r, %r, %r)"
+                                       % (names[x], names[s], names[y]))
+    return ginv, gens
+
+
+def _keep_frame(g, base, tree, gens):
+    """Store the component map, the `into` index (object -> morphisms
+    ending there, in id order) and the generating set: the vertex-group
+    generators `gens`, then the tree arrows."""
+    objs = g.objects
+    gens.extend(tree[a] for a in objs)
+    into = {o: [] for o in objs}
+    for m in g.morphisms:
+        into[g.dst[m]].append(m)
+    object.__setattr__(g, "_components", {o: base[o] for o in objs})
+    object.__setattr__(g, "_into", into)
+    object.__setattr__(g, "_gens", tuple(dict.fromkeys(gens)))
+
+
+class _ArrowComp(Mapping):
+    """comp of an arrow groupoid (see _arrow_groupoid): made from the
+    given triples and their label composition `compose`, and put in
+    normal form by FinGroupoid._normal_form, which drops `compose`.
+
+    From then on it is read-only: `_at` sends each morphism m : a -> c to
+    (index of a, index of c, phi(m), Cayley table of its vertex group),
+    and `_cells` sends index(a) * n + index(c) to hom(a, c) listed by phi,
+    so comp[(p, q)] is the morphism of hom(src p, dst q) whose phi is
+    phi(p)phi(q).  Its length and its order follow the given triples,
+    as a dict of the composable pairs would."""
+
+    __slots__ = ("compose", "_given", "_len", "_at", "_cells", "_n")
+
+    def __init__(self, given, compose):
+        self.compose, self._given, self._len = compose, given, None
+        self._at, self._cells, self._n = {}, {}, 0
+
+    def __getitem__(self, pair):
+        try:
+            p, q = pair
+            a, b, i, mul = self._at[p]
+            b2, c, j, _ = self._at[q]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(pair) from None
+        if b != b2:
+            raise KeyError(pair)
+        return self._cells[a * self._n + c][mul[i][j]]
+
+    def __len__(self):
+        if self._len is None:
+            given = dict.fromkeys(self._given)
+            outof = {}
+            for t in given:
+                outof[t[0]] = outof.get(t[0], 0) + 1
+            self._len = sum(outof.get(t[1], 0) for t in given)
+        return self._len
+
+    def __iter__(self):
+        given = tuple(dict.fromkeys(self._given))
+        by_src = {}
+        for t in given:
+            by_src.setdefault(t[0], []).append(t)
+        for p in given:
+            for q in by_src.get(p[1], ()):
+                yield p, q
 
 
 @dataclass(frozen=True)
@@ -360,19 +545,26 @@ def _arrow_groupoid(objs, mors, compose, ident):
 
     Two triples compose when the first ends where the second starts; the
     composite carries compose(label, label2).  The identity at o is
-    (o, o, ident(o)).
+    (o, o, ident(o)).  The table is never written out: FinGroupoid keeps
+    the triples in normal form (_normal_form).
+
+    That normal form composes as the labels do, for every caller here.
+    The labels compose in a validated groupoid (X x Y for products and
+    pullbacks, the source for hfiber, the target for the two middles),
+    and each caller carries its endpoints along functorially (m =
+    F(g);m2;inv(G(h)), m = F(g);m2, the transport h.c, or a class held
+    fixed).  So the triples are closed under the labelled composite, a
+    triple is fixed by its source and label, and the triples inherit
+    associativity, units and inverses from the labels: (p;q);r and
+    p;(q;r), or p;1 and p, share source and label.  In a groupoid the
+    search finds the true inv(t_c), the Cayley table is hom(b, b)'s, and
+    phi(p;q) = t_a;p;inv(t_b);t_b;q;inv(t_c) = phi(p)phi(q), so the cell
+    at phi(p)phi(q) holds p;q (Brown, Topology and Groupoids, 2006, 6.7).
     """
-    by_src = {}
-    for t in mors:
-        by_src.setdefault(t[0], []).append(t)
-    comp = {}
-    for a, b, l in mors:
-        for _, c, l2 in by_src.get(b, ()):
-            comp[((a, b, l), (b, c, l2))] = (a, c, compose(l, l2))
+    mors = tuple(mors)
     return FinGroupoid(
-        objs, tuple(mors),
-        {t: t[0] for t in mors}, {t: t[1] for t in mors}, comp,
-        {o: (o, o, ident(o)) for o in objs})
+        objs, mors, {t: t[0] for t in mors}, {t: t[1] for t in mors},
+        _ArrowComp(mors, compose), {o: (o, o, ident(o)) for o in objs})
 
 
 def empty_groupoid():

@@ -201,6 +201,9 @@ class GraphMap:
                         "edge %r collapses but endpoints map to %r != %r"
                         % (eid, vm[u], vm[v]), ("edge", eid))
             else:
+                if not (isinstance(img, tuple) and len(img) == 2):
+                    raise GraphError("edge %r has image %r, not an (edge, "
+                                     "sign) pair" % (eid, img), ("edge", eid))
                 e2, s = img
                 if e2 not in self.target.ends:
                     raise GraphError("edge image %r not in target" % (e2,),

@@ -93,6 +93,12 @@ CASES = [
          C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e0\n", 6,
          "GraphMap.build(c, c, {0: 0, 1: 1}, {'e0': 'e0'})",
          GraphError, ("edge", "e1")),
+    Case("map edge image that is a bare id", None, None,
+         "GraphMap(c, c, {0: 0, 1: 1}, {'e0': 'e00', 'e1': ('e1', 1)})",
+         GraphError, ("edge", "e0")),
+    Case("map edge image that is a two-letter id", None, None,
+         "GraphMap(c, c, {0: 0, 1: 1}, {'e0': ('e0', 1), 'e1': 'e1'})",
+         GraphError, ("edge", "e1")),
     Case("map edge onto a dart with other ends",
          C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e1 +\ne e1 -> e1 +\n", 9,
          "GraphMap(c, c, {0: 0, 1: 1}, {'e0': ('e1', 1), 'e1': ('e1', 1)})",
@@ -102,6 +108,9 @@ CASES = [
          "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 5\n", 4,
          "SubgroupAutomaton(('a',), 1, {(0, 'a'): 5})",
          ValueError, ("arrow", (0, "a"))),
+    Case("automaton state that is not an int", None, None,
+         "SubgroupAutomaton(('a',), 1, {('0', 'a'): 0})",
+         ValueError, ("arrow", ("0", "a"))),
     Case("automaton letter not declared",
          "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 0\ndelta: 0 b 0\n",
          5, "SubgroupAutomaton(('a',), 1, {(0, 'a'): 0, (0, 'b'): 0})",
@@ -120,6 +129,9 @@ CASES = [
          CoverError, ("letter", "e0")),
     Case("monodromy missing letter, empty fiber", None, None,
          "MonodromyAction(loop, 0, (), {})", CoverError, ("letter", "e0")),
+    Case("monodromy base that is not a vertex", None, None,
+         "MonodromyAction(loop, 5, (1, 2), {'e0': %s})" % (ID2,),
+         CoverError, ("vertex", 5)),
     Case("monodromy not a permutation", None, None,
          "MonodromyAction(loop, 0, (1, 2), {'e0': {1: 1, 2: 1}})",
          CoverError, ("letter", "e0")),
