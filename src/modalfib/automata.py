@@ -14,7 +14,7 @@ and the tests drive them against each other.
 
 from collections import deque
 
-from .graphs import _UnionFind, _sorted_ids
+from .graphs import _sorted_ids
 from .words import reduce_word, mul, inv
 
 __all__ = ["SubgroupAutomaton"]
@@ -31,11 +31,16 @@ class _AutomatonError(ValueError):
 def _fold(nstates, edges, root):
     """Identify states until transitions are deterministic both ways.
 
-    Worklist folding (Touikan, "A fast algorithm for Stallings' folding
-    process", IJAC 2006): each class keeps one dict of its darts keyed
-    (letter, +-1), so a clash is seen when a dart arrives and its far ends
-    are queued for merging; a dict never exceeds 2 * |letters| entries,
-    so each merge costs O(|letters|).
+    Returns (states, delta, root): the live classes, named by their
+    representatives, delta (class, letter) -> class, and the root's
+    class.  Each edge u -a-> v is seeded as the darts (a, +1) -> v at u
+    and (a, -1) -> u at v; a dart whose key is taken queues its far end
+    for merging with the far end already there, and `_fold_darts` runs
+    the queue.  `from_words` seeds the same worklist from its walks
+    instead: each dart it reuses is a fold of a fresh edge, each merge it
+    queues is an identification that folding forces, and the folded
+    graph does not depend on the order of the folds, so both seedings
+    of one flower fold to the same core.
 
     The result is read off the live classes' dicts.  Merges only move
     entries into the kept class or queue clashing far ends, so at the end
@@ -44,36 +49,70 @@ def _fold(nstates, edges, root):
     roots with a non-empty dict) are those that reading each edge through
     `find` twice gives, hence the same `n` and `transitions()`.
     """
-    uf = _UnionFind(range(nstates))
     darts = [{} for _ in range(nstates)]
     pending = []
-
-    def seed(s, key, far):
-        d = darts[s]
-        if key in d:
-            pending.append((d[key], far))
-        else:
-            d[key] = far
-
     for u, a, v in edges:
-        seed(u, (a, 1), v)
-        seed(v, (a, -1), u)
-    while pending:
-        x, y = pending.pop()
-        rx, ry = uf.find(x), uf.find(y)
-        if rx == ry:
-            continue
-        uf.union(rx, ry)
-        keep = uf.find(rx)
-        gone = ry if keep == rx else rx
-        for key, far in darts[gone].items():
-            seed(keep, key, far)
-        darts[gone] = None
-    root = uf.find(root)
+        for s, key, far in ((u, (a, 1), v), (v, (a, -1), u)):
+            d = darts[s]
+            if key in d:
+                pending.append((d[key], far))
+            else:
+                d[key] = far
+    parent = _fold_darts(darts, pending)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    root = find(root)
     seen = {root} | {r for r, d in enumerate(darts) if d}
-    delta = {(r, a): uf.find(far) for r, d in enumerate(darts) if d
+    delta = {(r, a): find(far) for r, d in enumerate(darts) if d
              for (a, sign), far in d.items() if sign == 1}
     return seen, delta, root
+
+
+def _fold_darts(darts, pending):
+    """Run the merge worklist in place; return the `parent` list.
+
+    darts: list state -> dict (letter, +-1) -> far state, one entry per
+    key.  pending: pairs of states to identify.
+
+    Worklist folding (Touikan, "A fast algorithm for Stallings' folding
+    process", IJAC 2006): each class keeps one dict of its darts, so a
+    clash is seen when a dart arrives and its far ends are queued for
+    merging; a dict never exceeds 2 * |letters| entries, so each merge
+    costs O(|letters|).  Classes are int lists, union by size with path
+    halving.  The smaller class's dict moves into the larger one and is
+    set to None, so the live classes are the roots with a dict.  Stallings
+    folding is confluent: the fully folded graph does not depend on the
+    order of the folds, only on the identifications asked for.
+    """
+    n = len(darts)
+    parent = list(range(n))
+    size = [1] * n
+    while pending:
+        x, y = pending.pop()
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x == y:
+            continue
+        if size[x] < size[y]:
+            x, y = y, x
+        parent[y] = x
+        size[x] += size[y]
+        keep = darts[x]
+        for key, far in darts[y].items():
+            if key in keep:
+                pending.append((keep[key], far))
+            else:
+                keep[key] = far
+        darts[y] = None
+    return parent
 
 
 class SubgroupAutomaton:
@@ -108,29 +147,118 @@ class SubgroupAutomaton:
 
     @staticmethod
     def from_words(letters, words):
-        edges = []
-        fresh = [1]
+        """Core automaton of the subgroup the words generate.
 
-        def new_state():
-            s = fresh[0]
-            fresh[0] += 1
-            return s
+        Each reduced word is inserted as a closed path at the root.  A
+        forward walk follows the existing darts from the root along the
+        word's letters as far as they go, and a backward walk follows
+        them from the root along the inverses of the word's tail, never
+        past the forward walk.  Only the middle that neither walk covered
+        gets fresh states; if the walks meet, or the forward walk reads
+        the whole word, the two states reached stand for one point of
+        the path and their merge is queued.
 
-        for w in words:
+        Exact: in the flower, where every word is a separate loop, each
+        reused dart is a Stallings fold of a fresh edge onto one with the
+        same start and label, and a queued merge identifies two states
+        that the folds of one word's path already identify.  So the
+        graph built here is a quotient of the flower by identifications
+        that its full fold makes, and since folding is confluent, folding
+        it gives the flower's folded core.  No trimming is needed: each
+        non-root state lies on the image of a reduced closed path, which
+        enters and leaves it by different edges.
+
+        The walks follow only darts laid by checked middles, so checking
+        the middle letters checks every letter: a generator outside
+        `letters` or a sign other than +1 or -1 raises ValueError.
+        """
+        letters = tuple(_sorted_ids(set(letters)))
+        valid = {(a, sign) for a in letters for sign in (1, -1)}
+        darts = [{}]
+        pending = []
+        for index, w in enumerate(words):
             w = reduce_word(w)
-            cur = 0
-            for i, (g, s) in enumerate(w):
-                nxt = 0 if i == len(w) - 1 else new_state()
-                if s > 0:
-                    edges.append((cur, g, nxt))
-                else:
-                    edges.append((nxt, g, cur))
-                cur = nxt
-        # No trimming: each non-root state lies inside the folded image of
-        # a reduced closed path, which enters and leaves it by different
-        # edges, so the folded graph is already the core.
-        states, delta, root = _fold(fresh[0], edges, 0)
-        return SubgroupAutomaton._canonical(letters, states, delta, root)
+            end = len(w)
+            if not end:
+                continue
+            s, f = 0, 0
+            while f < end:
+                t = darts[s].get(w[f])
+                if t is None:
+                    break
+                s, f = t, f + 1
+            if f == end:
+                if s:
+                    pending.append((s, 0))
+                continue
+            e, b = 0, end
+            while b > f:
+                g, sg = w[b - 1]
+                t = darts[e].get((g, -sg))
+                if t is None:
+                    break
+                e, b = t, b - 1
+            if b == f:
+                if s != e:
+                    pending.append((s, e))
+                continue
+            if not valid.issuperset(w[f:b]):
+                i = next(i for i in range(f, b) if w[i] not in valid)
+                raise ValueError(
+                    "word %d, letter %d of its reduced form: %r is not a "
+                    "generator of %r with sign +1 or -1"
+                    % (index, i, w[i], letters))
+            # the forward walk stopped for want of w[f] at s, the backward
+            # one for want of w[b-1]'s inverse at e, and a fresh state
+            # holds only the inverse of the letter that entered it, which
+            # the next letter of a reduced word is not.  Those two darts
+            # clash only where s == e and the middle starts with the
+            # inverse of its last letter: folding that pair makes one
+            # fresh dart, peeled off until the middle is cyclically
+            # reduced at s.
+            while s == e and w[f] == (w[b - 1][0], -w[b - 1][1]):
+                g, sg = w[f]
+                t = len(darts)
+                darts[s][g, sg] = t
+                darts.append({(g, -sg): s})
+                s = e = t
+                f, b = f + 1, b - 1
+            for i in range(f, b - 1):
+                g, sg = w[i]
+                t = len(darts)
+                darts[s][g, sg] = t
+                darts.append({(g, -sg): s})
+                s = t
+            g, sg = w[b - 1]
+            darts[s][g, sg] = e
+            darts[e][g, -sg] = s
+        parent = _fold_darts(darts, pending)
+        # breadth-first numbering in sorted letter order, as `_canonical`
+        # numbers, read off the live classes' dicts; delta comes out in
+        # `transitions()` order
+        root = 0
+        while parent[root] != root:
+            root = parent[root]
+        number = [None] * len(darts)
+        number[root] = 0
+        queue = [root]
+        delta = {}
+        keys = [(a, key) for a in letters for key in ((a, 1), (a, -1))]
+        for i, s in enumerate(queue):
+            d = darts[s]
+            for a, key in keys:
+                t = d.get(key)
+                if t is None:
+                    continue
+                while parent[t] != t:
+                    t = parent[t]
+                j = number[t]
+                if j is None:
+                    j = number[t] = len(queue)
+                    queue.append(t)
+                if key[1] == 1:
+                    delta[i, a] = j
+        return SubgroupAutomaton(letters, len(queue), delta)
 
     @staticmethod
     def from_schreier(letters, perms, basepoint):
@@ -180,7 +308,7 @@ class SubgroupAutomaton:
                     if nxt is not None and nxt not in order:
                         order[nxt] = len(order)
                         queue.append(nxt)
-        # both callers pass only states reachable from root along delta
+        # from_schreier passes only states reachable from root along delta
         assert len(order) == len(states), "automaton not connected"
         new_delta = {(order[u], a): order[v] for (u, a), v in delta.items()}
         return SubgroupAutomaton(letters, len(states), new_delta)
@@ -212,7 +340,8 @@ class SubgroupAutomaton:
         such pairs, so if every step of the unreduced word is defined, it
         ends where the reduced word ends.  Whenever a step is undefined,
         or a letter is not a hashable (g, +-1) of some transition, the
-        word is reduced and traced again from `start` (`_trace_reduced`).
+        word is reduced and traced again from `start` (`_trace_reduced`),
+        which rejects a sign other than +1 or -1.
         """
         try:
             cols = self._columns
@@ -229,13 +358,21 @@ class SubgroupAutomaton:
         return s
 
     def _trace_reduced(self, word, start):
-        """Reduce, then trace: the exact route for any word."""
+        """Reduce, then trace: the exact route for any word.  A letter
+        whose sign is not +1 or -1 raises ValueError, also past the point
+        where the word leaves the automaton."""
         delta, rdelta = self.delta, self.rdelta
         s = start
-        for g, sg in reduce_word(word):
-            s = (delta if sg > 0 else rdelta).get((s, g))
-            if s is None:
-                return None
+        for i, (g, sg) in enumerate(reduce_word(word)):
+            if sg == 1:
+                step = delta
+            elif sg == -1:
+                step = rdelta
+            else:
+                raise ValueError("letter %d of the reduced word, %r, has a "
+                                 "sign other than +1 or -1" % (i, (g, sg)))
+            if s is not None:
+                s = step.get((s, g))
         return s
 
     def contains(self, word):

@@ -17,11 +17,13 @@ from modalfib.words import (
     cyclic_reduce, is_cyclically_reduced, primitive_root,
     conjugacy_witness, solve_simultaneous_conjugacy, Unknown,
 )
+from modalfib import automata
 from modalfib.automata import SubgroupAutomaton, _fold
 from modalfib.corpus import random_words, random_permutation
 from modalfib.graphs import _UnionFind
 
 letters2 = st.tuples(st.integers(0, 1), st.sampled_from((-1, +1)))
+letters3 = st.tuples(st.integers(0, 2), st.sampled_from((-1, +1)))
 raw_words = st.lists(letters2, max_size=10).map(tuple)
 
 
@@ -344,6 +346,44 @@ def test_trivial_and_hanging_tree_cases():
     assert not H.contains(a)
 
 
+@pytest.mark.parametrize("words, number, position", [
+    ([(("c", 1), ("a", 1), ("c", -1))], 0, 0),
+    ([(("a", 2),)], 0, 0),
+    ([(("a", 1), ("b", 1)), (("a", 1), ("b", -1), ("a", -2))], 1, 2),
+    ([(("a", 1), ("b", 1)), (("a", 1), ("c", 1), ("b", 1))], 1, 1),
+])
+def test_from_words_rejects_foreign_letters_and_bad_signs(words, number,
+                                                          position):
+    with pytest.raises(ValueError) as caught:
+        SubgroupAutomaton.from_words(("a", "b"), words)
+    assert ("word %d, letter %d " % (number, position)) in str(caught.value)
+
+
+def test_trace_rejects_a_bad_sign():
+    H = SubgroupAutomaton.from_words(("a", "b"), [(("a", 1), ("a", 1))])
+    for w in ([("a", 2)], [("a", 1), ("a", -2)], [("b", 1), ("a", 2)]):
+        with pytest.raises(ValueError):
+            H.contains(w)
+    # a bad-signed pair that cancels is not read at all
+    assert H.contains([("a", 1), ("b", 2), ("b", -2), ("a", 1)])
+
+
+@pytest.mark.parametrize("call", [
+    "SubgroupAutomaton.from_words(('a', 'b'), [(('c', 1), ('a', 1), "
+    "('c', -1))])",
+    "SubgroupAutomaton.from_words(('a', 'b'), [(('a', 2),)])",
+    "SubgroupAutomaton.from_words(('a', 'b'), [(('a', 1),)])"
+    ".contains([('a', 2)])",
+])
+def test_bad_letters_rejected_without_asserts(call, run_optimized):
+    run = run_optimized(
+        "from modalfib.automata import SubgroupAutomaton\n"
+        "try:\n    %s\n"
+        "except ValueError:\n    print('rejected')\n" % call)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "rejected\n"
+
+
 def test_coset_states_partition_words():
     # words reach the same state iff they differ by a subgroup element
     rng = random.Random(308)
@@ -442,6 +482,50 @@ def test_fold_matches_reference_fixpoint(words):
     assert got.key() == reference_automaton((0, 1), words).key()
 
 
+@st.composite
+def shared_word_lists(draw):
+    """0-8 words over 3 letters, most of them made from earlier ones:
+    repeats, the inverse of the word before, prefixes and suffixes,
+    products and conjugates (which trace through the automaton built so
+    far, so the walks meet or the forward walk reads the whole word),
+    cancelling pairs spliced in, and empty words."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "inverse", "prefix",
+                                     "suffix", "product", "conjugate",
+                                     "unreduced")))
+        if not out or kind == "fresh":
+            w = tuple(draw(st.lists(letters3, max_size=12)))
+        elif kind == "inverse":
+            w = inv(out[-1])
+        else:
+            v = draw(st.sampled_from(out))
+            cut = draw(st.integers(0, len(v)))
+            if kind == "repeat":
+                w = v
+            elif kind == "prefix":
+                w = v[:cut]
+            elif kind == "suffix":
+                w = v[cut:]
+            elif kind == "product":
+                w = mul(v, draw(st.sampled_from(out)))
+            elif kind == "conjugate":
+                u = draw(st.sampled_from(out))[:3]
+                w = mul(inv(u), v, u)
+            else:
+                x = draw(letters3)
+                w = v[:cut] + (x, (x[0], -x[1])) + v[cut:]
+        out.append(w)
+    return out
+
+
+@settings(max_examples=500)
+@given(shared_word_lists())
+def test_fold_on_insert_matches_reference_on_shared_words(words):
+    got = SubgroupAutomaton.from_words((0, 1, 2), words)
+    assert got.key() == reference_automaton((0, 1, 2), words).key()
+
+
 def fold_reading_every_edge(nstates, edges, root):
     """The worklist fold with its result read edge by edge, through two
     finds per edge: the reference for reading it off the dart dicts."""
@@ -496,8 +580,9 @@ def test_fold_reads_the_same_result_off_the_dart_dicts(soup):
     assert _fold(*soup) == fold_reading_every_edge(*soup)
 
 
-def test_fold_of_long_conjugates_is_near_linear():
-    # quadratic folding takes tens of seconds here
+def long_conjugates():
+    """Six conjugates u^-1 w u of one cyclically reduced word of length
+    1000, by conjugators u = x v that share a tail v of length 500."""
     rng = random.Random(309)
 
     def word(n):
@@ -512,7 +597,12 @@ def test_fold_of_long_conjugates_is_near_linear():
     while w[0] == (w[-1][0], -w[-1][1]):
         w = word(1000)
     v = word(500)
-    gens = [mul(inv(u), w, u) for u in (mul(word(3), v) for _ in range(6))]
+    return [mul(inv(u), w, u) for u in (mul(word(3), v) for _ in range(6))]
+
+
+def test_fold_of_long_conjugates_is_near_linear():
+    # quadratic folding takes tens of seconds here
+    gens = long_conjugates()
     assert min(map(len, gens)) >= 1900
     t0 = time.perf_counter()
     A = SubgroupAutomaton.from_words((0, 1), gens)
@@ -520,3 +610,37 @@ def test_fold_of_long_conjugates_is_near_linear():
     assert all(A.contains(g) for g in gens)
     assert A.rank() <= 6
     assert elapsed < 2.0, elapsed
+
+
+def test_fold_on_insert_builds_only_the_unshared_letters(monkeypatch):
+    # counted work, not time: how many states reach the fold
+    gens = long_conjugates()
+    handed = []
+    fold = automata._fold_darts
+
+    def counting(darts, pending):
+        handed.append(len(darts))
+        return fold(darts, pending)
+
+    monkeypatch.setattr(automata, "_fold_darts", counting)
+    A = SubgroupAutomaton.from_words((0, 1), gens)
+    assert all(A.contains(g) for g in gens)
+
+    def common(x, y):
+        n = 0
+        while n < min(len(x), len(y)) and x[n] == y[n]:
+            n += 1
+        return n
+
+    # a word of length L has L - 1 inner points; those on its longest
+    # prefix and its longest suffix shared with an earlier word are not
+    # built again
+    unshared = 0
+    for i, g in enumerate(gens):
+        pre = max((common(g, h) for h in gens[:i]), default=0)
+        suf = max((common(g[::-1], h[::-1]) for h in gens[:i]), default=0)
+        unshared += max(0, len(g) - 1 - pre - suf)
+    flower = 1 + sum(len(g) - 1 for g in gens)
+    assert handed == [handed[0]]
+    assert A.n <= handed[0] <= 1 + unshared, (handed, unshared)
+    assert unshared < 0.75 * flower, (unshared, flower)
