@@ -28,48 +28,18 @@ class _AutomatonError(ValueError):
         self.subject = ("arrow", arrow)
 
 
-def _fold(nstates, edges, root):
-    """Identify states until transitions are deterministic both ways.
-
-    Returns (states, delta, root): the live classes, named by their
-    representatives, delta (class, letter) -> class, and the root's
-    class.  Each edge u -a-> v is seeded as the darts (a, +1) -> v at u
-    and (a, -1) -> u at v; a dart whose key is taken queues its far end
-    for merging with the far end already there, and `_fold_darts` runs
-    the queue.  `from_words` seeds the same worklist from its walks
-    instead: each dart it reuses is a fold of a fresh edge, each merge it
-    queues is an identification that folding forces, and the folded
-    graph does not depend on the order of the folds, so both seedings
-    of one flower fold to the same core.
-
-    The result is read off the live classes' dicts.  Merges only move
-    entries into the kept class or queue clashing far ends, so at the end
-    each edge u -a-> v has left (a, +1) -> f in u's class with find(f) ==
-    find(v), and every entry came from an edge: delta and the states (the
-    roots with a non-empty dict) are those that reading each edge through
-    `find` twice gives, hence the same `n` and `transitions()`.
-    """
-    darts = [{} for _ in range(nstates)]
-    pending = []
-    for u, a, v in edges:
-        for s, key, far in ((u, (a, 1), v), (v, (a, -1), u)):
-            d = darts[s]
-            if key in d:
-                pending.append((d[key], far))
-            else:
-                d[key] = far
-    parent = _fold_darts(darts, pending)
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    root = find(root)
-    seen = {root} | {r for r, d in enumerate(darts) if d}
-    delta = {(r, a): find(far) for r, d in enumerate(darts) if d
-             for (a, sign), far in d.items() if sign == 1}
-    return seen, delta, root
+def _check_word(index, word, valid, letters):
+    """Raise ValueError at the first letter of the word (number `index`)
+    that is not in `valid`, the pairs (generator in `letters`, +1 or
+    -1); an unhashable letter or one that is not a pair is not in it."""
+    for i, x in enumerate(word):
+        try:
+            if tuple(x) in valid:
+                continue
+        except TypeError:
+            pass
+        raise ValueError("word %d, letter %d is %r, not a generator of %r "
+                         "with sign +1 or -1" % (index, i, x, letters))
 
 
 def _fold_darts(darts, pending):
@@ -169,45 +139,53 @@ class SubgroupAutomaton:
         enters and leaves it by different edges.
 
         The walks follow only darts laid by checked middles, so checking
-        the middle letters checks every letter: a generator outside
-        `letters` or a sign other than +1 or -1 raises ValueError.
+        the middle letters checks every letter of a reduced word; a word
+        that reduction shortened is checked as given, since no walk reads
+        the letters it cancelled.  A letter that is not a pair of a
+        generator in `letters` and a sign +1 or -1, an unhashable one
+        included, raises ValueError naming the word and the letter.
         """
         letters = tuple(_sorted_ids(set(letters)))
         valid = {(a, sign) for a in letters for sign in (1, -1)}
         darts = [{}]
         pending = []
-        for index, w in enumerate(words):
-            w = reduce_word(w)
-            end = len(w)
-            if not end:
-                continue
-            s, f = 0, 0
-            while f < end:
-                t = darts[s].get(w[f])
-                if t is None:
-                    break
-                s, f = t, f + 1
-            if f == end:
-                if s:
-                    pending.append((s, 0))
-                continue
-            e, b = 0, end
-            while b > f:
-                g, sg = w[b - 1]
-                t = darts[e].get((g, -sg))
-                if t is None:
-                    break
-                e, b = t, b - 1
-            if b == f:
-                if s != e:
-                    pending.append((s, e))
-                continue
-            if not valid.issuperset(w[f:b]):
-                i = next(i for i in range(f, b) if w[i] not in valid)
-                raise ValueError(
-                    "word %d, letter %d of its reduced form: %r is not a "
-                    "generator of %r with sign +1 or -1"
-                    % (index, i, w[i], letters))
+        for index, given in enumerate(words):
+            if not isinstance(given, (tuple, list)):
+                given = tuple(given)
+            try:
+                w = reduce_word(given)
+                end = len(w)
+                if end < len(given):
+                    _check_word(index, given, valid, letters)
+                if not end:
+                    continue
+                s, f = 0, 0
+                while f < end:
+                    t = darts[s].get(w[f])
+                    if t is None:
+                        break
+                    s, f = t, f + 1
+                if f == end:
+                    if s:
+                        pending.append((s, 0))
+                    continue
+                e, b = 0, end
+                while b > f:
+                    g, sg = w[b - 1]
+                    t = darts[e].get((g, -sg))
+                    if t is None:
+                        break
+                    e, b = t, b - 1
+                if b == f:
+                    if s != e:
+                        pending.append((s, e))
+                    continue
+                if not valid.issuperset(w[f:b]):
+                    _check_word(index, given, valid, letters)
+            except TypeError:
+                # an unhashable generator, or a letter that is not a pair
+                _check_word(index, given, valid, letters)
+                raise
             # the forward walk stopped for want of w[f] at s, the backward
             # one for want of w[b-1]'s inverse at e, and a fresh state
             # holds only the inverse of the letter that entered it, which
@@ -341,7 +319,8 @@ class SubgroupAutomaton:
         ends where the reduced word ends.  Whenever a step is undefined,
         or a letter is not a hashable (g, +-1) of some transition, the
         word is reduced and traced again from `start` (`_trace_reduced`),
-        which rejects a sign other than +1 or -1.
+        which rejects such a letter, cancelled or not.  So the fast pass
+        answers only for words whose every letter is valid.
         """
         try:
             cols = self._columns
@@ -359,20 +338,24 @@ class SubgroupAutomaton:
 
     def _trace_reduced(self, word, start):
         """Reduce, then trace: the exact route for any word.  A letter
-        whose sign is not +1 or -1 raises ValueError, also past the point
-        where the word leaves the automaton."""
+        that is not a pair of a hashable generator and a sign +1 or -1
+        raises ValueError, also where reduction would cancel it."""
+        for i, x in enumerate(word):
+            try:
+                g, sg = x
+                hash(g)
+            except (TypeError, ValueError):
+                sg = None
+            if sg != 1 and sg != -1:
+                raise ValueError("letter %d of the word, %r, is not a pair of "
+                                 "a hashable generator and a sign +1 or -1"
+                                 % (i, x))
         delta, rdelta = self.delta, self.rdelta
         s = start
-        for i, (g, sg) in enumerate(reduce_word(word)):
-            if sg == 1:
-                step = delta
-            elif sg == -1:
-                step = rdelta
-            else:
-                raise ValueError("letter %d of the reduced word, %r, has a "
-                                 "sign other than +1 or -1" % (i, (g, sg)))
-            if s is not None:
-                s = step.get((s, g))
+        for g, sg in reduce_word(word):
+            s = (delta if sg == 1 else rdelta).get((s, g))
+            if s is None:
+                return None
         return s
 
     def contains(self, word):

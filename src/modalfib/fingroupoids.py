@@ -15,6 +15,7 @@ import random as _random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .graphs import _sorted_ids, _UnionFind
 from .verdicts import Flag, LevelVerdicts
@@ -23,7 +24,6 @@ __all__ = [
     "FinGroupoidError", "FinGroupoid", "FinFunctor", "HomotopyFiberG",
     "empty_groupoid", "discrete_groupoid", "codiscrete_groupoid",
     "connected_groupoid", "group_groupoid", "group_hom_functor",
-    "disjoint_union_groupoid",
     "identity_fin_functor", "object_inclusion", "full_subgroupoid",
     "trunc0", "trunc_prop", "hfiber", "classify_trunc",
     "factor_connected_modal", "factor_equiv_etale", "connecting_functor",
@@ -125,19 +125,21 @@ def _homs_into(group, elements, mul, unit):
 
 @dataclass(frozen=True)
 class FinGroupoid:
-    """Groupoid as tables, with two ways in.
+    """Groupoid as tables: one certificate, two storages of comp.
 
     src/dst assign endpoints to morphism ids and ident picks the identity
-    at each object.  comp (in diagram order) is either
+    at each object.  Construction puts every groupoid in normal form and
+    checks that (_normal_form), then caches inverses, a hom-set index,
+    the component map and a generating set.  comp (in diagram order) is
+    either
     - raw: a dict defined on exactly the composable pairs, from the
-      parser, the catalog, unions, full subgroupoids or a direct caller;
-      construction checks every law (_certify) and keeps the dict; or
+      parser, the catalog, full subgroupoids or a direct caller; the
+      normal form reads its labels off the dict, every entry must be its
+      cell, and the dict is kept; or
     - built: the _ArrowComp of an arrow groupoid (_arrow_groupoid: the
-      products, pullbacks, fibers and factorization middles); construction
-      puts it in normal form and checks that (_normal_form), and comp
-      becomes a read-only mapping computed from the vertex groups.
-    Either way construction caches inverses, a hom-set index, the
-    component map and a generating set.
+      products, pullbacks, fibers and factorization middles); the normal
+      form composes the triples' labels, and comp becomes a read-only
+      mapping computed from the vertex groups.
     """
 
     objects: tuple
@@ -167,7 +169,9 @@ class FinGroupoid:
         hom = {key: tuple(ms) for key, ms in hom.items()}
         object.__setattr__(self, "_hom", hom)
         if isinstance(comp, _ArrowComp) and comp.compose is not None:
-            self._normal_form()
+            comp._at, comp._cells, comp._n = self._normal_form(
+                comp.compose, _triple_label)
+            comp.compose = None
             return
         into, outof = {}, {}
         for m in mors:
@@ -184,151 +188,105 @@ class FinGroupoid:
             if k not in mset or src[k] != src[g] or dst[k] != dst[h]:
                 raise FinGroupoidError("composite of (%r, %r) ill-typed"
                                        % (g, h))
-        # from here on comp is defined on every composable pair
-        for m in mors:
-            if comp[(ident[src[m]], m)] != m or comp[(m, ident[dst[m]])] != m:
-                raise FinGroupoidError("unit law fails at %r" % (m,))
-        inv = {}
-        for m in mors:
-            for w in hom.get((dst[m], src[m]), ()):
-                if comp[(m, w)] == ident[src[m]] \
-                        and comp[(w, m)] == ident[dst[m]]:
-                    inv[m] = w
-                    break
-            if m not in inv:
-                raise FinGroupoidError("morphism %r has no inverse" % (m,))
-        object.__setattr__(self, "inv", inv)
-        self._certify()
-
-    def _certify(self):
-        """Associativity of a raw table by a normal-form certificate, in
-        O(|comp|).
-
-        Each component gets its least object b as base and a tree arrow
-        t_a, the first of hom(b, a), for each of its objects a (_frame).
-        Every m : a -> c is sent to phi(m) = t_a;m;inv(t_c) in G_b =
-        hom(b, b).  The checks are: every hom(a, c) has |G_b| elements,
-        every comp entry obeys phi(g;h) = phi(g)phi(h), and G_b, read off
-        comp as an int Cayley table, is a group (_vertex_group, by Light's
-        test).  Then phi is a bijection from each hom(a, c) onto G_b: phi
-        turns x -> x;t_c and y -> inv(t_a);y, which carry G_b into
-        hom(b, c) and that into hom(a, c), into translations.  So the
-        table is isomorphic to the groupoid obj x G_b x obj and is
-        associative itself (Brown, Topology and Groupoids, 2006, 6.7).
-
-        Keeps the component map, the `into` index (object -> morphisms
-        ending there) and a generating set: the tree arrows and the
-        generators of each G_b.  Their inverses need no place in it,
-        because a functor check that passes at s passes at inv(s).  The
-        same set drives the level-0 component passes (fibers, the
-        pullback square, the two middles and the connecting map's
-        fibers): each unites along the generators only, since the
-        morphisms whose relation holds are closed under composition and
-        inverses.
-        """
-        objs, mors, hom = self.objects, self.morphisms, self._hom
-        src, dst, comp, inv = self.src, self.dst, self.comp, self.inv
-        base, tree, members = _frame(objs, hom)
-        phi = {m: comp[(comp[(tree[src[m]], m)], inv[tree[dst[m]]])]
-               for m in mors}
+        # from here on comp is defined on exactly the composable pairs, so
+        # it is the normal form's composition iff each entry is its cell
+        at, cells, n = self._normal_form(
+            lambda g, h: comp[g, h], _morphism_label)
         for (g, h), k in comp.items():
-            if phi[k] != comp[(phi[g], phi[h])]:
+            a, _, i, mul = at[g]
+            _, c, j, _ = at[h]
+            if cells[a * n + c][mul[i][j]] != k:
                 raise FinGroupoidError(
                     "composite of (%r, %r) does not match its vertex group"
                     % (g, h))
-        gens = []
-        for b in members:
-            group = hom[(b, b)]
-            pos = {x: i for i, x in enumerate(group)}
-            mul = [[pos[comp[(x, y)]] for y in group] for x in group]
-            _, vgens = _vertex_group(mul, pos[self.ident[b]], group)
-            gens.extend(group[i] for i in vgens)
-        _keep_frame(self, base, tree, gens)
 
-    def _normal_form(self):
-        """Put an arrow groupoid in normal form and check it in full.
+    def _normal_form(self, compose, label):
+        """Put the groupoid in normal form, check it in full and return
+        it as (at, cells, n), the fields that _ArrowComp reads.
 
-        Per component of _frame (base b, tree arrows t_a, hom-set sizes),
-        with the label composition: inv(t_c) by a search of hom(c, b),
-        G_b as an int Cayley table checked by _vertex_group, and phi(m) =
+        A morphism's label is label(m): the morphism itself for a raw
+        table, the third entry of a built triple.  Per component of _frame
+        (base b, tree arrows t_a, hom-set sizes), with the label
+        composition `compose`: inv(t_c) by a search of hom(c, b), G_b as
+        an int Cayley table checked by _vertex_group, and phi(m) =
         t_a;m;inv(t_c) as an index into hom(b, b).  Once phi with the
         endpoints is a bijection onto the cells (a, c, g), g in G_b, and
         every identity sits at the unit, comp[(p, q)] := the morphism of
         hom(src p, dst q) at phi(p)phi(q) is the groupoid obj x G_b x obj
-        on these ids and identities, and inv(m) is the one at
-        phi(m)^-1.  That this comp is the labels' composition is the one
-        claim left; _arrow_groupoid proves it for its callers.
+        on these ids and identities (Brown, Topology and Groupoids, 2006,
+        6.7), and inv(m) is the one at phi(m)^-1.  That this comp is the
+        labels' composition is the one claim left: a raw table checks it
+        entry by entry, and _arrow_groupoid proves it for its callers.
         """
         objs, mors, hom = self.objects, self.morphisms, self._hom
-        comp, ident = self.comp, self.ident
-        compose = comp.compose
+        ident = self.ident
         base, tree, members = _frame(objs, hom)
-        back = {}
+        lead, back = {}, {}
         for c in objs:
-            b, t = base[c], tree[c][2]
+            b = base[c]
+            t = lead[c] = label(tree[c])
+            one_b, one_c = label(ident[b]), label(ident[c])
             for w in hom[(c, b)]:
-                if compose(t, w[2]) == ident[b][2] \
-                        and compose(w[2], t) == ident[c][2]:
-                    back[c] = w[2]
+                x = label(w)
+                if compose(t, x) == one_b and compose(x, t) == one_c:
+                    back[c] = x
                     break
             else:
                 raise FinGroupoidError("morphism %r has no inverse"
                                        % (tree[c],))
-        groups, gens, filled = {}, [], 0
+        n = len(objs)
+        index = {o: i for i, o in enumerate(objs)}
+        groups, gens, ginv_at = {}, [], [None] * n
         for b, comp_objs in members.items():
             group = hom[(b, b)]
-            labels = [m[2] for m in group]
+            labels = [label(m) for m in group]
             pos = {x: i for i, x in enumerate(labels)}
             mul = []
-            for x in labels:
+            for p, x in zip(group, labels):
                 row = [pos.get(compose(x, y)) for y in labels]
                 if None in row:
                     raise FinGroupoidError(
                         "composite of (%r, %r) leaves hom(%r, %r)"
-                        % ((b, b, x), group[row.index(None)], b, b))
+                        % (p, group[row.index(None)], b, b))
                 mul.append(row)
-            e = pos[ident[b][2]]
+            e = pos[label(ident[b])]
             ginv, vgens = _vertex_group(mul, e, group)
-            groups[b] = (pos, mul, ginv, e)
+            groups[b] = (pos, mul, e)
             gens.extend(group[i] for i in vgens)
-            filled += len(comp_objs) ** 2 * len(group)
-        n = len(objs)
-        index = {o: i for i, o in enumerate(objs)}
+            for a in comp_objs:
+                ginv_at[index[a]] = ginv
+        # _frame gave every hom-set inside a component |G_b| morphisms, so
+        # once no morphism leaves its component and phi is injective on
+        # each hom-set, every cell is filled
         at, cells = {}, {}
-        for m in mors:
-            a, c, label = m
+        for (a, c), ms in hom.items():
             b = base[a]
             if base[c] != b:
                 raise FinGroupoidError("morphism %r joins two components"
-                                       % (m,))
-            pos, mul = groups[b][:2]
-            i = pos.get(compose(compose(tree[a][2], label), back[c]))
-            if i is None:
-                raise FinGroupoidError("transport of %r leaves hom(%r, %r)"
-                                       % (m, b, b))
-            key = index[a] * n + index[c]
-            cell = cells.get(key)
-            if cell is None:
-                cell = cells[key] = [None] * len(mul)
-            if cell[i] is not None:
-                raise FinGroupoidError("morphisms %r and %r take one cell"
-                                       % (cell[i], m))
-            cell[i] = m
-            at[m] = (index[a], index[c], i, mul)
-        if len(mors) != filled:
-            raise FinGroupoidError("%d morphisms leave cells empty"
-                                   % len(mors))
+                                       % (ms[0],))
+            pos, mul, _ = groups[b]
+            t, u, ia, ic = lead[a], back[c], index[a], index[c]
+            cell = cells[ia * n + ic] = [None] * len(mul)
+            for m in ms:
+                i = pos.get(compose(compose(t, label(m)), u))
+                if i is None:
+                    raise FinGroupoidError(
+                        "transport of %r leaves hom(%r, %r)" % (m, b, b))
+                if cell[i] is not None:
+                    raise FinGroupoidError(
+                        "morphisms %r and %r take one cell" % (cell[i], m))
+                cell[i] = m
+                at[m] = (ia, ic, i, mul)
         for o in objs:
-            if at[ident[o]][2] != groups[base[o]][3]:
+            if at[ident[o]][2] != groups[base[o]][2]:
                 raise FinGroupoidError("unit law fails at %r" % (ident[o],))
         inv = {}
         for m in mors:
-            a, c, i, _ = at[m]
-            inv[m] = cells[c * n + a][groups[base[m[0]]][2][i]]
+            ia, ic, i, _ = at[m]
+            inv[m] = cells[ic * n + ia][ginv_at[ia][i]]
         object.__setattr__(self, "inv", inv)
-        comp.compose = None
-        comp._at, comp._cells, comp._n = at, cells, n
         _keep_frame(self, base, tree, gens)
+        return at, cells, n
 
     def hom(self, a, b):
         return self._hom.get((a, b), ())
@@ -354,11 +312,11 @@ def _frame(objs, hom):
     out = {}
     for a, c in hom:
         out.setdefault(a, []).append(c)
-    # with inverses and a total comp, hom(b', a) and hom(b, a) both
-    # nonempty would make hom(b', b) nonempty, so no object is reached
-    # from two bases and a morphism a -> c never leaves the component of
-    # a, since t_a;m lies in hom(b, c); _normal_form checks the second
-    # for built tables, which also rules out the first
+    # in a groupoid, hom(b', a) and hom(b, a) both nonempty would make
+    # hom(b', b) nonempty, so no object is reached from two bases and a
+    # morphism a -> c never leaves the component of a, since t_a;m lies
+    # in hom(b, c); _normal_form checks the second, which also rules out
+    # the first
     base, tree, members = {}, {}, {}
     for b in objs:
         if b in base:
@@ -428,7 +386,15 @@ def _vertex_group(mul, e, names):
 def _keep_frame(g, base, tree, gens):
     """Store the component map, the `into` index (object -> morphisms
     ending there, in id order) and the generating set: the vertex-group
-    generators `gens`, then the tree arrows."""
+    generators `gens`, then the tree arrows.
+
+    Their inverses need no place in the generating set, because a functor
+    check that passes at s passes at inv(s).  The same set drives the
+    level-0 component passes (fibers, the pullback square, the two
+    middles and the connecting map's fibers): each unites along the
+    generators only, since the morphisms whose relation holds are closed
+    under composition and inverses.
+    """
     objs = g.objects
     gens.extend(tree[a] for a in objs)
     into = {o: [] for o in objs}
@@ -439,10 +405,18 @@ def _keep_frame(g, base, tree, gens):
     object.__setattr__(g, "_gens", tuple(dict.fromkeys(gens)))
 
 
+def _morphism_label(m):
+    return m
+
+
+_triple_label = itemgetter(2)
+
+
 class _ArrowComp(Mapping):
     """comp of an arrow groupoid (see _arrow_groupoid): made from the
     given triples and their label composition `compose`, and put in
-    normal form by FinGroupoid._normal_form, which drops `compose`.
+    normal form by FinGroupoid._normal_form, after which FinGroupoid
+    drops `compose`.
 
     From then on it is read-only: `_at` sends each morphism m : a -> c to
     (index of a, index of c, phi(m), Cayley table of its vertex group),
@@ -638,22 +612,6 @@ def identity_fin_functor(g):
 def object_inclusion(g, y):
     """The point groupoid landing on the object y."""
     return FinFunctor(_POINT, g, {"pt": y}, {("id", "pt"): g.ident[y]})
-
-
-def disjoint_union_groupoid(a, b):
-    """Sum of two groupoids, objects and morphisms tagged 0/1."""
-    objs = tuple((0, o) for o in a.objects) + tuple((1, o) for o in b.objects)
-    mors = tuple((0, m) for m in a.morphisms) \
-        + tuple((1, m) for m in b.morphisms)
-    halves = (a, b)
-    src = {(i, m): (i, halves[i].src[m]) for (i, m) in mors}
-    dst = {(i, m): (i, halves[i].dst[m]) for (i, m) in mors}
-    comp = {}
-    for i, g in enumerate(halves):
-        for (p, q), k in g.comp.items():
-            comp[((i, p), (i, q))] = (i, k)
-    ident = {(i, o): (i, halves[i].ident[o]) for (i, o) in objs}
-    return FinGroupoid(objs, mors, src, dst, comp, ident)
 
 
 def full_subgroupoid(g, objs):

@@ -11,9 +11,9 @@ import pytest
 
 from modalfib.fingroupoids import (
     FinGroupoid, FinFunctor, FinGroupoidError,
-    empty_groupoid, discrete_groupoid, codiscrete_groupoid,
+    empty_groupoid, discrete_groupoid,
     connected_groupoid, group_groupoid, group_hom_functor,
-    disjoint_union_groupoid, identity_fin_functor, object_inclusion,
+    identity_fin_functor, object_inclusion,
     trunc0, trunc_prop, hfiber, classify_trunc,
     factor_connected_modal, factor_equiv_etale, connecting_functor,
     functor_is_equivalence, essentially_surjective,
@@ -114,13 +114,16 @@ def test_trunc0_of_one_object_group_is_point():
 
 
 def test_trunc0_merges_isomorphic_objects_only():
-    # two isomorphic objects plus an isolated one: two classes
-    g = disjoint_union_groupoid(codiscrete_groupoid(("a", "b")),
-                                discrete_groupoid(("c",)))
+    # two isomorphic objects plus an isolated one: two classes; "xy" is
+    # the one morphism x -> y
+    objs, mors = "abc", ("aa", "ab", "ba", "bb", "cc")
+    comp = {(p, q): p[0] + q[1] for p in mors for q in mors if p[1] == q[0]}
+    g = FinGroupoid(objs, mors, {m: m[0] for m in mors},
+                    {m: m[1] for m in mors}, comp, {o: o + o for o in objs})
     t, unit = trunc0(g)
     assert len(t.objects) == 2
-    assert unit.obj_map[(0, "a")] == unit.obj_map[(0, "b")]
-    assert unit.obj_map[(1, "c")] != unit.obj_map[(0, "a")]
+    assert unit.obj_map["a"] == unit.obj_map["b"]
+    assert unit.obj_map["c"] != unit.obj_map["a"]
 
 
 def test_trunc_prop_of_empty_is_empty():

@@ -40,10 +40,11 @@ def ref_reduce(w):
 
 
 def ref_trace(a, word, start=0):
-    """A reduced letter whose sign is not +1 or -1 raises ValueError."""
+    """A letter whose sign is not +1 or -1 raises ValueError, also one
+    that reduction cancels."""
+    if any(sg != 1 and sg != -1 for _, sg in word):
+        raise ValueError(word)
     w = ref_reduce(word)
-    if any(sg != 1 and sg != -1 for _, sg in w):
-        raise ValueError(w)
     s = start
     for g, sg in w:
         s = (a.delta if sg > 0 else a.rdelta).get((s, g))
@@ -147,7 +148,8 @@ def test_cancelling_pair_across_an_undefined_edge():
         assert a.contains(w) and a.contains(tuple(w))
         assert a.trace(w, start=1) == 1
     assert not a.contains([("a", 1), ("b", 1)])
-    assert a.trace([("a", 2), ("a", -2)]) == 0
+    with pytest.raises(ValueError):
+        a.trace([("a", 2), ("a", -2)])
 
 
 def test_columns_are_built_on_the_first_trace():

@@ -4,7 +4,9 @@ FinGroupoid proves associativity by a normal-form certificate and
 FinFunctor checks composition on the source's generating set; the
 references below are the plain scans over every composable triple and
 every composable pair.  Both must accept the same tables and reject every
-single-entry corruption of a valid one.  The memoized catalog assemblies
+single-entry corruption of a valid one: a changed composite or image, an
+identity swapped for another automorphism, a dropped entry or an extra
+one on a pair that does not compose.  The memoized catalog assemblies
 must equal fresh ones and leave the rng stream as it was, and the cached
 component map must equal a fresh union-find.
 """
@@ -162,6 +164,35 @@ def test_certificate_matches_triple_scan(kind, seed):
         corrupted = (g.objects, g.morphisms, g.src, g.dst, bad, g.ident)
         assert not verdict(triple_scan, *corrupted), pair
         assert not verdict(FinGroupoid, *corrupted), pair
+
+
+@settings(max_examples=30, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_certificate_rejects_swapped_identities_and_wrong_domains(kind, seed):
+    rng = random.Random(seed)
+    g = sample_groupoid(kind, rng)
+    objects, morphisms, src, dst, comp, ident = tables(g)
+    comp = dict(comp)
+    corrupted = []
+    # each identity swapped for another automorphism of its object
+    for o in objects:
+        alt = next((m for m in g.aut(o) if m != ident[o]), None)
+        if alt is not None:
+            corrupted.append((comp, {**ident, o: alt}))
+    # one entry dropped
+    if comp:
+        dropped = dict(comp)
+        del dropped[rng.choice(list(comp))]
+        corrupted.append((dropped, ident))
+    # one extra entry on a pair that does not compose
+    loose = next(((p, q) for p in morphisms for q in morphisms
+                  if dst[p] != src[q]), None)
+    if loose is not None:
+        corrupted.append(({**comp, loose: loose[0]}, ident))
+    for bad_comp, bad_ident in corrupted:
+        args = (objects, morphisms, src, dst, bad_comp, bad_ident)
+        assert not verdict(triple_scan, *args)
+        assert not verdict(FinGroupoid, *args)
 
 
 def test_certificate_rejects_non_associative_loop():

@@ -18,7 +18,7 @@ from modalfib.words import (
     conjugacy_witness, solve_simultaneous_conjugacy, Unknown,
 )
 from modalfib import automata
-from modalfib.automata import SubgroupAutomaton, _fold
+from modalfib.automata import SubgroupAutomaton
 from modalfib.corpus import random_words, random_permutation
 from modalfib.graphs import _UnionFind
 
@@ -351,6 +351,13 @@ def test_trivial_and_hanging_tree_cases():
     ([(("a", 2),)], 0, 0),
     ([(("a", 1), ("b", 1)), (("a", 1), ("b", -1), ("a", -2))], 1, 2),
     ([(("a", 1), ("b", 1)), (("a", 1), ("c", 1), ("b", 1))], 1, 1),
+    # letters that free reduction cancels
+    ([(("a", 2), ("a", -2))], 0, 0),
+    ([(("a", 1),), (("b", 1), ("c", 1), ("c", -1), ("a", 1))], 1, 1),
+    # unhashable generators, read by a walk, a middle or no one
+    ([((["x"], 1), ("a", 1))], 0, 0),
+    ([(("a", 1), ("b", 1)), (("a", 1), ("b", 1), (["x"], 1))], 1, 2),
+    ([(("a", 1), (["x"], 1), (["x"], -1))], 0, 1),
 ])
 def test_from_words_rejects_foreign_letters_and_bad_signs(words, number,
                                                           position):
@@ -361,11 +368,20 @@ def test_from_words_rejects_foreign_letters_and_bad_signs(words, number,
 
 def test_trace_rejects_a_bad_sign():
     H = SubgroupAutomaton.from_words(("a", "b"), [(("a", 1), ("a", 1))])
-    for w in ([("a", 2)], [("a", 1), ("a", -2)], [("b", 1), ("a", 2)]):
-        with pytest.raises(ValueError):
+    for w in ([("a", 2)], [("a", 1), ("a", -2)], [("b", 1), ("a", 2)],
+              [("a", 1), ("b", 2), ("b", -2), ("a", 1)]):
+        with pytest.raises(ValueError, match="letter"):
             H.contains(w)
-    # a bad-signed pair that cancels is not read at all
-    assert H.contains([("a", 1), ("b", 2), ("b", -2), ("a", 1)])
+
+
+def test_trace_rejects_an_unhashable_generator():
+    H = SubgroupAutomaton.from_words(("a", "b"), [(("a", 1), ("a", 1))])
+    for w in ([(["x"], 1)], [("a", 1), (["x"], 1)],
+              [("a", 1), (["x"], 1), (["x"], -1), ("a", 1)]):
+        with pytest.raises(ValueError, match="letter"):
+            H.trace(w)
+    # a list-shaped letter is a letter
+    assert H.contains([["a", 1], ("a", 1)])
 
 
 @pytest.mark.parametrize("call", [
@@ -374,6 +390,12 @@ def test_trace_rejects_a_bad_sign():
     "SubgroupAutomaton.from_words(('a', 'b'), [(('a', 2),)])",
     "SubgroupAutomaton.from_words(('a', 'b'), [(('a', 1),)])"
     ".contains([('a', 2)])",
+    "SubgroupAutomaton.from_words(('a',), [(('a', 2), ('a', -2))])",
+    "SubgroupAutomaton.from_words(('a', 'b'), [(('a', 1),)])"
+    ".contains([('a', 1), ('b', 2), ('b', -2)])",
+    "SubgroupAutomaton.from_words(('a', 'b'), [((['x'], 1),)])",
+    "SubgroupAutomaton.from_words(('a', 'b'), [(('a', 1),)])"
+    ".contains([(['x'], 1)])",
 ])
 def test_bad_letters_rejected_without_asserts(call, run_optimized):
     run = run_optimized(
@@ -574,10 +596,45 @@ def edge_soups(draw):
     return n, edges, draw(state)
 
 
+def fold_reading_dart_dicts(nstates, edges, root):
+    """`_fold_darts` on the merge queue that seeding the edges gives, with
+    its result read off the live classes' dicts.
+
+    Each edge u -a-> v is seeded as the darts (a, +1) -> v at u and
+    (a, -1) -> u at v; a dart whose key is taken queues its far end for
+    merging with the far end already there.  Merges only move entries
+    into the kept class or queue clashing far ends, so at the end each
+    edge u -a-> v has left (a, +1) -> f in u's class with find(f) ==
+    find(v), and every entry came from an edge: the live classes' dicts
+    give the states and delta that reading each edge through `find`
+    twice gives."""
+    darts = [{} for _ in range(nstates)]
+    pending = []
+    for u, a, v in edges:
+        for s, key, far in ((u, (a, 1), v), (v, (a, -1), u)):
+            d = darts[s]
+            if key in d:
+                pending.append((d[key], far))
+            else:
+                d[key] = far
+    parent = automata._fold_darts(darts, pending)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    root = find(root)
+    seen = {root} | {r for r, d in enumerate(darts) if d}
+    delta = {(r, a): find(far) for r, d in enumerate(darts) if d
+             for (a, sign), far in d.items() if sign == 1}
+    return seen, delta, root
+
+
 @settings(max_examples=300)
 @given(edge_soups())
 def test_fold_reads_the_same_result_off_the_dart_dicts(soup):
-    assert _fold(*soup) == fold_reading_every_edge(*soup)
+    assert fold_reading_dart_dicts(*soup) == fold_reading_every_edge(*soup)
 
 
 def long_conjugates():
