@@ -153,7 +153,12 @@ class SubgroupAutomaton:
             if not isinstance(given, (tuple, list)):
                 given = tuple(given)
             try:
-                w = reduce_word(given)
+                try:
+                    w = reduce_word(given)
+                except ValueError:
+                    # a letter of one entry or of more than two
+                    _check_word(index, given, valid, letters)
+                    raise
                 end = len(w)
                 if end < len(given):
                     _check_word(index, given, valid, letters)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .graphs import _sorted_ids, _UnionFind
+from .graphs import _least_id, _sorted_ids
 from .verdicts import Flag, LevelVerdicts
 
 __all__ = [
@@ -470,7 +470,8 @@ class FinFunctor:
 
     def __post_init__(self):
         S, T = self.source, self.target
-        tobjs, tmors = set(T.objects), set(T.morphisms)
+        # keyed by exactly the target's objects and morphisms
+        tobjs, tmors = T._components, T.inv
         for x in S.objects:
             if self.obj_map.get(x) not in tobjs:
                 raise FinGroupoidError("object %r has no image" % (x,))
@@ -495,6 +496,7 @@ class FinFunctor:
                     raise FinGroupoidError(
                         "composition not preserved at (%r, %r)" % (g, s))
         object.__setattr__(self, "_fiber_cms", {})
+        object.__setattr__(self, "_fiber_trivial", {})
 
     def compose(self, other):
         """self then other."""
@@ -693,6 +695,53 @@ def hfiber(F, y):
 # ---------------------------------------------------------------------------
 # lightweight fiber analysis (shared by the flag routes; no tables built)
 
+class _Classes:
+    """Union-find over a list of distinct hashable items, on their
+    positions: the items are indexed once, `parent` is a list with path
+    halving, and a union is one call.  The smaller root wins, so
+    parent[i] <= i throughout and each root is its class's first item."""
+
+    __slots__ = ("items", "index", "parent")
+
+    def __init__(self, items):
+        self.items = items
+        self.index = {o: i for i, o in enumerate(items)}
+        self.parent = list(range(len(items)))
+
+    def union(self, a, b):
+        parent = self.parent
+        i, j = self.index[a], self.index[b]
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+
+    def roots(self):
+        """dict item -> the first item of its class, keyed in item
+        order."""
+        parent, items = self.parent, self.items
+        # parent[p] <= p, so one pass upwards sends every item to its root
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
+        return {o: items[p] for o, p in zip(items, parent)}
+
+    def least(self):
+        """dict item -> least member of its class in id order, keyed in
+        item order, as graphs._UnionFind.least gives it."""
+        roots = self.roots()
+        members = {}
+        for o, r in roots.items():
+            members.setdefault(r, []).append(o)
+        rep = {r: _least_id(xs) for r, xs in members.items()}
+        return {o: rep[r] for o, r in roots.items()}
+
+
 def _fiber_objects(F, y):
     return [(x, m) for x in F.source.objects
             for m in F.target.hom(F.obj_map[x], y)]
@@ -725,20 +774,16 @@ def _fiber_pass(F, y):
     hit = F._fiber_cms.get(y)
     if hit is None:
         S, T = F.source, F.target
-        objs = _fiber_objects(F, y)
-        pos = {o: i for i, o in enumerate(objs)}
-        uf = _UnionFind(range(len(objs)))
+        uf = _Classes(_fiber_objects(F, y))
         fm, om, tcomp = F.mor_map, F.obj_map, T.comp
         for s in S._gens:
             x, x2, fs = S.src[s], S.dst[s], fm[s]
             for m2 in T.hom(om[x2], y):
-                uf.union(pos[(x, tcomp[(fs, m2)])], pos[(x2, m2)])
-        # objs is in id order (sorted objects, then sorted hom-sets),
-        # so the least member of a class is the first met
-        first, fcm = {}, {}
-        for i, o in enumerate(objs):
-            fcm[o] = first.setdefault(uf.find(i), o)
-        hit = F._fiber_cms[y] = (fcm, tuple(first.values()))
+                uf.union((x, tcomp[(fs, m2)]), (x2, m2))
+        # the fiber objects come in id order (sorted objects, then sorted
+        # hom-sets), so each root is the least member of its class
+        fcm = uf.roots()
+        hit = F._fiber_cms[y] = (fcm, tuple(dict.fromkeys(fcm.values())))
     return hit
 
 
@@ -751,16 +796,16 @@ def _transport(F, h, rep, target_map):
 
 def _fiber_aut_trivial(F, y):
     """Whether every fiber object over y has only the identity
-    automorphism."""
-    S, T = F.source, F.target
-    for x in S.objects:
-        homs = T.hom(F.obj_map[x], y)
-        if not homs:
-            continue
-        for g in S.aut(x):
-            if g != S.ident[x] and F.mor_map[g] == T.ident[F.obj_map[x]]:
-                return False
-    return True
+    automorphism; computed once per functor and base, beside
+    _fiber_pass."""
+    hit = F._fiber_trivial.get(y)
+    if hit is None:
+        S, T = F.source, F.target
+        hit = F._fiber_trivial[y] = not any(
+            g != S.ident[x] and F.mor_map[g] == T.ident[F.obj_map[x]]
+            for x in S.objects if T.hom(F.obj_map[x], y)
+            for g in S.aut(x))
+    return hit
 
 
 def _classes_over(F):
@@ -822,10 +867,10 @@ def _flags_level_prop(F):
     x_inhabited = bool(F.source.objects)
 
     def fiber_stats(y):
-        objs = _fiber_objects(F, y)
-        if not objs:
+        classes = _fiber_classes(F, y)
+        if not classes:
             return 0, True
-        return len(_fiber_classes(F, y)), _fiber_aut_trivial(F, y)
+        return len(classes), _fiber_aut_trivial(F, y)
 
     modal = True
     connected = True
@@ -1136,9 +1181,9 @@ def nine_way(F, rng=None, sampled_bases=3):
         for h in T.morphisms:
             y, y2 = T.src[h], T.dst[h]
             for c1 in classes[y]:
+                moved, shadow = _transport(F, h, c1, fcms[y2]), gamma[y][c1]
                 for c2 in classes[y2]:
-                    if gamma[y][c1] == gamma[y2][c2] \
-                            and _transport(F, h, c1, fcms[y2]) != c2:
+                    if gamma[y2][c2] == shadow and moved != c2:
                         d = False
 
     # (e) the modal factor is etale: the collapsed-fiber family descends
@@ -1197,7 +1242,7 @@ def _pullback_preserved(F, G):
     ycm = Y.component_map()
     objs = [(x, y, m) for x in X.objects for y in Y.objects
             for m in Z.hom(F.obj_map[x], G.obj_map[y])]
-    uf = _UnionFind(objs)
+    uf = _Classes(objs)
     zcomp = Z.comp
     for s in X._gens:
         x, x2, fs = X.src[s], X.dst[s], F.mor_map[s]
@@ -1209,7 +1254,7 @@ def _pullback_preserved(F, G):
         for x in X.objects:
             for m2 in Z.hom(F.obj_map[x], G.obj_map[y2]):
                 uf.union((x, y, zcomp[(m2, back)]), (x, y2, m2))
-    reps = {uf.find(o) for o in objs}
+    reps = set(uf.roots().values())
     image = {(xcm[x], ycm[y]) for (x, y, m) in reps}
     want = {(cx, cy)
             for cx in set(xcm.values()) for cy in set(ycm.values())
@@ -1227,12 +1272,12 @@ def _modal_factor_etale(F, fcms, classes, ycm):
     T = F.target
     # component map of the middle groupoid (y, c), without building it
     objs = [(y, c) for y in T.objects for c in classes[y]]
-    uf = _UnionFind(objs)
+    uf = _Classes(objs)
     for h in T._gens:
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
             uf.union((y, c), (y2, _transport(F, h, c, fcms[y2])))
-    mid_cm_of = {o: uf.find(o) for o in objs}
+    mid_cm_of = uf.roots()
     mids_over = {}
     for o in objs:
         mids_over.setdefault(ycm[o[0]], set()).add(mid_cm_of[o])
@@ -1254,50 +1299,56 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
     downstairs is carried to itself).  The fiber of the connecting map
     over (y, d) has an arrow ((y2, c2), h) -> ((y3, k.c2), inv(k);h)
     for each k : y2 -> y3, and inv(k;l);h = inv(l);(inv(k);h), so it is
-    functorial too."""
-    T = F.target
-    cm_objs = [(y, c) for y in T.objects for c in classes[y]]
-    uf = _UnionFind(cm_objs)
-    for h in T._gens:
-        y, y2 = T.src[h], T.dst[h]
-        for c in classes[y]:
-            uf.union((y, c), (y2, _transport(F, h, c, fcms[y2])))
-    cm_of = {o: uf.find(o) for o in cm_objs}
+    functorial too.
 
-    ee_objs = [(y, d) for y in T.objects for d in set(gamma[y].values())]
-    uf2 = _UnionFind(ee_objs)
-    for h in T._gens:
-        y, y2 = T.src[h], T.dst[h]
-        for d in set(gamma[y].values()):
-            if (y2, d) in uf2.parent:
-                uf2.union((y, d), (y2, d))
-    ee_of = {o: uf2.find(o) for o in ee_objs}
-
-    cm_over_ee = {}
-    for (y, c) in cm_objs:
-        cm_over_ee.setdefault(ee_of[(y, gamma[y][c])], set()).add(
-            cm_of[(y, c)])
-
-    gens_from = {}
+    The transports k.c2 along each generator k are computed once and
+    shared by the first pass and by the fibers over every (y, d)."""
+    T, tcomp = F.target, F.target.comp
+    steps = {}      # y2 -> [(dst k, inv(k), {c2: k.c2}) for generators k]
     for k in T._gens:
-        gens_from.setdefault(T.src[k], []).append(k)
+        y2, y3 = T.src[k], T.dst[k]
+        fcm = fcms[y3]
+        steps.setdefault(y2, []).append(
+            (y3, T.inv[k], {c: _transport(F, k, c, fcm) for c in classes[y2]}))
+
+    cm_objs = [(y, c) for y in T.objects for c in classes[y]]
+    uf = _Classes(cm_objs)
+    for y, out in steps.items():
+        for y2, _, moved in out:
+            for c, c2 in moved.items():
+                uf.union((y, c), (y2, c2))
+    cm_of = uf.roots()
+
+    shadows = {y: set(gamma[y].values()) for y in T.objects}
+    ee_objs = [(y, d) for y in T.objects for d in shadows[y]]
+    uf2 = _Classes(ee_objs)
+    for h in T._gens:
+        y, y2 = T.src[h], T.dst[h]
+        for d in shadows[y]:
+            if d in shadows[y2]:
+                uf2.union((y, d), (y2, d))
+    ee_of = uf2.roots()
+
+    cm_over_ee, with_shadow = {}, {}
+    for (y, c) in cm_objs:
+        d = gamma[y][c]
+        cm_over_ee.setdefault(ee_of[(y, d)], set()).add(cm_of[(y, c)])
+        with_shadow.setdefault(d, []).append((y, c))
+
     for (y, d) in ee_objs:
         # fiber of the connecting map over (y, d): pairs ((y2, c2), h)
         # with h : y2 -> y and the class of c2 equal to d
-        fiber = [(y2, c2, h) for y2 in T.objects for c2 in classes[y2]
-                 if gamma[y2][c2] == d for h in T.hom(y2, y)]
-        if not fiber and cm_over_ee.get(ee_of[(y, d)]):
-            return False
-        uf3 = _UnionFind(fiber)
-        for (y2, c2, h) in fiber:
-            for k in gens_from.get(y2, ()):
-                y3 = T.dst[k]
-                c3 = _transport(F, k, c2, fcms[y3])
-                h3 = T.comp[(T.inv[k], h)]
-                uf3.union((y2, c2, h), (y3, c3, h3))
-        reps = {uf3.find(o) for o in fiber}
-        image = {cm_of[(y2, c2)] for (y2, c2, h) in reps}
+        fiber = [(y2, c2, h) for (y2, c2) in with_shadow[d]
+                 for h in T.hom(y2, y)]
         want = cm_over_ee.get(ee_of[(y, d)], set())
+        if not fiber and want:
+            return False
+        uf3 = _Classes(fiber)
+        for (y2, c2, h) in fiber:
+            for y3, back, moved in steps.get(y2, ()):
+                uf3.union((y2, c2, h), (y3, moved[c2], tcomp[(back, h)]))
+        reps = set(uf3.roots().values())
+        image = {cm_of[(y2, c2)] for (y2, c2, _) in reps}
         if len(image) != len(reps) or image != want:
             return False
     return True
@@ -1435,9 +1486,10 @@ def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
         for o in labels:
             omap[o] = target.dst[t[o]]
         for a in labels:
+            back = target.inv[t[a]]
             for g in G.elements:
+                w = target.comp[(back, phi[g])]
                 for b in labels:
-                    w = target.comp[(target.inv[t[a]], phi[g])]
                     mmap[(a, g, b)] = target.comp[(w, t[b])]
     return FinFunctor(source, target, omap, mmap)
 

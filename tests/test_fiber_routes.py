@@ -6,7 +6,10 @@ set of their groupoid (the tree arrows and the vertex-group generators).
 The references below are the earlier passes, which unite along every
 morphism and pick representatives with `_UnionFind.least()`.  Each route
 must build the same partitions, return the same verdict, and keep the
-same representatives and the same order of classes.
+same representatives and the same order of classes.  Route (d) of
+`nine_way`, which transports each class once per morphism, is checked
+against the pair-by-pair transports it replaces, and a counted-work
+guard bounds the transports one `nine_way` call makes.
 """
 
 import gc
@@ -19,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
-    FinFunctor, _classes_over, _connecting_map_fibration,
+    FinFunctor, _Classes, _classes_over, _connecting_map_fibration,
     _fiber_classes, _fiber_component_map, _fiber_objects,
     _modal_factor_etale, _pullback_preserved, _transport,
     connected_groupoid, homotopy_pullback, nine_way, object_inclusion,
@@ -131,22 +134,38 @@ def ref_connecting_map_fibration(F, fcms, classes, gamma):
     return True, passes
 
 
+def ref_factorizations_agree(F, fcms, classes, gamma):
+    """Route (d) of nine_way, transporting once per pair of classes."""
+    T = F.target
+    _, ycm, over = _classes_over(F)
+    d = all(set(gamma[y].values()) == set(over[ycm[y]]) for y in T.objects)
+    if d:
+        for h in T.morphisms:
+            y, y2 = T.src[h], T.dst[h]
+            for c1 in classes[y]:
+                for c2 in classes[y2]:
+                    if gamma[y][c1] == gamma[y2][c2] \
+                            and _transport(F, h, c1, fcms[y2]) != c2:
+                        d = False
+    return d
+
+
 @contextmanager
 def recorded_passes():
     """Every union-find the routes build, in order of construction."""
     made = []
 
-    class Recording(_UnionFind):
+    class Recording(_Classes):
         def __init__(self, items):
             super().__init__(items)
             made.append(self)
 
-    saved = fingroupoids._UnionFind
-    fingroupoids._UnionFind = Recording
+    saved = fingroupoids._Classes
+    fingroupoids._Classes = Recording
     try:
         yield made
     finally:
-        fingroupoids._UnionFind = saved
+        fingroupoids._Classes = saved
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +259,14 @@ def test_middle_routes_match_all_morphism_passes(kind, seed):
     assert [uf.least() for uf in made] == refs
 
 
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_factorizations_route_matches_pairwise_transports(kind, seed):
+    F = sample_functor(kind, random.Random(seed))
+    want = ref_factorizations_agree(F, *level0_data(F))
+    assert nine_way(F, sampled_bases=0)["factorizations_agree"] is want
+
+
 def test_loops_that_move_fiber_classes():
     # the point in a group groupoid: the fiber over o is the group itself,
     # its classes are the group elements, and each loop moves them
@@ -254,6 +281,30 @@ def test_loops_that_move_fiber_classes():
         assert _connecting_map_fibration(F, fcms, classes, gamma) \
             == ref_connecting_map_fibration(F, fcms, classes, gamma)[0]
         assert nine_way(F)["agree"]
+
+
+def test_nine_way_transports_each_class_once_per_morphism(monkeypatch):
+    # several classes per fiber: the fiber of the point over y is
+    # hom(0, y), one class per morphism, so pairwise transports would be
+    # quadratic in the classes over each hom-set's ends
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _transport(*args)
+
+    monkeypatch.setattr(fingroupoids, "_transport", counting)
+    for name in ("c2", "c3", "s3", "v4"):
+        T = connected_groupoid((0, "b"), name)
+        F = object_inclusion(T, 0)
+        _, classes, _ = level0_data(F)
+        per_morphism = sum(len(classes[T.src[h]]) for h in T.morphisms)
+        per_generator = sum(len(classes[T.src[k]]) for k in T._gens)
+        per_loop = sum(len(T.aut(y)) * len(classes[y]) for y in T.objects)
+        del calls[:]
+        assert nine_way(F)["agree"]
+        # route (d) per morphism, (e) and (h) per generator, (g) per loop
+        assert len(calls) <= per_morphism + 2 * per_generator + per_loop
 
 
 def test_classes_over_computed_once_per_functor():

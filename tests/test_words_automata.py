@@ -358,6 +358,11 @@ def test_trivial_and_hanging_tree_cases():
     ([((["x"], 1), ("a", 1))], 0, 0),
     ([(("a", 1), ("b", 1)), (("a", 1), ("b", 1), (["x"], 1))], 1, 2),
     ([(("a", 1), (["x"], 1), (["x"], -1))], 0, 1),
+    # letters of three entries and of one, first and mid-word
+    ([(("a", 1, 2),)], 0, 0),
+    ([(("a",),)], 0, 0),
+    ([(("a", 1), ("b", 1)), (("a", 1), ("b", 1, 2), ("a", 1))], 1, 1),
+    ([(("a", 1), ("b",), ("a", 1))], 0, 1),
 ])
 def test_from_words_rejects_foreign_letters_and_bad_signs(words, number,
                                                           position):
@@ -404,6 +409,22 @@ def test_bad_letters_rejected_without_asserts(call, run_optimized):
         "except ValueError:\n    print('rejected')\n" % call)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "rejected\n"
+
+
+@pytest.mark.parametrize("words, number, position", [
+    ("[(('a', 1, 2),)]", 0, 0),
+    ("[(('a',),)]", 0, 0),
+    ("[(('a', 1),), (('a', 1), ('b', 1, 2))]", 1, 1),
+    ("[(('a', 1), ('b',), ('a', 1))]", 0, 1),
+])
+def test_letters_of_the_wrong_length_named_without_asserts(
+        words, number, position, run_optimized):
+    run = run_optimized(
+        "from modalfib.automata import SubgroupAutomaton\n"
+        "try:\n    SubgroupAutomaton.from_words(('a', 'b'), %s)\n"
+        "except ValueError as e:\n    print(e)\n" % words)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("word %d, letter %d " % (number, position))
 
 
 def test_coset_states_partition_words():
