@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .classify import (classify, constant_fiber_criterion,
                        etale_family_check, factor0, FactorError,
@@ -22,16 +23,14 @@ from .classify import (classify, constant_fiber_criterion,
 from .covers import (CoverError, CoverMap, enumerate_covers, monodromy,
                      shape_of_total, total_space, universal_cover_ball)
 from .dot import fin_groupoid_dot, graph_dot
-from .fingroupoids import (FinGroupoid, classify_trunc, compare_modalities,
-                           homotopy_pullback, nine_way, product_groupoid,
-                           random_functor, random_functor_into,
-                           random_groupoid)
+from .fingroupoids import FinGroupoid
 from .graphs import GraphError, pi0
 from .groupoids import induce_functor
 from .hfiber import gamma_is_equivalence, prism
 from .quotients import (ActionError, QUOTIENT_GROUP_BOUND, SizeError,
                         fiber_sequence_check, orbit_graph,
                         quotient_is_fibration, shape_of_quotient)
+from . import suites
 from .textio import ParseError, cycles_of_perm, parse_document
 
 __all__ = ["AnalysisRequest", "Report", "run", "main",
@@ -129,15 +128,19 @@ def _descriptive_status(data):
     return 2 if _has_undecided(data) else 0
 
 
-def _write_dot(request, render, *args):
-    """Write render(*args) to the --dot path; render nothing without it."""
+def _write_dot(request, lines, render, *args):
+    """Write render(*args) to the --dot path and note it in the text
+    lines; render nothing without it."""
     path = request.opt("dot")
     if path is None:
-        return None
+        return
     text = render(*args)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (path, e.strerror))
+    lines.append("dot written: %s" % path)
 
 
 def _single(doc, kind, what):
@@ -215,9 +218,7 @@ def _cmd_factor0(request):
              _flag_line("left (collapse)", lv),
              _flag_line("right (spread)", rv),
              "recomposes: %s" % str(data["recomposes"]).lower()]
-    path = _write_dot(request, graph_dot, mid, "middle")
-    if path:
-        lines.append("dot written: %s" % path)
+    _write_dot(request, lines, graph_dot, mid, "middle")
     return data, lines, _descriptive_status(data)
 
 
@@ -342,9 +343,7 @@ def _cmd_covers_total(request):
     lines = ["total space: %d vertices, %d edges, %d components"
              % (len(total.vertices), len(total.edges), len(comps)),
              "monodromy orbits: %d" % len(m.orbits())]
-    path = _write_dot(request, graph_dot, total, "total")
-    if path:
-        lines.append("dot written: %s" % path)
+    _write_dot(request, lines, graph_dot, total, "total")
     return data, lines, _descriptive_status(data)
 
 
@@ -360,9 +359,7 @@ def _cmd_covers_universal_ball(request):
             "components": len(pi0(U))}
     lines = ["radius-%d ball: %d vertices, %d edges"
              % (r, len(U.vertices), len(U.edges))]
-    path = _write_dot(request, graph_dot, U, "ball")
-    if path:
-        lines.append("dot written: %s" % path)
+    _write_dot(request, lines, graph_dot, U, "ball")
     return data, lines, _descriptive_status(data)
 
 
@@ -408,9 +405,7 @@ def _cmd_quotient_shape(request):
                 "morphisms": len(q.morphisms)}
         lines = ["quotient shape: groupoid with %d objects, %d morphisms"
                  % (len(q.objects), len(q.morphisms))]
-        path = _write_dot(request, fin_groupoid_dot, q, "quotient")
-        if path:
-            lines.append("dot written: %s" % path)
+        _write_dot(request, lines, fin_groupoid_dot, q, "quotient")
         return data, lines, _descriptive_status(data)
     reps = q.component_reps()
     ranks = {}
@@ -424,16 +419,12 @@ def _cmd_quotient_shape(request):
     lines = ["quotient shape: %d component(s)" % len(reps)]
     lines += ["component at %r: rank %s" % (v, ranks[str(v)])
               for v in reps]
-    dot_note = None
     if request.opt("dot") is not None:
         try:
-            path = _write_dot(request, graph_dot, orbit_graph(a), "orbit")
-            lines.append("dot written: %s" % path)
+            _write_dot(request, lines, graph_dot, orbit_graph(a), "orbit")
         except ActionError:
-            dot_note = "unavailable (action not free)"
-            lines.append("dot: %s" % dot_note)
-    if dot_note is not None:
-        data["dot"] = dot_note
+            data["dot"] = "unavailable (action not free)"
+            lines.append("dot: %s" % data["dot"])
     return data, lines, _descriptive_status(data)
 
 
@@ -457,86 +448,38 @@ def _cmd_quotient_verify(request):
     return data, lines, 0 if ok else 1
 
 
-def _cmd_suite_nine_way(request):
+# Each suite runs on the seeded functor stream and its rng, and returns
+# its counts and the text lines above the verdict.
+
+def _suite_nine_way(head, functors, rng):
+    c = suites.nine_way((F, rng) for F in functors)
+    return c, [head, "disagreements: %d" % c["disagreements"],
+               "connecting-map failures: %d" % c["connecting_failures"],
+               "gamma equivalence: %d true, %d false"
+               % (c["gamma_true"], c["gamma_false"])]
+
+
+def _suite_closure(head, functors, rng):
+    c = suites.closure(functors, rng)
+    return c, ["%s, %d fibrations exercised" % (head, c["fibrations_seen"]),
+               "pullback violations: %d" % c["pullback_violations"],
+               "composite violations: %d" % c["composite_violations"]]
+
+
+def _suite_compare(head, functors, rng):
+    c = suites.compare_modalities(functors)
+    return c, [head, "implication violations: %d" % c["violations"]]
+
+
+def _cmd_suite(suite, request):
     samples = request.opt("samples", 1000)
     seed = request.opt("seed", 0)
     rng = random.Random(seed)
-    disagreements = connecting = 0
-    gamma_true = gamma_false = 0
-    for _ in range(samples):
-        F = random_functor(rng)
-        rep = nine_way(F, rng)
-        if not rep["agree"]:
-            disagreements += 1
-        if not rep["connecting_ok"]:
-            connecting += 1
-        if rep["gamma_equivalence"]:
-            gamma_true += 1
-        else:
-            gamma_false += 1
-    ok = disagreements == 0 and connecting == 0
-    data = {"command": "suite nine-way", "samples": samples, "seed": seed,
-            "disagreements": disagreements,
-            "connecting_failures": connecting,
-            "gamma_true": gamma_true, "gamma_false": gamma_false,
-            "ok": ok}
-    lines = ["%d samples (seed %d)" % (samples, seed),
-             "disagreements: %d" % disagreements,
-             "connecting-map failures: %d" % connecting,
-             "gamma equivalence: %d true, %d false"
-             % (gamma_true, gamma_false),
-             "verdict: %s" % ("pass" if ok else "fail")]
-    return data, lines, 0 if ok else 1
-
-
-def _cmd_suite_closure(request):
-    samples = request.opt("samples", 1000)
-    seed = request.opt("seed", 0)
-    rng = random.Random(seed)
-    fibrations = pullback_bad = composite_bad = 0
-    for _ in range(samples):
-        F = random_functor(rng)
-        if not classify_trunc(F, 0).fibration.is_true:
-            continue
-        fibrations += 1
-        G = random_functor_into(rng, F.target, max_objects=2,
-                                max_morphisms=8)
-        P, p1, p2 = homotopy_pullback(F, G)
-        if not classify_trunc(p2, 0).fibration.is_true:
-            pullback_bad += 1
-        A = random_groupoid(rng, max_objects=2, max_morphisms=8)
-        PP, fst, snd = product_groupoid(F.source, A)
-        if not classify_trunc(fst.compose(F), 0).fibration.is_true:
-            composite_bad += 1
-    ok = pullback_bad == 0 and composite_bad == 0
-    data = {"command": "suite closure", "samples": samples, "seed": seed,
-            "fibrations_seen": fibrations,
-            "pullback_violations": pullback_bad,
-            "composite_violations": composite_bad, "ok": ok}
-    lines = ["%d samples (seed %d), %d fibrations exercised"
-             % (samples, seed, fibrations),
-             "pullback violations: %d" % pullback_bad,
-             "composite violations: %d" % composite_bad,
-             "verdict: %s" % ("pass" if ok else "fail")]
-    return data, lines, 0 if ok else 1
-
-
-def _cmd_suite_compare(request):
-    samples = request.opt("samples", 1000)
-    seed = request.opt("seed", 0)
-    rng = random.Random(seed)
-    violations = 0
-    for _ in range(samples):
-        F = random_functor(rng)
-        if not compare_modalities(F)["all_hold"]:
-            violations += 1
-    ok = violations == 0
-    data = {"command": "suite compare-modalities", "samples": samples,
-            "seed": seed, "violations": violations, "ok": ok}
-    lines = ["%d samples (seed %d)" % (samples, seed),
-             "implication violations: %d" % violations,
-             "verdict: %s" % ("pass" if ok else "fail")]
-    return data, lines, 0 if ok else 1
+    counts, lines = suite("%d samples (seed %d)" % (samples, seed),
+                          suites.seeded(rng, samples), rng)
+    lines.append("verdict: %s" % ("pass" if counts["ok"] else "fail"))
+    data = dict(counts, command=request.command, samples=samples, seed=seed)
+    return data, lines, 0 if counts["ok"] else 1
 
 
 _HANDLERS = {
@@ -551,9 +494,9 @@ _HANDLERS = {
     "covers verify-shape": (_cmd_covers_verify_shape, True),
     "quotient shape": (_cmd_quotient_shape, True),
     "quotient verify": (_cmd_quotient_verify, True),
-    "suite nine-way": (_cmd_suite_nine_way, False),
-    "suite closure": (_cmd_suite_closure, False),
-    "suite compare-modalities": (_cmd_suite_compare, False),
+    "suite nine-way": (partial(_cmd_suite, _suite_nine_way), False),
+    "suite closure": (partial(_cmd_suite, _suite_closure), False),
+    "suite compare-modalities": (partial(_cmd_suite, _suite_compare), False),
 }
 
 
@@ -646,8 +589,8 @@ def _build_parser():
                       ("compare-modalities", "level-comparison implications")):
         p = ssub.add_parser(name, help=hlp)
         _add_format(p)
-        p.add_argument("--samples", type=int, default=1000, metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="S")
+        p.add_argument("--samples", type=int, metavar="N")
+        p.add_argument("--seed", type=int, metavar="S")
 
     return parser
 
@@ -663,10 +606,15 @@ def _request_from(ns):
     documents = ()
     if getattr(ns, "document", None) is not None:
         try:
-            with open(ns.document) as fh:
-                text = fh.read()
+            with open(ns.document, "rb") as fh:
+                raw = fh.read()
         except OSError as e:
             raise UsageError("cannot read %s: %s" % (ns.document, e.strerror))
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(raw.count(b"\n", 0, e.start) + 1,
+                             "not UTF-8 text (byte 0x%02x)" % raw[e.start])
         documents = (parse_document(text),)
     return AnalysisRequest(command=command, documents=documents,
                            options=options)
@@ -690,17 +638,11 @@ def main(argv=None):
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 65
-    except InputError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return 65
-    except (GraphError, CoverError) as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return 65
-    except SizeError as e:
+    except SizeError as e:      # an ActionError, so caught before them
         print("size bound: %s (raise with --max-group)" % e,
               file=sys.stderr)
         return 2
-    except ActionError as e:
+    except (InputError, GraphError, CoverError, ActionError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 65
     if request.opt("format", "text") == "json":

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from modalfib import suites
 from modalfib.automata import SubgroupAutomaton
 from modalfib.classify import classify
 from modalfib.corpus import figure_eight, loop, random_graph, random_words
@@ -18,10 +19,7 @@ from modalfib.covers import (MonodromyAction, components_vs_orbits,
                              enumerate_covers, total_space,
                              universal_cover_ball,
                              universal_cover_initiality)
-from modalfib.fingroupoids import (classify_trunc, compare_modalities,
-                                   homotopy_pullback, nine_way,
-                                   product_groupoid, random_functor,
-                                   random_functor_into, random_groupoid)
+from modalfib.fingroupoids import random_functor
 from modalfib.graphs import (FinGraph, GraphMap, bouquet, cycle,
                              disjoint_union, graph_isomorphic, interval,
                              path_graph, pi0, pi0_by_definition, point,
@@ -88,41 +86,23 @@ def test_acceptance_03_orbits_match_components(criterion):
 
 def test_acceptance_04_nine_way_agreement(criterion):
     t0 = time.perf_counter()
-    bad = 0
-    for i, F in enumerate(functor_corpus()):
-        rep = nine_way(F, random.Random(10000 + i))
-        if not (rep["agree"] and rep["connecting_ok"]):
-            bad += 1
-    criterion(4, "nine-way agreement", 60.0, bad == 0,
+    counts = suites.nine_way(
+        (F, random.Random(10000 + i)) for i, F in enumerate(functor_corpus()))
+    criterion(4, "nine-way agreement", 60.0, counts["ok"],
               time.perf_counter() - t0)
 
 
 def test_acceptance_05_fibration_closure(criterion):
     t0 = time.perf_counter()
-    aux = random.Random(43)
-    fibrations = violations = 0
-    for F in functor_corpus():
-        if not classify_trunc(F, 0).fibration.is_true:
-            continue
-        fibrations += 1
-        G = random_functor_into(aux, F.target, max_objects=2,
-                                max_morphisms=8)
-        _, _, pulled = homotopy_pullback(F, G)
-        if not classify_trunc(pulled, 0).fibration.is_true:
-            violations += 1
-        A = random_groupoid(aux, max_objects=2, max_morphisms=8)
-        _, fst, _ = product_groupoid(F.source, A)
-        if not classify_trunc(fst.compose(F), 0).fibration.is_true:
-            violations += 1
-    ok = violations == 0 and fibrations > 100
+    counts = suites.closure(functor_corpus(), random.Random(43))
+    ok = counts["ok"] and counts["fibrations_seen"] > 100
     criterion(5, "fibration closure", 60.0, ok, time.perf_counter() - t0)
 
 
 def test_acceptance_06_modality_comparison(criterion):
     t0 = time.perf_counter()
-    bad = sum(1 for F in functor_corpus()
-              if not compare_modalities(F)["all_hold"])
-    criterion(6, "modality comparison", 30.0, bad == 0,
+    counts = suites.compare_modalities(functor_corpus())
+    criterion(6, "modality comparison", 30.0, counts["ok"],
               time.perf_counter() - t0)
 
 

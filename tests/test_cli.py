@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from modalfib import cli
 from modalfib.cli import AnalysisRequest, Report, UsageError, main, run
+from modalfib.covers import CoverError
+from modalfib.graphs import GraphError
+from modalfib.quotients import ActionError, SizeError
 
 C6C3 = """\
 graph: hexagon
@@ -297,3 +301,53 @@ def test_size_bound_exits_2_and_names_the_flag(docs, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "classify" in capsys.readouterr().out
+
+
+def test_unwritable_dot_path_is_a_usage_error(docs, tmp_path, capsys):
+    for path in (str(tmp_path / "no" / "such" / "dir.dot"), str(tmp_path)):
+        assert main(["factor0", docs["c6c3"], "--dot", path]) == 64
+        assert "cannot write %s" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"graph: G\xff\nvertices: 0\n", 1),
+    (b"graph: G\nvertices: 0\n\n# caf\xe9\n", 4),
+])
+def test_non_utf8_document_exits_65_naming_its_line(raw, line, tmp_path,
+                                                     capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(raw)
+    assert main(["classify", str(p)]) == 65
+    err = capsys.readouterr().err
+    assert "parse error: line %d:" % line in err
+    assert "UTF-8" in err
+
+
+def test_cover_errors_exit_65(tmp_path, capsys):
+    p = tmp_path / "two_points.txt"
+    p.write_text("graph: g\nvertices: 0 1\nbasepoint: 0\n")
+    assert main(["covers", "enumerate", str(p), "--n", "2"]) == 65
+    assert "input error: base not connected" in capsys.readouterr().err
+    p = tmp_path / "fold.txt"
+    p.write_text("graph: a\nvertices: 0\nedges: x 0 0\nedges: y 0 0\n"
+                 "basepoint: 0\n\n"
+                 "graph: b\nvertices: 0\nedges: l 0 0\nbasepoint: 0\n\n"
+                 "map: f a b\nv 0 -> 0\ne x -> l +\ne y -> l +\n")
+    assert main(["covers", "monodromy", str(p)]) == 65
+    assert "input error: not a covering" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (cli.InputError("x"), 65, "input error"),
+    (GraphError("x"), 65, "input error"),
+    (CoverError("x"), 65, "input error"),
+    (ActionError("x"), 65, "input error"),
+    (SizeError("x"), 2, "size bound"),
+])
+def test_library_errors_reach_their_exit_codes(error, code, prefix, docs,
+                                               monkeypatch, capsys):
+    def fail(f):
+        raise error
+    monkeypatch.setattr(cli, "classify", fail)
+    assert main(["classify", docs["c6c3"]]) == code
+    assert capsys.readouterr().err.startswith(prefix + ": x")
