@@ -85,6 +85,42 @@ def _fold_darts(darts, pending):
     return parent
 
 
+def _numbered(letters, darts, parent):
+    """The canonical form of a folded automaton: (n, delta).
+
+    darts: list state -> dict (letter, +-1) -> far state, where a state
+    stands for its class under `parent` (a state is a root where
+    parent[s] == s, and only roots' dicts are read); letters: sorted.
+    Classes are numbered breadth-first from the class of state 0,
+    reading each one's darts in sorted letter order with (a, +1) before
+    (a, -1), so two constructions of one subgroup give literally equal
+    automata.  delta comes out in `transitions()` order.
+    """
+    root = 0
+    while parent[root] != root:
+        root = parent[root]
+    number = [None] * len(darts)
+    number[root] = 0
+    queue = [root]
+    delta = {}
+    keys = [(a, key) for a in letters for key in ((a, 1), (a, -1))]
+    for i, s in enumerate(queue):
+        d = darts[s]
+        for a, key in keys:
+            t = d.get(key)
+            if t is None:
+                continue
+            while parent[t] != t:
+                t = parent[t]
+            j = number[t]
+            if j is None:
+                j = number[t] = len(queue)
+                queue.append(t)
+            if key[1] == 1:
+                delta[i, a] = j
+    return len(queue), delta
+
+
 class SubgroupAutomaton:
     """Core folded automaton of a finitely generated subgroup.
 
@@ -215,86 +251,63 @@ class SubgroupAutomaton:
             g, sg = w[b - 1]
             darts[s][g, sg] = e
             darts[e][g, -sg] = s
-        parent = _fold_darts(darts, pending)
-        # breadth-first numbering in sorted letter order, as `_canonical`
-        # numbers, read off the live classes' dicts; delta comes out in
-        # `transitions()` order
-        root = 0
-        while parent[root] != root:
-            root = parent[root]
-        number = [None] * len(darts)
-        number[root] = 0
-        queue = [root]
-        delta = {}
-        keys = [(a, key) for a in letters for key in ((a, 1), (a, -1))]
-        for i, s in enumerate(queue):
-            d = darts[s]
-            for a, key in keys:
-                t = d.get(key)
-                if t is None:
-                    continue
-                while parent[t] != t:
-                    t = parent[t]
-                j = number[t]
-                if j is None:
-                    j = number[t] = len(queue)
-                    queue.append(t)
-                if key[1] == 1:
-                    delta[i, a] = j
-        return SubgroupAutomaton(letters, len(queue), delta)
+        n, delta = _numbered(letters, darts, _fold_darts(darts, pending))
+        return SubgroupAutomaton(letters, n, delta)
 
     @staticmethod
     def from_schreier(letters, perms, basepoint):
         """Stabilizer of basepoint under a permutation action.
 
-        perms: dict letter -> dict point -> point (total on a common
-        finite point set).  The resulting automaton is complete, with one
-        state per point reachable from the basepoint.
+        perms: dict letter -> dict point -> point, a permutation of one
+        finite point set for every letter, which must hold the basepoint.
+        The resulting automaton is complete, with one state per point
+        reachable from the basepoint.  A missing letter, a letter that
+        does not permute the common point set, or a basepoint outside it
+        raises ValueError naming it.
         """
         letters = tuple(_sorted_ids(set(letters)))
+        points = None
         for a in letters:
-            pa = perms[a]
+            pa = perms.get(a)
+            if pa is None:
+                raise ValueError("letter %r has no permutation" % (a,))
             # as many values as keys, so equal sets make a bijection
             if set(pa.values()) != pa.keys():
                 raise ValueError("letter %r does not act by a permutation"
                                  % (a,))
-        states = set()
-        delta = {}
-        frontier = [basepoint]
-        states.add(basepoint)
-        while frontier:
-            p = frontier.pop()
+            if points is None:
+                points = pa.keys()
+            elif pa.keys() != points:
+                raise ValueError("letter %r permutes other points than "
+                                 "letter %r" % (a, letters[0]))
+        if points is not None and basepoint not in points:
+            raise ValueError("basepoint %r is not a point of the action"
+                             % (basepoint,))
+        # the points reachable from the basepoint, numbered as found
+        number = {basepoint: 0}
+        found = [basepoint]
+        darts = []
+        for p in found:
+            d = {}
             for a in letters:
                 q = perms[a][p]
-                delta[(p, a)] = q
-                if q not in states:
-                    states.add(q)
-                    frontier.append(q)
-        return SubgroupAutomaton._canonical(letters, states, delta, basepoint)
+                j = number.get(q)
+                if j is None:
+                    j = number[q] = len(found)
+                    found.append(q)
+                d[a, 1] = j
+            darts.append(d)
+        for i, d in enumerate(darts):
+            for a in letters:
+                darts[d[a, 1]][a, -1] = i
+        n, delta = _numbered(letters, darts, list(range(len(darts))))
+        return SubgroupAutomaton(letters, n, delta)
 
     @staticmethod
     def full_group(letters):
         """The whole free group: one state, every letter a loop."""
         letters = tuple(_sorted_ids(set(letters)))
         return SubgroupAutomaton(letters, 1, {(0, a): 0 for a in letters})
-
-    @staticmethod
-    def _canonical(letters, states, delta, root):
-        letters = tuple(_sorted_ids(set(letters)))
-        rdelta = {(v, a): u for (u, a), v in delta.items()}
-        order = {root: 0}
-        queue = deque([root])
-        while queue:
-            s = queue.popleft()
-            for a in letters:
-                for nxt in (delta.get((s, a)), rdelta.get((s, a))):
-                    if nxt is not None and nxt not in order:
-                        order[nxt] = len(order)
-                        queue.append(nxt)
-        # from_schreier passes only states reachable from root along delta
-        assert len(order) == len(states), "automaton not connected"
-        new_delta = {(order[u], a): order[v] for (u, a), v in delta.items()}
-        return SubgroupAutomaton(letters, len(states), new_delta)
 
     # -- tracing -----------------------------------------------------------
 

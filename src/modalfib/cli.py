@@ -564,7 +564,7 @@ def _build_parser():
     p = csub.add_parser("universal-ball",
                         help="finite ball of the universal cover")
     _add_doc(p); _add_format(p)
-    p.add_argument("--radius", type=int, default=3, metavar="R")
+    p.add_argument("--radius", type=int, metavar="R")
     p.add_argument("--dot", metavar="PATH")
     p = csub.add_parser("verify-shape",
                         help="certify orbits against components")
@@ -575,12 +575,10 @@ def _build_parser():
     p = qsub.add_parser("shape", help="shape of the homotopy quotient")
     _add_doc(p); _add_format(p)
     p.add_argument("--dot", metavar="PATH")
-    p.add_argument("--max-group", type=int, default=QUOTIENT_GROUP_BOUND,
-                   metavar="N")
+    p.add_argument("--max-group", type=int, metavar="N")
     p = qsub.add_parser("verify", help="fibration and fiber-sequence check")
     _add_doc(p); _add_format(p)
-    p.add_argument("--max-group", type=int, default=QUOTIENT_GROUP_BOUND,
-                   metavar="N")
+    p.add_argument("--max-group", type=int, metavar="N")
 
     suite = sub.add_parser("suite", help="randomized theorem suites")
     ssub = suite.add_subparsers(dest="subcommand", required=True)

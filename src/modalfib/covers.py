@@ -13,7 +13,7 @@ letters g then h moves a fiber point i to perm[h][perm[g][i]].
 """
 
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
+from itertools import permutations as iter_permutations, product
 
 from .graphs import FinGraph, GraphMap, pi0, _least_id, _sorted_ids, _UnionFind
 from .words import mul, inv, Unknown
@@ -199,18 +199,9 @@ def enumerate_covers(x, n):
     fiber = tuple(range(1, n + 1))
     perm_dicts = [{i: p[i - 1] for i in fiber}
                   for p in iter_permutations(fiber)]
-    out = []
-    def build(idx, chosen):
-        if idx == len(letters):
-            out.append(MonodromyAction(shape, x.basepoint, fiber,
-                                       dict(chosen)))
-            return
-        for perm in perm_dicts:
-            chosen[letters[idx]] = perm
-            build(idx + 1, chosen)
-        chosen.pop(letters[idx], None)
-    build(0, {})
-    return out
+    return [MonodromyAction(shape, x.basepoint, fiber,
+                            dict(zip(letters, chosen)))
+            for chosen in product(perm_dicts, repeat=len(letters))]
 
 
 def components_vs_orbits(m):
@@ -322,28 +313,22 @@ def decompose_cover(p):
     return out
 
 
-def _conjugate_tuple(letters, perms, sigma):
-    inv_sigma = {v: k for k, v in sigma.items()}
-    return tuple(
-        tuple(_sorted_ids([(i, sigma[perms[l][inv_sigma[i]]])
-                           for i in sigma.values()]))
-        for l in letters)
-
-
 def unmarked_cover_count(x, n):
-    """Number of n-sheeted covers up to relabeling the fiber: orbits of
-    the marked enumeration under simultaneous conjugation."""
-    actions = enumerate_covers(x, n)
-    if not actions:
-        return 0
-    letters = actions[0].letters
-    fiber = actions[0].fiber
-    sigmas = [dict(zip(fiber, p)) for p in iter_permutations(fiber)]
+    """Number of n-sheeted covers up to relabeling the fiber.
+
+    A transitive action is fixed up to relabeling by the stabilizer of
+    any of its points, whose canonical automaton `from_schreier` builds;
+    the least of these over an orbit is a relabeling invariant of the
+    orbit that tells non-isomorphic orbits apart.  An action is the
+    disjoint union of its orbits, so the sorted orbit keys name its
+    isomorphism class, and the count is the number of distinct keys.
+    """
     seen = set()
-    for m in actions:
-        canon = _least_id([_conjugate_tuple(letters, m.perms, s)
-                           for s in sigmas])
-        seen.add(canon)
+    for m in enumerate_covers(x, n):
+        seen.add(tuple(_sorted_ids([
+            _least_id([SubgroupAutomaton.from_schreier(
+                m.letters, m.perms, p).key() for p in orbit])
+            for orbit in m.orbits()])))
     return len(seen)
 
 

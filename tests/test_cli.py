@@ -7,6 +7,7 @@ from modalfib.cli import AnalysisRequest, Report, UsageError, main, run
 from modalfib.covers import CoverError
 from modalfib.graphs import GraphError
 from modalfib.quotients import ActionError, SizeError
+from modalfib.textio import parse_document
 
 C6C3 = """\
 graph: hexagon
@@ -234,6 +235,31 @@ def test_seeded_suite_reports_are_byte_identical(capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("covers universal-ball", CIRCLE, "radius"),
+    ("quotient verify", ROT, "max_group"),
+], ids=["covers-universal-ball", "quotient-verify"])
+def test_left_out_options_default_once(command, text, key, tmp_path,
+                                       monkeypatch, capsys):
+    # the handler's default is the only one: the CLI without the flag
+    # passes no value for it, and prints what a request without the key
+    # reports
+    seen = []
+
+    def recording_run(request):
+        seen.append(request.options)
+        return run(request)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    doc = tmp_path / "doc.txt"
+    doc.write_text(text)
+    assert main(command.split() + [str(doc), "--format", "json"]) == 0
+    assert key not in seen[0]
+    report = run(AnalysisRequest(command=command,
+                                 documents=(parse_document(text),)))
+    assert capsys.readouterr().out == report.machine() + "\n"
 
 def test_report_machine_format_round_trips():
     rep = Report(command="x", data={"a": [1, 2], "b": {"c": None}},

@@ -1,11 +1,14 @@
 """Covers, monodromy, enumeration, and the total-space shape theorem."""
 
 import random
+from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from modalfib.graphs import (
-    FinGraph, GraphMap, cycle, path_graph, star, point,
+    FinGraph, GraphMap, cycle, path_graph, star, point, bouquet,
     disjoint_union, pi0, graph_isomorphic, enumerate_graph_maps,
 )
 from modalfib.groupoids import shape1
@@ -218,6 +221,45 @@ def test_unmarked_counts():
     assert unmarked_cover_count(loop(), 3) == 3
     # S2 is abelian, so conjugation cannot merge any of the 4 pairs.
     assert unmarked_cover_count(figure_eight(), 2) == 4
+
+
+def partitions(n, most=None):
+    """The partitions of n into parts of at most `most`, as tuples."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def burnside_count(r, n):
+    """Unmarked n-sheeted covers of a rank-r bouquet by Burnside's lemma:
+    the sum over cycle types lambda of n of z_lambda^(r-1), where
+    z_lambda = prod of i^m_i * m_i! is the centralizer order of a
+    permutation of type lambda."""
+    total = Fraction(0)
+    for lam in partitions(n):
+        z = prod(i ** m * factorial(m) for i, m in Counter(lam).items())
+        total += Fraction(z) ** (r - 1)
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_burnside_counts_of_known_values():
+    assert [burnside_count(0, n) for n in range(1, 5)] == [1, 1, 1, 1]
+    assert [burnside_count(1, n) for n in range(1, 7)] == [1, 2, 3, 5, 7, 11]
+    assert burnside_count(2, 3) == 11 and burnside_count(2, 4) == 43
+    assert burnside_count(3, 3) == 49
+
+
+@pytest.mark.parametrize("r, n", [
+    (r, n) for r in range(4) for n in range(1, 7)
+    if factorial(n) ** r <= 1000])
+def test_unmarked_count_matches_burnside(r, n):
+    # canonical orbit forms against the closed form, with no enumeration
+    # of relabelings on either side
+    assert unmarked_cover_count(bouquet(r), n) == burnside_count(r, n)
 
 
 # ---------------------------------------------------------------------------

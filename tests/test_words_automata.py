@@ -267,6 +267,25 @@ def test_schreier_rejects_non_permutation_without_asserts(run_optimized):
     assert run.stdout == "rejected\n"
 
 
+
+@pytest.mark.parametrize("letters, perms, basepoint, named", [
+    # a letter with no permutation, a basepoint outside the points, and
+    # a letter whose point set is not the other letters'
+    (("a",), {}, 0, "letter 'a' has no permutation"),
+    (("a",), {"a": {0: 1, 1: 0}}, 5, "basepoint 5"),
+    (("a", "b"), {"a": {0: 1, 1: 0}, "b": {0: 0}}, 0, "letter 'b'"),
+])
+def test_schreier_names_bad_input_without_asserts(letters, perms, basepoint,
+                                                  named, run_optimized):
+    run = run_optimized(
+        "from modalfib.automata import SubgroupAutomaton\n"
+        "try:\n"
+        "    SubgroupAutomaton.from_schreier(%r, %r, %r)\n"
+        "except ValueError as e:\n    print(e)\n"
+        % (letters, perms, basepoint))
+    assert run.returncode == 0, run.stderr
+    assert named in run.stdout
+
 def test_generators_regenerate_same_automaton():
     rng = random.Random(304)
     for _ in range(40):
@@ -500,7 +519,13 @@ def reference_automaton(letters, words):
         states = states - leaves
         delta = {(u, a): v for (u, a), v in delta.items()
                  if u not in leaves and v not in leaves}
-    return SubgroupAutomaton._canonical(letters, states, delta, root)
+    darts = [{} for _ in range(fresh)]
+    for (u, a), v in delta.items():
+        darts[u][a, 1] = v
+        darts[v][a, -1] = u
+    n, delta = automata._numbered(letters, darts, p)
+    assert n == len(states), "reference automaton not connected"
+    return SubgroupAutomaton(letters, n, delta)
 
 
 @st.composite
