@@ -261,9 +261,10 @@ class SubgroupAutomaton:
         perms: dict letter -> dict point -> point, a permutation of one
         finite point set for every letter, which must hold the basepoint.
         The resulting automaton is complete, with one state per point
-        reachable from the basepoint.  A missing letter, a letter that
-        does not permute the common point set, or a basepoint outside it
-        raises ValueError naming it.
+        reachable from the basepoint.  A missing letter, a key of perms
+        that is not a letter, a letter that does not permute the common
+        point set, or a basepoint outside it raises ValueError naming
+        it.
         """
         letters = tuple(_sorted_ids(set(letters)))
         points = None
@@ -280,6 +281,11 @@ class SubgroupAutomaton:
             elif pa.keys() != points:
                 raise ValueError("letter %r permutes other points than "
                                  "letter %r" % (a, letters[0]))
+        # every letter is a key, so a longer dict has a foreign key
+        if len(perms) != len(letters):
+            x = next(x for x in perms if x not in letters)
+            raise ValueError("%r is not a letter; letters are %s"
+                             % (x, list(letters)))
         if points is not None and basepoint not in points:
             raise ValueError("basepoint %r is not a point of the action"
                              % (basepoint,))

@@ -15,7 +15,7 @@ letters g then h moves a fiber point i to perm[h][perm[g][i]].
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
-from .graphs import FinGraph, GraphMap, pi0, _least_id, _sorted_ids, _UnionFind
+from .graphs import FinGraph, GraphMap, pi0, _Classes, _least_id, _sorted_ids
 from .words import mul, inv, Unknown
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
@@ -119,13 +119,14 @@ class MonodromyAction:
         return self.shape.components[self.shape.comp_of[self.base]].letters
 
     def orbits(self):
-        uf = _UnionFind(self.fiber)
+        uf = _Classes(self.fiber)
         for perm in self.perms.values():
             for i, j in perm.items():
                 uf.union(i, j)
+        root = uf.roots()
         groups = {}
         for i in self.fiber:
-            groups.setdefault(uf.find(i), []).append(i)
+            groups.setdefault(root[i], []).append(i)
         return tuple(_sorted_ids([tuple(_sorted_ids(g))
                                   for g in groups.values()]))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .graphs import _least_id, _sorted_ids
+from .graphs import _Classes, _sorted_ids
 from .verdicts import Flag, LevelVerdicts
 
 __all__ = [
@@ -694,53 +694,6 @@ def hfiber(F, y):
 
 # ---------------------------------------------------------------------------
 # lightweight fiber analysis (shared by the flag routes; no tables built)
-
-class _Classes:
-    """Union-find over a list of distinct hashable items, on their
-    positions: the items are indexed once, `parent` is a list with path
-    halving, and a union is one call.  The smaller root wins, so
-    parent[i] <= i throughout and each root is its class's first item."""
-
-    __slots__ = ("items", "index", "parent")
-
-    def __init__(self, items):
-        self.items = items
-        self.index = {o: i for i, o in enumerate(items)}
-        self.parent = list(range(len(items)))
-
-    def union(self, a, b):
-        parent = self.parent
-        i, j = self.index[a], self.index[b]
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        if i < j:
-            parent[j] = i
-        elif j < i:
-            parent[i] = j
-
-    def roots(self):
-        """dict item -> the first item of its class, keyed in item
-        order."""
-        parent, items = self.parent, self.items
-        # parent[p] <= p, so one pass upwards sends every item to its root
-        for i, p in enumerate(parent):
-            parent[i] = parent[p]
-        return {o: items[p] for o, p in zip(items, parent)}
-
-    def least(self):
-        """dict item -> least member of its class in id order, keyed in
-        item order, as graphs._UnionFind.least gives it."""
-        roots = self.roots()
-        members = {}
-        for o, r in roots.items():
-            members.setdefault(r, []).append(o)
-        rep = {r: _least_id(xs) for r, xs in members.items()}
-        return {o: rep[r] for o, r in roots.items()}
-
 
 def _fiber_objects(F, y):
     return [(x, m) for x in F.source.objects

@@ -278,14 +278,16 @@ class GraphMap:
         try:
             return self._piece_cache
         except AttributeError:
-            uf = _UnionFind(self.source.vertices)
+            # source vertices are sorted, so each root is its piece's
+            # least vertex
+            uf = _Classes(self.source.vertices)
             em = self.edge_map
             for e, u, v in self.source.edges:
                 if em[e] is None:
                     uf.union(u, v)
-            least = uf.least()
-            object.__setattr__(self, "_piece_cache", least)
-            return least
+            roots = uf.roots()
+            object.__setattr__(self, "_piece_cache", roots)
+            return roots
 
     def dart_image(self, eid, sign):
         """Image of a dart: ('e', edge, sign) or ('r', vertex)."""
@@ -438,57 +440,88 @@ def product(a, b):
     return P, p1, p2
 
 
-class _UnionFind:
-    """Union by size with path halving, over hashable items."""
+class _Classes:
+    """Union-find over a list of distinct hashable items, on their
+    positions: the items are indexed once, `parent` is a list with path
+    halving, and a union is one call.  The smaller root wins, so
+    parent[i] <= i throughout and each root is its class's first item."""
+
+    __slots__ = ("items", "index", "parent")
 
     def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
+        self.items = items
+        self.index = {o: i for i, o in enumerate(items)}
+        self.parent = list(range(len(items)))
 
     def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        parent = self.parent
+        i, j = self.index[a], self.index[b]
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
 
-    def least(self):
-        """dict item -> least member of its class in id order,
-        keyed in item order."""
-        roots = {x: self.find(x) for x in self.parent}
-        classes = {}
-        for x, r in roots.items():
-            classes.setdefault(r, []).append(x)
-        rep = {r: _least_id(xs) for r, xs in classes.items()}
-        return {x: rep[r] for x, r in roots.items()}
+    def roots(self):
+        """dict item -> the first item of its class, keyed in item
+        order."""
+        parent, items = self.parent, self.items
+        # parent[p] <= p, so one pass upwards sends every item to its root
+        for i, p in enumerate(parent):
+            parent[i] = parent[p]
+        return {o: items[p] for o, p in zip(items, parent)}
 
 
 def component_map(g):
     """dict vertex -> canonical component representative (least id).
-    Built once per graph; the dict is shared by every caller: read it,
-    do not change it."""
+
+    The one component pass: a breadth-first search from each vertex not
+    yet reached, in vertex order, reading darts in `g.darts` order, so
+    each start is its component's least vertex.  It also fixes the
+    spanning forest that `_spanning_forest` returns.  Built once per
+    graph; the dict is shared by every caller: read it, do not change
+    it."""
     try:
         return g._component_cache
     except AttributeError:
-        uf = _UnionFind(g.vertices)
-        for _, u, v in g.edges:
-            uf.union(u, v)
-        cm = uf.least()
-        object.__setattr__(g, "_component_cache", cm)
-        return cm
+        pass
+    cm = dict.fromkeys(g.vertices)
+    parent = {}
+    for start in g.vertices:
+        if start in parent:
+            continue
+        parent[start] = None
+        cm[start] = start
+        queue = [start]
+        for v in queue:
+            # darts come in edge order, which is edge-id order, with +1
+            # before -1 on a loop: the lowest-id-first order of the BFS
+            for eid, sign, other in g.darts(v):
+                if other not in parent:
+                    parent[other] = (eid, sign)
+                    cm[other] = start
+                    queue.append(other)
+    object.__setattr__(g, "_forest_cache", parent)
+    object.__setattr__(g, "_component_cache", cm)
+    return cm
+
+
+def _spanning_forest(g):
+    """dict vertex -> the tree dart (eid, sign) that first reached it,
+    None at each component's least vertex; in BFS order, one component
+    after another.  Shared like `component_map`'s dict."""
+    component_map(g)
+    return g._forest_cache
 
 
 def pi0(g):
-    """Components as a sorted tuple of frozensets (union-find)."""
+    """Components as a sorted tuple of frozensets, read off
+    `component_map`."""
     cm = component_map(g)
     comps = {}
     for v, r in cm.items():

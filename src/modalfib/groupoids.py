@@ -2,8 +2,9 @@
 
 The shape of a graph is its fundamental groupoid: one component per
 graph component, with vertex groups free on the edges left out of a
-spanning forest.  A deterministic lowest-id-first BFS fixes the forest,
-so every construction here is reproducible.
+spanning forest.  The forest is the graph's own, fixed by the
+deterministic lowest-id-first BFS of `graphs.component_map`, so every
+construction here is reproducible and shares that one component pass.
 
 Morphisms u -> v are encoded as triples (u, v, word): the word lists the
 cotree letters a representing path crosses, tree darts contributing
@@ -19,10 +20,11 @@ simultaneous conjugacy problem over the target letters, which
 words.solve_simultaneous_conjugacy decides exactly.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import _sorted_ids, FinGraph, GraphMap
+from .graphs import (
+    _sorted_ids, _spanning_forest, component_map, FinGraph, GraphMap,
+)
 from .words import (
     reduce_word, mul, inv, solve_simultaneous_conjugacy, Unknown,
 )
@@ -57,32 +59,23 @@ class PresGroupoid:
     def __init__(self, graph):
         self.graph = graph
         self.components = {}
-        self.comp_of = {}
+        # the graph's one component pass; shared, so read-only here
+        self.comp_of = comp_of = component_map(graph)
         parents = {}
         tree_edges = set()
-        for start in graph.vertices:
-            if start in self.comp_of:
-                continue
-            parent = {start: None}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                # darts come in edge order, which is edge-id order, with +1
-                # before -1 on a loop: the lowest-id-first order of the BFS
-                for eid, sign, other in graph.darts(v):
-                    if other not in parent:
-                        parent[other] = (eid, sign)
-                        tree_edges.add(eid)
-                        queue.append(other)
-            for v in parent:
-                self.comp_of[v] = start
-            parents[start] = parent
+        # the forest lists each component's BFS in one run, start first
+        for v, dart in _spanning_forest(graph).items():
+            if dart is None:
+                parent = parents[v] = {}
+            else:
+                tree_edges.add(dart[0])
+            parent[v] = dart
         # one pass over the edges, already sorted by id, finds every
         # component's cotree letters
         letters = {start: [] for start in parents}
         for eid, u, _ in graph.edges:
             if eid not in tree_edges:
-                letters[self.comp_of[u]].append(eid)
+                letters[comp_of[u]].append(eid)
         self._letter_set = frozenset(l for ls in letters.values() for l in ls)
         for start, parent in parents.items():
             self.components[start] = Component(

@@ -35,7 +35,7 @@ All three conditions are exact; no bounds are involved.
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import _sorted_ids, fiber, _UnionFind
+from .graphs import _sorted_ids, fiber, _Classes
 from .words import reduce_word, mul, inv
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
@@ -213,14 +213,14 @@ class _ComponentData:
 
         # incidence graph of pieces along non-degenerate edges
         pieces = _sorted_ids(counts)
-        inc_uf = _UnionFind(pieces)
+        inc_uf = _Classes(pieces)
         arcs = []
         for eid, u, v in nondeg:
             img = f.dart_image(eid, +1)
             label = T.dart_word(img[1], img[2])
             arcs.append((piece_of[u], piece_of[v], label))
             inc_uf.union(piece_of[u], piece_of[v])
-        self.inc_comp_of = {p: inc_uf.find(p) for p in pieces}
+        self.inc_comp_of = inc_uf.roots()
 
         # per incidence component: nodes, arcs, rank, injectivity into
         # the target fundamental group

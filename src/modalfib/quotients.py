@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .graphs import (FinGraph, GraphMap, _least_id, _sorted_ids,
-                     enumerate_graph_maps, pi0)
+                     enumerate_graph_maps)
 from .groupoids import shape1, induce_functor
 from .fingroupoids import FinGroupoid, FinFunctor, discrete_groupoid
 
@@ -25,7 +25,7 @@ __all__ = [
     "enumerate_automorphisms", "enumerate_actions",
     "shape_of_quotient", "shape_quotient_functor", "orbit_graph",
     "quotient_is_fibration", "fiber_sequence_check",
-    "shape_connectedness_check", "QUOTIENT_GROUP_BOUND",
+    "QUOTIENT_GROUP_BOUND",
 ]
 
 QUOTIENT_GROUP_BOUND = 24
@@ -459,8 +459,3 @@ def fiber_sequence_check(a, x, max_group_order=QUOTIENT_GROUP_BOUND):
         "free_at_vertex": len(stab) == 1,
         "orbit_is_group": len(stab) != 1 or len(orbit) == G.order,
     }
-
-
-def shape_connectedness_check(x):
-    """A connected graph has a connected shape groupoid."""
-    return len(pi0(x)) != 1 or len(shape1(x).components) == 1

@@ -7,13 +7,16 @@ collapsed edges by scanning every source edge.  The piece index
 (`GraphMap.pieces`), the cached component map and the component slices
 of the gamma and etale routes must agree with them on random maps whose
 ids mix ints, strings and tuples, disjoint unions included.  Two guards
-pin the linear growth of `classify` in the number of source components.
+pin the linear growth of `classify` in the number of source components,
+and a third that a graph's darts are walked once, by `component_map`,
+however `shape1` and `component_map` are called.
 """
 
 import gc
 import math
 import random
 import time
+from contextlib import contextmanager
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,7 +30,7 @@ from modalfib.graphs import (
     FinGraph, GraphMap, _sort_key, component_map, cycle, disjoint_union,
     fiber, pi0,
 )
-from modalfib.groupoids import induce_functor
+from modalfib.groupoids import induce_functor, shape1
 from modalfib.hfiber import GammaAnalyzer
 from modalfib.verdicts import Flag, LevelVerdicts
 
@@ -258,6 +261,42 @@ def test_component_map_is_cached_and_matches_a_fresh_union_find(g):
     assert cm is component_map(g)
     assert cm == ref_union_find(g.vertices, [(u, v) for _, u, v in g.edges])
     assert list(cm) == list(g.vertices)
+
+
+@contextmanager
+def counted_darts():
+    """Calls of FinGraph.darts made while the block runs."""
+    calls = [0]
+    darts = FinGraph.darts
+
+    def counted(self, v):
+        calls[0] += 1
+        return darts(self, v)
+    FinGraph.darts = counted
+    try:
+        yield calls
+    finally:
+        FinGraph.darts = darts
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_one_traversal_per_graph(g):
+    # the shape reads the spanning forest of the one component pass, in
+    # either order of calls, and never walks the darts itself
+    g = FinGraph(g.vertices, g.edges, g.basepoint)
+    with counted_darts() as calls:
+        cm = component_map(g)
+        walked = calls[0]
+        shape = shape1(g)
+    assert walked == len(g.vertices)
+    assert calls[0] == walked
+    assert shape.comp_of is cm
+    g = FinGraph(g.vertices, g.edges, g.basepoint)
+    shape1(g)
+    with counted_darts() as calls:
+        assert component_map(g) == cm
+    assert calls[0] == 0
 
 
 @settings(deadline=None)

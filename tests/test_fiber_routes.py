@@ -4,12 +4,15 @@ The fiber component map, the pullback check, the modal factor's middle
 groupoid and the connecting map's fibers each unite along a generating
 set of their groupoid (the tree arrows and the vertex-group generators).
 The references below are the earlier passes, which unite along every
-morphism and pick representatives with `_UnionFind.least()`.  Each route
-must build the same partitions, return the same verdict, and keep the
-same representatives and the same order of classes.  Route (d) of
-`nine_way`, which transports each class once per morphism, is checked
-against the pair-by-pair transports it replaces, and a counted-work
-guard bounds the transports one `nine_way` call makes.
+morphism and pick representatives with the `least()` of the reference
+union-find in `reference_union_find.py`.  Each route must build the same
+partitions, return the same verdict, and keep the same representatives
+and the same order of classes; the roots of each `_Classes` a route
+builds must be those least members, the invariant `_fiber_pass` reads
+its representatives by.  Route (d) of `nine_way`, which transports each
+class once per morphism, is checked against the pair-by-pair transports
+it replaces, and a counted-work guard bounds the transports one
+`nine_way` call makes.
 """
 
 import gc
@@ -29,7 +32,8 @@ from modalfib.fingroupoids import (
     product_groupoid, random_functor, random_functor_into, random_groupoid,
     GROUP_NAMES,
 )
-from modalfib.graphs import _sort_key, _UnionFind
+from modalfib.graphs import _sort_key
+from reference_union_find import UnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +41,7 @@ from modalfib.graphs import _sort_key, _UnionFind
 
 def ref_fiber_component_map(F, y):
     S, T = F.source, F.target
-    uf = _UnionFind(_fiber_objects(F, y))
+    uf = UnionFind(_fiber_objects(F, y))
     for g in S.morphisms:
         x, x2 = S.src[g], S.dst[g]
         for m2 in T.hom(F.obj_map[x2], y):
@@ -51,7 +55,7 @@ def ref_pullback_preserved(F, G):
     xcm, ycm, zcm = X.component_map(), Y.component_map(), Z.component_map()
     objs = [(x, y, m) for x in X.objects for y in Y.objects
             for m in Z.hom(F.obj_map[x], G.obj_map[y])]
-    uf = _UnionFind(objs)
+    uf = UnionFind(objs)
     for g in X.morphisms:
         for h in Y.morphisms:
             x, x2 = X.src[g], X.dst[g]
@@ -70,7 +74,7 @@ def ref_pullback_preserved(F, G):
 
 def middle_pass(F, fcms, classes):
     T = F.target
-    uf = _UnionFind([(y, c) for y in T.objects for c in classes[y]])
+    uf = UnionFind([(y, c) for y in T.objects for c in classes[y]])
     for h in T.morphisms:
         y, y2 = T.src[h], T.dst[h]
         for c in classes[y]:
@@ -101,7 +105,7 @@ def ref_connecting_map_fibration(F, fcms, classes, gamma):
     uf = middle_pass(F, fcms, classes)
     passes = [uf.least()]
     ee_objs = [(y, d) for y in T.objects for d in set(gamma[y].values())]
-    uf2 = _UnionFind(ee_objs)
+    uf2 = UnionFind(ee_objs)
     for h in T.morphisms:
         y, y2 = T.src[h], T.dst[h]
         for d in set(gamma[y].values()):
@@ -117,7 +121,7 @@ def ref_connecting_map_fibration(F, fcms, classes, gamma):
                  if gamma[y2][c2] == d for h in T.hom(y2, y)]
         if not fiber and cm_over_ee.get(uf2.find((y, d))):
             return False, passes
-        uf3 = _UnionFind(fiber)
+        uf3 = UnionFind(fiber)
         for (y2, c2, h) in fiber:
             for k in T.morphisms:
                 if T.src[k] != y2:
@@ -236,7 +240,7 @@ def test_pullback_route_matches_all_morphism_pass(kind, seed):
         with recorded_passes() as made:
             got = _pullback_preserved(F, G)
         assert got == want
-        assert [uf.least() for uf in made] == [ref]
+        assert [uf.roots() for uf in made] == [ref]
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,13 +254,13 @@ def test_middle_routes_match_all_morphism_passes(kind, seed):
     with recorded_passes() as made:
         got = _modal_factor_etale(F, fcms, classes, ycm)
     assert got == want
-    assert [uf.least() for uf in made] == [ref]
+    assert [uf.roots() for uf in made] == [ref]
 
     want, refs = ref_connecting_map_fibration(F, fcms, classes, gamma)
     with recorded_passes() as made:
         got = _connecting_map_fibration(F, fcms, classes, gamma)
     assert got == want
-    assert [uf.least() for uf in made] == refs
+    assert [uf.roots() for uf in made] == refs
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from modalfib.graphs import (
     FinGraph, GraphMap, _sort_key,
     point, interval, star, cycle, path_graph, bouquet, disjoint_union,
-    graph_isomorphic, pi0,
+    graph_isomorphic, pi0, pi0_by_definition,
 )
 from modalfib.groupoids import shape1
 from modalfib.corpus import random_graph, random_connected_graph
@@ -25,7 +25,6 @@ from modalfib.quotients import (
     enumerate_automorphisms, enumerate_actions,
     shape_of_quotient, shape_quotient_functor, orbit_graph,
     quotient_is_fibration, fiber_sequence_check,
-    shape_connectedness_check,
 )
 
 
@@ -371,16 +370,21 @@ def test_quotient_functor_fibers_are_group_sized():
 
 
 def test_connectedness_fixed_rows():
-    assert shape_connectedness_check(cycle(3))
-    assert shape_connectedness_check(star(5))
-    assert shape_connectedness_check(path_graph(4))
+    for g in (cycle(3), star(5), path_graph(4)):
+        assert len(pi0_by_definition(g)) == 1
+        assert len(shape1(g).components) == 1
 
 
 def test_connectedness_on_corpus():
+    # shape1 and pi0 read one spanning forest, so each is checked against
+    # the components found from their definition
     rng = random.Random(940)
     for _ in range(40):
-        assert shape_connectedness_check(random_graph(rng))
+        g = random_graph(rng)
+        want = set(pi0_by_definition(g))
+        assert set(pi0(g)) == want
+        assert {c.vertices for c in shape1(g).components.values()} == want
         g = random_connected_graph(rng)
         assert len(pi0(g)) == 1
-        assert shape_connectedness_check(g)
+        assert len(pi0_by_definition(g)) == 1
         assert len(shape1(g).components) == 1

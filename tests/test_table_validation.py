@@ -23,7 +23,7 @@ from modalfib.fingroupoids import (
     _build_blocks, group_hom_functor, hfiber, homotopy_pullback, nine_way,
     product_groupoid, random_functor, random_functor_into, random_groupoid,
 )
-from modalfib.graphs import _UnionFind
+from reference_union_find import UnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def tables(g):
 
 
 def fresh_component_map(g):
-    uf = _UnionFind(g.objects)
+    uf = UnionFind(g.objects)
     for m in g.morphisms:
         uf.union(g.src[m], g.dst[m])
     return uf.least()

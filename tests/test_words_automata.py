@@ -20,7 +20,7 @@ from modalfib.words import (
 from modalfib import automata
 from modalfib.automata import SubgroupAutomaton
 from modalfib.corpus import random_words, random_permutation
-from modalfib.graphs import _UnionFind
+from reference_union_find import UnionFind
 
 letters2 = st.tuples(st.integers(0, 1), st.sampled_from((-1, +1)))
 letters3 = st.tuples(st.integers(0, 2), st.sampled_from((-1, +1)))
@@ -269,11 +269,16 @@ def test_schreier_rejects_non_permutation_without_asserts(run_optimized):
 
 
 @pytest.mark.parametrize("letters, perms, basepoint, named", [
-    # a letter with no permutation, a basepoint outside the points, and
-    # a letter whose point set is not the other letters'
+    # a letter with no permutation, a basepoint outside the points, a
+    # letter whose point set is not the other letters'
     (("a",), {}, 0, "letter 'a' has no permutation"),
     (("a",), {"a": {0: 1, 1: 0}}, 5, "basepoint 5"),
     (("a", "b"), {"a": {0: 1, 1: 0}, "b": {0: 0}}, 0, "letter 'b'"),
+    # a key of perms that is not a letter, whatever its value, and with
+    # no letters at all
+    (("a",), {"a": {0: 0}, "b": {0: 1, 1: 0}, "c": 7}, 0,
+     "'b' is not a letter"),
+    ((), {"a": {0: 1, 1: 0}}, 99, "'a' is not a letter"),
 ])
 def test_schreier_names_bad_input_without_asserts(letters, perms, basepoint,
                                                   named, run_optimized):
@@ -597,7 +602,7 @@ def test_fold_on_insert_matches_reference_on_shared_words(words):
 def fold_reading_every_edge(nstates, edges, root):
     """The worklist fold with its result read edge by edge, through two
     finds per edge: the reference for reading it off the dart dicts."""
-    uf = _UnionFind(range(nstates))
+    uf = UnionFind(range(nstates))
     darts = [{} for _ in range(nstates)]
     pending = []
 
