@@ -272,17 +272,9 @@ def constant_fiber_criterion(f):
     One-way evidence for being a fibration, not proof: the criterion
     ignores how fibers are glued over edges.
     """
-    pieces = f.pieces
-    sigs = []
-    for y in f.target.vertices:
-        verts, edges = f.preimages[y]
-        ranks = {}             # piece K -> |edges in K| - |K| + 1
-        for x in verts:
-            p = pieces[x]
-            ranks[p] = ranks.get(p, 1) - 1
-        for _, u, _ in edges:
-            ranks[pieces[u]] += 1
-        sigs.append(tuple(sorted(ranks.values())))
+    ranks = f.piece_ranks
+    sigs = [tuple(sorted(ranks[p] for p in _pieces_over(f, y)))
+            for y in f.target.vertices]
     return all(s == sigs[0] for s in sigs)
 
 

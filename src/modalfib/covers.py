@@ -102,7 +102,12 @@ class MonodromyAction:
             raise CoverError("base %r is not a vertex of the base graph"
                              % (self.base,), ("vertex", self.base))
         letters = self.letters
-        fib = set(self.fiber)
+        fib = set()
+        for x in self.fiber:
+            if x in fib:
+                raise CoverError("fiber point %r is listed twice" % (x,),
+                                 ("point", x))
+            fib.add(x)
         for letter in letters:
             perm = self.perms.get(letter)
             if perm is None or set(perm) != fib or set(perm.values()) != fib:

@@ -289,6 +289,23 @@ class GraphMap:
             object.__setattr__(self, "_piece_cache", roots)
             return roots
 
+    @property
+    def piece_ranks(self):
+        """dict piece -> its cycle rank, |edges| - |vertices| + 1, in
+        source order; built once."""
+        try:
+            return self._piece_rank_cache
+        except AttributeError:
+            pieces = self.pieces
+            ranks = {}
+            for p in pieces.values():
+                ranks[p] = ranks.get(p, 1) - 1
+            for e, u, _ in self.source.edges:
+                if self.edge_map[e] is None:
+                    ranks[pieces[u]] += 1
+            object.__setattr__(self, "_piece_rank_cache", ranks)
+            return ranks
+
     def dart_image(self, eid, sign):
         """Image of a dart: ('e', edge, sign) or ('r', vertex)."""
         img = self.edge_map[eid]

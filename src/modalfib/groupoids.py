@@ -22,9 +22,7 @@ words.solve_simultaneous_conjugacy decides exactly.
 
 from dataclasses import dataclass
 
-from .graphs import (
-    _sorted_ids, _spanning_forest, component_map, FinGraph, GraphMap,
-)
+from .graphs import _sorted_ids, _spanning_forest, component_map, FinGraph
 from .words import (
     reduce_word, mul, inv, solve_simultaneous_conjugacy, Unknown,
 )
@@ -152,6 +150,7 @@ class GroupoidFunctor:
         self.obj = dict(obj)
         self.gen_images = {k: reduce_word(v) for k, v in gen_images.items()}
         self.conj = {k: reduce_word(v) for k, v in conj.items()}
+        self._images = {}               # component base -> image automaton
 
     def map_word(self, w):
         out = ()
@@ -181,11 +180,14 @@ class GroupoidFunctor:
         return GroupoidFunctor(self.src, other.dst, obj, gen_images, conj)
 
     def image_subgroup(self, base):
-        """Folded automaton of the image of the base's vertex group."""
+        """Folded automaton of the image of the base's vertex group,
+        folded once per component and shared by every vertex in it."""
         comp = self.src.components[self.src.comp_of[base]]
-        target_letters = self.dst.letters_at(self.obj[comp.base])
-        return SubgroupAutomaton.from_words(
-            target_letters, [self.gen_images[l] for l in comp.letters])
+        if comp.base not in self._images:
+            self._images[comp.base] = SubgroupAutomaton.from_words(
+                self.dst.letters_at(self.obj[comp.base]),
+                [self.gen_images[l] for l in comp.letters])
+        return self._images[comp.base]
 
     def injective_on_vertex_group(self, base):
         """Free-group homs are injective iff the image keeps full rank."""

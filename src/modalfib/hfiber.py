@@ -18,25 +18,36 @@ Deciding whether it is an equivalence is the heart of the package:
       distinct cosets.
   (c) full faithfulness: the kernel of the induced map on fundamental
       groups is computed through the piece decomposition.  Cut the
-      source component along its degenerate edges into pieces (one
-      fiber component per target vertex each); the incidence graph of
-      pieces and non-degenerate edges controls the kernel by the
-      Seifert-van Kampen decomposition of the pulled-back universal
-      cover.  A fiber component of rank 0 demands every piece in its
-      incidence component be rank 0 and the incidence component inject
-      into the target's fundamental group (decided by Hopfian rank
-      comparison of the folded image).  A fiber component of positive
-      rank demands its incidence component be literally a tree and all
-      other pieces be rank 0.
+      source component along its collapsed edges into pieces (one fiber
+      component per target vertex each); the incidence graph of pieces
+      and non-collapsed edges controls the kernel by the Seifert-van
+      Kampen decomposition of the pulled-back universal cover.  A fiber
+      component of rank 0 demands every piece be rank 0 and the
+      incidence graph inject into the target's fundamental group; one
+      of positive rank demands the incidence graph be a tree and all
+      other pieces be rank 0.  Three counts per source component decide
+      this: `positive`, the pieces of positive rank; `incidence_rank`,
+      the component's rank less the sum of the piece ranks; and
+      `injective`, whether the image subgroup H, already folded for (a)
+      and (b), keeps the component's rank.  Rank 0 then demands
+      positive == 0 and injective, positive rank demands
+      incidence_rank == 0 and positive == 1, because
+        - a component's pieces, joined by its non-collapsed edges, form
+          one connected incidence graph;
+        - cycle ranks add: the component's rank is the sum of the piece
+          ranks plus the incidence graph's rank;
+        - when every piece is a tree, collapsing them is a homotopy
+          equivalence, so the incidence group injects iff the vertex
+          group does; finitely generated free groups are Hopfian, so
+          that holds iff H keeps the rank (Stallings 1983).
 
 All three conditions are exact; no bounds are involved.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import _sorted_ids, fiber, _Classes
-from .words import reduce_word, mul, inv
+from .graphs import _sorted_ids, fiber
+from .words import mul, inv
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
 
@@ -187,92 +198,17 @@ class _ComponentData:
     """Per-source-component facts independent of the queried vertex.
 
     pieces_over: target vertex -> piece -> the component's vertices over
-    it in that piece, in source order.  edges: the component's source
-    edges, in source order."""
+    it in that piece, in source order."""
 
-    def __init__(self, F, f, comp, target_letters, pieces_over, edges):
-        T = F.dst
-        self.subgroup = SubgroupAutomaton.from_words(
-            target_letters, [F.gen_images[l] for l in comp.letters])
-        self.complete = self.subgroup.complete()
-
-        # pieces: components of the degenerate part, one fiber component
-        # per target vertex each; a piece lies over one target vertex
+    def __init__(self, F, f, comp, pieces_over):
+        self.subgroup = H = F.image_subgroup(comp.base)
+        self.complete = H.complete()
         self.pieces_over = pieces_over
-        piece_of = f.pieces
-        counts = {p: len(xs) for ps in pieces_over.values()
-                  for p, xs in ps.items()}
-        edge_counts = dict.fromkeys(counts, 0)
-        nondeg = []
-        for eid, u, v in edges:
-            if f.edge_map[eid] is None:
-                edge_counts[piece_of[u]] += 1
-            else:
-                nondeg.append((eid, u, v))
-        self.piece_rank = {p: edge_counts[p] - counts[p] + 1 for p in counts}
-
-        # incidence graph of pieces along non-degenerate edges
-        pieces = _sorted_ids(counts)
-        inc_uf = _Classes(pieces)
-        arcs = []
-        for eid, u, v in nondeg:
-            img = f.dart_image(eid, +1)
-            label = T.dart_word(img[1], img[2])
-            arcs.append((piece_of[u], piece_of[v], label))
-            inc_uf.union(piece_of[u], piece_of[v])
-        self.inc_comp_of = inc_uf.roots()
-
-        # per incidence component: nodes, arcs, rank, injectivity into
-        # the target fundamental group
-        groups = {}
-        for p in pieces:
-            groups.setdefault(self.inc_comp_of[p], []).append(p)
-        arc_groups = {g: [] for g in groups}
-        for a in arcs:
-            arc_groups[self.inc_comp_of[a[0]]].append(a)
-        self.inc_info = {}
-        for g, nodes in groups.items():
-            these = arc_groups[g]
-            rank = len(these) - len(nodes) + 1
-            max_piece_rank = max(self.piece_rank[p] for p in nodes)
-            pos_rank_pieces = sum(1 for p in nodes if self.piece_rank[p] > 0)
-            injective = self._injective_into_target(
-                nodes, these, target_letters) if rank > 0 else True
-            self.inc_info[g] = {
-                "rank": rank,
-                "max_piece_rank": max_piece_rank,
-                "pos_rank_pieces": pos_rank_pieces,
-                "injective": injective,
-            }
-
-    @staticmethod
-    def _injective_into_target(nodes, arcs, target_letters):
-        """Does the incidence component's fundamental group inject into
-        the target's?  Fold the cycle words; Hopfian free groups make
-        rank preservation equivalent to injectivity."""
-        transport = {nodes[0]: ()}
-        adj = {}
-        for i, (u, v, label) in enumerate(arcs):
-            adj.setdefault(u, []).append((v, label, i, +1))
-            adj.setdefault(v, []).append((u, label, i, -1))
-        tree_arcs = set()
-        queue = deque([nodes[0]])
-        while queue:
-            u = queue.popleft()
-            # adjacency lists are built in arc order, +1 before -1 on a loop
-            for v, label, i, sgn in adj.get(u, ()):
-                if v not in transport:
-                    transport[v] = mul(transport[u],
-                                       label if sgn > 0 else inv(label))
-                    tree_arcs.add(i)
-                    queue.append(v)
-        gens = []
-        for i, (u, v, label) in enumerate(arcs):
-            if i in tree_arcs:
-                continue
-            gens.append(mul(transport[u], label, inv(transport[v])))
-        folded = SubgroupAutomaton.from_words(target_letters, gens)
-        return folded.rank() == len(gens)
+        ranks = [f.piece_ranks[p] for ps in pieces_over.values() for p in ps]
+        # the three counts of clause (c), see the module docstring
+        self.positive = sum(1 for r in ranks if r > 0)
+        self.incidence_rank = len(comp.letters) - sum(ranks)
+        self.injective = H.rank() == len(comp.letters)
 
 
 class GammaAnalyzer:
@@ -283,8 +219,8 @@ class GammaAnalyzer:
         self.f = f
         self.F = F = F if F is not None else induce_functor(f)
         S, T = F.src, F.dst
-        # one pass each: source components by target component, vertices
-        # by source component, image and piece, edges by source component
+        # one pass each: source components by target component, and
+        # vertices by source component, image and piece
         self._over = {}
         for cb in S.components:
             self._over.setdefault(T.comp_of[F.obj[cb]], []).append(cb)
@@ -293,19 +229,13 @@ class GammaAnalyzer:
         for x in f.source.vertices:
             self._pieces_over[S.comp_of[x]].setdefault(
                 F.obj[x], {}).setdefault(pieces[x], []).append(x)
-        self._edges = {cb: [] for cb in S.components}
-        for edge in f.source.edges:             # (id, tail, head)
-            self._edges[S.comp_of[edge[1]]].append(edge)
         self._comp_data = {}
 
     def _data_for(self, cb):
         if cb not in self._comp_data:
-            comp = self.F.src.components[cb]
-            tb = self.F.dst.comp_of[self.F.obj[cb]]
-            letters = self.F.dst.components[tb].letters
             self._comp_data[cb] = _ComponentData(
-                self.F, self.f, comp, letters, self._pieces_over[cb],
-                self._edges[cb])
+                self.F, self.f, self.F.src.components[cb],
+                self._pieces_over[cb])
         return self._comp_data[cb]
 
     def at_vertex(self, y):
@@ -327,17 +257,13 @@ class GammaAnalyzer:
                 states[s] = p
             if len(states) != H.n:
                 return False
-            # (c) kernel analysis through the incidence graph
+            # (c) kernel analysis by the counts of the source component
             for p in pieces:
-                info = data.inc_info[data.inc_comp_of[p]]
-                if data.piece_rank[p] == 0:
-                    if info["max_piece_rank"] > 0 or not info["injective"]:
+                if self.f.piece_ranks[p] == 0:
+                    if data.positive or not data.injective:
                         return False
-                else:
-                    if info["rank"] != 0:
-                        return False
-                    if info["pos_rank_pieces"] > 1:
-                        return False
+                elif data.incidence_rank or data.positive != 1:
+                    return False
         return True
 
     def everywhere(self):

@@ -179,13 +179,13 @@ class GraphAction:
                         % (g, h))
 
     def orbit(self, x):
-        if x not in set(self.space.vertices):
+        if x not in self.space.vertex_set:
             raise ActionError("unknown vertex %r" % (x,))
         return tuple(_sorted_ids({m.vertex_map[x]
                                   for m in self.maps.values()}))
 
     def stabilizer(self, x):
-        if x not in set(self.space.vertices):
+        if x not in self.space.vertex_set:
             raise ActionError("unknown vertex %r" % (x,))
         return tuple(g for g in self.group.elements
                      if self.maps[g].vertex_map[x] == x)

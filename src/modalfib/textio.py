@@ -310,7 +310,7 @@ def _build_monodromy(sec, doc):
         raise ParseError(sec.header_line, "base graph needs a basepoint")
     shape = shape1(base_graph)
     letters = shape.components[shape.comp_of[base_graph.basepoint]].letters
-    fiber = None
+    fiber = fiber_line = None
     perm_rows = {}
     for line, key, toks in sec.rows:
         if key in ("degree", "fiber") and fiber is not None:
@@ -320,7 +320,7 @@ def _build_monodromy(sec, doc):
                 raise ParseError(line, "degree wants a positive integer")
             fiber = tuple(range(1, int(toks[0]) + 1))
         elif key == "fiber":
-            fiber = tuple(_atom(t) for t in toks)
+            fiber, fiber_line = tuple(_atom(t) for t in toks), line
         elif key == "perm":
             if not toks:
                 raise ParseError(line, "perm wants a letter")
@@ -340,6 +340,9 @@ def _build_monodromy(sec, doc):
     try:
         return MonodromyAction(shape, base_graph.basepoint, fiber, perms)
     except CoverError as e:
+        # a repeated point is the fiber line's fault, not a later row's
+        if e.subject is not None and e.subject[0] == "point":
+            raise ParseError(fiber_line, str(e))
         raise ParseError(_line_of(sec.rows, e, sec.header_line), str(e))
 
 

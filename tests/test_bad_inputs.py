@@ -17,6 +17,7 @@ from collections import namedtuple
 
 import pytest
 
+from modalfib.cli import main
 from modalfib.covers import CoverError
 from modalfib.graphs import GraphError
 from modalfib.textio import ParseError, parse_document
@@ -119,7 +120,8 @@ CASES = [
          "automaton: a\nletters: a\nstates: 2\ndelta: 0 a 1\ndelta: 1 a 1\n",
          5, "SubgroupAutomaton(('a',), 2, {(0, 'a'): 1, (1, 'a'): 1})",
          ValueError, ("arrow", (1, "a"))),
-    # -- monodromy: a foreign letter, a missing one, a non-permutation
+    # -- monodromy: a foreign letter, a missing one, a repeated fiber
+    # point, a non-permutation
     Case("monodromy foreign letter",
          LOOP + "degree: 2\nperm: e0 (1 2)\nperm: zz (1 2)\n", 9,
          "MonodromyAction(loop, 0, (1, 2), {'e0': %s, 'zz': %s})"
@@ -132,6 +134,10 @@ CASES = [
     Case("monodromy base that is not a vertex", None, None,
          "MonodromyAction(loop, 5, (1, 2), {'e0': %s})" % (ID2,),
          CoverError, ("vertex", 5)),
+    Case("monodromy fiber point listed twice",
+         LOOP + "fiber: 1 1 2\nperm: e0 (1 2)\n", 7,
+         "MonodromyAction(loop, 0, (1, 1, 2), {'e0': {1: 2, 2: 1}})",
+         CoverError, ("point", 1)),
     Case("monodromy not a permutation", None, None,
          "MonodromyAction(loop, 0, (1, 2), {'e0': {1: 1, 2: 1}})",
          CoverError, ("letter", "e0")),
@@ -223,3 +229,13 @@ def test_good_versions_of_the_documents_parse():
     assert doc.single("action").group.order == 3
     doc = parse_document(LOOP + "degree: 2\nperm: e0 (1 2)\n")
     assert doc.single("monodromy").perms["e0"] == {1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("command", ["monodromy", "total"])
+def test_repeated_fiber_point_exits_65_at_the_fiber_line(command, tmp_path,
+                                                         capsys):
+    p = tmp_path / "twice.txt"
+    p.write_text(LOOP + "fiber: 1 1 2\nperm: e0 (1 2)\n")
+    assert main(["covers", command, str(p)]) == 65
+    err = capsys.readouterr().err
+    assert "line 7: fiber point 1 is listed twice" in err

@@ -25,6 +25,7 @@ from modalfib.classify import (
     constant_fiber_criterion, factor0,
 )
 from modalfib import corpus
+from modalfib.automata import SubgroupAutomaton
 from modalfib.corpus import random_map
 from modalfib.graphs import (
     FinGraph, GraphMap, _sort_key, component_map, cycle, disjoint_union,
@@ -33,6 +34,7 @@ from modalfib.graphs import (
 from modalfib.groupoids import induce_functor, shape1
 from modalfib.hfiber import GammaAnalyzer
 from modalfib.verdicts import Flag, LevelVerdicts
+from modalfib.words import inv, mul
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,88 @@ def ref_pieces(f):
     return ref_union_find(
         f.source.vertices,
         [(u, v) for e, u, v in f.source.edges if f.edge_map[e] is None])
+
+
+def ref_incidence_classes(f, F, comp):
+    """The incidence graph of a source component: its pieces as nodes,
+    one arc per non-collapsed edge, labelled by the target word of the
+    edge's image.  Returns one (nodes, arcs) pair per class."""
+    piece_of = ref_pieces(f)
+    nodes = sorted({piece_of[x] for x in comp.vertices}, key=_sort_key)
+    arcs = []
+    for e, u, v in f.source.edges:
+        if u in comp.vertices and f.edge_map[e] is not None:
+            _, d, s = f.dart_image(e, +1)
+            arcs.append((piece_of[u], piece_of[v], F.dst.dart_word(d, s)))
+    cls = ref_union_find(nodes, [(u, v) for u, v, _ in arcs])
+    return [([p for p in nodes if cls[p] == c],
+             [a for a in arcs if cls[a[0]] == c])
+            for c in sorted(set(cls.values()), key=_sort_key)]
+
+
+def ref_incidence_injective(nodes, arcs, letters):
+    """Does the incidence class's fundamental group inject into the
+    target's?  Transport along a breadth-first tree, fold the words of
+    the other arcs, and compare ranks."""
+    transport = {nodes[0]: ()}
+    tree = set()
+    frontier = [nodes[0]]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i, (u, v, label) in enumerate(arcs):
+                for a, b, w in ((u, v, label), (v, u, inv(label))):
+                    if a == p and b not in transport:
+                        transport[b] = mul(transport[a], w)
+                        tree.add(i)
+                        nxt.append(b)
+        frontier = nxt
+    gens = [mul(transport[u], label, inv(transport[v]))
+            for i, (u, v, label) in enumerate(arcs) if i not in tree]
+    return SubgroupAutomaton.from_words(letters, gens).rank() == len(gens)
+
+
+def ref_gamma_at_vertex(f, F, y):
+    """The gamma test with clause (c) read off the incidence graph: a
+    rank-0 piece needs every piece of its incidence class to be rank 0
+    and the class to inject into the target's fundamental group; a
+    piece of positive rank needs its class to be a tree with no other
+    piece of positive rank."""
+    S, T = F.src, F.dst
+    piece_of = ref_pieces(f)
+    rank = {}
+    for x in f.source.vertices:
+        rank[piece_of[x]] = rank.get(piece_of[x], 1) - 1
+    for e, u, _ in f.source.edges:
+        if f.edge_map[e] is None:
+            rank[piece_of[u]] += 1
+    for cb, comp in S.components.items():
+        if T.comp_of[F.obj[cb]] != T.comp_of[y]:
+            continue
+        H = SubgroupAutomaton.from_words(
+            T.letters_at(y), [F.gen_images[l] for l in comp.letters])
+        over = {}
+        for x in f.source.vertices:
+            if x in comp.vertices and F.obj[x] == y:
+                over.setdefault(piece_of[x], []).append(x)
+        if not H.complete() or not over:
+            return False
+        states = {H.trace(F.conj[xs[0]]) for xs in over.values()}
+        if len(states) != len(over) or len(states) != H.n:
+            return False
+        for nodes, arcs in ref_incidence_classes(f, F, comp):
+            for p in nodes:
+                if p not in over:
+                    continue
+                if rank[p] == 0:
+                    if any(rank[q] > 0 for q in nodes) or not (
+                            ref_incidence_injective(nodes, arcs,
+                                                    T.letters_at(y))):
+                        return False
+                elif (len(arcs) != len(nodes) - 1
+                      or sum(1 for q in nodes if rank[q] > 0) > 1):
+                    return False
+    return True
 
 
 def ref_etale_shape_route(f, F, over):
@@ -346,6 +430,7 @@ def test_gamma_component_slices_match_a_component_scan(f):
     for cb in S.components:
         over.setdefault(T.comp_of[F.obj[cb]], []).append(cb)
     assert an._over == over
+    all_ranks = {}
     for cb, comp in S.components.items():
         data = an._data_for(cb)
         piece_of = ref_union_find(
@@ -363,7 +448,36 @@ def test_gamma_component_slices_match_a_component_scan(f):
         for e, u, v in f.source.edges:
             if u in comp.vertices and f.edge_map[e] is None:
                 ranks[piece_of[u]] += 1
-        assert data.piece_rank == ranks
+        assert {p: f.piece_ranks[p] for p in ranks} == ranks
+        all_ranks.update(ranks)
+    assert f.piece_ranks == all_ranks
+    assert list(f.piece_ranks) == list(dict.fromkeys(f.pieces.values()))
+    assert f.piece_ranks is f.piece_ranks
+
+
+@settings(deadline=None)
+@with_fixed
+@given(maps())
+def test_gamma_counts_match_the_incidence_graph(f):
+    an = GammaAnalyzer(f)
+    for comp in an.F.src.components.values():
+        assert len(ref_incidence_classes(f, an.F, comp)) == 1
+    for y in f.target.vertices:
+        assert an.at_vertex(y) == ref_gamma_at_vertex(f, an.F, y), y
+
+
+@settings(deadline=None)
+@with_fixed
+@given(maps())
+def test_image_subgroup_is_folded_once_per_component(f):
+    F = induce_functor(f)
+    for comp in F.src.components.values():
+        H = F.image_subgroup(comp.base)
+        assert all(F.image_subgroup(x) is H for x in comp.vertices)
+        fresh = SubgroupAutomaton.from_words(
+            F.dst.letters_at(F.obj[comp.base]),
+            [F.gen_images[l] for l in comp.letters])
+        assert H.same(fresh)
 
 
 @settings(deadline=None)

@@ -1,9 +1,11 @@
-"""Every private function of the package is used inside it.
+"""Every private function and every import of the package is used.
 
 A private module-level function or method (one `_`, not a dunder) is no
 API: if nothing in `src/modalfib` names it outside its own definition, it
-is dead code, kept alive only by the tests that call it.  This test reads
-the package's sources with `ast` and lists such functions.
+is dead code, kept alive only by the tests that call it.  A module-level
+import that its module never names, and does not list in `__all__`, is
+dead too.  These tests read the package's sources with `ast` and list
+such functions and imports.
 """
 
 import ast
@@ -49,4 +51,32 @@ def test_every_private_function_is_referenced_in_the_package():
     assert any(d.name == "_fold_darts" for _, d in defs)
     unused = ["%s:%d %s" % (name, d.lineno, d.name) for name, d in defs
               if uses[d.name] - referenced(d)[d.name] <= 0]
+    assert unused == []
+
+
+def exported(tree):
+    """The names a module lists in `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        # only bare names count: an attribute of the same name is not a
+        # use of the import
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= exported(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append("%s:%d %s" % (p.name, node.lineno,
+                                                    name))
     assert unused == []
