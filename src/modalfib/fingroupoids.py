@@ -482,6 +482,14 @@ class FinFunctor:
             if T.src[w] != self.obj_map[S.src[m]] \
                     or T.dst[w] != self.obj_map[S.dst[m]]:
                 raise FinGroupoidError("image of %r ill-typed" % (m,))
+        # every source object and morphism is a key, so a longer map has a
+        # foreign key
+        if len(self.obj_map) != len(S.objects):
+            x = next(x for x in self.obj_map if x not in S._components)
+            raise FinGroupoidError("object %r not in source" % (x,))
+        if len(self.mor_map) != len(S.morphisms):
+            m = next(m for m in self.mor_map if m not in S.inv)
+            raise FinGroupoidError("morphism %r not in source" % (m,))
         for o in S.objects:
             if self.mor_map[S.ident[o]] != T.ident[self.obj_map[o]]:
                 raise FinGroupoidError("identity at %r not preserved" % (o,))
@@ -1353,7 +1361,9 @@ def _random_blocks(rng, max_objects, max_morphisms):
 # groups, so there are at most 18 + 18**2 + 18**3 = 6,174 keys; at the
 # defaults (6, 24) and (2, 8) only 1,356 and 37 lists are reachable, each
 # with at most 24 morphisms.  Every entry went through the constructor
-# once; a hit returns that same object.
+# once; a hit returns that same object.  Its morphisms are ints numbered
+# in the order of the triples they stand for (_build_blocks), so samples
+# hash flat ids and serialize_fingroupoid can print them.
 _ASSEMBLED = {}
 
 
@@ -1368,27 +1378,35 @@ def _assemble_blocks(blocks):
 
 
 def _build_blocks(blocks):
-    objects = []
-    morphisms = []
+    """Morphism ids are ints 0..N-1.  In a block with first object o, k
+    objects and a group of order n whose morphisms start at id `off`, the
+    id of a -[G.elements[i]]-> b is off + ((a - o) * n + i) * k + (b - o):
+    the order of the (a, g, b) triples of connected_groupoid, since each
+    catalog group's elements are sorted."""
     src, dst, comp, ident = {}, {}, {}, {}
-    base = 0
+    o = off = 0
     for k, gname in blocks:
         G = _GROUPS[gname]
-        labels = tuple(range(base, base + k))
-        base += k
-        objects.extend(labels)
-        block_mors = [(a, g, b) for a in labels for g in G.elements
-                      for b in labels]
-        morphisms.extend(block_mors)
-        for a, g, b in block_mors:
-            src[(a, g, b)] = a
-            dst[(a, g, b)] = b
-            for c in labels:
-                for h in G.elements:
-                    comp[((a, g, b), (b, h, c))] = (a, G.mul[(g, h)], c)
-        for o in labels:
-            ident[o] = (o, G.unit, o)
-    return FinGroupoid(tuple(objects), tuple(morphisms),
+        n = len(G.elements)
+        index = {g: i for i, g in enumerate(G.elements)}
+        mul = [[index[G.mul[(g, h)]] for h in G.elements]
+               for g in G.elements]
+        e = index[G.unit]
+        for a in range(k):
+            for i in range(n):
+                for b in range(k):
+                    m = off + (a * n + i) * k + b
+                    src[m], dst[m] = o + a, o + b
+                    row = mul[i]
+                    for j in range(n):
+                        first = off + (b * n + j) * k
+                        into = off + (a * n + row[j]) * k
+                        for c in range(k):
+                            comp[m, first + c] = into + c
+            ident[o + a] = off + (a * n + e) * k + a
+        o += k
+        off += k * k * n
+    return FinGroupoid(tuple(range(o)), tuple(range(off)),
                        src, dst, comp, ident)
 
 
@@ -1420,31 +1438,29 @@ def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
 
     Per source block: pick a base image object, a homomorphism of the
     block group into its automorphisms, and a random transport to spread
-    the block over the image's isomorphism class.
+    the block over the image's isomorphism class.  The source is a
+    catalog assembly, whose objects and morphisms are numbered 0, 1, ...
+    in the order of the loops below (_build_blocks).
     """
     if not target.objects:
         return FinFunctor(empty_groupoid(), target, {}, {})
     source, blocks = _assemble_blocks(
         _random_blocks(rng, max_objects, max_morphisms))
-    omap, mmap = {}, {}
-    base = 0
+    obj_images, mor_images = [], []
     for k, gname in blocks:
         G = _GROUPS[gname]
-        labels = tuple(range(base, base + k))
-        base += k
         y = rng.choice(target.objects)
         phi = rng.choice(_homs_into_aut(G, target, y))
         outgoing = [m for m in target.morphisms if target.src[m] == y]
-        t = {o: rng.choice(outgoing) for o in labels}
-        for o in labels:
-            omap[o] = target.dst[t[o]]
-        for a in labels:
-            back = target.inv[t[a]]
+        t = [rng.choice(outgoing) for _ in range(k)]
+        obj_images.extend(target.dst[ta] for ta in t)
+        for ta in t:
+            back = target.inv[ta]
             for g in G.elements:
                 w = target.comp[(back, phi[g])]
-                for b in labels:
-                    mmap[(a, g, b)] = target.comp[(w, t[b])]
-    return FinFunctor(source, target, omap, mmap)
+                mor_images.extend(target.comp[(w, tb)] for tb in t)
+    return FinFunctor(source, target, dict(enumerate(obj_images)),
+                      dict(enumerate(mor_images)))
 
 
 def random_functor(rng, max_objects=6, max_morphisms=24):

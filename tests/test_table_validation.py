@@ -20,9 +20,11 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, FinGroupoid, FinGroupoidError, _assemble_blocks,
-    _build_blocks, group_hom_functor, hfiber, homotopy_pullback, nine_way,
-    product_groupoid, random_functor, random_functor_into, random_groupoid,
+    _build_blocks, group_groupoid, group_hom_functor, hfiber,
+    homotopy_pullback, nine_way, product_groupoid, random_functor,
+    random_functor_into, random_groupoid,
 )
+from reference_catalog import ref_build_blocks
 from reference_union_find import UnionFind
 
 
@@ -295,9 +297,14 @@ def test_catalog_memo_keeps_tables_and_rng_stream(monkeypatch):
         for blocks, g in zip(drawn, got):
             assert g == _build_blocks(blocks)
             assert _assemble_blocks(list(blocks))[0] is g
-        digest.update(repr((F.obj_map, F.mor_map, G.obj_map, G.mor_map,
-                            A.morphisms)).encode())
-    # both digests were recorded from the same stream before the memo
+        # each int id decoded to the (a, g, b) triple it is numbered after
+        y, x, w, a = (ref_build_blocks(b).morphisms for b in drawn[:4])
+        digest.update(repr((
+            F.obj_map, {x[m]: y[n] for m, n in F.mor_map.items()},
+            G.obj_map, {w[m]: y[n] for m, n in G.mor_map.items()},
+            tuple(a[m] for m in A.morphisms))).encode())
+    # both digests were recorded from the same stream before the memo, on
+    # triple ids
     assert digest.hexdigest() == (
         "ae3916289650b4843eda653cd93384dbd1ba009b212b3f7577e4f4977b91c48c")
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
@@ -320,3 +327,27 @@ def test_mismatched_functors_rejected_without_asserts(call, run_optimized):
         % call)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "rejected\n"
+
+
+def test_functor_rejects_foreign_keys():
+    g = group_groupoid("c2")
+    ident = {m: m for m in g.morphisms}
+    with pytest.raises(FinGroupoidError, match="object 'zzz' not in source"):
+        FinFunctor(g, g, {"o": "o", "zzz": "o"}, ident)
+    with pytest.raises(FinGroupoidError,
+                       match="morphism 'junk' not in source"):
+        FinFunctor(g, g, {"o": "o"}, {**ident, "junk": g.ident["o"]})
+
+
+def test_functor_rejects_foreign_keys_without_asserts(run_optimized):
+    run = run_optimized(
+        "from modalfib.fingroupoids import *\n"
+        "g = group_groupoid('c2')\n"
+        "ident = {m: m for m in g.morphisms}\n"
+        "for omap, mmap in (({'o': 'o', 'zzz': 'o'}, ident),\n"
+        "                   ({'o': 'o'}, {**ident, 'junk': g.ident['o']})):\n"
+        "    try:\n        FinFunctor(g, g, omap, mmap)\n"
+        "    except FinGroupoidError as e:\n        print(e)\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ("object 'zzz' not in source\n"
+                          "morphism 'junk' not in source\n")
