@@ -405,6 +405,36 @@ def _keep_frame(g, base, tree, gens):
     object.__setattr__(g, "_gens", tuple(dict.fromkeys(gens)))
 
 
+def _check_plan(g):
+    """The triples (p, s, p;s) for s in the generating set and p into
+    src(s), in that order: the composites a functor check out of g
+    reads.  Built once per groupoid, on first use."""
+    try:
+        return g._plan
+    except AttributeError:
+        pass
+    comp, into, src = g.comp, g._into, g.src
+    plan = [(p, s, comp[(p, s)]) for s in g._gens for p in into[src[s]]]
+    object.__setattr__(g, "_plan", plan)
+    return plan
+
+
+def _out_index(g):
+    """(object -> the morphisms leaving it, in id order; morphism -> its
+    position in that list).  Built once per groupoid, on first use."""
+    try:
+        return g._out
+    except AttributeError:
+        pass
+    out, pos = {o: [] for o in g.objects}, {}
+    for m in g.morphisms:
+        ms = out[g.src[m]]
+        pos[m] = len(ms)
+        ms.append(m)
+    object.__setattr__(g, "_out", (out, pos))
+    return out, pos
+
+
 def _morphism_label(m):
     return m
 
@@ -470,41 +500,39 @@ class FinFunctor:
 
     def __post_init__(self):
         S, T = self.source, self.target
+        om, fm = self.obj_map, self.mor_map
         # keyed by exactly the target's objects and morphisms
         tobjs, tmors = T._components, T.inv
         for x in S.objects:
-            if self.obj_map.get(x) not in tobjs:
+            if om.get(x) not in tobjs:
                 raise FinGroupoidError("object %r has no image" % (x,))
+        ssrc, sdst, tsrc, tdst = S.src, S.dst, T.src, T.dst
         for m in S.morphisms:
-            w = self.mor_map.get(m)
+            w = fm.get(m)
             if w not in tmors:
                 raise FinGroupoidError("morphism %r has no image" % (m,))
-            if T.src[w] != self.obj_map[S.src[m]] \
-                    or T.dst[w] != self.obj_map[S.dst[m]]:
+            if tsrc[w] != om[ssrc[m]] or tdst[w] != om[sdst[m]]:
                 raise FinGroupoidError("image of %r ill-typed" % (m,))
         # every source object and morphism is a key, so a longer map has a
         # foreign key
-        if len(self.obj_map) != len(S.objects):
-            x = next(x for x in self.obj_map if x not in S._components)
+        if len(om) != len(S.objects):
+            x = next(x for x in om if x not in S._components)
             raise FinGroupoidError("object %r not in source" % (x,))
-        if len(self.mor_map) != len(S.morphisms):
-            m = next(m for m in self.mor_map if m not in S.inv)
+        if len(fm) != len(S.morphisms):
+            m = next(m for m in fm if m not in S.inv)
             raise FinGroupoidError("morphism %r not in source" % (m,))
+        sident, tident = S.ident, T.ident
         for o in S.objects:
-            if self.mor_map[S.ident[o]] != T.ident[self.obj_map[o]]:
+            if fm[sident[o]] != tident[om[o]]:
                 raise FinGroupoidError("identity at %r not preserved" % (o,))
         # with identities preserved, the s with F(g;s) = F(g);F(s) for
         # every g into src(s) are closed under composition and inverses,
         # so checking the source's generating set checks every pair
-        fm, scomp, tcomp = self.mor_map, S.comp, T.comp
-        for s in S._gens:
-            fs = fm[s]
-            for g in S._into[S.src[s]]:
-                if tcomp[(fm[g], fs)] != fm[scomp[(g, s)]]:
-                    raise FinGroupoidError(
-                        "composition not preserved at (%r, %r)" % (g, s))
-        object.__setattr__(self, "_fiber_cms", {})
-        object.__setattr__(self, "_fiber_trivial", {})
+        tcomp = T.comp
+        for g, s, gs in _check_plan(S):
+            if tcomp[(fm[g], fm[s])] != fm[gs]:
+                raise FinGroupoidError(
+                    "composition not preserved at (%r, %r)" % (g, s))
 
     def compose(self, other):
         """self then other."""
@@ -621,12 +649,19 @@ def identity_fin_functor(g):
 
 def object_inclusion(g, y):
     """The point groupoid landing on the object y."""
+    if y not in g._components:
+        raise FinGroupoidError("object %r not in groupoid" % (y,))
     return FinFunctor(_POINT, g, {"pt": y}, {("id", "pt"): g.ident[y]})
 
 
 def full_subgroupoid(g, objs):
-    objs = tuple(o for o in g.objects if o in set(objs))
+    """The full subgroupoid of g on the given objects of g."""
+    objs = tuple(objs)
+    for o in objs:
+        if o not in g._components:
+            raise FinGroupoidError("object %r not in groupoid" % (o,))
     oset = set(objs)
+    objs = tuple(o for o in g.objects if o in oset)
     mors = tuple(m for m in g.morphisms
                  if g.src[m] in oset and g.dst[m] in oset)
     mset = set(mors)
@@ -710,8 +745,9 @@ def _fiber_objects(F, y):
 
 def _fiber_component_map(F, y):
     """dict fiber object -> canonical representative, the least member
-    of its class in id order (graphs._sorted_ids); computed once per
-    functor and base and shared by every caller: read it, do not change it.
+    of its class in id order (graphs._sorted_ids).  The maps of all bases
+    come from one pass per functor (_fiber_pass) and are shared by every
+    caller: read them, do not change them.
 
     The fiber's arrows are the source morphisms g : x -> x2, one from
     (x, F(g);m2) to (x2, m2) for each m2 : F(x2) -> y.  The pass unites
@@ -732,20 +768,42 @@ def _fiber_classes(F, y):
 
 
 def _fiber_pass(F, y):
-    hit = F._fiber_cms.get(y)
-    if hit is None:
-        S, T = F.source, F.target
-        uf = _Classes(_fiber_objects(F, y))
-        fm, om, tcomp = F.mor_map, F.obj_map, T.comp
-        for s in S._gens:
-            x, x2, fs = S.src[s], S.dst[s], fm[s]
-            for m2 in T.hom(om[x2], y):
-                uf.union((x, tcomp[(fs, m2)]), (x2, m2))
-        # the fiber objects come in id order (sorted objects, then sorted
-        # hom-sets), so each root is the least member of its class
-        fcm = uf.roots()
-        hit = F._fiber_cms[y] = (fcm, tuple(dict.fromkeys(fcm.values())))
-    return hit
+    """(fiber component map, fiber classes) over y.  One union-find pass
+    fills them for every base of F, and they are kept on F.
+
+    The pass numbers the fiber objects over all bases densely: the block
+    of x starts at start[x], the number of fiber objects before x, and
+    (x, m) gets start[x] plus the position of m among the morphisms
+    leaving F(x) (_out_index).  Fibers over different bases never meet,
+    and within one fiber the codes follow the id order of its objects
+    (sorted source objects, then sorted hom-sets), so the smaller root
+    that wins each join is the least member of its class."""
+    try:
+        return F._fiber_cms[y]
+    except AttributeError:
+        pass
+    S, T = F.source, F.target
+    out, pos = _out_index(T)
+    fm, om, tcomp, tdst = F.mor_map, F.obj_map, T.comp, T.dst
+    start, items = {}, []
+    for x in S.objects:
+        start[x] = len(items)
+        items.extend([(x, m) for m in out[om[x]]])
+    uf = _Classes(items)
+    join = uf.join
+    for s in S._gens:
+        x2, fs = S.dst[s], fm[s]
+        i, j = start[S.src[s]], start[x2]
+        for m2 in out[om[x2]]:
+            join(i + pos[tcomp[(fs, m2)]], j)
+            j += 1
+    fcms = {b: {} for b in T.objects}
+    for o, r in uf.roots().items():
+        fcms[tdst[o[1]]][o] = r
+    cms = {b: (fcm, tuple(dict.fromkeys(fcm.values())))
+           for b, fcm in fcms.items()}
+    object.__setattr__(F, "_fiber_cms", cms)
+    return cms[y]
 
 
 def _transport(F, h, rep, target_map):
@@ -757,16 +815,28 @@ def _transport(F, h, rep, target_map):
 
 def _fiber_aut_trivial(F, y):
     """Whether every fiber object over y has only the identity
-    automorphism; computed once per functor and base, beside
-    _fiber_pass."""
-    hit = F._fiber_trivial.get(y)
-    if hit is None:
-        S, T = F.source, F.target
-        hit = F._fiber_trivial[y] = not any(
-            g != S.ident[x] and F.mor_map[g] == T.ident[F.obj_map[x]]
-            for x in S.objects if T.hom(F.obj_map[x], y)
-            for g in S.aut(x))
-    return hit
+    automorphism; decided for every base at once and kept on F.
+
+    An automorphism of (x, m) is a g in aut(x) with F(g);m = m, that is
+    F(g) = id, and hom(F x, y) is nonempty exactly when F x and y share a
+    component.  So the fiber over y is trivial iff no x with F x in y's
+    component has a g != id in aut(x) with F(g) = id."""
+    try:
+        return F._fiber_trivial[y]
+    except AttributeError:
+        pass
+    S, T = F.source, F.target
+    ycm, om, fm = T._components, F.obj_map, F.mor_map
+    kernels = set()
+    for x in S.objects:
+        c = ycm[om[x]]
+        if c not in kernels:
+            one, sid = T.ident[om[x]], S.ident[x]
+            if any(fm[g] == one and g != sid for g in S.aut(x)):
+                kernels.add(c)
+    trivial = {b: ycm[b] not in kernels for b in T.objects}
+    object.__setattr__(F, "_fiber_trivial", trivial)
+    return trivial[y]
 
 
 def _classes_over(F):
@@ -1446,19 +1516,19 @@ def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
         return FinFunctor(empty_groupoid(), target, {}, {})
     source, blocks = _assemble_blocks(
         _random_blocks(rng, max_objects, max_morphisms))
+    out, tcomp = _out_index(target)[0], target.comp
     obj_images, mor_images = [], []
     for k, gname in blocks:
         G = _GROUPS[gname]
         y = rng.choice(target.objects)
         phi = rng.choice(_homs_into_aut(G, target, y))
-        outgoing = [m for m in target.morphisms if target.src[m] == y]
-        t = [rng.choice(outgoing) for _ in range(k)]
-        obj_images.extend(target.dst[ta] for ta in t)
+        t = [rng.choice(out[y]) for _ in range(k)]
+        obj_images.extend([target.dst[ta] for ta in t])
         for ta in t:
             back = target.inv[ta]
             for g in G.elements:
-                w = target.comp[(back, phi[g])]
-                mor_images.extend(target.comp[(w, tb)] for tb in t)
+                w = tcomp[(back, phi[g])]
+                mor_images.extend([tcomp[(w, tb)] for tb in t])
     return FinFunctor(source, target, dict(enumerate(obj_images)),
                       dict(enumerate(mor_images)))
 

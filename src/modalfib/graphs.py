@@ -459,20 +459,28 @@ def product(a, b):
 
 class _Classes:
     """Union-find over a list of distinct hashable items, on their
-    positions: the items are indexed once, `parent` is a list with path
-    halving, and a union is one call.  The smaller root wins, so
-    parent[i] <= i throughout and each root is its class's first item."""
+    positions: `parent` is a list with path halving.  `join(i, j)` unites
+    the items at positions i and j; `union(a, b)` unites two items by
+    their positions, read from an index that the first `union` builds, so
+    a caller that numbers its items itself and only joins never hashes
+    them.  The smaller root wins, so parent[i] <= i throughout and each
+    root is its class's first item."""
 
     __slots__ = ("items", "index", "parent")
 
     def __init__(self, items):
         self.items = items
-        self.index = {o: i for i, o in enumerate(items)}
+        self.index = None
         self.parent = list(range(len(items)))
 
     def union(self, a, b):
+        index = self.index
+        if index is None:
+            index = self.index = {o: i for i, o in enumerate(self.items)}
+        self.join(index[a], index[b])
+
+    def join(self, i, j):
         parent = self.parent
-        i, j = self.index[a], self.index[b]
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]

@@ -22,7 +22,9 @@ class Flag:
 
     @staticmethod
     def of(b):
-        return Flag("true") if b else Flag("false")
+        """The true or the false flag; flags are immutable, so every
+        call returns one of two shared instances."""
+        return _TRUE if b else _FALSE
 
     @staticmethod
     def undecided(bound):
@@ -50,6 +52,9 @@ class Flag:
         if self.decided:
             return self.value
         return "undecided(bound=%r)" % (self.bound,)
+
+
+_TRUE, _FALSE = Flag("true"), Flag("false")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from modalfib.covers import enumerate_covers, is_cover, total_space
 from modalfib.classify import (
     classify, factor0, constant_fiber_criterion, etale_family_check,
 )
+from modalfib.verdicts import Flag
 
 
 def identity_map(g):
@@ -331,3 +332,10 @@ def test_malformed_flags_rejected_without_asserts(call, run_optimized):
         "try:\n    %s\nexcept ValueError:\n    print('rejected')\n" % call)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "rejected\n"
+
+
+def test_flag_of_hands_out_one_true_and_one_false_flag():
+    # flags are immutable, so the verdict routes share two instances
+    assert Flag.of(1) is Flag.of(True) == Flag("true")
+    assert Flag.of(0) is Flag.of(()) == Flag("false")
+    assert Flag.of(True).render() == "true" and Flag.of(False).is_false

@@ -12,7 +12,11 @@ builds must be those least members, the invariant `_fiber_pass` reads
 its representatives by.  Route (d) of `nine_way`, which transports each
 class once per morphism, is checked against the pair-by-pair transports
 it replaces, and a counted-work guard bounds the transports one
-`nine_way` call makes.
+`nine_way` call makes.  The fibers over all bases come from a single
+`_Classes` pass per functor; the kernel rule that decides trivial fiber
+automorphisms by target component must agree with the per-base scan of
+the source objects; and `_Classes.join` on positions must partition as
+`union` on items does.
 """
 
 import gc
@@ -26,11 +30,11 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, _Classes, _classes_over, _connecting_map_fibration,
-    _fiber_classes, _fiber_component_map, _fiber_objects,
-    _modal_factor_etale, _pullback_preserved, _transport,
-    connected_groupoid, homotopy_pullback, nine_way, object_inclusion,
-    product_groupoid, random_functor, random_functor_into, random_groupoid,
-    GROUP_NAMES,
+    _fiber_aut_trivial, _fiber_classes, _fiber_component_map,
+    _fiber_objects, _modal_factor_etale, _pullback_preserved, _transport,
+    connected_groupoid, discrete_groupoid, group_groupoid,
+    homotopy_pullback, nine_way, object_inclusion, product_groupoid,
+    random_functor, random_functor_into, random_groupoid, GROUP_NAMES,
 )
 from modalfib.graphs import _sort_key
 from reference_union_find import UnionFind
@@ -138,6 +142,16 @@ def ref_connecting_map_fibration(F, fcms, classes, gamma):
     return True, passes
 
 
+def ref_fiber_aut_trivial(F, y):
+    """Whether no fiber object over y has an automorphism other than the
+    identity, by a scan of the source objects whose image reaches y."""
+    S, T = F.source, F.target
+    return not any(
+        g != S.ident[x] and F.mor_map[g] == T.ident[F.obj_map[x]]
+        for x in S.objects if T.hom(F.obj_map[x], y)
+        for g in S.aut(x))
+
+
 def ref_factorizations_agree(F, fcms, classes, gamma):
     """Route (d) of nine_way, transporting once per pair of classes."""
     T = F.target
@@ -224,6 +238,72 @@ def test_fiber_component_map_matches_all_morphism_pass(kind, seed):
             == sorted(set(ref.values()), key=_sort_key)
         # computed once and shared
         assert _fiber_component_map(F, y) is fcm
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_one_fiber_pass_fills_every_base(kind, seed):
+    F = sample_functor(kind, random.Random(seed))
+    objs = F.target.objects
+    with recorded_passes() as made:
+        _fiber_component_map(F, objs[seed % len(objs)])
+        assert set(F._fiber_cms) == set(objs)
+        for y in objs:
+            _fiber_component_map(F, y)
+            _fiber_classes(F, y)
+    assert len(made) == 1
+    assert len(made[0].items) \
+        == sum(len(_fiber_objects(F, y)) for y in objs)
+    # the pass joins dense codes and never indexes the fiber objects
+    assert made[0].index is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_fiber_kernels_decided_by_component(kind, seed):
+    F = sample_functor(kind, random.Random(seed))
+    for y in F.target.objects:
+        assert _fiber_aut_trivial(F, y) is ref_fiber_aut_trivial(F, y)
+
+
+def test_fiber_kernel_over_one_component_only():
+    # c2 collapsed onto a: the fiber over a is c2 itself, the fiber over
+    # b, in another component, is empty
+    S, T = group_groupoid("c2"), discrete_groupoid(("a", "b"))
+    F = FinFunctor(S, T, {"o": "a"},
+                   {m: T.ident["a"] for m in S.morphisms})
+    assert [_fiber_aut_trivial(F, y) for y in T.objects] \
+        == [ref_fiber_aut_trivial(F, y) for y in T.objects] == [False, True]
+
+
+ITEMS = st.lists(
+    st.one_of(st.integers(-5, 40), st.text("abc", max_size=2),
+              st.tuples(st.integers(0, 3), st.text("ab", max_size=1))),
+    unique=True, min_size=1, max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ITEMS, st.data())
+def test_join_on_positions_matches_union_on_items(items, data):
+    pairs = data.draw(st.lists(st.tuples(
+        st.integers(0, len(items) - 1), st.integers(0, len(items) - 1)),
+        max_size=40))
+    by_item, by_pos, ref = _Classes(items), _Classes(items), \
+        UnionFind(items)
+    for i, j in pairs:
+        by_item.union(items[i], items[j])
+        by_pos.join(i, j)
+        ref.union(items[i], items[j])
+    # a caller that only joins never indexes its items
+    assert by_pos.index is None
+    roots = by_pos.roots()
+    assert by_item.roots() == roots
+    assert list(roots) == items
+    # the same partition as the reference, each root its class's first
+    first = {}
+    for o in items:
+        first.setdefault(ref.find(o), o)
+    assert roots == {o: first[ref.find(o)] for o in items}
 
 
 @settings(max_examples=60, deadline=None)

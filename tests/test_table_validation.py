@@ -8,7 +8,8 @@ single-entry corruption of a valid one: a changed composite or image, an
 identity swapped for another automorphism, a dropped entry or an extra
 one on a pair that does not compose.  The memoized catalog assemblies
 must equal fresh ones and leave the rng stream as it was, and the cached
-component map must equal a fresh union-find.
+component map must equal a fresh union-find.  `object_inclusion` and
+`full_subgroupoid` name the first object that is not in the groupoid.
 """
 
 import hashlib
@@ -20,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, FinGroupoid, FinGroupoidError, _assemble_blocks,
-    _build_blocks, group_groupoid, group_hom_functor, hfiber,
-    homotopy_pullback, nine_way, product_groupoid, random_functor,
+    _build_blocks, connected_groupoid, full_subgroupoid, group_groupoid,
+    group_hom_functor, hfiber, homotopy_pullback, nine_way,
+    object_inclusion, product_groupoid, random_functor,
     random_functor_into, random_groupoid,
 )
 from reference_catalog import ref_build_blocks
@@ -351,3 +353,48 @@ def test_functor_rejects_foreign_keys_without_asserts(run_optimized):
     assert run.returncode == 0, run.stderr
     assert run.stdout == ("object 'zzz' not in source\n"
                           "morphism 'junk' not in source\n")
+
+
+def test_object_inclusion_rejects_a_foreign_object():
+    with pytest.raises(FinGroupoidError, match="object 'zzz' not in groupoid"):
+        object_inclusion(group_groupoid("c2"), "zzz")
+
+
+def test_full_subgroupoid_rejects_objects_outside_the_groupoid():
+    g = connected_groupoid((0, 1, 2), "c3")
+    with pytest.raises(FinGroupoidError, match="object 'zzz' not in groupoid"):
+        full_subgroupoid(g, ["zzz"])
+    # the first foreign object in the order given is named
+    with pytest.raises(FinGroupoidError, match="object 'yy' not in groupoid"):
+        full_subgroupoid(g, iter([2, "yy", 0, "zzz"]))
+
+
+def test_foreign_objects_rejected_without_asserts(run_optimized):
+    run = run_optimized(
+        "from modalfib.fingroupoids import *\n"
+        "g = group_groupoid('c2')\n"
+        "for call in (lambda: object_inclusion(g, 'zzz'),\n"
+        "             lambda: full_subgroupoid(g, ['o', 'zzz'])):\n"
+        "    try:\n        call()\n"
+        "    except FinGroupoidError as e:\n        print(e)\n"
+        "    else:\n        print('accepted')\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ("object 'zzz' not in groupoid\n" * 2)
+
+
+@pytest.mark.parametrize("keep", [(), (2,), (2, 0), (0, 1, 2)])
+def test_full_subgroupoid_keeps_every_morphism_between_its_objects(keep):
+    g = connected_groupoid((0, 1, 2), "s3")
+    h = full_subgroupoid(g, iter(keep))
+    assert h.objects == tuple(sorted(keep))
+    assert h.morphisms == tuple(m for m in g.morphisms
+                                if g.src[m] in keep and g.dst[m] in keep)
+    for a in keep:
+        assert h.ident[a] == g.ident[a]
+        for b in keep:
+            assert h.hom(a, b) == g.hom(a, b)
+            for p in h.hom(a, b):
+                for c in keep:
+                    for q in h.hom(b, c):
+                        assert h.comp[(p, q)] == g.comp[(p, q)]
+    assert h.component_map() == {o: min(keep) for o in keep}
