@@ -385,11 +385,6 @@ class SubgroupAutomaton:
     def contains(self, word):
         return self.trace(word) == 0
 
-    def coset_state(self, word):
-        """State reached from the root, or None; complete automata give
-        the full Schreier coset action."""
-        return self.trace(word)
-
     # -- structure ---------------------------------------------------------
 
     def transitions(self):

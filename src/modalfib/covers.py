@@ -15,7 +15,8 @@ letters g then h moves a fiber point i to perm[h][perm[g][i]].
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
-from .graphs import FinGraph, GraphMap, pi0, _Classes, _least_id, _sorted_ids
+from .graphs import (FinGraph, GraphMap, pi0, component_map, _Classes,
+                     _least_id, _sorted_ids)
 from .words import mul, inv, Unknown
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
@@ -35,6 +36,13 @@ class CoverError(Exception):
     def __init__(self, message, subject=None):
         super().__init__(message)
         self.subject = subject
+
+
+def _check_base(vertex_index, base):
+    """Raise CoverError unless base is a key of the dict vertex_index."""
+    if base not in vertex_index:
+        raise CoverError("base %r is not a vertex of the base graph"
+                         % (base,), ("vertex", base))
 
 
 def is_cover(p):
@@ -98,9 +106,7 @@ class MonodromyAction:
     perms: dict                   # letter -> {fiber point -> fiber point}
 
     def __post_init__(self):
-        if self.base not in self.shape.comp_of:
-            raise CoverError("base %r is not a vertex of the base graph"
-                             % (self.base,), ("vertex", self.base))
+        _check_base(self.shape.comp_of, self.base)
         letters = self.letters
         fib = set()
         for x in self.fiber:
@@ -155,6 +161,7 @@ def monodromy(p, base):
         raise CoverError(
             "target not connected: decompose per component first")
     shape = shape1(cover.target)
+    _check_base(shape.comp_of, base)
     comp = shape.components[shape.comp_of[base]]
     fiber = tuple(x for x in cover.source.vertices
                   if cover.map.vertex_map[x] == base)
@@ -222,6 +229,7 @@ def universal_cover_ball(x, base, r):
     the base, one edge per extension.  Always a tree."""
     if len(pi0(x)) != 1:
         raise CoverError("base not connected")
+    _check_base(component_map(x), base)
     endpoint = {(): base}
     layers = [[()]]
     for _ in range(r):

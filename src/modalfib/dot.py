@@ -8,6 +8,8 @@ be valid DOT identifiers.
 
 from .graphs import FinGraph
 
+__all__ = ["graph_dot", "fin_groupoid_dot"]
+
 
 def _esc(x):
     s = str(x)

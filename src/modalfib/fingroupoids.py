@@ -22,8 +22,8 @@ from .verdicts import Flag, LevelVerdicts
 
 __all__ = [
     "FinGroupoidError", "FinGroupoid", "FinFunctor", "HomotopyFiberG",
-    "empty_groupoid", "discrete_groupoid", "codiscrete_groupoid",
-    "connected_groupoid", "group_groupoid", "group_hom_functor",
+    "empty_groupoid", "discrete_groupoid", "connected_groupoid",
+    "group_groupoid", "group_hom_functor",
     "identity_fin_functor", "object_inclusion", "full_subgroupoid",
     "trunc0", "trunc_prop", "hfiber", "classify_trunc",
     "factor_connected_modal", "factor_equiv_etale", "connecting_functor",
@@ -616,11 +616,6 @@ def connected_groupoid(labels, group_name):
         comp, {o: (o, G.unit, o) for o in labels})
 
 
-def codiscrete_groupoid(labels):
-    """Exactly one morphism between any two objects (contractible)."""
-    return connected_groupoid(labels, "c1")
-
-
 def group_groupoid(group_name, label="o"):
     """One object whose automorphisms are the named group."""
     return connected_groupoid((label,), group_name)
@@ -676,18 +671,12 @@ def full_subgroupoid(g, objs):
 # truncations
 
 def trunc0(g):
-    """Discrete groupoid on isomorphism classes, with its unit functor.
-    Built once per groupoid; every caller shares the pair."""
-    try:
-        return g._trunc0
-    except AttributeError:
-        pass
+    """Discrete groupoid on isomorphism classes, with its unit functor."""
     cm = g.component_map()
     classes = tuple(_sorted_ids(set(cm.values())))
     t = discrete_groupoid(classes)
     unit = FinFunctor(g, t, {o: cm[o] for o in g.objects},
                       {m: t.ident[cm[g.src[m]]] for m in g.morphisms})
-    object.__setattr__(g, "_trunc0", (t, unit))
     return t, unit
 
 
@@ -1138,16 +1127,21 @@ def product_groupoid(A, B):
 
 def compare_modalities(F):
     """The five transfer implications between the inhabitedness level and
-    the component level, each judged on this one functor."""
+    the component level, each judged on this one functor.
+
+    Fibration transfers down when F is a level-0 fibration and so is its
+    discrete shadow at level -1: the functor that F induces from the
+    classes of trunc0(F.source) to those of trunc0(F.target).  The
+    shadow's fiber over a class d is inhabited iff some x has F x in d,
+    so its level -1 flag is read off the source classes over each target
+    class, and no shadow is built.  That flag is also F's own level -1
+    flag, as hom(F x, y) is nonempty iff F x and y share a component:
+    the premise contains the conclusion, and this implication cannot
+    fail here."""
     lo = classify_trunc(F, -1)
     hi = classify_trunc(F, 0)
-    t0, _ = trunc0(F.source)
-    t0y, _ = trunc0(F.target)
-    ycm = F.target.component_map()
-    shadow = FinFunctor(
-        t0, t0y, {c: ycm[F.obj_map[c]] for c in t0.objects},
-        {m: t0y.ident[ycm[F.obj_map[m[1]]]] for m in t0.morphisms})
-    shadow_lo = classify_trunc(shadow, -1)
+    xcm, _, over = _classes_over(F)
+    shadow_fibration = not xcm or all(over.values())
 
     def imp(premise, conclusion):
         return {"premise": premise, "conclusion": conclusion,
@@ -1160,7 +1154,7 @@ def compare_modalities(F):
                                     lo.equivalence.is_true),
         "connected_descends": imp(hi.connected.is_true, lo.connected.is_true),
         "fibration_transfers": imp(
-            hi.fibration.is_true and shadow_lo.fibration.is_true,
+            hi.fibration.is_true and shadow_fibration,
             lo.fibration.is_true),
     }
     report["all_hold"] = all(v["holds"] for v in report.values())

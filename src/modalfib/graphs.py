@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 __all__ = [
-    "FinGraph", "GraphMap", "VertexFiber", "DEG",
+    "GraphError", "FinGraph", "GraphMap", "VertexFiber", "DEG",
     "fiber", "pullback", "product", "terminal_map",
     "pi0", "component_map", "pi0_by_definition",
     "flat", "is_discrete",

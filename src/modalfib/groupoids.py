@@ -29,7 +29,7 @@ from .words import (
 from .automata import SubgroupAutomaton
 
 __all__ = [
-    "Component", "PresGroupoid", "shape1", "shape_summary",
+    "Component", "PresGroupoid", "shape1",
     "GroupoidFunctor", "induce_functor", "identity_functor", "natural_iso",
 ]
 
@@ -129,11 +129,6 @@ class PresGroupoid:
 
 def shape1(graph):
     return PresGroupoid(graph)
-
-
-def shape_summary(graph):
-    """Sorted (base, size, rank) rows, one per component."""
-    return shape1(graph).summary()
 
 
 class GroupoidFunctor:

@@ -70,10 +70,6 @@ class CosetEntry:
     def same_coset(self, w1, w2):
         return self.subgroup.contains(mul(w1, inv(w2)))
 
-    def vertex_group(self, rep):
-        """Stabilizer of the coset of rep: the conjugated subgroup."""
-        return self.subgroup.conjugate_by(rep)
-
     def coset_count(self):
         return self.subgroup.index()
 
@@ -118,9 +114,6 @@ class CosetGroupoid:
     target_base: object
     ambient_letters: tuple
     entries: list
-
-    def is_empty(self):
-        return not self.entries
 
     def total_cosets(self):
         """Total number of cosets, or None when some entry is infinite."""

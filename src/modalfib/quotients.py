@@ -20,8 +20,7 @@ from .fingroupoids import FinGroupoid, FinFunctor, discrete_groupoid
 
 __all__ = [
     "ActionError", "SizeError", "FinGroup", "GraphAction", "ActionGroupoid",
-    "trivial_group", "cyclic_group", "klein_group",
-    "graph_action", "trivial_action",
+    "trivial_group", "cyclic_group", "klein_group", "graph_action",
     "enumerate_automorphisms", "enumerate_actions",
     "shape_of_quotient", "shape_quotient_functor", "orbit_graph",
     "quotient_is_fibration", "fiber_sequence_check",
@@ -217,11 +216,6 @@ def graph_action(group, space, gen_images):
             m = m.compose(gens[i])
         maps[el] = m
     return GraphAction(group, space, maps)
-
-
-def trivial_action(group, space):
-    ident = GraphMap.identity(space)
-    return graph_action(group, space, [ident] * len(group.generators))
 
 
 def enumerate_automorphisms(g):

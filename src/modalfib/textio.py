@@ -36,7 +36,7 @@ __all__ = [
     "ParseError", "Document", "parse_document", "serialize_document",
     "serialize_graph", "serialize_map", "serialize_monodromy",
     "serialize_action", "serialize_groupoid", "serialize_automaton",
-    "serialize_fingroupoid", "cycles_of_perm",
+    "serialize_fingroupoid", "cycles_of_perm", "token",
 ]
 
 _CYCLE = re.compile(r"\(([^()]*)\)")

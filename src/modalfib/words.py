@@ -18,7 +18,7 @@ from math import ceil
 __all__ = [
     "reduce_word", "mul", "inv", "conj", "power",
     "cyclic_reduce", "is_cyclically_reduced", "primitive_root",
-    "rotations", "conjugacy_witness", "solve_simultaneous_conjugacy",
+    "conjugacy_witness", "Unknown", "solve_simultaneous_conjugacy",
 ]
 
 EMPTY = ()
@@ -95,10 +95,6 @@ def primitive_root(w):
         if power(r, n // d) == w:
             return r, n // d
     raise AssertionError("unreachable")
-
-
-def rotations(w):
-    return [w[i:] + w[:i] for i in range(max(1, len(w)))]
 
 
 def conjugacy_witness(a, b):

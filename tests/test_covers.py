@@ -181,6 +181,31 @@ def test_enumerate_rejects_bad_input():
         enumerate_covers(disjoint_union(loop(), loop()), 2)
 
 
+BAD_BASES = [
+    "monodromy(total_space(five_fold_action()), 'nope')",
+    "shape_of_total(total_space(five_fold_action()), base='nope')",
+    "universal_cover_ball(loop(), 'nope', 3)",
+]
+
+
+@pytest.mark.parametrize("call", BAD_BASES)
+def test_base_that_is_not_a_vertex_rejected(call):
+    with pytest.raises(CoverError) as info:
+        eval(call)
+    assert info.value.subject == ("vertex", "nope")
+    assert "'nope'" in str(info.value)
+
+
+def test_base_that_is_not_a_vertex_rejected_without_asserts(run_optimized):
+    run = run_optimized(
+        "from modalfib.corpus import loop\n"
+        "from modalfib.covers import CoverError, universal_cover_ball\n"
+        "try:\n    %s\nexcept CoverError as e:\n    print(e.subject)\n"
+        % BAD_BASES[-1])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "('vertex', 'nope')\n"
+
+
 def test_enumerated_covers_build_valid_total_spaces():
     for base in (loop(), figure_eight()):
         for n in (1, 2, 3):

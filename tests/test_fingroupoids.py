@@ -390,6 +390,61 @@ def test_comparison_report_shape():
     assert rep["fibration_transfers"]["conclusion"]
 
 
+def shadow_fibration(F):
+    """Whether the discrete shadow trunc0(F) is a fibration at level -1,
+    by building it: trunc0 of both sides, the functor between them, and
+    its classification."""
+    t0, _ = trunc0(F.source)
+    t0y, _ = trunc0(F.target)
+    ycm = F.target.component_map()
+    shadow = FinFunctor(
+        t0, t0y, {c: ycm[F.obj_map[c]] for c in t0.objects},
+        {m: t0y.ident[ycm[F.obj_map[m[1]]]] for m in t0.morphisms})
+    return classify_trunc(shadow, -1).fibration.is_true
+
+
+def test_fibration_premise_matches_the_built_shadow():
+    rng = random.Random(26)
+    fired = set()
+    functors = [random_functor(rng) for _ in range(1000)]
+    # an empty source, and a point that misses a target component
+    functors.append(empty_into_b2())
+    misses = object_inclusion(discrete_groupoid(("a", "b")), "a")
+    functors.append(misses)
+    for F in functors:
+        hi = classify_trunc(F, 0)
+        premise = compare_modalities(F)["fibration_transfers"]["premise"]
+        shadow = shadow_fibration(F)
+        assert premise == (hi.fibration.is_true and shadow)
+        # the shadow's flag is F's own level -1 flag: the premise
+        # contains the conclusion
+        assert shadow == classify_trunc(F, -1).fibration.is_true
+        fired.add(premise)
+    assert fired == {True, False}
+    assert compare_modalities(functors[-2])["fibration_transfers"]["premise"]
+    assert classify_trunc(misses, 0).fibration.is_true
+    assert not shadow_fibration(misses)
+
+
+def test_compare_modalities_builds_no_functor(monkeypatch):
+    rng = random.Random(27)
+    functors = [random_functor(rng) for _ in range(50)]
+    built = []
+    for cls in (FinGroupoid, FinFunctor):
+        init = cls.__post_init__
+
+        def counted(self, init=init):
+            built.append(type(self).__name__)
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for F in functors:
+        compare_modalities(F)
+    assert built == []
+    # the count sees a functor that is built
+    identity_fin_functor(functors[0].source)
+    assert built == ["FinFunctor"]
+
+
 def test_surjective_criterion_on_random_corpus():
     rng = random.Random(20)
     hits = 0

@@ -16,7 +16,7 @@ from modalfib.corpus import (
     random_words,
 )
 from modalfib.groupoids import (
-    shape1, shape_summary, induce_functor, identity_functor, natural_iso,
+    shape1, induce_functor, identity_functor, natural_iso,
 )
 from modalfib.words import mul, inv, conj, reduce_word
 from modalfib.graphs import pi0
@@ -43,11 +43,11 @@ def test_shape_ranks_match_euler():
 
 def test_shape_known_cases():
     for k in range(3, 13):
-        assert shape_summary(cycle(k)) == [(0, k, 1)]
-    assert shape_summary(bouquet(2)) == [("w", 1, 2)]
-    assert shape_summary(star(4)) == [(0, 5, 0)]
+        assert shape1(cycle(k)).summary() == [(0, k, 1)]
+    assert shape1(bouquet(2)).summary() == [("w", 1, 2)]
+    assert shape1(star(4)).summary() == [(0, 5, 0)]
     two = disjoint_union(cycle(3), path_graph(2))
-    assert [r for _, _, r in shape_summary(two)] == [1, 0]
+    assert [r for _, _, r in shape1(two).summary()] == [1, 0]
 
 
 def test_tree_paths_have_empty_words():

@@ -112,7 +112,7 @@ def test_double_cover_symbolic_fiber():
 
     # stabilizers at both cosets are the same squared subgroup
     for x in (0, 3):
-        assert entry.vertex_group(entry.marked[x]).same(squares)
+        assert entry.subgroup.conjugate_by(entry.marked[x]).same(squares)
 
     reps, truncated = entry.enumerate_cosets()
     assert len(reps) == 2 and not truncated
@@ -190,7 +190,7 @@ def test_unreached_component_is_vacuous():
     dst = disjoint_union(point("p"), point("q"))
     f = GraphMap.build(point(), dst, {"pt": (0, "p")}, {})
     hf = homotopy_fiber(induce_functor(f), (1, "q"))
-    assert hf.is_empty()
+    assert not hf.entries
     assert gamma_is_equivalence(f, (1, "q"))
     assert gamma_is_equivalence(f, (0, "p"))
 

@@ -21,7 +21,7 @@ import modalfib
 from modalfib import fingroupoids
 from modalfib.automata import SubgroupAutomaton
 from modalfib.cli import main
-from modalfib.fingroupoids import codiscrete_groupoid, discrete_groupoid
+from modalfib.fingroupoids import connected_groupoid, discrete_groupoid
 from modalfib.graphs import FinGraph, GraphMap, _sort_key, pi0
 from modalfib.groupoids import shape1
 from modalfib.quotients import ActionGroupoid, cyclic_group, graph_action
@@ -157,7 +157,7 @@ def test_cycles_of_perm(points, rng):
 @given(soups)
 def test_fin_groupoid_objects_and_morphisms(objs):
     for g in (discrete_groupoid(reversed(objs)),
-              codiscrete_groupoid(objs[:6])):
+              connected_groupoid(objs[:6], "c1")):
         assert list(g.objects) == keyed(g.objects)
         assert list(g.morphisms) == keyed(g.morphisms)
     assert list(discrete_groupoid(reversed(objs)).objects) == objs

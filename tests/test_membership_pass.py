@@ -66,7 +66,7 @@ def agrees(a, word, start):
     assert a.trace(word, start) == want
     if start == 0:
         assert a.contains(word) == (want == 0)
-        assert a.coset_state(word) == want
+        assert a.trace(word) == want
 
 
 # "c" is foreign to every automaton here

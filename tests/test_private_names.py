@@ -1,20 +1,27 @@
-"""Every private function and every import of the package is used.
+"""Every private function, every import and every exported name of the
+package is used.
 
 A private module-level function or method (one `_`, not a dunder) is no
 API: if nothing in `src/modalfib` names it outside its own definition, it
 is dead code, kept alive only by the tests that call it.  A module-level
 import that its module never names, and does not list in `__all__`, is
-dead too.  These tests read the package's sources with `ast` and list
-such functions and imports.
+dead too.  A name in a module's `__all__` is public: it needs a caller in
+the package or in `perfbench/`, or a line under the README's "Library
+API" heading, which names the fixtures, oracles and builders kept for
+callers outside the package.  Every public module-level function and
+class is listed in its module's `__all__`.  These tests read the sources
+with `ast` and list the names that break these rules.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import modalfib
 
 PACKAGE = Path(modalfib.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def referenced(tree):
@@ -80,3 +87,50 @@ def test_every_module_level_import_is_used():
                         unused.append("%s:%d %s" % (p.name, node.lineno,
                                                     name))
     assert unused == []
+
+
+def module_defs(tree):
+    """The functions and classes at module level, by name."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def library_api():
+    """The names in backticks under the README's "Library API" heading,
+    up to the next heading of its level."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([^`]+)`", section))
+
+
+def test_every_exported_name_has_a_caller_or_is_library_api():
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(referenced(tree))
+    bench = Counter()
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        bench.update(referenced(ast.parse(p.read_text(), str(p))))
+    documented = library_api()
+    assert {"random_map", "trunc0", "natural_iso"} <= documented
+    unused = []
+    for name, tree in trees.items():
+        defs = module_defs(tree)
+        for e in sorted(exported(tree)):
+            own = referenced(defs[e])[e] if e in defs else 0
+            if uses[e] - own <= 0 and not bench[e] and e not in documented:
+                unused.append("%s %s" % (name, e))
+    assert unused == []
+
+
+def test_every_public_function_and_class_is_exported():
+    missing = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        names = exported(tree)
+        missing += ["%s:%d %s" % (p.name, d.lineno, name)
+                    for name, d in module_defs(tree).items()
+                    if not name.startswith("_") and name not in names]
+    assert missing == []

@@ -21,7 +21,7 @@ from modalfib.fingroupoids import FinGroupoid, hfiber
 from modalfib.quotients import (
     ActionError, SizeError, FinGroup, ActionGroupoid,
     trivial_group, cyclic_group, klein_group,
-    graph_action, trivial_action,
+    graph_action,
     enumerate_automorphisms, enumerate_actions,
     shape_of_quotient, shape_quotient_functor, orbit_graph,
     quotient_is_fibration, fiber_sequence_check,
@@ -181,10 +181,14 @@ def test_trivial_point_quotient_delooping():
             out.append(k)
         return sorted(out)
 
-    q4 = shape_of_quotient(trivial_action(cyclic_group(4), point()))
+    c4, k4, pt = cyclic_group(4), klein_group(), point()
+    ident = GraphMap.identity(pt)
+    q4 = shape_of_quotient(
+        graph_action(c4, pt, [ident] * len(c4.generators)))
     assert (len(q4.objects), len(q4.morphisms)) == (1, 4)
     assert orders(q4) == [1, 2, 4, 4]
-    qk = shape_of_quotient(trivial_action(klein_group(), point()))
+    qk = shape_of_quotient(
+        graph_action(k4, pt, [ident] * len(k4.generators)))
     assert (len(qk.objects), len(qk.morphisms)) == (1, 4)
     assert orders(qk) == [1, 2, 2, 2]
 
@@ -245,7 +249,10 @@ def test_fiber_sequence_star_center():
 
 
 def test_fiber_sequence_trivial_action():
-    r = fiber_sequence_check(trivial_action(klein_group(), point()), "pt")
+    k4, pt = klein_group(), point()
+    r = fiber_sequence_check(
+        graph_action(k4, pt, [GraphMap.identity(pt)] * len(k4.generators)),
+        "pt")
     assert r["orbit_size"] == 1
     assert r["stabilizer_size"] == 4
     assert r["exact"] and r["fiber_matches_group"]
@@ -267,7 +274,9 @@ def test_fiber_sequence_exact_everywhere():
 def test_fibration_spec_rows():
     assert quotient_is_fibration(swap_star_action())
     assert quotient_is_fibration(rotation_c6_action())
-    assert quotient_is_fibration(trivial_action(klein_group(), point()))
+    k4, pt = klein_group(), point()
+    assert quotient_is_fibration(
+        graph_action(k4, pt, [GraphMap.identity(pt)] * len(k4.generators)))
     assert quotient_is_fibration(loop_flip_action())
     assert quotient_is_fibration(edge_reversal_action())
 
@@ -358,7 +367,8 @@ def test_quotient_functor_fibers_are_group_sized():
     assert len(set(cm.values())) == 2
     assert all(m == H.groupoid.ident[H.groupoid.src[m]]
                for m in H.groupoid.morphisms)
-    tk = trivial_action(klein_group(), point())
+    k4, pt = klein_group(), point()
+    tk = graph_action(k4, pt, [GraphMap.identity(pt)] * len(k4.generators))
     Hk = hfiber(shape_quotient_functor(tk), "pt")
     assert len(Hk.groupoid.objects) == 4
     assert len(set(Hk.groupoid.component_map().values())) == 4

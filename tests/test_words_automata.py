@@ -458,7 +458,7 @@ def test_coset_states_partition_words():
     H = SubgroupAutomaton.from_words((0, 1), [power(a, 2), b, mul(a, b, inv(a))])
     for w1 in random_words(rng, 2, 15, 5):
         for w2 in random_words(rng, 2, 3, 5):
-            same_state = H.coset_state(w1) == H.coset_state(w2)
+            same_state = H.trace(w1) == H.trace(w2)
             assert same_state == H.contains(mul(w1, inv(w2)))
 
 
