@@ -309,12 +309,6 @@ class SubgroupAutomaton:
         n, delta = _numbered(letters, darts, list(range(len(darts))))
         return SubgroupAutomaton(letters, n, delta)
 
-    @staticmethod
-    def full_group(letters):
-        """The whole free group: one state, every letter a loop."""
-        letters = tuple(_sorted_ids(set(letters)))
-        return SubgroupAutomaton(letters, 1, {(0, a): 0 for a in letters})
-
     # -- tracing -----------------------------------------------------------
 
     def step(self, state, letter, sign):

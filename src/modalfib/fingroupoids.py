@@ -18,7 +18,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .graphs import _Classes, _sorted_ids
-from .verdicts import Flag, LevelVerdicts
+from .verdicts import LevelVerdicts
 
 __all__ = [
     "FinGroupoidError", "FinGroupoid", "FinFunctor", "HomotopyFiberG",
@@ -386,17 +386,19 @@ def _vertex_group(mul, e, names):
 def _keep_frame(g, base, tree, gens):
     """Store the component map, the `into` index (object -> morphisms
     ending there, in id order) and the generating set: the vertex-group
-    generators `gens`, then the tree arrows.
+    generators `gens`, then the tree arrows that are not identities.
 
     Their inverses need no place in the generating set, because a functor
-    check that passes at s passes at inv(s).  The same set drives the
+    check that passes at s passes at inv(s), and the identities need none
+    either, because it passes at every identity once identities are
+    preserved, which FinFunctor checks first.  The same set drives the
     level-0 component passes (fibers, the pullback square, the two
     middles and the connecting map's fibers): each unites along the
     generators only, since the morphisms whose relation holds are closed
     under composition and inverses.
     """
-    objs = g.objects
-    gens.extend(tree[a] for a in objs)
+    objs, ident = g.objects, g.ident
+    gens.extend(tree[a] for a in objs if tree[a] != ident[a])
     into = {o: [] for o in objs}
     for m in g.morphisms:
         into[g.dst[m]].append(m)
@@ -433,6 +435,18 @@ def _out_index(g):
         ms.append(m)
     object.__setattr__(g, "_out", (out, pos))
     return out, pos
+
+
+def _hom_positions(g):
+    """morphism -> its position in hom(src, dst), in id order, so that
+    g.hom(a, b)[pos[m]] is m.  Built once per groupoid, on first use."""
+    try:
+        return g._hom_pos
+    except AttributeError:
+        pass
+    pos = {m: i for ms in g._hom.values() for i, m in enumerate(ms)}
+    object.__setattr__(g, "_hom_pos", pos)
+    return pos
 
 
 def _morphism_label(m):
@@ -876,10 +890,7 @@ def _flags_level0(F):
             delta = _sorted_ids({xcm[x] for (x, _) in classes})
             if len(classes) != len(want) or delta != want:
                 etale = False
-    return LevelVerdicts(
-        modal=Flag.of(modal), connected=Flag.of(connected),
-        etale=Flag.of(etale), equivalence=Flag.of(equivalence),
-        fibration=Flag.of(fibration))
+    return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
 
 def _flags_level_prop(F):
@@ -911,10 +922,7 @@ def _flags_level_prop(F):
         if (inhabited != x_inhabited) or (inhabited and not contractible):
             etale = False
     equivalence = x_inhabited == bool(T.objects)
-    return LevelVerdicts(
-        modal=Flag.of(modal), connected=Flag.of(connected),
-        etale=Flag.of(etale), equivalence=Flag.of(equivalence),
-        fibration=Flag.of(fibration))
+    return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
 
 def classify_trunc(F, level):
@@ -1174,8 +1182,9 @@ def nine_way(F, rng=None, sampled_bases=3):
     """
     T = F.target
     xcm, ycm, over = _classes_over(F)
-    fcms = {y: _fiber_component_map(F, y) for y in T.objects}
-    classes = {y: _fiber_classes(F, y) for y in T.objects}
+    fcms, classes = {}, {}
+    for y in T.objects:
+        fcms[y], classes[y] = _fiber_pass(F, y)
     gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
 
     # (a) the comparison from collapsed fibers to classes is bijective
@@ -1261,30 +1270,71 @@ def _pullback_preserved(F, G):
     join united ends contain the identities and are closed under
     composition and inverses, so they are every morphism (see
     _fiber_component_map).
+
+    The pass joins codes and never hashes an object of the square: (x,
+    y, m) is start + the position of m in hom(F x, G y) (_hom_positions),
+    where the block of (x, y) starts after those of the earlier x, then
+    of the earlier y.  The codes follow the id order of the objects, so
+    the smaller root that wins each join is the least member of its
+    class, and the roots are the positions that are their own parent.
+    Every root (x, y, m) lies over a pair of components of X and Y with
+    one image component in Z, so the roots meet each such pair exactly
+    once iff their pairs are distinct and as many as those pairs.
     """
     X, Y, Z = F.source, G.source, F.target
-    xcm, zcm, _ = _classes_over(F)
+    xcm, zcm, over = _classes_over(F)
     ycm = Y.component_map()
-    objs = [(x, y, m) for x in X.objects for y in Y.objects
-            for m in Z.hom(F.obj_map[x], G.obj_map[y])]
-    uf = _Classes(objs)
-    zcomp = Z.comp
+    hom, hpos, zcomp = Z._hom, _hom_positions(Z), Z.comp
+    gys = [G.obj_map[y] for y in Y.objects]
+    # x -> (start of the block of (x, y), hom(F x, G y)) for y in order
+    items, blocks = [], {}
+    for x in X.objects:
+        fx = F.obj_map[x]
+        starts, homs = blocks[x] = [], []
+        for y, gy in zip(Y.objects, gys):
+            ms = hom.get((fx, gy), ())
+            starts.append(len(items))
+            homs.append(ms)
+            items.extend([(x, y, m) for m in ms])
+    uf = _Classes(items)
+    join = uf.join
     for s in X._gens:
-        x, x2, fs = X.src[s], X.dst[s], F.mor_map[s]
-        for y in Y.objects:
-            for m2 in Z.hom(F.obj_map[x2], G.obj_map[y]):
-                uf.union((x, y, zcomp[(fs, m2)]), (x2, y, m2))
+        fs = F.mor_map[s]
+        starts = blocks[X.src[s]][0]
+        starts2, homs2 = blocks[X.dst[s]]
+        for i, j, ms in zip(starts, starts2, homs2):
+            for m2 in ms:
+                join(i + hpos[zcomp[(fs, m2)]], j)
+                j += 1
+    at = {y: k for k, y in enumerate(Y.objects)}
     for t in Y._gens:
-        y, y2, back = Y.src[t], Y.dst[t], Z.inv[G.mor_map[t]]
-        for x in X.objects:
-            for m2 in Z.hom(F.obj_map[x], G.obj_map[y2]):
-                uf.union((x, y, zcomp[(m2, back)]), (x, y2, m2))
-    reps = set(uf.roots().values())
-    image = {(xcm[x], ycm[y]) for (x, y, m) in reps}
-    want = {(cx, cy)
-            for cx in set(xcm.values()) for cy in set(ycm.values())
-            if zcm[F.obj_map[cx]] == zcm[G.obj_map[cy]]}
-    return len(image) == len(reps) and image == want
+        k, k2, back = at[Y.src[t]], at[Y.dst[t]], Z.inv[G.mor_map[t]]
+        for starts, homs in blocks.values():
+            j = starts[k2]
+            for m2 in homs[k2]:
+                join(starts[k] + hpos[zcomp[(m2, back)]], j)
+                j += 1
+    reps = [items[i] for i, p in enumerate(uf.parent) if p == i]
+    image = {(xcm[x], ycm[y]) for (x, y, _) in reps}
+    ys_over = {}
+    for cy in set(ycm.values()):
+        zc = zcm[G.obj_map[cy]]
+        ys_over[zc] = ys_over.get(zc, 0) + 1
+    want = sum(len(over[zc]) * n for zc, n in ys_over.items())
+    return len(image) == len(reps) == want
+
+
+def _class_codes(T, classes):
+    """(start, at): the object (y, c) of a middle groupoid is coded
+    start[y] + at[y][c], at[y][c] the index of c in classes[y], an
+    iterable of distinct classes over y, so the codes follow the order
+    of the objects."""
+    start, at, n = {}, {}, 0
+    for y in T.objects:
+        start[y] = n
+        at[y] = {c: i for i, c in enumerate(classes[y])}
+        n += len(classes[y])
+    return start, at
 
 
 def _modal_factor_etale(F, fcms, classes, ycm):
@@ -1293,28 +1343,32 @@ def _modal_factor_etale(F, fcms, classes, ycm):
     the transport of the class c.  Transport is functorial on classes,
     (h;k).c = k.(h.c) and inv(h).(h.c) = c, so uniting along the
     target's generating set finds its components, as in
-    _fiber_component_map."""
+    _fiber_component_map.
+
+    The pass joins the codes of _class_codes, which follow the order of
+    the objects (y, c), so each root is the least member of its class
+    and a middle component is named by its root's code."""
     T = F.target
+    start, at = _class_codes(T, classes)
     # component map of the middle groupoid (y, c), without building it
-    objs = [(y, c) for y in T.objects for c in classes[y]]
-    uf = _Classes(objs)
+    uf = _Classes([(y, c) for y in T.objects for c in classes[y]])
+    join = uf.join
     for h in T._gens:
-        y, y2 = T.src[h], T.dst[h]
-        for c in classes[y]:
-            uf.union((y, c), (y2, _transport(F, h, c, fcms[y2])))
-    mid_cm_of = uf.roots()
+        y2 = T.dst[h]
+        fcm, at2, j0 = fcms[y2], at[y2], start[y2]
+        for i, c in enumerate(classes[T.src[h]], start[T.src[h]]):
+            join(i, j0 + at2[_transport(F, h, c, fcm)])
+    mid = uf.flatten()
+    # fiber components of the projection over y are exactly the
+    # transports of classes to y; delta sends each to its middle
+    # component, and must land bijectively on those over [y]
+    delta = {y: set(mid[start[y]:start[y] + len(classes[y])])
+             for y in T.objects}
     mids_over = {}
-    for o in objs:
-        mids_over.setdefault(ycm[o[0]], set()).add(mid_cm_of[o])
     for y in T.objects:
-        # fiber components of the projection over y are exactly the
-        # transports of classes to y; delta sends each to its middle
-        # component, and must land bijectively on those over [y]
-        delta = {mid_cm_of[(y, c)] for c in classes[y]}
-        want = mids_over.get(ycm[y], set())
-        if len(delta) != len(classes[y]) or delta != want:
-            return False
-    return True
+        mids_over.setdefault(ycm[y], set()).update(delta[y])
+    return all(len(delta[y]) == len(classes[y])
+               and delta[y] == mids_over[ycm[y]] for y in T.objects)
 
 
 def _connecting_map_fibration(F, fcms, classes, gamma):
@@ -1326,56 +1380,91 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
     for each k : y2 -> y3, and inv(k;l);h = inv(l);(inv(k);h), so it is
     functorial too.
 
-    The transports k.c2 along each generator k are computed once and
-    shared by the first pass and by the fibers over every (y, d)."""
+    The transports k.c2 along each generator k are computed once, as
+    codes, and shared by the first pass and by the fibers over every
+    (y, d).  The passes join codes that follow the order of their
+    objects, so each root is the least member of its class: the first
+    middle codes (y, c) as _class_codes does, the class middle codes
+    (y, d) in the same way, and the fiber over (y, d) codes ((y2, c2),
+    h) as the start of the block of (y2, c2) plus the position of h in
+    hom(y2, y) (_hom_positions)."""
     T, tcomp = F.target, F.target.comp
-    steps = {}      # y2 -> [(dst k, inv(k), {c2: k.c2}) for generators k]
+    hpos = _hom_positions(T)
+    start, at = _class_codes(T, classes)
+    steps = {}      # y2 -> [(inv(k), [code of k.c2 for c2 in classes[y2]])]
     for k in T._gens:
         y2, y3 = T.src[k], T.dst[k]
-        fcm = fcms[y3]
+        fcm, at3, j0 = fcms[y3], at[y3], start[y3]
         steps.setdefault(y2, []).append(
-            (y3, T.inv[k], {c: _transport(F, k, c, fcm) for c in classes[y2]}))
+            (T.inv[k], [j0 + at3[_transport(F, k, c, fcm)]
+                        for c in classes[y2]]))
 
-    cm_objs = [(y, c) for y in T.objects for c in classes[y]]
-    uf = _Classes(cm_objs)
-    for y, out in steps.items():
-        for y2, _, moved in out:
-            for c, c2 in moved.items():
-                uf.union((y, c), (y2, c2))
-    cm_of = uf.roots()
+    uf = _Classes([(y, c) for y in T.objects for c in classes[y]])
+    join = uf.join
+    for y2, out in steps.items():
+        for _, moved in out:
+            for i, j in enumerate(moved, start[y2]):
+                join(i, j)
+    cm_of = uf.flatten()
 
     shadows = {y: set(gamma[y].values()) for y in T.objects}
-    ee_objs = [(y, d) for y in T.objects for d in shadows[y]]
-    uf2 = _Classes(ee_objs)
+    ee_start, ee_at = _class_codes(T, shadows)
+    uf2 = _Classes([(y, d) for y in T.objects for d in shadows[y]])
+    join = uf2.join
     for h in T._gens:
         y, y2 = T.src[h], T.dst[h]
-        for d in shadows[y]:
-            if d in shadows[y2]:
-                uf2.union((y, d), (y2, d))
-    ee_of = uf2.roots()
+        at2, i0, j0 = ee_at[y2], ee_start[y], ee_start[y2]
+        for d, i in ee_at[y].items():
+            j = at2.get(d)
+            if j is not None:
+                join(i0 + i, j0 + j)
+    ee_of = uf2.flatten()
 
     cm_over_ee, with_shadow = {}, {}
-    for (y, c) in cm_objs:
-        d = gamma[y][c]
-        cm_over_ee.setdefault(ee_of[(y, d)], set()).add(cm_of[(y, c)])
-        with_shadow.setdefault(d, []).append((y, c))
+    for y in T.objects:
+        shadow, e_at, e0 = gamma[y], ee_at[y], ee_start[y]
+        for i, c in enumerate(classes[y], start[y]):
+            d = shadow[c]
+            cm_over_ee.setdefault(ee_of[e0 + e_at[d]], set()).add(cm_of[i])
+            with_shadow.setdefault(d, []).append((y, c, i))
 
-    for (y, d) in ee_objs:
-        # fiber of the connecting map over (y, d): pairs ((y2, c2), h)
-        # with h : y2 -> y and the class of c2 equal to d
-        fiber = [(y2, c2, h) for (y2, c2) in with_shadow[d]
-                 for h in T.hom(y2, y)]
-        want = cm_over_ee.get(ee_of[(y, d)], set())
-        if not fiber and want:
-            return False
-        uf3 = _Classes(fiber)
-        for (y2, c2, h) in fiber:
-            for y3, back, moved in steps.get(y2, ()):
-                uf3.union((y2, c2, h), (y3, moved[c2], tcomp[(back, h)]))
-        reps = set(uf3.roots().values())
-        image = {cm_of[(y2, c2)] for (y2, c2, _) in reps}
-        if len(image) != len(reps) or image != want:
-            return False
+    hom = T._hom
+    for y in T.objects:
+        # along k : y2 -> y3, the h at position p of hom(y2, y) moves to
+        # inv(k);h at position to[p] of hom(y3, y), whatever d and c2 are
+        shifts = {}
+        for y2, out in steps.items():
+            hs = hom.get((y2, y))
+            if hs:
+                shifts[y2] = [(moved, [hpos[tcomp[(back, h)]] for h in hs])
+                              for back, moved in out]
+        for d, e in ee_at[y].items():
+            # fiber of the connecting map over (y, d): pairs ((y2, c2), h)
+            # with h : y2 -> y and the class of c2 equal to d
+            fiber, first, blocks = [], {}, []
+            for y2, c2, i2 in with_shadow[d]:
+                hs = hom.get((y2, y), ())
+                first[i2] = len(fiber)
+                blocks.append((y2, i2, len(fiber), len(hs)))
+                fiber.extend([(y2, c2, h) for h in hs])
+            want = cm_over_ee.get(ee_of[ee_start[y] + e], set())
+            if not fiber and want:
+                return False
+            uf3 = _Classes(fiber)
+            join = uf3.join
+            for y2, i2, i, _ in blocks:
+                for moved, to in shifts.get(y2, ()):
+                    j = first[moved[i2 - start[y2]]]
+                    for p, q in enumerate(to, i):
+                        join(p, j + q)
+            parent, image, nreps = uf3.parent, set(), 0
+            for _, i2, i, n in blocks:
+                for p in range(i, i + n):
+                    if parent[p] == p:
+                        nreps += 1
+                        image.add(cm_of[i2])
+            if len(image) != nreps or image != want:
+                return False
     return True
 
 

@@ -492,14 +492,20 @@ class _Classes:
         elif j < i:
             parent[i] = j
 
-    def roots(self):
-        """dict item -> the first item of its class, keyed in item
-        order."""
-        parent, items = self.parent, self.items
+    def flatten(self):
+        """The parent list with every position set to its root, the
+        first position of its class; later joins keep working on it."""
+        parent = self.parent
         # parent[p] <= p, so one pass upwards sends every item to its root
         for i, p in enumerate(parent):
             parent[i] = parent[p]
-        return {o: items[p] for o, p in zip(items, parent)}
+        return parent
+
+    def roots(self):
+        """dict item -> the first item of its class, keyed in item
+        order."""
+        items = self.items
+        return {o: items[p] for o, p in zip(items, self.flatten())}
 
 
 def component_map(g):

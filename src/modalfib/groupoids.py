@@ -189,10 +189,6 @@ class GroupoidFunctor:
         comp = self.src.components[self.src.comp_of[base]]
         return self.image_subgroup(base).rank() == len(comp.letters)
 
-    def data_key(self):
-        return tuple(tuple((k, d[k]) for k in _sorted_ids(d))
-                     for d in (self.obj, self.gen_images, self.conj))
-
     def __repr__(self):
         return "GroupoidFunctor(%d objects)" % (len(self.obj),)
 

@@ -107,9 +107,6 @@ class FinGroup:
         """p then q."""
         return _mul_perm(p, q)
 
-    def inverse(self, p):
-        return self.inv[p]
-
 
 def trivial_group():
     return FinGroup(1, ())

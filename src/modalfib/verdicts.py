@@ -6,6 +6,7 @@ never silently pass an if-statement.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 __all__ = ["Flag", "LevelVerdicts", "MapClassification", "lemma_identities"]
 
@@ -26,10 +27,6 @@ class Flag:
         call returns one of two shared instances."""
         return _TRUE if b else _FALSE
 
-    @staticmethod
-    def undecided(bound):
-        return Flag("undecided", bound)
-
     @property
     def decided(self):
         return self.value != "undecided"
@@ -37,10 +34,6 @@ class Flag:
     @property
     def is_true(self):
         return self.value == "true"
-
-    @property
-    def is_false(self):
-        return self.value == "false"
 
     def __bool__(self):
         if not self.decided:
@@ -67,6 +60,13 @@ class LevelVerdicts:
     equivalence: Flag
     fibration: Flag
 
+    @staticmethod
+    def of(modal, connected, etale, equivalence, fibration):
+        """The record of five decided flags, given as booleans; records
+        are immutable, so every call returns one of 32 shared
+        instances."""
+        return _DECIDED[modal, connected, etale, equivalence, fibration]
+
     def as_dict(self):
         return {
             "modal": self.modal.render(),
@@ -75,6 +75,10 @@ class LevelVerdicts:
             "equivalence": self.equivalence.render(),
             "fibration": self.fibration.render(),
         }
+
+
+_DECIDED = {bits: LevelVerdicts(*map(Flag.of, bits))
+            for bits in product((False, True), repeat=5)}
 
 
 def lemma_identities(level):

@@ -354,7 +354,7 @@ def test_trivial_bundle_stabilizers_full():
     report = shape_of_total(total_space(m))
     assert report["ok"]
     assert report["orbit_count"] == 2
-    full = SubgroupAutomaton.full_group(("e1",))
+    full = SubgroupAutomaton(("e1",), 1, {(0, "e1"): 0})
     for cert in report["certificates"]:
         assert cert["stabilizer"].same(full)
         assert cert["image"].same(full)

@@ -525,7 +525,8 @@ def test_classify_of_many_disjoint_triangles_is_fast():
     for level in (c.pi0, c.pi1):
         assert level.modal.is_true and level.etale.is_true
         assert level.fibration.is_true
-        assert level.connected.is_false and level.equivalence.is_false
+        assert level.connected.value == "false" \
+            and level.equivalence.value == "false"
     assert took < 1.5
 
 

@@ -16,7 +16,9 @@ it replaces, and a counted-work guard bounds the transports one
 `_Classes` pass per functor; the kernel rule that decides trivial fiber
 automorphisms by target component must agree with the per-base scan of
 the source objects; and `_Classes.join` on positions must partition as
-`union` on items does.
+`union` on items does.  The pullback, middle and connecting passes also
+join codes only, so none of them builds an item index, and the
+hom-position index they code by must agree with the hom-sets.
 """
 
 import gc
@@ -31,7 +33,8 @@ from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, _Classes, _classes_over, _connecting_map_fibration,
     _fiber_aut_trivial, _fiber_classes, _fiber_component_map,
-    _fiber_objects, _modal_factor_etale, _pullback_preserved, _transport,
+    _fiber_objects, _hom_positions, _modal_factor_etale, _pullback_preserved,
+    _transport,
     connected_groupoid, discrete_groupoid, group_groupoid,
     homotopy_pullback, nine_way, object_inclusion, product_groupoid,
     random_functor, random_functor_into, random_groupoid, GROUP_NAMES,
@@ -341,6 +344,38 @@ def test_middle_routes_match_all_morphism_passes(kind, seed):
         got = _connecting_map_fibration(F, fcms, classes, gamma)
     assert got == want
     assert [uf.roots() for uf in made] == refs
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_route_passes_join_codes_and_build_no_index(kind, seed):
+    rng = random.Random(seed)
+    F = sample_functor(kind, rng)
+    T = F.target
+    fcms, classes, gamma = level0_data(F)
+    legs = [object_inclusion(T, y) for y in T.objects]
+    legs.append(random_functor_into(rng, T, max_objects=3, max_morphisms=8))
+    with recorded_passes() as made:
+        for G in legs:
+            _pullback_preserved(F, G)
+        _modal_factor_etale(F, fcms, classes, T.component_map())
+        _connecting_map_fibration(F, fcms, classes, gamma)
+    # one square per leg, the middle, and at least the connecting map's
+    # two middles
+    assert len(made) >= len(legs) + 3
+    assert [uf.index for uf in made] == [None] * len(made)
+
+
+@settings(max_examples=40, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_hom_positions_match_hom_sets(kind, seed):
+    F = sample_functor(kind, random.Random(seed))
+    for g in (F.source, F.target):
+        pos = _hom_positions(g)
+        assert len(pos) == len(g.morphisms)
+        for m in g.morphisms:
+            assert g.hom(g.src[m], g.dst[m]).index(m) == pos[m]
+        assert _hom_positions(g) is pos
 
 
 @settings(max_examples=60, deadline=None)

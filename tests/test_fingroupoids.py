@@ -5,6 +5,7 @@ Expected flag rows and fiber shapes were worked out by hand from the
 composition tables before the implementation ran; counts are frozen.
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from modalfib.fingroupoids import (
     random_groupoid, random_functor, random_functor_into,
 )
 from modalfib.fingroupoids import _fiber_component_map
+from modalfib.verdicts import Flag, LevelVerdicts
 
 
 def row(v):
@@ -222,7 +224,7 @@ def test_factorization_of_point_inclusion():
     assert len(mid_ee.morphisms) == 2
     # the middles disagree, certifying the fibration flag
     assert not functor_is_equivalence(connecting_functor(F, 0))
-    assert classify_trunc(F, 0).fibration.is_false
+    assert classify_trunc(F, 0).fibration.value == "false"
 
 
 def test_factorization_of_two_points_to_point():
@@ -368,7 +370,7 @@ def test_equivalences_do_not_pull_back_in_general():
     assert len(P.objects) == 2
     assert len(set(P.component_map().values())) == 2
     # the non-fibration leg is exactly the point inclusion
-    assert classify_trunc(w["bottom"], 0).fibration.is_false
+    assert classify_trunc(w["bottom"], 0).fibration.value == "false"
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +457,25 @@ def test_surjective_criterion_on_random_corpus():
             assert classify_trunc(F, 0).fibration.is_true \
                 == automorphism_surjective(F)
     assert hits > 50
+
+
+def test_table_level_verdicts_are_shared_records():
+    # the table layer returns one of 32 shared records, keyed by the five
+    # booleans; a record built field by field reads the same
+    names = ("modal", "connected", "etale", "equivalence", "fibration")
+    for bits in itertools.product((False, True), repeat=5):
+        v = LevelVerdicts.of(*bits)
+        assert v is LevelVerdicts.of(*bits)
+        assert v == LevelVerdicts(*map(Flag.of, bits))
+        assert [getattr(v, n).is_true for n in names] == list(bits)
+    rng = random.Random(27)
+    seen = {}
+    for _ in range(300):
+        F = random_functor(rng)
+        for level in (0, -1):
+            v = classify_trunc(F, level)
+            bits = tuple(getattr(v, n).is_true for n in names)
+            assert seen.setdefault(bits, v) is v
+            assert v.as_dict() \
+                == LevelVerdicts(*map(Flag.of, bits)).as_dict()
+    assert len(seen) > 4

@@ -108,7 +108,8 @@ def test_induce_respects_composition_strictly():
         G = induce_functor(g, Sb, Sc)
         FG = F.compose(G)
         direct = induce_functor(f.compose(g), Sa, Sc)
-        assert FG.data_key() == direct.data_key()
+        assert (FG.obj, FG.gen_images, FG.conj) \
+            == (direct.obj, direct.gen_images, direct.conj)
 
 
 def test_map_morphism_preserves_composition():

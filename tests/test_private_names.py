@@ -8,9 +8,11 @@ import that its module never names, and does not list in `__all__`, is
 dead too.  A name in a module's `__all__` is public: it needs a caller in
 the package or in `perfbench/`, or a line under the README's "Library
 API" heading, which names the fixtures, oracles and builders kept for
-callers outside the package.  Every public module-level function and
-class is listed in its module's `__all__`.  These tests read the sources
-with `ast` and list the names that break these rules.
+callers outside the package.  The public methods of an exported class
+follow the same rule, and a README line names one as `Class.method`.
+Every public module-level function and class is listed in its module's
+`__all__`.  These tests read the sources with `ast` and list the names
+that break these rules.
 """
 
 import ast
@@ -122,6 +124,47 @@ def test_every_exported_name_has_a_caller_or_is_library_api():
             own = referenced(defs[e])[e] if e in defs else 0
             if uses[e] - own <= 0 and not bench[e] and e not in documented:
                 unused.append("%s %s" % (name, e))
+    assert unused == []
+
+
+def attributes(tree):
+    """Counter of the attribute names a tree uses: a method is reached
+    only through an attribute."""
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute))
+
+
+def public_methods(tree):
+    """(class name, def) for the public methods, properties included, of
+    the module-level classes that a module exports."""
+    names = exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            for d in node.body:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not d.name.startswith("_"):
+                    yield node.name, d
+
+
+def test_every_public_method_has_a_caller_or_is_library_api():
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(attributes(tree))
+    bench = Counter()
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        bench.update(attributes(ast.parse(p.read_text(), str(p))))
+    documented = library_api()
+    methods = [(name, cls, d) for name, tree in trees.items()
+               for cls, d in public_methods(tree)]
+    assert any(cls == "FinFunctor" and d.name == "compose"
+               for _, cls, d in methods)
+    unused = ["%s:%d %s.%s" % (name, d.lineno, cls, d.name)
+              for name, cls, d in methods
+              if uses[d.name] - attributes(d)[d.name] <= 0
+              and not bench[d.name]
+              and "%s.%s" % (cls, d.name) not in documented]
     assert unused == []
 
 

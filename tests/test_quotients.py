@@ -98,8 +98,8 @@ def test_group_multiplication_is_diagram_order():
     g = FinGroup(3, ((1, 2, 0),))
     r = (1, 2, 0)
     assert FinGroup.mul(r, r) == (2, 0, 1)
-    assert g.inverse(r) == (2, 0, 1)
-    assert FinGroup.mul(r, g.inverse(r)) == g.identity
+    assert g.inv[r] == (2, 0, 1)
+    assert FinGroup.mul(r, g.inv[r]) == g.identity
 
 
 def test_group_words_reproduce_elements():

@@ -337,7 +337,7 @@ def test_index_two_subgroup():
 
 
 def test_full_group_automaton():
-    F = SubgroupAutomaton.full_group((0, 1))
+    F = SubgroupAutomaton((0, 1), 1, {(0, 0): 0, (0, 1): 0})
     assert F.complete() and F.index() == 1 and F.rank() == 2
     rng = random.Random(306)
     for w in random_words(rng, 2, 20, 6):
