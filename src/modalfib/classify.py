@@ -29,7 +29,7 @@ from .graphs import FinGraph, GraphMap, component_map, _sorted_ids
 from .groupoids import induce_functor
 from .hfiber import GammaAnalyzer
 from .covers import is_cover
-from .verdicts import Flag, LevelVerdicts, MapClassification
+from .verdicts import LevelVerdicts, MapClassification
 
 __all__ = [
     "classify", "factor0", "constant_fiber_criterion", "etale_family_check",
@@ -133,10 +133,7 @@ def _classify_pi0(f):
         etale = all(one_edge_per_component_over(d, es)
                     for d, es in eo.items())
 
-    return LevelVerdicts(
-        modal=Flag.of(modal), connected=Flag.of(connected),
-        etale=Flag.of(etale), equivalence=Flag.of(equivalence),
-        fibration=Flag.of(fibration))
+    return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
 
 def _classify_pi1(f, F, analyzer):
@@ -171,10 +168,7 @@ def _classify_pi1(f, F, analyzer):
     if etale:
         etale = _etale_shape_route(f, F, over)
 
-    return LevelVerdicts(
-        modal=Flag.of(modal), connected=Flag.of(connected),
-        etale=Flag.of(etale), equivalence=Flag.of(equivalence),
-        fibration=Flag.of(fibration))
+    return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
 
 def _etale_shape_route(f, F, over):

@@ -6,7 +6,8 @@ rendering (with timing) and a canonical machine rendering (sorted-key
 JSON with no timing, so identical inputs give byte-identical output).
 
 Exit codes: 0 decided-pass, 1 decided-fail, 2 undecided or size-bounded,
-64 usage errors, 65 parse and input-document errors.
+64 usage errors, 65 parse and input-document errors.  Undecided is read
+off the flags of the verdict records; descriptive commands exit 0.
 """
 
 import argparse
@@ -114,18 +115,10 @@ def _coerce(tok):
         return tok
 
 
-def _has_undecided(x):
-    if isinstance(x, str):
-        return x.startswith("undecided")
-    if isinstance(x, dict):
-        return any(_has_undecided(v) for v in x.values())
-    if isinstance(x, (list, tuple)):
-        return any(_has_undecided(v) for v in x)
-    return False
-
-
-def _descriptive_status(data):
-    return 2 if _has_undecided(data) else 0
+def _status(*levels):
+    """2 if a flag of these LevelVerdicts is undecided, else 0."""
+    decided = all(f.decided for v in levels for f in vars(v).values())
+    return 0 if decided else 2
 
 
 def _write_dot(request, lines, render, *args):
@@ -189,7 +182,7 @@ def _cmd_classify(request):
     lines = [_flag_line("pi0", c.pi0), _flag_line("pi1", c.pi1)]
     lines += ["coherence %s: %s" % (k, _tri(v))
               for k, v in sorted(c.coherent().items())]
-    return data, lines, _descriptive_status(data)
+    return data, lines, _status(c.pi0, c.pi1)
 
 
 def _cmd_factor0(request):
@@ -219,7 +212,7 @@ def _cmd_factor0(request):
              _flag_line("right (spread)", rv),
              "recomposes: %s" % str(data["recomposes"]).lower()]
     _write_dot(request, lines, graph_dot, mid, "middle")
-    return data, lines, _descriptive_status(data)
+    return data, lines, _status(lv, rv)
 
 
 def _cmd_criteria(request):
@@ -245,7 +238,7 @@ def _cmd_criteria(request):
              % (ef if isinstance(ef, str) else str(ef).lower())]
     lines += ["consistency %s: %s" % (k, _tri(v))
               for k, v in sorted(checks.items())]
-    if _has_undecided(data):
+    if _status(c.pi0, c.pi1):
         return data, lines, 2
     return data, lines, 0 if all(checks.values()) else 1
 
@@ -283,7 +276,7 @@ def _cmd_prism(request):
              % ("infinite" if cosets is None else cosets),
              "triangle commutes: %s" % str(p.triangle_commutes).lower(),
              "comparison is equivalence: %s" % str(gamma).lower()]
-    return data, lines, _descriptive_status(data)
+    return data, lines, 0
 
 
 def _cmd_covers_enumerate(request):
@@ -302,7 +295,7 @@ def _cmd_covers_enumerate(request):
         desc = " ".join("%s=%s" % (l, c or "id")
                         for l, c in sorted(row.items()))
         lines.append("cover %d: %s" % (i, desc))
-    return data, lines, _descriptive_status(data)
+    return data, lines, 0
 
 
 def _monodromy_from(doc):
@@ -327,7 +320,7 @@ def _cmd_covers_monodromy(request):
     lines += ["letter %s: %s" % (l, perms[l] or "identity")
               for l in m.letters]
     lines.append("orbits: %s" % [list(o) for o in orbits])
-    return data, lines, _descriptive_status(data)
+    return data, lines, 0
 
 
 def _cmd_covers_total(request):
@@ -344,7 +337,7 @@ def _cmd_covers_total(request):
              % (len(total.vertices), len(total.edges), len(comps)),
              "monodromy orbits: %d" % len(m.orbits())]
     _write_dot(request, lines, graph_dot, total, "total")
-    return data, lines, _descriptive_status(data)
+    return data, lines, 0
 
 
 def _cmd_covers_universal_ball(request):
@@ -360,7 +353,7 @@ def _cmd_covers_universal_ball(request):
     lines = ["radius-%d ball: %d vertices, %d edges"
              % (r, len(U.vertices), len(U.edges))]
     _write_dot(request, lines, graph_dot, U, "ball")
-    return data, lines, _descriptive_status(data)
+    return data, lines, 0
 
 
 def _cmd_covers_verify_shape(request):
@@ -406,7 +399,7 @@ def _cmd_quotient_shape(request):
         lines = ["quotient shape: groupoid with %d objects, %d morphisms"
                  % (len(q.objects), len(q.morphisms))]
         _write_dot(request, lines, fin_groupoid_dot, q, "quotient")
-        return data, lines, _descriptive_status(data)
+        return data, lines, 0
     reps = q.component_reps()
     ranks = {}
     for v in reps:
@@ -425,7 +418,7 @@ def _cmd_quotient_shape(request):
         except ActionError:
             data["dot"] = "unavailable (action not free)"
             lines.append("dot: %s" % data["dot"])
-    return data, lines, _descriptive_status(data)
+    return data, lines, 0
 
 
 def _cmd_quotient_verify(request):

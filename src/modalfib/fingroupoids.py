@@ -741,11 +741,6 @@ def hfiber(F, y):
 # ---------------------------------------------------------------------------
 # lightweight fiber analysis (shared by the flag routes; no tables built)
 
-def _fiber_objects(F, y):
-    return [(x, m) for x in F.source.objects
-            for m in F.target.hom(F.obj_map[x], y)]
-
-
 def _fiber_component_map(F, y):
     """dict fiber object -> canonical representative, the least member
     of its class in id order (graphs._sorted_ids).  The maps of all bases
@@ -936,7 +931,9 @@ def classify_trunc(F, level):
 
 
 def essentially_surjective(F):
-    return all(_fiber_objects(F, y) for y in F.target.objects)
+    """Every fiber is inhabited: hom(F x, y) is nonempty iff F x and y
+    share a component, so every target component has a class over it."""
+    return all(_classes_over(F)[2].values())
 
 
 def automorphism_surjective(F):
@@ -1004,7 +1001,8 @@ def factor_connected_modal(F, level):
 
 def _factor_cm_prop(F):
     S, T = F.source, F.target
-    hit = [y for y in T.objects if _fiber_objects(F, y)]
+    _, ycm, over = _classes_over(F)
+    hit = [y for y in T.objects if over[ycm[y]]]
     mid = full_subgroupoid(T, hit)
     left = FinFunctor(S, mid, dict(F.obj_map), dict(F.mor_map))
     right = FinFunctor(mid, T, {o: o for o in mid.objects},
@@ -1372,99 +1370,53 @@ def _modal_factor_etale(F, fcms, classes, ycm):
 
 
 def _connecting_map_fibration(F, fcms, classes, gamma):
-    """Each of the three union passes runs over the target's generating
-    set.  The two middles are groupoids whose arrows are the target
-    morphisms acting functorially (see _modal_factor_etale; a class
-    downstairs is carried to itself).  The fiber of the connecting map
-    over (y, d) has an arrow ((y2, c2), h) -> ((y3, k.c2), inv(k);h)
-    for each k : y2 -> y3, and inv(k;l);h = inv(l);(inv(k);h), so it is
-    functorial too.
+    """Whether the connecting map from the modal factor's middle to the
+    equivalence factor's, (y, c) |-> (y, gamma(c)), is a fibration.
 
-    The transports k.c2 along each generator k are computed once, as
-    codes, and shared by the first pass and by the fibers over every
-    (y, d).  The passes join codes that follow the order of their
-    objects, so each root is the least member of its class: the first
-    middle codes (y, c) as _class_codes does, the class middle codes
-    (y, d) in the same way, and the fiber over (y, d) codes ((y2, c2),
-    h) as the start of the block of (y2, c2) plus the position of h in
-    hom(y2, y) (_hom_positions)."""
-    T, tcomp = F.target, F.target.comp
-    hpos = _hom_positions(T)
+    Its one union pass finds the components of the first middle along
+    the target's generating set, coded as in _modal_factor_etale.  The
+    class middle and the fibers then have a closed form: both middles are
+    action groupoids of the target and the map is induced by the
+    equivariant gamma, so its fiber over (y, d) is equivalent to the
+    discrete set of classes over y with shadow d (R. Brown, "Fibrations
+    of groupoids", J. Algebra 15, 1970).  In detail:
+
+    - The class middle has an arrow (y, d) -> (y2, d) for each h : y ->
+      y2, and the shadows over y are the source classes over [y], as
+      hom(F x, y) is nonempty iff F x and y share a component.  So the
+      component of (y, d) is ([y], d).
+    - The fiber over (y, d) has the objects ((y2, c2), h) with gamma(c2)
+      = d and h : y2 -> y, and an arrow ((y2, c2), h) -> ((y3, k.c2),
+      inv(k);h) for each k : y2 -> y3.  Transport is functorial, so h.c2
+      is constant along the arrows, and k = h joins ((y2, c2), h) to
+      ((y, h.c2), id).  So the fiber has one component for each class c
+      over y with gamma(c) = d, and it meets the first-middle component
+      of (y, c).
+
+    Hence the map is a fibration iff, for every y and d, the first-middle
+    components of the classes over y with shadow d are pairwise distinct
+    and are those of all the classes with shadow d over [y]."""
+    T = F.target
+    ycm = T.component_map()
     start, at = _class_codes(T, classes)
-    steps = {}      # y2 -> [(inv(k), [code of k.c2 for c2 in classes[y2]])]
-    for k in T._gens:
-        y2, y3 = T.src[k], T.dst[k]
-        fcm, at3, j0 = fcms[y3], at[y3], start[y3]
-        steps.setdefault(y2, []).append(
-            (T.inv[k], [j0 + at3[_transport(F, k, c, fcm)]
-                        for c in classes[y2]]))
-
     uf = _Classes([(y, c) for y in T.objects for c in classes[y]])
     join = uf.join
-    for y2, out in steps.items():
-        for _, moved in out:
-            for i, j in enumerate(moved, start[y2]):
-                join(i, j)
+    for k in T._gens:
+        y3 = T.dst[k]
+        fcm, at3, j0 = fcms[y3], at[y3], start[y3]
+        for i, c in enumerate(classes[T.src[k]], start[T.src[k]]):
+            join(i, j0 + at3[_transport(F, k, c, fcm)])
     cm_of = uf.flatten()
-
-    shadows = {y: set(gamma[y].values()) for y in T.objects}
-    ee_start, ee_at = _class_codes(T, shadows)
-    uf2 = _Classes([(y, d) for y in T.objects for d in shadows[y]])
-    join = uf2.join
-    for h in T._gens:
-        y, y2 = T.src[h], T.dst[h]
-        at2, i0, j0 = ee_at[y2], ee_start[y], ee_start[y2]
-        for d, i in ee_at[y].items():
-            j = at2.get(d)
-            if j is not None:
-                join(i0 + i, j0 + j)
-    ee_of = uf2.flatten()
-
-    cm_over_ee, with_shadow = {}, {}
+    mids, over = {}, {}
     for y in T.objects:
-        shadow, e_at, e0 = gamma[y], ee_at[y], ee_start[y]
+        shadow = gamma[y]
         for i, c in enumerate(classes[y], start[y]):
-            d = shadow[c]
-            cm_over_ee.setdefault(ee_of[e0 + e_at[d]], set()).add(cm_of[i])
-            with_shadow.setdefault(d, []).append((y, c, i))
-
-    hom = T._hom
-    for y in T.objects:
-        # along k : y2 -> y3, the h at position p of hom(y2, y) moves to
-        # inv(k);h at position to[p] of hom(y3, y), whatever d and c2 are
-        shifts = {}
-        for y2, out in steps.items():
-            hs = hom.get((y2, y))
-            if hs:
-                shifts[y2] = [(moved, [hpos[tcomp[(back, h)]] for h in hs])
-                              for back, moved in out]
-        for d, e in ee_at[y].items():
-            # fiber of the connecting map over (y, d): pairs ((y2, c2), h)
-            # with h : y2 -> y and the class of c2 equal to d
-            fiber, first, blocks = [], {}, []
-            for y2, c2, i2 in with_shadow[d]:
-                hs = hom.get((y2, y), ())
-                first[i2] = len(fiber)
-                blocks.append((y2, i2, len(fiber), len(hs)))
-                fiber.extend([(y2, c2, h) for h in hs])
-            want = cm_over_ee.get(ee_of[ee_start[y] + e], set())
-            if not fiber and want:
-                return False
-            uf3 = _Classes(fiber)
-            join = uf3.join
-            for y2, i2, i, _ in blocks:
-                for moved, to in shifts.get(y2, ()):
-                    j = first[moved[i2 - start[y2]]]
-                    for p, q in enumerate(to, i):
-                        join(p, j + q)
-            parent, image, nreps = uf3.parent, set(), 0
-            for _, i2, i, n in blocks:
-                for p in range(i, i + n):
-                    if parent[p] == p:
-                        nreps += 1
-                        image.add(cm_of[i2])
-            if len(image) != nreps or image != want:
-                return False
+            mids.setdefault((y, shadow[c]), []).append(cm_of[i])
+            over.setdefault((ycm[y], shadow[c]), set()).add(cm_of[i])
+    for (y, d), ms in mids.items():
+        got = set(ms)
+        if len(got) != len(ms) or got != over[ycm[y], d]:
+            return False
     return True
 
 

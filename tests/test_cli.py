@@ -1,13 +1,16 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from modalfib import cli
+from modalfib.classify import _classify_pi0, classify
 from modalfib.cli import AnalysisRequest, Report, UsageError, main, run
 from modalfib.covers import CoverError
 from modalfib.graphs import GraphError
 from modalfib.quotients import ActionError, SizeError
 from modalfib.textio import parse_document
+from modalfib.verdicts import Flag, MapClassification
 
 C6C3 = """\
 graph: hexagon
@@ -322,6 +325,35 @@ def test_size_bound_exits_2_and_names_the_flag(docs, capsys):
     err = capsys.readouterr().err
     assert "--max-group" in err
     assert "bound" in err
+
+
+def test_ids_that_read_undecided_leave_the_exit_status_alone(tmp_path,
+                                                             capsys):
+    # the status comes from the verdict records, not from report strings
+    p = tmp_path / "ids.txt"
+    p.write_text(CIRCLE + "\nmonodromy: two circle\nfiber: undecided x\n"
+                 "perm: l (undecided x)\n")
+    code, data = run_json(capsys, ["covers", "monodromy", str(p)])
+    assert code == 0
+    assert data["fiber"] == ["undecided", "x"]
+
+
+def test_an_undecided_flag_exits_2(docs, monkeypatch, capsys):
+    cut = Flag("undecided", bound=7)
+
+    def partial_classify(f):
+        c = classify(f)
+        return MapClassification(
+            pi0=c.pi0, pi1=replace(c.pi1, fibration=cut))
+
+    monkeypatch.setattr(cli, "classify", partial_classify)
+    code, data = run_json(capsys, ["classify", docs["c6c3"]])
+    assert code == 2
+    assert data["levels"]["pi1"]["fibration"] == "undecided(bound=7)"
+    assert main(["criteria", docs["c6c3"]]) == 2
+    monkeypatch.setattr(cli, "_classify_pi0",
+                        lambda f: replace(_classify_pi0(f), modal=cut))
+    assert main(["factor0", docs["c6c3"]]) == 2
 
 
 def test_help_exits_zero(capsys):
