@@ -21,7 +21,7 @@ from .graphs import _Classes, _sorted_ids
 from .verdicts import LevelVerdicts
 
 __all__ = [
-    "FinGroupoidError", "FinGroupoid", "FinFunctor", "HomotopyFiberG",
+    "FinGroupoidError", "FinGroupoid", "FinFunctor",
     "empty_groupoid", "discrete_groupoid", "connected_groupoid",
     "group_groupoid", "group_hom_functor",
     "identity_fin_functor", "object_inclusion", "full_subgroupoid",
@@ -708,23 +708,12 @@ def trunc_prop(g):
 # ---------------------------------------------------------------------------
 # fibers
 
-@dataclass(frozen=True)
-class HomotopyFiberG:
-    """Fiber of a functor over a target object, as a genuine groupoid.
-
-    Objects are pairs (x, m) of a source object and a morphism F(x) -> y;
-    a morphism (x, m) -> (x', m') is a source morphism g with
-    F(g);m' = m.
-    """
-
-    functor: FinFunctor
-    base: object
-    groupoid: FinGroupoid
-
-
 def hfiber(F, y):
+    """The fiber of F over the target object y, as a groupoid: objects
+    (x, m) with m : F(x) -> y, and a morphism (x, m) -> (x', m') for each
+    source morphism g : x -> x' with F(g);m' = m."""
     S, T = F.source, F.target
-    if y not in set(T.objects):
+    if y not in T._components:
         raise FinGroupoidError("fiber base %r is not a target object" % (y,))
     objs = tuple((x, m) for x in S.objects for m in T.hom(F.obj_map[x], y))
     mors = []
@@ -733,19 +722,17 @@ def hfiber(F, y):
         for m2 in T.hom(F.obj_map[x2], y):
             m = T.comp[(F.mor_map[g], m2)]
             mors.append(((x, m), (x2, m2), g))
-    gpd = _arrow_groupoid(objs, mors, lambda g, h: S.comp[(g, h)],
-                          lambda o: S.ident[o[0]])
-    return HomotopyFiberG(F, y, gpd)
+    return _arrow_groupoid(objs, mors, lambda g, h: S.comp[(g, h)],
+                           lambda o: S.ident[o[0]])
 
 
 # ---------------------------------------------------------------------------
 # lightweight fiber analysis (shared by the flag routes; no tables built)
 
-def _fiber_component_map(F, y):
-    """dict fiber object -> canonical representative, the least member
-    of its class in id order (graphs._sorted_ids).  The maps of all bases
-    come from one pass per functor (_fiber_pass) and are shared by every
-    caller: read them, do not change them.
+def _fiber_pass(F, y):
+    """(fiber object -> least member of its class, those members), in
+    id order (graphs._sorted_ids).  One union-find pass fills them for
+    every base of F; they are kept on F: read them, do not change them.
 
     The fiber's arrows are the source morphisms g : x -> x2, one from
     (x, F(g);m2) to (x2, m2) for each m2 : F(x2) -> y.  The pass unites
@@ -755,19 +742,6 @@ def _fiber_component_map(F, y):
     (F(h);m3)) and inverses (take m2 = F(inv g);m), and the tree arrows
     with the vertex-group generators generate every morphism, as
     m = inv(t_a);(t_a;m;inv(t_c));t_c.
-    """
-    return _fiber_pass(F, y)[0]
-
-
-def _fiber_classes(F, y):
-    """The canonical representatives of _fiber_component_map(F, y), in
-    id order (graphs._sorted_ids); shared like the map."""
-    return _fiber_pass(F, y)[1]
-
-
-def _fiber_pass(F, y):
-    """(fiber component map, fiber classes) over y.  One union-find pass
-    fills them for every base of F, and they are kept on F.
 
     The pass numbers the fiber objects over all bases densely: the block
     of x starts at start[x], the number of fiber objects before x, and
@@ -816,9 +790,9 @@ def _fiber_aut_trivial(F, y):
     automorphism; decided for every base at once and kept on F.
 
     An automorphism of (x, m) is a g in aut(x) with F(g);m = m, that is
-    F(g) = id, and hom(F x, y) is nonempty exactly when F x and y share a
-    component.  So the fiber over y is trivial iff no x with F x in y's
-    component has a g != id in aut(x) with F(g) = id."""
+    F(g) = id, and some (x, m) lies over y iff F x is in y's component
+    (_classes_over).  So the fiber over y is trivial iff no such x has a
+    g != id in aut(x) with F(g) = id."""
     try:
         return F._fiber_trivial[y]
     except AttributeError:
@@ -841,7 +815,20 @@ def _classes_over(F):
     """(source component map, target component map, dict target
     component rep -> sorted source component reps over it), computed
     once per functor and shared by every caller: read it, do not change
-    it."""
+    it.
+
+    Level 0 rests on one fact: hom(F x, y) is nonempty iff F x and y
+    share a component [y] (R. Brown, "Fibrations of groupoids", J.
+    Algebra 15, 1970).  The shadow of a fiber class is the source class
+    of its objects (x, m), well defined as the fiber's arrows are source
+    morphisms.  Hence:
+    - Shadows: those of the classes over y are exactly over[[y]], as
+      some (x, m) lies over y iff F x is in [y].
+    - Transport: each y' in [y] has some h : y' -> y, and (x, m) |->
+      (x, m;h) keeps x, so each first-middle component over [y] with
+      shadow d holds some (y, h.c') with shadow d.
+    So no reading compares a set over y with the one over [y]: that
+    clause always holds, and only its count or distinctness can fail."""
     try:
         return F._over
     except AttributeError:
@@ -869,22 +856,16 @@ def _flags_level0(F):
     fibration = True
     etale = True
     for y in T.objects:
-        classes = _fiber_classes(F, y)
+        classes = _fiber_pass(F, y)[1]
         if len(classes) != 1:
             connected = False
-        want = over[ycm[y]]
-        image = _sorted_ids({xcm[x] for (x, _) in classes})
-        if len({xcm[x] for (x, _) in classes}) != len(classes) \
-                or image != want:
+        if len({xcm[x] for (x, _) in classes}) != len(classes):
             fibration = False
         # etale, by the unit-square route: the fiber must be equivalent,
         # through its own data, to the discrete set of classes downstairs
-        if not _fiber_aut_trivial(F, y):
+        if not _fiber_aut_trivial(F, y) \
+                or len(classes) != len(over[ycm[y]]):
             etale = False
-        else:
-            delta = _sorted_ids({xcm[x] for (x, _) in classes})
-            if len(classes) != len(want) or delta != want:
-                etale = False
     return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
 
@@ -892,20 +873,14 @@ def _flags_level_prop(F):
     T = F.target
     x_inhabited = bool(F.source.objects)
 
-    def fiber_stats(y):
-        classes = _fiber_classes(F, y)
-        if not classes:
-            return 0, True
-        return len(classes), _fiber_aut_trivial(F, y)
-
     modal = True
     connected = True
     fibration = True
     etale = True
     for y in T.objects:
-        ncomp, trivial = fiber_stats(y)
+        ncomp = len(_fiber_pass(F, y)[1])
         inhabited = ncomp > 0
-        contractible = ncomp == 1 and trivial
+        contractible = ncomp == 1 and _fiber_aut_trivial(F, y)
         if inhabited and not contractible:
             modal = False
         if not inhabited:
@@ -931,8 +906,8 @@ def classify_trunc(F, level):
 
 
 def essentially_surjective(F):
-    """Every fiber is inhabited: hom(F x, y) is nonempty iff F x and y
-    share a component, so every target component has a class over it."""
+    """Every fiber is inhabited: by _classes_over, every target
+    component has a class over it."""
     return all(_classes_over(F)[2].values())
 
 
@@ -972,8 +947,9 @@ def factor_connected_modal(F, level):
     if level != 0:
         raise FinGroupoidError("level must be -1 or 0, got %r" % (level,))
     S, T = F.source, F.target
-    fcms = {y: _fiber_component_map(F, y) for y in T.objects}
-    classes = {y: _fiber_classes(F, y) for y in T.objects}
+    fcms, classes = {}, {}
+    for y in T.objects:
+        fcms[y], classes[y] = _fiber_pass(F, y)
     objs = tuple((y, c) for y in T.objects for c in classes[y])
     mors = []
     for h in T.morphisms:
@@ -1141,9 +1117,8 @@ def compare_modalities(F):
     shadow's fiber over a class d is inhabited iff some x has F x in d,
     so its level -1 flag is read off the source classes over each target
     class, and no shadow is built.  That flag is also F's own level -1
-    flag, as hom(F x, y) is nonempty iff F x and y share a component:
-    the premise contains the conclusion, and this implication cannot
-    fail here."""
+    flag (_classes_over): the premise contains the conclusion, and this
+    implication cannot fail here."""
     lo = classify_trunc(F, -1)
     hi = classify_trunc(F, 0)
     xcm, _, over = _classes_over(F)
@@ -1185,11 +1160,10 @@ def nine_way(F, rng=None, sampled_bases=3):
         fcms[y], classes[y] = _fiber_pass(F, y)
     gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
 
-    # (a) the comparison from collapsed fibers to classes is bijective
-    a = all(
-        len(set(gamma[y].values())) == len(classes[y])
-        and set(gamma[y].values()) == set(over[ycm[y]])
-        for y in T.objects)
+    # (a) the comparison from collapsed fibers to classes is bijective;
+    #     it is onto the classes over [y] by _classes_over
+    a = all(len(set(gamma[y].values())) == len(classes[y])
+            for y in T.objects)
 
     # (b) collapsing the fiber gives exactly the classes downstairs
     b = all(len(classes[y]) == len(over[ycm[y]]) for y in T.objects)
@@ -1206,21 +1180,19 @@ def nine_way(F, rng=None, sampled_bases=3):
                 break
 
     # (d) the two factorizations agree, i.e. the connecting functor is an
-    #     equivalence: surjective on classes, and any two fiber classes
-    #     with the same shadow are carried onto each other by every h
-    d = all(set(gamma[y].values()) == set(over[ycm[y]]) for y in T.objects)
-    if d:
-        for h in T.morphisms:
-            y, y2 = T.src[h], T.dst[h]
-            for c1 in classes[y]:
-                moved, shadow = _transport(F, h, c1, fcms[y2]), gamma[y][c1]
-                for c2 in classes[y2]:
-                    if gamma[y2][c2] == shadow and moved != c2:
-                        d = False
+    #     equivalence: surjective on classes (_classes_over), so every h
+    #     must carry each fiber class onto every class with its shadow
+    def carried(h, c1):
+        y2, shadow = T.dst[h], gamma[T.src[h]][c1]
+        moved = _transport(F, h, c1, fcms[y2])
+        return all(c2 == moved for c2 in classes[y2]
+                   if gamma[y2][c2] == shadow)
+
+    d = all(carried(h, c1) for h in T.morphisms for c1 in classes[T.src[h]])
 
     # (e) the modal factor is etale: the collapsed-fiber family descends
     #     object by object, checked through the middle groupoid's fibers
-    e = _modal_factor_etale(F, fcms, classes, ycm)
+    e = _modal_factor_etale(F, fcms, classes)
 
     # (f) the equivalence factor is connected: each class downstairs is
     #     hit by exactly one collapsed fiber class
@@ -1267,7 +1239,7 @@ def _pullback_preserved(F, G):
     (id_x, t) for t in Y's: on each side the morphisms whose arrows all
     join united ends contain the identities and are closed under
     composition and inverses, so they are every morphism (see
-    _fiber_component_map).
+    _fiber_pass).
 
     The pass joins codes and never hashes an object of the square: (x,
     y, m) is start + the position of m in hom(F x, G y) (_hom_positions),
@@ -1335,13 +1307,12 @@ def _class_codes(T, classes):
     return start, at
 
 
-def _modal_factor_etale(F, fcms, classes, ycm):
+def _modal_factor_etale(F, fcms, classes):
     """The middle groupoid of the modal factor has the objects (y, c)
     and an arrow (y, c) -> (y2, h.c) for each h : y -> y2, where h.c is
     the transport of the class c.  Transport is functorial on classes,
     (h;k).c = k.(h.c) and inv(h).(h.c) = c, so uniting along the
-    target's generating set finds its components, as in
-    _fiber_component_map.
+    target's generating set finds its components, as in _fiber_pass.
 
     The pass joins the codes of _class_codes, which follow the order of
     the objects (y, c), so each root is the least member of its class
@@ -1359,14 +1330,10 @@ def _modal_factor_etale(F, fcms, classes, ycm):
     mid = uf.flatten()
     # fiber components of the projection over y are exactly the
     # transports of classes to y; delta sends each to its middle
-    # component, and must land bijectively on those over [y]
-    delta = {y: set(mid[start[y]:start[y] + len(classes[y])])
-             for y in T.objects}
-    mids_over = {}
-    for y in T.objects:
-        mids_over.setdefault(ycm[y], set()).update(delta[y])
-    return all(len(delta[y]) == len(classes[y])
-               and delta[y] == mids_over[ycm[y]] for y in T.objects)
+    # component, onto those over [y] (_classes_over), and must be
+    # injective
+    return all(len(set(mid[start[y]:start[y] + len(classes[y])]))
+               == len(classes[y]) for y in T.objects)
 
 
 def _connecting_map_fibration(F, fcms, classes, gamma):
@@ -1382,9 +1349,8 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
     of groupoids", J. Algebra 15, 1970).  In detail:
 
     - The class middle has an arrow (y, d) -> (y2, d) for each h : y ->
-      y2, and the shadows over y are the source classes over [y], as
-      hom(F x, y) is nonempty iff F x and y share a component.  So the
-      component of (y, d) is ([y], d).
+      y2, and the shadows over y are the source classes over [y]
+      (_classes_over).  So the component of (y, d) is ([y], d).
     - The fiber over (y, d) has the objects ((y2, c2), h) with gamma(c2)
       = d and h : y2 -> y, and an arrow ((y2, c2), h) -> ((y3, k.c2),
       inv(k);h) for each k : y2 -> y3.  Transport is functorial, so h.c2
@@ -1395,9 +1361,8 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
 
     Hence the map is a fibration iff, for every y and d, the first-middle
     components of the classes over y with shadow d are pairwise distinct
-    and are those of all the classes with shadow d over [y]."""
+    (by Transport in _classes_over, they are all those over [y])."""
     T = F.target
-    ycm = T.component_map()
     start, at = _class_codes(T, classes)
     uf = _Classes([(y, c) for y in T.objects for c in classes[y]])
     join = uf.join
@@ -1407,17 +1372,12 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
         for i, c in enumerate(classes[T.src[k]], start[T.src[k]]):
             join(i, j0 + at3[_transport(F, k, c, fcm)])
     cm_of = uf.flatten()
-    mids, over = {}, {}
+    mids = {}
     for y in T.objects:
         shadow = gamma[y]
         for i, c in enumerate(classes[y], start[y]):
             mids.setdefault((y, shadow[c]), []).append(cm_of[i])
-            over.setdefault((ycm[y], shadow[c]), set()).add(cm_of[i])
-    for (y, d), ms in mids.items():
-        got = set(ms)
-        if len(got) != len(ms) or got != over[ycm[y], d]:
-            return False
-    return True
+    return all(len(set(ms)) == len(ms) for ms in mids.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1443,6 +1403,12 @@ def instability_witness():
 # randomized corpus
 
 def _random_blocks(rng, max_objects, max_morphisms):
+    # no block fits a bound below 1; checked before the first draw
+    for name, bound in (("max_objects", max_objects),
+                        ("max_morphisms", max_morphisms)):
+        if bound < 1:
+            raise FinGroupoidError("%s must be at least 1, got %r"
+                                   % (name, bound))
     names = list(GROUP_NAMES)
     while True:
         blocks = []

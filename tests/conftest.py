@@ -16,7 +16,8 @@ def run_optimized():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
-    def run(code):
+    def run(code, timeout=None):
         return subprocess.run([sys.executable, "-O", "-c", code],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env,
+                              timeout=timeout)
     return run

@@ -21,6 +21,10 @@ the source objects; and `_Classes.join` on positions must partition as
 `union` on items does.  The pullback, middle and connecting passes also
 join codes only, so none of them builds an item index, and the
 hom-position index the pullback codes by must agree with the hom-sets.
+The fact that lets the routes skip every set comparison against the
+component [y] is checked directly: the shadows of the fiber classes over
+y, and the middle components over y with each shadow, are those over
+[y].
 """
 
 import gc
@@ -34,9 +38,8 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, _Classes, _classes_over, _connecting_map_fibration,
-    _fiber_aut_trivial, _fiber_classes, _fiber_component_map,
-    _hom_positions, _modal_factor_etale, _pullback_preserved,
-    _transport,
+    _fiber_aut_trivial, _fiber_pass, _hom_positions, _modal_factor_etale,
+    _pullback_preserved, _transport,
     connected_groupoid, discrete_groupoid, group_groupoid,
     homotopy_pullback, nine_way, object_inclusion, product_groupoid,
     random_functor, random_functor_into, random_groupoid, GROUP_NAMES,
@@ -225,8 +228,9 @@ KINDS = st.sampled_from(["random", "product", "pullback", "connected"])
 
 def level0_data(F):
     T = F.target
-    fcms = {y: _fiber_component_map(F, y) for y in T.objects}
-    classes = {y: _fiber_classes(F, y) for y in T.objects}
+    fcms, classes = {}, {}
+    for y in T.objects:
+        fcms[y], classes[y] = _fiber_pass(F, y)
     xcm = F.source.component_map()
     gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
     return fcms, classes, gamma
@@ -241,13 +245,12 @@ def test_fiber_component_map_matches_all_morphism_pass(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     for y in F.target.objects:
         ref = ref_fiber_component_map(F, y)
-        fcm = _fiber_component_map(F, y)
+        fcm, classes = _fiber_pass(F, y)
         assert fcm == ref
         assert list(fcm) == list(ref)
-        assert list(_fiber_classes(F, y)) \
-            == sorted(set(ref.values()), key=_sort_key)
+        assert list(classes) == sorted(set(ref.values()), key=_sort_key)
         # computed once and shared
-        assert _fiber_component_map(F, y) is fcm
+        assert _fiber_pass(F, y)[0] is fcm
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,11 +259,10 @@ def test_one_fiber_pass_fills_every_base(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     objs = F.target.objects
     with recorded_passes() as made:
-        _fiber_component_map(F, objs[seed % len(objs)])
+        _fiber_pass(F, objs[seed % len(objs)])
         assert set(F._fiber_cms) == set(objs)
         for y in objs:
-            _fiber_component_map(F, y)
-            _fiber_classes(F, y)
+            _fiber_pass(F, y)
     assert len(made) == 1
     assert len(made[0].items) \
         == sum(len(fiber_objects(F, y)) for y in objs)
@@ -342,7 +344,7 @@ def test_middle_routes_match_all_morphism_passes(kind, seed):
 
     want, ref = ref_modal_factor_etale(F, fcms, classes, ycm)
     with recorded_passes() as made:
-        got = _modal_factor_etale(F, fcms, classes, ycm)
+        got = _modal_factor_etale(F, fcms, classes)
     assert got == want
     assert [uf.roots() for uf in made] == [ref]
 
@@ -367,7 +369,7 @@ def test_route_passes_join_codes_and_build_no_index(kind, seed):
     with recorded_passes() as made:
         for G in legs:
             _pullback_preserved(F, G)
-        _modal_factor_etale(F, fcms, classes, T.component_map())
+        _modal_factor_etale(F, fcms, classes)
         _connecting_map_fibration(F, fcms, classes, gamma)
     # one square per leg, the middle, and the connecting map's first
     # middle
@@ -404,7 +406,7 @@ def test_loops_that_move_fiber_classes():
         fcms, classes, gamma = level0_data(F)
         assert len(classes[0]) == len(T.aut(0)) > 1
         ycm = T.component_map()
-        assert _modal_factor_etale(F, fcms, classes, ycm) \
+        assert _modal_factor_etale(F, fcms, classes) \
             == ref_modal_factor_etale(F, fcms, classes, ycm)[0]
         assert _connecting_map_fibration(F, fcms, classes, gamma) \
             == ref_connecting_map_fibration(F, fcms, classes, gamma)[0]
@@ -433,6 +435,26 @@ def test_nine_way_transports_each_class_once_per_morphism(monkeypatch):
         assert nine_way(F)["agree"]
         # route (d) per morphism, (e) and (h) per generator, (g) per loop
         assert len(calls) <= per_morphism + 2 * per_generator + per_loop
+
+
+@settings(max_examples=60, deadline=None)
+@given(KINDS, st.integers(0, 2 ** 32))
+def test_shadows_and_middles_over_y_are_those_over_its_component(kind, seed):
+    # the fact the level-0 readings rely on (_classes_over), so that
+    # none of them compares a set over y with the one over [y]
+    F = sample_functor(kind, random.Random(seed))
+    xcm, ycm, over = _classes_over(F)
+    fcms, classes, gamma = level0_data(F)
+    uf = middle_pass(F, fcms, classes)
+    mids, mids_over = {}, {}
+    for y in F.target.objects:
+        assert {xcm[x] for (x, _) in classes[y]} == set(over[ycm[y]])
+        for c in classes[y]:
+            mid = uf.find((y, c))
+            mids.setdefault((y, gamma[y][c]), set()).add(mid)
+            mids_over.setdefault((ycm[y], gamma[y][c]), set()).add(mid)
+    for (y, d), ms in mids.items():
+        assert ms == mids_over[ycm[y], d]
 
 
 def test_classes_over_computed_once_per_functor():

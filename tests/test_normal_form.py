@@ -129,7 +129,7 @@ def test_fiber_matches_table(seed):
     def make():
         rng = random.Random(seed)
         F = sample_functor(rng)
-        return hfiber(F, rng.choice(F.target.objects)).groupoid
+        return hfiber(F, rng.choice(F.target.objects))
     assert_same_groupoid(*both(make))
 
 
@@ -174,7 +174,7 @@ def built_sample(seed):
         G = random_functor_into(rng, F.target, max_objects=2,
                                 max_morphisms=8)
         return homotopy_pullback(F, G)[0]
-    return hfiber(F, rng.choice(F.target.objects)).groupoid
+    return hfiber(F, rng.choice(F.target.objects))
 
 
 @settings(max_examples=40, deadline=None)

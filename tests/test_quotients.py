@@ -362,16 +362,15 @@ def test_quotient_functor_fibers_are_group_sized():
     a = swap_star_action()
     F = shape_quotient_functor(a)
     H = hfiber(F, F.target.objects[0])
-    cm = H.groupoid.component_map()
-    assert len(H.groupoid.objects) == 2
+    cm = H.component_map()
+    assert len(H.objects) == 2
     assert len(set(cm.values())) == 2
-    assert all(m == H.groupoid.ident[H.groupoid.src[m]]
-               for m in H.groupoid.morphisms)
+    assert all(m == H.ident[H.src[m]] for m in H.morphisms)
     k4, pt = klein_group(), point()
     tk = graph_action(k4, pt, [GraphMap.identity(pt)] * len(k4.generators))
     Hk = hfiber(shape_quotient_functor(tk), "pt")
-    assert len(Hk.groupoid.objects) == 4
-    assert len(set(Hk.groupoid.component_map().values())) == 4
+    assert len(Hk.objects) == 4
+    assert len(set(Hk.component_map().values())) == 4
     with pytest.raises(ActionError):
         shape_quotient_functor(rotation_c6_action())
 

@@ -114,7 +114,7 @@ def sample_groupoid(kind, rng):
         return product_groupoid(A, B)[0]
     if kind == "fiber":
         F = random_functor(rng, max_objects=3, max_morphisms=8)
-        return hfiber(F, rng.choice(F.target.objects)).groupoid
+        return hfiber(F, rng.choice(F.target.objects))
     F = random_functor(rng, max_objects=2, max_morphisms=4)
     G = random_functor_into(rng, F.target, max_objects=2, max_morphisms=4)
     return homotopy_pullback(F, G)[0]
@@ -329,6 +329,24 @@ def test_mismatched_functors_rejected_without_asserts(call, run_optimized):
         % call)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "rejected\n"
+
+
+def test_generators_reject_bounds_below_one_before_drawing(run_optimized):
+    # no block fits such a bound, so the draw loop would never end; the
+    # timeout fails the test here instead of hanging it
+    run = run_optimized(
+        "import random\n"
+        "from modalfib.fingroupoids import *\n"
+        "for gen, bound in ((random_groupoid, 'max_objects'),\n"
+        "                   (random_functor, 'max_morphisms')):\n"
+        "    rng = random.Random(0)\n"
+        "    try:\n        gen(rng, **{bound: 0})\n"
+        "    except FinGroupoidError as e:\n"
+        "        print(e, rng.getstate() == random.Random(0).getstate())\n",
+        timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ("max_objects must be at least 1, got 0 True\n"
+                          "max_morphisms must be at least 1, got 0 True\n")
 
 
 def test_functor_rejects_foreign_keys():
