@@ -1147,8 +1147,18 @@ def compare_modalities(F):
 
 def nine_way(F, rng=None, sampled_bases=3):
     """All the equivalent readings of the level-0 fibration condition,
-    each computed by its own route, plus the surjective-case criterion
-    and the one-way connecting-map check.
+    plus the surjective-case criterion and the one-way connecting-map
+    check.
+
+    Readings that decide one fact share its pass:
+    - (a), (b) and (d) are one count, no two classes over y share a
+      shadow.  The shadows over y are over[[y]] (_classes_over), so (b)
+      is that count.  The connecting functor is onto the classes and
+      transport keeps shadows, so (d), that it is an equivalence, is too.
+    - (e) and (h) read one first-middle pass (_middle_readings).
+    - (c), (f) and (g) keep their own code.  (f) counts the classes over
+      y for each class in over[[y]], so it alone catches some faults of
+      _classes_over (tests/mutants.py).
 
     Returns a dict of booleans; "agree" ands together the routes that
     must coincide, "connecting_ok" is the one-way implication.
@@ -1165,9 +1175,6 @@ def nine_way(F, rng=None, sampled_bases=3):
     a = all(len(set(gamma[y].values())) == len(classes[y])
             for y in T.objects)
 
-    # (b) collapsing the fiber gives exactly the classes downstairs
-    b = all(len(classes[y]) == len(over[ycm[y]]) for y in T.objects)
-
     # (c) pullback preservation: every point base, then sampled bases
     c = all(_pullback_preserved(F, object_inclusion(T, y))
             for y in T.objects)
@@ -1179,20 +1186,9 @@ def nine_way(F, rng=None, sampled_bases=3):
                 c = False
                 break
 
-    # (d) the two factorizations agree, i.e. the connecting functor is an
-    #     equivalence: surjective on classes (_classes_over), so every h
-    #     must carry each fiber class onto every class with its shadow
-    def carried(h, c1):
-        y2, shadow = T.dst[h], gamma[T.src[h]][c1]
-        moved = _transport(F, h, c1, fcms[y2])
-        return all(c2 == moved for c2 in classes[y2]
-                   if gamma[y2][c2] == shadow)
-
-    d = all(carried(h, c1) for h in T.morphisms for c1 in classes[T.src[h]])
-
-    # (e) the modal factor is etale: the collapsed-fiber family descends
-    #     object by object, checked through the middle groupoid's fibers
-    e = _modal_factor_etale(F, fcms, classes)
+    # (e) the modal factor is etale, and (h) the connecting map between
+    #     the middles is itself a fibration
+    e, h_flag = _middle_readings(F, fcms, classes, gamma)
 
     # (f) the equivalence factor is connected: each class downstairs is
     #     hit by exactly one collapsed fiber class
@@ -1205,20 +1201,17 @@ def nine_way(F, rng=None, sampled_bases=3):
         _transport(F, h, c, fcms[y]) == c
         for y in T.objects for h in T.aut(y) for c in classes[y])
 
-    # (h) the connecting map between the middles is itself a fibration
-    h_flag = _connecting_map_fibration(F, fcms, classes, gamma)
-
     surjective = all(classes[y] for y in T.objects)
     i = automorphism_surjective(F) if surjective else None
 
-    core = [a, b, c, d, e, f, g]
+    core = [a, c, e, f, g]
     if surjective:
         core.append(i)
     return {
         "gamma_equivalence": a,
-        "fibers_preserved": b,
+        "fibers_preserved": a,
         "pullbacks_preserved": c,
-        "factorizations_agree": d,
+        "factorizations_agree": a,
         "modal_factor_etale": e,
         "equivalence_factor_connected": f,
         "locally_constant_fibers": g,
@@ -1226,7 +1219,7 @@ def nine_way(F, rng=None, sampled_bases=3):
         "surjective": surjective,
         "loop_surjectivity": i,
         "agree": all(x == core[0] for x in core),
-        "connecting_ok": (not d) or h_flag,
+        "connecting_ok": (not a) or h_flag,
     }
 
 
@@ -1307,46 +1300,31 @@ def _class_codes(T, classes):
     return start, at
 
 
-def _modal_factor_etale(F, fcms, classes):
-    """The middle groupoid of the modal factor has the objects (y, c)
-    and an arrow (y, c) -> (y2, h.c) for each h : y -> y2, where h.c is
-    the transport of the class c.  Transport is functorial on classes,
-    (h;k).c = k.(h.c) and inv(h).(h.c) = c, so uniting along the
-    target's generating set finds its components, as in _fiber_pass.
+def _middle_readings(F, fcms, classes, gamma):
+    """(e, h): whether the modal factor is etale, and whether the
+    connecting map from its middle to the equivalence factor's, (y, c)
+    |-> (y, gamma(c)), is a fibration, both read off one union pass.
 
-    The pass joins the codes of _class_codes, which follow the order of
-    the objects (y, c), so each root is the least member of its class
-    and a middle component is named by its root's code."""
-    T = F.target
-    start, at = _class_codes(T, classes)
-    # component map of the middle groupoid (y, c), without building it
-    uf = _Classes([(y, c) for y in T.objects for c in classes[y]])
-    join = uf.join
-    for h in T._gens:
-        y2 = T.dst[h]
-        fcm, at2, j0 = fcms[y2], at[y2], start[y2]
-        for i, c in enumerate(classes[T.src[h]], start[T.src[h]]):
-            join(i, j0 + at2[_transport(F, h, c, fcm)])
-    mid = uf.flatten()
-    # fiber components of the projection over y are exactly the
-    # transports of classes to y; delta sends each to its middle
-    # component, onto those over [y] (_classes_over), and must be
-    # injective
-    return all(len(set(mid[start[y]:start[y] + len(classes[y])]))
-               == len(classes[y]) for y in T.objects)
+    The middle groupoid of the modal factor, the first middle, has the
+    objects (y, c) and an arrow (y, c) -> (y2, h.c) for each h : y ->
+    y2, where h.c is the transport of the class c.  Transport is
+    functorial on classes, (h;k).c = k.(h.c) and inv(h).(h.c) = c, so
+    uniting along the target's generating set finds its components, as
+    in _fiber_pass.  The pass joins the codes of _class_codes, which
+    follow the order of the objects (y, c), so each root is the least
+    member of its class and a middle component is named by its root's
+    code.
 
+    (e): the fiber components of the projection over y are exactly the
+    transports of classes to y; delta sends each to its middle
+    component, onto those over [y] (_classes_over), and must be
+    injective.
 
-def _connecting_map_fibration(F, fcms, classes, gamma):
-    """Whether the connecting map from the modal factor's middle to the
-    equivalence factor's, (y, c) |-> (y, gamma(c)), is a fibration.
-
-    Its one union pass finds the components of the first middle along
-    the target's generating set, coded as in _modal_factor_etale.  The
-    class middle and the fibers then have a closed form: both middles are
-    action groupoids of the target and the map is induced by the
-    equivariant gamma, so its fiber over (y, d) is equivalent to the
-    discrete set of classes over y with shadow d (R. Brown, "Fibrations
-    of groupoids", J. Algebra 15, 1970).  In detail:
+    (h): the class middle and the connecting map's fibers have a closed
+    form: both middles are action groupoids of the target and the map is
+    induced by the equivariant gamma, so its fiber over (y, d) is
+    equivalent to the discrete set of classes over y with shadow d (R.
+    Brown, "Fibrations of groupoids", J. Algebra 15, 1970).  In detail:
 
     - The class middle has an arrow (y, d) -> (y2, d) for each h : y ->
       y2, and the shadows over y are the source classes over [y]
@@ -1361,23 +1339,28 @@ def _connecting_map_fibration(F, fcms, classes, gamma):
 
     Hence the map is a fibration iff, for every y and d, the first-middle
     components of the classes over y with shadow d are pairwise distinct
-    (by Transport in _classes_over, they are all those over [y])."""
+    (by Transport in _classes_over, they are all those over [y]).  So (e)
+    implies (h), and (h) is read only where (e) fails."""
     T = F.target
     start, at = _class_codes(T, classes)
     uf = _Classes([(y, c) for y in T.objects for c in classes[y]])
     join = uf.join
     for k in T._gens:
-        y3 = T.dst[k]
-        fcm, at3, j0 = fcms[y3], at[y3], start[y3]
+        y2 = T.dst[k]
+        fcm, at2, j0 = fcms[y2], at[y2], start[y2]
         for i, c in enumerate(classes[T.src[k]], start[T.src[k]]):
-            join(i, j0 + at3[_transport(F, k, c, fcm)])
-    cm_of = uf.flatten()
-    mids = {}
+            join(i, j0 + at2[_transport(F, k, c, fcm)])
+    mid = uf.flatten()
+    etale = fibration = True
     for y in T.objects:
-        shadow = gamma[y]
-        for i, c in enumerate(classes[y], start[y]):
-            mids.setdefault((y, shadow[c]), []).append(cm_of[i])
-    return all(len(set(ms)) == len(ms) for ms in mids.values())
+        ms = mid[start[y]:start[y] + len(classes[y])]
+        if len(set(ms)) < len(ms):
+            etale = False
+            shadow = gamma[y]
+            if len({(shadow[c], m) for c, m in zip(classes[y], ms)}) \
+                    < len(ms):
+                fibration = False
+    return etale, fibration
 
 
 # ---------------------------------------------------------------------------

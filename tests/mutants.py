@@ -1,0 +1,236 @@
+"""Mutation harness for the level-0 table readings.
+
+Each mutant is a one-line fault in a shared helper of
+`modalfib.fingroupoids`, given as a (function, old text, new text)
+triple.  The harness applies it by compiling the function's source with
+the old text replaced and binding the result in the module while one
+sample is judged; no file is edited.  An old text that does not occur
+exactly once in the function's source raises, so a stale mutant fails
+loudly instead of running as a no-op.
+
+The sample is fixed: `sample_functor` of each kind at seeds 0 to
+per_kind - 1, with the rng that built a functor passed on to
+`nine_way`.  Each run builds the functors afresh, so nothing a helper
+caches on a functor carries over from one mutant to the next.  A sample
+is judged by `classify_trunc` at levels 0 and -1, `nine_way` and
+`compare_modalities`, against the same calls without the mutant.  It is
+caught when a suite check fails (`nine_way`'s `agree` or
+`connecting_ok`, or `compare_modalities`' `all_hold`); a sample on which
+a call raises is counted apart.  The readings that moved are the
+`nine_way` readings, lettered (a) to (i) as in its code, and the level
+flags, `flag@level`, whose values differ from the unmutated run.
+
+Stdlib only; run from a checkout, with N samples per kind:
+
+    python tests/mutants.py --per-kind N
+"""
+
+import argparse
+import inspect
+import random
+import sys
+import textwrap
+import time
+from collections import Counter, namedtuple
+from contextlib import contextmanager
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from modalfib import fingroupoids  # noqa: E402
+from modalfib.fingroupoids import (  # noqa: E402
+    GROUP_NAMES, classify_trunc, compare_modalities, connected_groupoid,
+    homotopy_pullback, nine_way, product_groupoid, random_functor,
+    random_functor_into, random_groupoid,
+)
+
+
+# ---------------------------------------------------------------------------
+# the sample: random functors, product projections, pullback legs, and
+# functors into connected groupoids with mixed object ids
+
+SAMPLE_KINDS = ("random", "product", "pullback", "connected")
+
+MIXED_IDS = (0, 1, -3, "a", "b", (0, "a"), (1, (2, "c")), ("z",))
+
+
+def sample_functor(kind, rng):
+    if kind == "random":
+        return random_functor(rng, max_objects=4, max_morphisms=12)
+    if kind == "product":
+        A = random_groupoid(rng, max_objects=2, max_morphisms=6)
+        B = random_groupoid(rng, max_objects=2, max_morphisms=6)
+        return product_groupoid(A, B)[rng.choice((1, 2))]
+    if kind == "pullback":
+        F = random_functor(rng, max_objects=2, max_morphisms=6)
+        G = random_functor_into(rng, F.target, max_objects=2,
+                                max_morphisms=6)
+        return homotopy_pullback(F, G)[rng.choice((1, 2))]
+    labels = rng.sample(MIXED_IDS, rng.randint(1, 3))
+    T = connected_groupoid(labels, rng.choice(GROUP_NAMES))
+    return random_functor_into(rng, T, max_objects=4, max_morphisms=12)
+
+
+# ---------------------------------------------------------------------------
+# the mutants
+
+Mutant = namedtuple("Mutant", "name function old new")
+
+MUTANTS = (
+    Mutant("fiber_pass_first", "_fiber_pass",
+           "for s in S._gens:", "for s in S._gens[1:]:"),
+    Mutant("fiber_pass_last", "_fiber_pass",
+           "for s in S._gens:", "for s in S._gens[:-1]:"),
+    Mutant("fiber_aut_trivial", "_fiber_aut_trivial",
+           "for g in S.aut(x))", "for g in S.aut(x)[:-1])"),
+    Mutant("classes_over_last", "_classes_over",
+           "_sorted_ids(set(xcm.values()))",
+           "_sorted_ids(set(xcm.values()))[:-1]"),
+    Mutant("class_codes_index1", "_class_codes",
+           "{c: i for i, c in enumerate(classes[y])}",
+           "{c: i - (i == 1) for i, c in enumerate(classes[y])}"),
+    Mutant("transport_inverse", "_transport",
+           "comp[(m, h)]", "comp[(m, F.target.inv[h])]"),
+    Mutant("transport_loops_identity", "_transport",
+           "return target_map[(x, F.target.comp[(m, h)])]",
+           "return target_map[rep if F.target.src[h] == F.target.dst[h]"
+           " else (x, F.target.comp[(m, h)])]"),
+    Mutant("pullback_y_gens", "_pullback_preserved",
+           "for t in Y._gens:", "for t in Y._gens[1:]:"),
+    Mutant("pullback_want", "_pullback_preserved",
+           "len(over[zc]) * n for", "len(over[zc]) for"),
+)
+
+
+class StaleMutant(Exception):
+    """A mutant whose old text does not occur exactly once."""
+
+
+def compile_mutant(mutant):
+    """The mutated function, compiled in the module's namespace."""
+    original = getattr(fingroupoids, mutant.function)
+    source = inspect.getsource(original)
+    n = source.count(mutant.old)
+    if n != 1:
+        raise StaleMutant("%s: %r occurs %d times in %s" % (
+            mutant.name, mutant.old, n, mutant.function))
+    # the def binds into `made`, and the function looks its names up in
+    # the module, so it calls the helpers bound there
+    made = {}
+    exec(compile(source.replace(mutant.old, mutant.new),
+                 "<mutant %s>" % mutant.name, "exec"),
+         vars(fingroupoids), made)
+    return made[mutant.function]
+
+
+@contextmanager
+def bound(name, fn):
+    """`fingroupoids.<name>` is fn inside the block."""
+    saved = getattr(fingroupoids, name)
+    setattr(fingroupoids, name, fn)
+    try:
+        yield
+    finally:
+        setattr(fingroupoids, name, saved)
+
+
+# ---------------------------------------------------------------------------
+# judging one sample
+
+LETTERS = {
+    "gamma_equivalence": "a", "fibers_preserved": "b",
+    "pullbacks_preserved": "c", "factorizations_agree": "d",
+    "modal_factor_etale": "e", "equivalence_factor_connected": "f",
+    "locally_constant_fibers": "g", "connecting_map_fibration": "h",
+    "loop_surjectivity": "i",
+}
+
+
+def outcome(F, rng):
+    """(readings, suite checks hold, the whole report) for one functor."""
+    levels = {level: classify_trunc(F, level).as_dict() for level in (0, -1)}
+    rep = nine_way(F, rng)
+    cmp = compare_modalities(F)
+    readings = {letter: rep[key] for key, letter in LETTERS.items()}
+    for level, flags in levels.items():
+        readings.update(("%s@%d" % (flag, level), v)
+                        for flag, v in flags.items())
+    holds = rep["agree"] and rep["connecting_ok"] and cmp["all_hold"]
+    return readings, holds, (levels, rep, cmp)
+
+
+def run(per_kind, mutant=None):
+    """One entry per sample: an outcome, or the name of the exception a
+    call raised under the mutant."""
+    fn = compile_mutant(mutant) if mutant else None
+    results = []
+    for kind in SAMPLE_KINDS:
+        for seed in range(per_kind):
+            rng = random.Random(seed)
+            F = sample_functor(kind, rng)
+            if fn is None:
+                results.append(outcome(F, rng))
+                continue
+            with bound(mutant.function, fn):
+                try:
+                    results.append(outcome(F, rng))
+                except Exception as e:  # a crash is a result here
+                    results.append(type(e).__name__)
+    return results
+
+
+Score = namedtuple("Score", "changed caught raised moved")
+
+
+def score(base, results):
+    """Score of one mutant's results against the unmutated ones; moved
+    counts each set of readings that moved together."""
+    changed = caught = raised = 0
+    moved = Counter()
+    for (readings, _, whole), got in zip(base, results):
+        if isinstance(got, str):
+            changed += 1
+            raised += 1
+            continue
+        if got[2] != whole:
+            changed += 1
+        if not got[1]:
+            caught += 1
+        diff = "+".join(k for k in readings if got[0][k] != readings[k])
+        if diff:
+            moved[diff] += 1
+    return Score(changed, caught, raised, moved)
+
+
+def score_all(per_kind, mutants=MUTANTS):
+    """(unmutated results, {mutant name: Score})."""
+    base = run(per_kind)
+    return base, {m.name: score(base, run(per_kind, m)) for m in mutants}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--per-kind", type=int, default=250,
+                    help="samples of each sample_functor kind (default 250)")
+    args = ap.parse_args(argv)
+    if args.per_kind < 1:
+        ap.error("--per-kind must be at least 1")
+    t = time.perf_counter()
+    base, scores = score_all(args.per_kind)
+    failing = sum(1 for _, holds, _ in base if not holds)
+    print("%d samples; unmutated, suite checks fail on %d"
+          % (len(base), failing))
+    print("%-26s %7s %7s %7s" % ("mutant", "changed", "caught", "raised"))
+    for name, s in scores.items():
+        print("%-26s %7d %7d %7d" % (name, s.changed, s.caught, s.raised))
+        moved = ", ".join("%s %d" % kv for kv in s.moved.most_common())
+        print(textwrap.fill("moved: " + (moved or "none"), 79,
+                            initial_indent="    ",
+                            subsequent_indent="      "))
+    print("%.1f s" % (time.perf_counter() - t))
+    return 1 if failing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

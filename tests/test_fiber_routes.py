@@ -1,30 +1,35 @@
 """Level-0 fiber routes against the all-morphism passes they replace.
 
-The fiber component map, the pullback check and the modal factor's
-middle groupoid each unite along a generating set of their groupoid (the
-tree arrows and the vertex-group generators), and so does the connecting
-map's first middle, whose class middle and fibers are read off in closed
-form.  The references below are the earlier passes, which unite along
-every morphism and pick representatives with the `least()` of the
-reference union-find in `reference_union_find.py`; the connecting map's
-reference still builds the class middle and every fiber.  Each route
-must build the same partitions, return the same verdict, and keep the
-same representatives and the same order of classes; the roots of each
-`_Classes` a route builds must be those least members, the invariant
-`_fiber_pass` reads its representatives by.  Route (d) of `nine_way`, which transports each
-class once per morphism, is checked against the pair-by-pair transports
-it replaces, and a counted-work guard bounds the transports one
-`nine_way` call makes.  The fibers over all bases come from a single
-`_Classes` pass per functor; the kernel rule that decides trivial fiber
+The fiber component map, the pullback check and the first middle of
+`nine_way`'s routes (e) and (h) each unite along a generating set of
+their groupoid (the tree arrows and the vertex-group generators); route
+(h) reads the connecting map's class middle and fibers off the first
+middle in closed form.  The references below are the earlier passes,
+which unite along every morphism and pick representatives with the
+`least()` of the reference union-find in `reference_union_find.py`; the
+modal factor's reference builds its own middle, and the connecting
+map's reference builds the first middle, the class middle and every
+fiber.  Each route must build the same partitions, return the same
+verdict, and keep the same representatives and the same order of
+classes; the roots of each `_Classes` a route builds must be those least
+members, the invariant `_fiber_pass` reads its representatives by.
+Routes (e) and (h) share one pass, which must be the first pass of both
+references.  Routes (b) and (d) read route (a)'s count: (d) is checked
+against the pair-by-pair transports of the connecting functor, and a
+counted-work guard bounds the transports one `nine_way` call makes by
+one per class and generator, for (e) and (h), and one per class and
+loop, for (g).  The fibers over all bases come from a single `_Classes`
+pass per functor; the kernel rule that decides trivial fiber
 automorphisms by target component must agree with the per-base scan of
 the source objects; and `_Classes.join` on positions must partition as
-`union` on items does.  The pullback, middle and connecting passes also
-join codes only, so none of them builds an item index, and the
-hom-position index the pullback codes by must agree with the hom-sets.
-The fact that lets the routes skip every set comparison against the
-component [y] is checked directly: the shadows of the fiber classes over
-y, and the middle components over y with each shadow, are those over
-[y].
+`union` on items does.  The pullback and middle passes also join codes
+only, so none of them builds an item index, and the hom-position index
+the pullback codes by must agree with the hom-sets.  The fact that lets
+the routes skip every set comparison against the component [y] is
+checked directly: the shadows of the fiber classes over y, and the
+middle components over y with each shadow, are those over [y], so route
+(b)'s count is route (a)'s.  The functors come from the mutation
+harness's sampler, `mutants.sample_functor`.
 """
 
 import gc
@@ -37,14 +42,13 @@ from hypothesis import given, settings, strategies as st
 
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
-    FinFunctor, _Classes, _classes_over, _connecting_map_fibration,
-    _fiber_aut_trivial, _fiber_pass, _hom_positions, _modal_factor_etale,
-    _pullback_preserved, _transport,
-    connected_groupoid, discrete_groupoid, group_groupoid,
-    homotopy_pullback, nine_way, object_inclusion, product_groupoid,
-    random_functor, random_functor_into, random_groupoid, GROUP_NAMES,
+    FinFunctor, _Classes, _classes_over, _fiber_aut_trivial, _fiber_pass,
+    _hom_positions, _middle_readings, _pullback_preserved, _transport,
+    connected_groupoid, discrete_groupoid, group_groupoid, nine_way,
+    object_inclusion, product_groupoid, random_functor, random_functor_into,
 )
 from modalfib.graphs import _sort_key
+from mutants import SAMPLE_KINDS, sample_functor
 from reference_union_find import UnionFind
 
 
@@ -200,30 +204,11 @@ def recorded_passes():
 
 
 # ---------------------------------------------------------------------------
-# inputs: random functors, product projections, pullback legs, and
-# functors into connected groupoids with mixed object ids
+# inputs: the mutation harness's sample kinds (random functors, product
+# projections, pullback legs, and functors into connected groupoids with
+# mixed object ids)
 
-MIXED_IDS = (0, 1, -3, "a", "b", (0, "a"), (1, (2, "c")), ("z",))
-
-
-def sample_functor(kind, rng):
-    if kind == "random":
-        return random_functor(rng, max_objects=4, max_morphisms=12)
-    if kind == "product":
-        A = random_groupoid(rng, max_objects=2, max_morphisms=6)
-        B = random_groupoid(rng, max_objects=2, max_morphisms=6)
-        return product_groupoid(A, B)[rng.choice((1, 2))]
-    if kind == "pullback":
-        F = random_functor(rng, max_objects=2, max_morphisms=6)
-        G = random_functor_into(rng, F.target, max_objects=2,
-                                max_morphisms=6)
-        return homotopy_pullback(F, G)[rng.choice((1, 2))]
-    labels = rng.sample(MIXED_IDS, rng.randint(1, 3))
-    T = connected_groupoid(labels, rng.choice(GROUP_NAMES))
-    return random_functor_into(rng, T, max_objects=4, max_morphisms=12)
-
-
-KINDS = st.sampled_from(["random", "product", "pullback", "connected"])
+KINDS = st.sampled_from(SAMPLE_KINDS)
 
 
 def level0_data(F):
@@ -342,19 +327,14 @@ def test_middle_routes_match_all_morphism_passes(kind, seed):
     fcms, classes, gamma = level0_data(F)
     ycm = F.target.component_map()
 
-    want, ref = ref_modal_factor_etale(F, fcms, classes, ycm)
+    want_e, ref = ref_modal_factor_etale(F, fcms, classes, ycm)
+    want_h, refs = ref_connecting_map_fibration(F, fcms, classes, gamma)
+    # one pass for (e) and (h), the first of both references; (h) reads
+    # off it the class middle and the fibers its reference builds
     with recorded_passes() as made:
-        got = _modal_factor_etale(F, fcms, classes)
-    assert got == want
-    assert [uf.roots() for uf in made] == [ref]
-
-    # route (h) makes the reference's first pass, and reads the class
-    # middle and the fibers the reference builds off it
-    want, refs = ref_connecting_map_fibration(F, fcms, classes, gamma)
-    with recorded_passes() as made:
-        got = _connecting_map_fibration(F, fcms, classes, gamma)
-    assert got == want
-    assert [uf.roots() for uf in made] == refs[:1]
+        got = _middle_readings(F, fcms, classes, gamma)
+    assert got == (want_e, want_h)
+    assert [uf.roots() for uf in made] == [ref] == refs[:1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,11 +349,9 @@ def test_route_passes_join_codes_and_build_no_index(kind, seed):
     with recorded_passes() as made:
         for G in legs:
             _pullback_preserved(F, G)
-        _modal_factor_etale(F, fcms, classes)
-        _connecting_map_fibration(F, fcms, classes, gamma)
-    # one square per leg, the middle, and the connecting map's first
-    # middle
-    assert len(made) == len(legs) + 2
+        _middle_readings(F, fcms, classes, gamma)
+    # one square per leg, and the first middle
+    assert len(made) == len(legs) + 1
     assert [uf.index for uf in made] == [None] * len(made)
 
 
@@ -406,17 +384,20 @@ def test_loops_that_move_fiber_classes():
         fcms, classes, gamma = level0_data(F)
         assert len(classes[0]) == len(T.aut(0)) > 1
         ycm = T.component_map()
-        assert _modal_factor_etale(F, fcms, classes) \
-            == ref_modal_factor_etale(F, fcms, classes, ycm)[0]
-        assert _connecting_map_fibration(F, fcms, classes, gamma) \
-            == ref_connecting_map_fibration(F, fcms, classes, gamma)[0]
+        assert _middle_readings(F, fcms, classes, gamma) == (
+            ref_modal_factor_etale(F, fcms, classes, ycm)[0],
+            ref_connecting_map_fibration(F, fcms, classes, gamma)[0])
         assert nine_way(F)["agree"]
 
 
-def test_nine_way_transports_each_class_once_per_morphism(monkeypatch):
+def test_nine_way_transports_each_class_once_per_generator_and_loop(
+        monkeypatch):
     # several classes per fiber: the fiber of the point over y is
     # hom(0, y), one class per morphism, so pairwise transports would be
-    # quadratic in the classes over each hom-set's ends
+    # quadratic in the classes over each hom-set's ends.  The point is no
+    # fibration, so the readings stop at their first failure; the
+    # projection from T x {p, q}, two classes over each y, is one, so
+    # every reading runs to the end
     calls = []
 
     def counting(*args):
@@ -426,15 +407,16 @@ def test_nine_way_transports_each_class_once_per_morphism(monkeypatch):
     monkeypatch.setattr(fingroupoids, "_transport", counting)
     for name in ("c2", "c3", "s3", "v4"):
         T = connected_groupoid((0, "b"), name)
-        F = object_inclusion(T, 0)
-        _, classes, _ = level0_data(F)
-        per_morphism = sum(len(classes[T.src[h]]) for h in T.morphisms)
-        per_generator = sum(len(classes[T.src[k]]) for k in T._gens)
-        per_loop = sum(len(T.aut(y)) * len(classes[y]) for y in T.objects)
-        del calls[:]
-        assert nine_way(F)["agree"]
-        # route (d) per morphism, (e) and (h) per generator, (g) per loop
-        assert len(calls) <= per_morphism + 2 * per_generator + per_loop
+        for F in (object_inclusion(T, 0), product_groupoid(
+                T, discrete_groupoid(("p", "q")))[1]):
+            _, classes, _ = level0_data(F)
+            per_generator = sum(len(classes[T.src[k]]) for k in T._gens)
+            per_loop = sum(len(T.aut(y)) * len(classes[y])
+                           for y in T.objects)
+            del calls[:]
+            assert nine_way(F)["agree"]
+            # (e) and (h) together per generator, (g) per loop
+            assert len(calls) <= per_generator + per_loop
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,6 +431,9 @@ def test_shadows_and_middles_over_y_are_those_over_its_component(kind, seed):
     mids, mids_over = {}, {}
     for y in F.target.objects:
         assert {xcm[x] for (x, _) in classes[y]} == set(over[ycm[y]])
+        # so route (b)'s count is route (a)'s
+        assert (len(classes[y]) == len(over[ycm[y]])) \
+            == (len(set(gamma[y].values())) == len(classes[y]))
         for c in classes[y]:
             mid = uf.find((y, c))
             mids.setdefault((y, gamma[y][c]), set()).add(mid)
