@@ -14,7 +14,7 @@ and the tests drive them against each other.
 
 from collections import deque
 
-from .graphs import _sorted_ids
+from .graphs import _memo, _sorted_ids
 from .words import reduce_word, mul, inv
 
 __all__ = ["SubgroupAutomaton"]
@@ -316,13 +316,13 @@ class SubgroupAutomaton:
             return self.delta.get((state, letter))
         return self.rdelta.get((state, letter))
 
-    def _letter_columns(self):
+    @_memo
+    def _columns(self):
         """dict letter (g, +1) or (g, -1) -> dict state -> state."""
         cols = {}
         for (u, a), v in self.delta.items():
             cols.setdefault((a, 1), {})[u] = v
             cols.setdefault((a, -1), {})[v] = u
-        self._columns = cols
         return cols
 
     def trace(self, word, start=0):
@@ -340,10 +340,7 @@ class SubgroupAutomaton:
         which rejects such a letter, cancelled or not.  So the fast pass
         answers only for words whose every letter is valid.
         """
-        try:
-            cols = self._columns
-        except AttributeError:
-            cols = self._letter_columns()
+        cols = self._columns
         if not isinstance(word, (tuple, list)):
             word = tuple(word)
         s = start

@@ -25,7 +25,7 @@ component-collapsing left part and a discrete-fiber right part, the
 constant-fiber criterion, and the discrete-family check.
 """
 
-from .graphs import FinGraph, GraphMap, component_map, _sorted_ids
+from .graphs import FinGraph, GraphMap, component_map
 from .groupoids import induce_functor
 from .hfiber import GammaAnalyzer
 from .covers import is_cover
@@ -45,49 +45,19 @@ def _edge_free(f):
     return all(img is not None for img in f.edge_map.values())
 
 
-def _edges_over(f):
-    """Map each target edge to the (source edge, sign) pairs over it."""
-    out = {d: [] for d in f.target.edge_ids()}
-    for e in f.source.edge_ids():
-        img = f.edge_map[e]
-        if img is not None:
-            out[img[0]].append((e, img[1]))
-    return out
-
-
-def _comp_pairing(f):
-    """Component data: rep maps on both sides and, for each target
-    component rep, the distinct source component reps lying over it,
-    sorted."""
-    cm_src = component_map(f.source)
-    cm_dst = component_map(f.target)
-    over = {r: [] for r in set(cm_dst.values())}
-    for r in _sorted_ids(set(cm_src.values())):
-        over[cm_dst[f.vertex_map[r]]].append(r)
-    return cm_src, cm_dst, over
-
-
-def _pieces_over(f, y):
-    """The pieces over y, i.e. the components of the fiber over y, each
-    named by its least vertex."""
-    pieces = f.pieces
-    return {pieces[x] for x in f.preimages[y][0]}
-
-
-def _connected0(f, eo):
+def _connected0(f):
     """Connected at the component level: one fiber component over every
     target vertex and one source edge over every target edge."""
-    return (all(len(_pieces_over(f, y)) == 1 for y in f.target.vertices)
-            and all(len(es) == 1 for es in eo.values()))
+    return (all(len(ps) == 1 for ps in f.pieces_over.values())
+            and all(len(es) == 1 for es in f.edges_over.values()))
 
 
 def _classify_pi0(f):
-    cm_src, cm_dst, over = _comp_pairing(f)
-    eo = _edges_over(f)
+    cm_src, cm_dst, over = f.components_over
 
     modal = _edge_free(f)
 
-    connected = _connected0(f, eo)
+    connected = _connected0(f)
 
     equivalence = all(len(cs) == 1 for cs in over.values())
     # each list in `over` holds distinct reps, so a set comparison (with a
@@ -106,15 +76,15 @@ def _classify_pi0(f):
     # each fiber component lies in one source component; those must be
     # exactly the source components over y's component, once each
     fibration = True
-    for y in f.target.vertices:
-        reps = [cm_src[p] for p in _pieces_over(f, y)]
+    for y, ps in f.pieces_over.items():
+        reps = [cm_src[p] for p in ps]
         r = cm_dst[y]
         if len(reps) != len(over[r]) or set(reps) != over_set[r]:
             fibration = False
             break
     if fibration:
         fibration = all(one_edge_per_component_over(d, es)
-                        for d, es in eo.items())
+                        for d, es in f.edges_over.items())
 
     # etale, by its own route: discreteness plus a one-vertex-per-source-
     # component count over every target vertex, with the interior clause.
@@ -131,28 +101,21 @@ def _classify_pi0(f):
                 break
     if etale:
         etale = all(one_edge_per_component_over(d, es)
-                    for d, es in eo.items())
+                    for d, es in f.edges_over.items())
 
     return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
 
 def _classify_pi1(f, F, analyzer):
-    S, T = F.src, F.dst
-    eo = _edges_over(f)
+    S = F.src
+    over = f.components_over[2]
 
     modal = _edge_free(f)
 
     # a connected fiber is a tree when it has one edge fewer than vertices
-    connected = all(
-        len(_pieces_over(f, y)) == 1
-        and len(f.preimages[y][1]) == len(f.preimages[y][0]) - 1
-        for y in f.target.vertices)
-    if connected:
-        connected = all(len(es) == 1 for es in eo.values())
+    connected = _connected0(f) and all(
+        len(es) == len(xs) - 1 for xs, es in f.preimages.values())
 
-    over = {tb: [] for tb in T.components}
-    for cb in _sorted_ids(S.components):
-        over[T.comp_of[F.obj[cb]]].append(cb)
     equivalence = all(len(cs) == 1 for cs in over.values())
     if equivalence:
         for cb in S.components:
@@ -249,7 +212,7 @@ def factor0(f):
 
     if left.compose(right) != f:
         raise FactorError("factorization does not recompose")
-    if not _connected0(left, _edges_over(left)):
+    if not _connected0(left):
         raise FactorError("left factor is not component-connected")
     if not _edge_free(right):
         raise FactorError("right factor is not discrete-fibered")
@@ -267,8 +230,8 @@ def constant_fiber_criterion(f):
     ignores how fibers are glued over edges.
     """
     ranks = f.piece_ranks
-    sigs = [tuple(sorted(ranks[p] for p in _pieces_over(f, y)))
-            for y in f.target.vertices]
+    sigs = [tuple(sorted(ranks[p] for p in ps))
+            for ps in f.pieces_over.values()]
     return all(s == sigs[0] for s in sigs)
 
 

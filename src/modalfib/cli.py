@@ -117,7 +117,8 @@ def _coerce(tok):
 
 def _status(*levels):
     """2 if a flag of these LevelVerdicts is undecided, else 0."""
-    decided = all(f.decided for v in levels for f in vars(v).values())
+    decided = all(f.decided for v in levels for f in (
+        v.modal, v.connected, v.etale, v.equivalence, v.fibration))
     return 0 if decided else 2
 
 

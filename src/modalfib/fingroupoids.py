@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .graphs import _Classes, _sorted_ids
+from .graphs import _Classes, _memo, _sorted_ids
 from .verdicts import LevelVerdicts
 
 __all__ = [
@@ -299,6 +299,38 @@ class FinGroupoid:
         dict is shared by every caller: read it, do not change it."""
         return self._components
 
+    @_memo
+    def _check_plan(self):
+        """The triples (p, s, p;s) for s in the generating set and p into
+        src(s), in that order: the composites a functor check out of the
+        groupoid reads."""
+        comp, into, src = self.comp, self._into, self.src
+        return [(p, s, comp[(p, s)])
+                for s in self._gens for p in into[src[s]]]
+
+    @_memo
+    def _out_index(self):
+        """(object -> the morphisms leaving it, in id order; morphism ->
+        its position in that list)."""
+        out, pos = {o: [] for o in self.objects}, {}
+        for m in self.morphisms:
+            ms = out[self.src[m]]
+            pos[m] = len(ms)
+            ms.append(m)
+        return out, pos
+
+    @_memo
+    def _hom_positions(self):
+        """morphism -> its position in hom(src, dst), in id order, so
+        that hom(a, b)[pos[m]] is m."""
+        return {m: i for ms in self._hom.values() for i, m in enumerate(ms)}
+
+    @_memo
+    def _homs_memo(self):
+        """(catalog group name, object y) -> _homs_into of that group
+        into aut(y), filled by _homs_into_aut."""
+        return {}
+
     def __repr__(self):
         return "FinGroupoid(%d objects, %d morphisms)" % (
             len(self.objects), len(self.morphisms))
@@ -407,48 +439,6 @@ def _keep_frame(g, base, tree, gens):
     object.__setattr__(g, "_gens", tuple(dict.fromkeys(gens)))
 
 
-def _check_plan(g):
-    """The triples (p, s, p;s) for s in the generating set and p into
-    src(s), in that order: the composites a functor check out of g
-    reads.  Built once per groupoid, on first use."""
-    try:
-        return g._plan
-    except AttributeError:
-        pass
-    comp, into, src = g.comp, g._into, g.src
-    plan = [(p, s, comp[(p, s)]) for s in g._gens for p in into[src[s]]]
-    object.__setattr__(g, "_plan", plan)
-    return plan
-
-
-def _out_index(g):
-    """(object -> the morphisms leaving it, in id order; morphism -> its
-    position in that list).  Built once per groupoid, on first use."""
-    try:
-        return g._out
-    except AttributeError:
-        pass
-    out, pos = {o: [] for o in g.objects}, {}
-    for m in g.morphisms:
-        ms = out[g.src[m]]
-        pos[m] = len(ms)
-        ms.append(m)
-    object.__setattr__(g, "_out", (out, pos))
-    return out, pos
-
-
-def _hom_positions(g):
-    """morphism -> its position in hom(src, dst), in id order, so that
-    g.hom(a, b)[pos[m]] is m.  Built once per groupoid, on first use."""
-    try:
-        return g._hom_pos
-    except AttributeError:
-        pass
-    pos = {m: i for ms in g._hom.values() for i, m in enumerate(ms)}
-    object.__setattr__(g, "_hom_pos", pos)
-    return pos
-
-
 def _morphism_label(m):
     return m
 
@@ -543,7 +533,7 @@ class FinFunctor:
         # every g into src(s) are closed under composition and inverses,
         # so checking the source's generating set checks every pair
         tcomp = T.comp
-        for g, s, gs in _check_plan(S):
+        for g, s, gs in S._check_plan:
             if tcomp[(fm[g], fm[s])] != fm[gs]:
                 raise FinGroupoidError(
                     "composition not preserved at (%r, %r)" % (g, s))
@@ -728,6 +718,11 @@ def hfiber(F, y):
 
 # ---------------------------------------------------------------------------
 # lightweight fiber analysis (shared by the flag routes; no tables built)
+#
+# _fiber_pass, _fiber_aut_trivial and _classes_over keep their results on
+# the functor by hand, not as `_memo` methods: the mutation harness
+# (tests/mutants.py) swaps each in by its name in this module, which a
+# method read through the functor would not see.
 
 def _fiber_pass(F, y):
     """(fiber object -> least member of its class, those members), in
@@ -746,16 +741,16 @@ def _fiber_pass(F, y):
     The pass numbers the fiber objects over all bases densely: the block
     of x starts at start[x], the number of fiber objects before x, and
     (x, m) gets start[x] plus the position of m among the morphisms
-    leaving F(x) (_out_index).  Fibers over different bases never meet,
-    and within one fiber the codes follow the id order of its objects
-    (sorted source objects, then sorted hom-sets), so the smaller root
-    that wins each join is the least member of its class."""
+    leaving F(x) (FinGroupoid._out_index).  Fibers over different bases
+    never meet, and within one fiber the codes follow the id order of its
+    objects (sorted source objects, then sorted hom-sets), so the smaller
+    root that wins each join is the least member of its class."""
     try:
         return F._fiber_cms[y]
     except AttributeError:
         pass
     S, T = F.source, F.target
-    out, pos = _out_index(T)
+    out, pos = T._out_index
     fm, om, tcomp, tdst = F.mor_map, F.obj_map, T.comp, T.dst
     start, items = {}, []
     for x in S.objects:
@@ -1235,7 +1230,7 @@ def _pullback_preserved(F, G):
     _fiber_pass).
 
     The pass joins codes and never hashes an object of the square: (x,
-    y, m) is start + the position of m in hom(F x, G y) (_hom_positions),
+    y, m) is start + the position of m in hom(F x, G y) (Z._hom_positions),
     where the block of (x, y) starts after those of the earlier x, then
     of the earlier y.  The codes follow the id order of the objects, so
     the smaller root that wins each join is the least member of its
@@ -1247,7 +1242,7 @@ def _pullback_preserved(F, G):
     X, Y, Z = F.source, G.source, F.target
     xcm, zcm, over = _classes_over(F)
     ycm = Y.component_map()
-    hom, hpos, zcomp = Z._hom, _hom_positions(Z), Z.comp
+    hom, hpos, zcomp = Z._hom, Z._hom_positions, Z.comp
     gys = [G.obj_map[y] for y in Y.objects]
     # x -> (start of the block of (x, y), hom(F x, G y)) for y in order
     items, blocks = [], {}
@@ -1473,11 +1468,7 @@ def random_groupoid(rng, max_objects=6, max_morphisms=24):
 def _homs_into_aut(G, T, y):
     """_homs_into of the catalog group G into aut(y) of T, computed once
     per (group, object) and kept on T; callers only read the list."""
-    try:
-        memo = T._homs_memo
-    except AttributeError:
-        memo = {}
-        object.__setattr__(T, "_homs_memo", memo)
+    memo = T._homs_memo
     key = (G.name, y)
     homs = memo.get(key)
     if homs is None:
@@ -1500,7 +1491,7 @@ def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
         return FinFunctor(empty_groupoid(), target, {}, {})
     source, blocks = _assemble_blocks(
         _random_blocks(rng, max_objects, max_morphisms))
-    out, tcomp = _out_index(target)[0], target.comp
+    out, tcomp = target._out_index[0], target.comp
     obj_images, mor_images = [], []
     for k, gname in blocks:
         G = _GROUPS[gname]

@@ -90,6 +90,32 @@ def _least_id(xs):
         return min(xs, key=_sort_key)
 
 
+class _memo:
+    """A method read as an attribute, built on the first read and kept.
+
+    The first read stores the method's result on the instance under its
+    name with `object.__setattr__`, so frozen dataclasses take it too;
+    with no `__set__` here, the instance attribute then shadows the
+    descriptor and every later read is a plain attribute read.  Not
+    `functools.cached_property`: it stores through `__dict__`, and on
+    CPython 3.11 that turns the instance's inline attribute values into
+    a dict and makes every other attribute read on it slower (about 2x
+    by timeit).  Readers share the result: read it, do not change it."""
+
+    __slots__ = ("fn", "name")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class FinGraph:
     """Finite undirected multigraph with stable edge ids.
@@ -124,17 +150,26 @@ class FinGraph:
         if self.basepoint is not None and self.basepoint not in vset:
             raise GraphError("basepoint %r is not a vertex" % (self.basepoint,))
 
-    @property
+    @_memo
     def ends(self):
-        try:
-            return self._ends_cache
-        except AttributeError:
-            d = {eid: (u, v) for eid, u, v in self.edges}
-            object.__setattr__(self, "_ends_cache", d)
-            return d
+        """dict edge id -> (tail, head)."""
+        return {eid: (u, v) for eid, u, v in self.edges}
+
+    @_memo
+    def _edge_ids(self):
+        return tuple(eid for eid, _, _ in self.edges)
 
     def edge_ids(self):
-        return tuple(eid for eid, _, _ in self.edges)
+        return self._edge_ids
+
+    @_memo
+    def _adjacency(self):
+        """dict vertex -> the darts leaving it, as `darts` gives them."""
+        lists = {u: [] for u in self.vertices}
+        for eid, a, b in self.edges:
+            lists[a].append((eid, +1, b))
+            lists[b].append((eid, -1, a))
+        return {u: tuple(ds) for u, ds in lists.items()}
 
     def darts(self, v):
         """All darts leaving v, as a tuple of (edge_id, sign, other_end)
@@ -143,16 +178,35 @@ class FinGraph:
         A loop at v contributes both its darts, +1 first.  The adjacency
         index behind this is built on the first call.
         """
-        try:
-            adj = self._darts_cache
-        except AttributeError:
-            lists = {u: [] for u in self.vertices}
-            for eid, a, b in self.edges:
-                lists[a].append((eid, +1, b))
-                lists[b].append((eid, -1, a))
-            adj = {u: tuple(ds) for u, ds in lists.items()}
-            object.__setattr__(self, "_darts_cache", adj)
-        return adj.get(v, ())
+        return self._adjacency.get(v, ())
+
+    @_memo
+    def _forest(self):
+        """(component map, spanning forest), from the one component
+        pass: a breadth-first search from each vertex not yet reached, in
+        vertex order, reading darts in `darts` order, so each start is
+        its component's least vertex and stands for it in the map.  The
+        forest sends each vertex to the tree dart (eid, sign) that first
+        reached it, None at each start, in BFS order, one component
+        after another."""
+        cm = dict.fromkeys(self.vertices)
+        parent = {}
+        for start in self.vertices:
+            if start in parent:
+                continue
+            parent[start] = None
+            cm[start] = start
+            queue = [start]
+            for v in queue:
+                # darts come in edge order, which is edge-id order, with
+                # +1 before -1 on a loop: the lowest-id-first order of
+                # the BFS
+                for eid, sign, other in self.darts(v):
+                    if other not in parent:
+                        parent[other] = (eid, sign)
+                        cm[other] = start
+                        queue.append(other)
+        return cm, parent
 
     def dart_ends(self, eid, sign):
         u, v = self.ends[eid]
@@ -252,59 +306,84 @@ class GraphMap:
         return GraphMap(g, g, {v: v for v in g.vertices},
                         {e: (e, +1) for e in g.edge_ids()})
 
-    @property
+    @_memo
     def preimages(self):
         """dict target vertex y -> (source vertices over y, collapsed
-        source edges over y), both in source order; built once."""
-        try:
-            return self._preimage_cache
-        except AttributeError:
-            vm = self.vertex_map
-            index = {y: ([], []) for y in self.target.vertices}
-            for x in self.source.vertices:
-                index[vm[x]][0].append(x)
-            for e, u, v in self.source.edges:
-                if self.edge_map[e] is None:
-                    index[vm[u]][1].append((e, u, v))
-            object.__setattr__(self, "_preimage_cache", index)
-            return index
+        source edges over y), both in source order."""
+        vm = self.vertex_map
+        index = {y: ([], []) for y in self.target.vertices}
+        for x in self.source.vertices:
+            index[vm[x]][0].append(x)
+        for e, u, v in self.source.edges:
+            if self.edge_map[e] is None:
+                index[vm[u]][1].append((e, u, v))
+        return index
 
-    @property
+    @_memo
     def pieces(self):
         """dict source vertex -> least vertex of its piece, in source
-        order; built once.  A piece is a component of the subgraph of
-        collapsed edges, so it lies in one fiber, and the pieces over y
-        are the components of the fiber over y."""
-        try:
-            return self._piece_cache
-        except AttributeError:
-            # source vertices are sorted, so each root is its piece's
-            # least vertex
-            uf = _Classes(self.source.vertices)
-            em = self.edge_map
-            for e, u, v in self.source.edges:
-                if em[e] is None:
-                    uf.union(u, v)
-            roots = uf.roots()
-            object.__setattr__(self, "_piece_cache", roots)
-            return roots
+        order.  A piece is a component of the subgraph of collapsed
+        edges, so it lies in one fiber, and the pieces over y are the
+        components of the fiber over y."""
+        # source vertices are sorted, so each root is its piece's least
+        # vertex
+        uf = _Classes(self.source.vertices)
+        em = self.edge_map
+        for e, u, v in self.source.edges:
+            if em[e] is None:
+                uf.union(u, v)
+        return uf.roots()
 
-    @property
+    @_memo
     def piece_ranks(self):
         """dict piece -> its cycle rank, |edges| - |vertices| + 1, in
-        source order; built once."""
-        try:
-            return self._piece_rank_cache
-        except AttributeError:
-            pieces = self.pieces
-            ranks = {}
-            for p in pieces.values():
-                ranks[p] = ranks.get(p, 1) - 1
-            for e, u, _ in self.source.edges:
-                if self.edge_map[e] is None:
-                    ranks[pieces[u]] += 1
-            object.__setattr__(self, "_piece_rank_cache", ranks)
-            return ranks
+        source order."""
+        pieces = self.pieces
+        ranks = {}
+        for p in pieces.values():
+            ranks[p] = ranks.get(p, 1) - 1
+        for e, u, _ in self.source.edges:
+            if self.edge_map[e] is None:
+                ranks[pieces[u]] += 1
+        return ranks
+
+    @_memo
+    def pieces_over(self):
+        """dict target vertex y -> the pieces over y, each named by its
+        least vertex, in source order."""
+        vm = self.vertex_map
+        out = {y: [] for y in self.target.vertices}
+        for x, p in self.pieces.items():
+            if x == p:
+                out[vm[x]].append(p)
+        return out
+
+    @_memo
+    def edges_over(self):
+        """dict target edge -> the (source edge, sign) pairs over it, in
+        source order."""
+        em = self.edge_map
+        out = {d: [] for d in self.target.edge_ids()}
+        for e, _, _ in self.source.edges:
+            img = em[e]
+            if img is not None:
+                out[img[0]].append((e, img[1]))
+        return out
+
+    @_memo
+    def components_over(self):
+        """(source component map, target component map, dict target
+        component rep -> the source component reps over it, sorted)."""
+        cm_src = component_map(self.source)
+        cm_dst = component_map(self.target)
+        over = {r: [] for v, r in cm_dst.items() if v == r}
+        vm = self.vertex_map
+        # each rep is its component's least vertex, so the reps come in
+        # vertex order, which is sorted
+        for v, r in cm_src.items():
+            if v == r:
+                over[cm_dst[vm[r]]].append(r)
+        return cm_src, cm_dst, over
 
     def dart_image(self, eid, sign):
         """Image of a dart: ('e', edge, sign) or ('r', vertex)."""
@@ -509,45 +588,11 @@ class _Classes:
 
 
 def component_map(g):
-    """dict vertex -> canonical component representative (least id).
-
-    The one component pass: a breadth-first search from each vertex not
-    yet reached, in vertex order, reading darts in `g.darts` order, so
-    each start is its component's least vertex.  It also fixes the
-    spanning forest that `_spanning_forest` returns.  Built once per
-    graph; the dict is shared by every caller: read it, do not change
+    """dict vertex -> canonical component representative (least id),
+    from the graph's one component pass (`FinGraph._forest`), built
+    once per graph and shared by every caller: read it, do not change
     it."""
-    try:
-        return g._component_cache
-    except AttributeError:
-        pass
-    cm = dict.fromkeys(g.vertices)
-    parent = {}
-    for start in g.vertices:
-        if start in parent:
-            continue
-        parent[start] = None
-        cm[start] = start
-        queue = [start]
-        for v in queue:
-            # darts come in edge order, which is edge-id order, with +1
-            # before -1 on a loop: the lowest-id-first order of the BFS
-            for eid, sign, other in g.darts(v):
-                if other not in parent:
-                    parent[other] = (eid, sign)
-                    cm[other] = start
-                    queue.append(other)
-    object.__setattr__(g, "_forest_cache", parent)
-    object.__setattr__(g, "_component_cache", cm)
-    return cm
-
-
-def _spanning_forest(g):
-    """dict vertex -> the tree dart (eid, sign) that first reached it,
-    None at each component's least vertex; in BFS order, one component
-    after another.  Shared like `component_map`'s dict."""
-    component_map(g)
-    return g._forest_cache
+    return g._forest[0]
 
 
 def pi0(g):

@@ -22,7 +22,7 @@ words.solve_simultaneous_conjugacy decides exactly.
 
 from dataclasses import dataclass
 
-from .graphs import _sorted_ids, _spanning_forest, component_map, FinGraph
+from .graphs import _sorted_ids, component_map, FinGraph
 from .words import (
     reduce_word, mul, inv, solve_simultaneous_conjugacy, Unknown,
 )
@@ -62,7 +62,7 @@ class PresGroupoid:
         parents = {}
         tree_edges = set()
         # the forest lists each component's BFS in one run, start first
-        for v, dart in _spanning_forest(graph).items():
+        for v, dart in graph._forest[1].items():
             if dart is None:
                 parent = parents[v] = {}
             else:

@@ -188,16 +188,12 @@ def prism(f, y, F=None):
 # The gamma decision procedure.
 
 class _ComponentData:
-    """Per-source-component facts independent of the queried vertex.
+    """Per-source-component facts independent of the queried vertex;
+    ranks lists the cycle ranks of the component's pieces."""
 
-    pieces_over: target vertex -> piece -> the component's vertices over
-    it in that piece, in source order."""
-
-    def __init__(self, F, f, comp, pieces_over):
+    def __init__(self, F, comp, ranks):
         self.subgroup = H = F.image_subgroup(comp.base)
         self.complete = H.complete()
-        self.pieces_over = pieces_over
-        ranks = [f.piece_ranks[p] for ps in pieces_over.values() for p in ps]
         # the three counts of clause (c), see the module docstring
         self.positive = sum(1 for r in ranks if r > 0)
         self.incidence_rank = len(comp.letters) - sum(ranks)
@@ -211,48 +207,41 @@ class GammaAnalyzer:
     def __init__(self, f, F=None):
         self.f = f
         self.F = F = F if F is not None else induce_functor(f)
-        S, T = F.src, F.dst
-        # one pass each: source components by target component, and
-        # vertices by source component, image and piece
-        self._over = {}
-        for cb in S.components:
-            self._over.setdefault(T.comp_of[F.obj[cb]], []).append(cb)
-        pieces = f.pieces
-        self._pieces_over = {cb: {} for cb in S.components}
-        for x in f.source.vertices:
-            self._pieces_over[S.comp_of[x]].setdefault(
-                F.obj[x], {}).setdefault(pieces[x], []).append(x)
+        comp_of = F.src.comp_of
+        # the map's source components over each target component, and
+        # the ranks of the pieces in each source component
+        self._over = f.components_over[2]
+        self._ranks = {cb: [] for cb in F.src.components}
+        for p, r in f.piece_ranks.items():
+            self._ranks[comp_of[p]].append(r)
         self._comp_data = {}
 
     def _data_for(self, cb):
         if cb not in self._comp_data:
             self._comp_data[cb] = _ComponentData(
-                self.F, self.f, self.F.src.components[cb],
-                self._pieces_over[cb])
+                self.F, self.F.src.components[cb], self._ranks[cb])
         return self._comp_data[cb]
 
     def at_vertex(self, y):
-        F = self.F
-        for cb in self._over.get(F.dst.comp_of[y], ()):
+        F, f = self.F, self.f
+        comp_of = F.src.comp_of
+        pieces = {}
+        for p in f.pieces_over[y]:
+            pieces.setdefault(comp_of[p], []).append(p)
+        for cb in self._over[F.dst.comp_of[y]]:
             data = self._data_for(cb)
             if not data.complete:
                 return False
             H = data.subgroup
-            pieces = data.pieces_over.get(y, {})
-            if not pieces:
-                return False
-            # (a) all cosets marked, (b) injectively
-            states = {}
-            for p, xs in pieces.items():
-                s = H.trace(F.conj[xs[0]])
-                if s in states:
-                    return False
-                states[s] = p
-            if len(states) != H.n:
+            ps = pieces.get(cb, ())
+            # (a) all cosets marked, (b) injectively; a piece's least
+            # vertex lies over y and marks the piece's coset
+            if (len(ps) != H.n
+                    or len({H.trace(F.conj[p]) for p in ps}) != H.n):
                 return False
             # (c) kernel analysis by the counts of the source component
-            for p in pieces:
-                if self.f.piece_ranks[p] == 0:
+            for p in ps:
+                if f.piece_ranks[p] == 0:
                     if data.positive or not data.injective:
                         return False
                 elif data.incidence_rank or data.positive != 1:

@@ -431,6 +431,8 @@ def _build_fingroupoid(sec, doc):
             if len(toks) != 3:
                 raise ParseError(line, "morphisms line wants: id src dst")
             m, a, b = (_atom(t) for t in toks)
+            if m in src:
+                raise ParseError(line, "second morphisms line for %r" % (m,))
             mors.append(m)
             src[m] = a
             dst[m] = b

@@ -1,15 +1,17 @@
 """The one-pass fiber data of a map against the per-vertex fiber routes.
 
-The references below are the routes `classify` took before the piece
-index: build `fiber(f, y)` for every target vertex and read its
+The references below are the routes `classify` took before the map's
+fiber indexes: build `fiber(f, y)` for every target vertex and read its
 components with `pi0`, and cut each source component along its
-collapsed edges by scanning every source edge.  The piece index
-(`GraphMap.pieces`), the cached component map and the component slices
-of the gamma and etale routes must agree with them on random maps whose
-ids mix ints, strings and tuples, disjoint unions included.  Two guards
-pin the linear growth of `classify` in the number of source components,
-and a third that a graph's darts are walked once, by `component_map`,
-however `shape1` and `component_map` are called.
+collapsed edges by scanning every source edge.  The indexes a map
+builds once and every reader shares (`GraphMap.pieces`, `pieces_over`,
+`edges_over`, `components_over` and `piece_ranks`), the cached component
+map, the gamma test's per-component rank lists and the etale route must
+agree with them on random maps whose ids mix ints, strings and tuples,
+disjoint unions included.  Two guards pin the linear growth of
+`classify` in the number of source components, and a third that a
+graph's darts are walked once, by `component_map`, however `shape1` and
+`component_map` are called.
 """
 
 import gc
@@ -21,7 +23,7 @@ from contextlib import contextmanager
 from hypothesis import example, given, settings, strategies as st
 
 from modalfib.classify import (
-    _classify_pi0, _comp_pairing, _etale_shape_route, classify,
+    _classify_pi0, _etale_shape_route, classify,
     constant_fiber_criterion, factor0,
 )
 from modalfib import corpus
@@ -426,33 +428,37 @@ def test_gamma_component_slices_match_a_component_scan(f):
     an = GammaAnalyzer(f)
     F = an.F
     S, T = F.src, F.dst
-    over = {}
-    for cb in S.components:
-        over.setdefault(T.comp_of[F.obj[cb]], []).append(cb)
-    assert an._over == over
+    cm_src, cm_dst, over = f.components_over
+    assert cm_src is S.comp_of and cm_dst is T.comp_of
+    scan = {tb: [] for tb in T.components}
+    for cb in sorted(S.components, key=_sort_key):
+        scan[T.comp_of[F.obj[cb]]].append(cb)
+    assert over == scan
+    assert f.edges_over == ref_edges_over(f)
+    piece_of = ref_pieces(f)
+    want = {y: [] for y in f.target.vertices}
+    for x in f.source.vertices:
+        ps = want[f.vertex_map[x]]
+        if piece_of[x] not in ps:
+            ps.append(piece_of[x])
+    assert f.pieces_over == want
     all_ranks = {}
     for cb, comp in S.components.items():
-        data = an._data_for(cb)
         piece_of = ref_union_find(
             sorted(comp.vertices, key=_sort_key),
             [(u, v) for e, u, v in f.source.edges
              if u in comp.vertices and f.edge_map[e] is None])
-        want = {}
-        for x in f.source.vertices:
-            if x in comp.vertices:
-                want.setdefault(F.obj[x], {}).setdefault(
-                    piece_of[x], []).append(x)
-        assert data.pieces_over == want
         ranks = {p: 1 - sum(1 for x in comp.vertices if piece_of[x] == p)
                  for p in set(piece_of.values())}
         for e, u, v in f.source.edges:
             if u in comp.vertices and f.edge_map[e] is None:
                 ranks[piece_of[u]] += 1
         assert {p: f.piece_ranks[p] for p in ranks} == ranks
+        assert an._ranks[cb] == [ranks[p]
+                                 for p in sorted(ranks, key=_sort_key)]
         all_ranks.update(ranks)
     assert f.piece_ranks == all_ranks
     assert list(f.piece_ranks) == list(dict.fromkeys(f.pieces.values()))
-    assert f.piece_ranks is f.piece_ranks
 
 
 @settings(deadline=None)
@@ -493,7 +499,7 @@ def test_etale_shape_route_matches_the_per_component_scan(f):
 
 def test_comp_pairing_lists_are_sorted_and_distinct():
     f = triangles(5)
-    _, _, over = _comp_pairing(f)
+    _, _, over = f.components_over
     for cs in over.values():
         assert cs == sorted(set(cs), key=_sort_key)
 

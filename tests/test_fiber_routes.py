@@ -43,7 +43,7 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, _Classes, _classes_over, _fiber_aut_trivial, _fiber_pass,
-    _hom_positions, _middle_readings, _pullback_preserved, _transport,
+    _middle_readings, _pullback_preserved, _transport,
     connected_groupoid, discrete_groupoid, group_groupoid, nine_way,
     object_inclusion, product_groupoid, random_functor, random_functor_into,
 )
@@ -360,11 +360,11 @@ def test_route_passes_join_codes_and_build_no_index(kind, seed):
 def test_hom_positions_match_hom_sets(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     for g in (F.source, F.target):
-        pos = _hom_positions(g)
+        pos = g._hom_positions
         assert len(pos) == len(g.morphisms)
         for m in g.morphisms:
             assert g.hom(g.src[m], g.dst[m]).index(m) == pos[m]
-        assert _hom_positions(g) is pos
+        assert g._hom_positions is pos
 
 
 @settings(max_examples=60, deadline=None)

@@ -251,6 +251,22 @@ def test_repeated_compose_pair_rejected_at_its_line():
     assert msg.startswith("line 10:") and "'t' 't'" in msg
 
 
+@pytest.mark.parametrize("rows, line", [
+    (B2_ROWS + "morphisms: t o o\n", 10),
+    # the second row would make k a loop at b, and the rest a groupoid
+    ("fingroupoid: q\nobjects: a b\nmorphisms: ia a a\nmorphisms: ib b b\n"
+     "morphisms: k a b\nmorphisms: k b b\nidentity: a ia\nidentity: b ib\n"
+     "compose: ia ia ia\ncompose: ib ib ib\ncompose: ib k k\n"
+     "compose: k ib k\ncompose: k k ib\n", 6),
+    # the second row would leave a without its identity
+    ("fingroupoid: q\nobjects: a b\nmorphisms: i a a\nmorphisms: i b b\n"
+     "identity: a i\nidentity: b i\ncompose: i i i\n", 4),
+])
+def test_repeated_morphism_id_rejected_at_its_line(rows, line):
+    msg = err(rows)
+    assert msg.startswith("line %d:" % line) and "second morphisms" in msg
+
+
 def test_repeated_delta_row_rejected_at_its_line():
     msg = err("automaton: a\nletters: x\nstates: 2\n"
               "delta: 0 x 1\ndelta: 0 x 0\n")
