@@ -5,6 +5,11 @@ library modules provide, and emits reports in two formats: a human text
 rendering (with timing) and a canonical machine rendering (sorted-key
 JSON with no timing, so identical inputs give byte-identical output).
 
+Each command is one row of `_COMMANDS`: its handler, its help line and
+its options.  The argv parser is built from the rows, and an
+`AnalysisRequest` is checked against its command's row, so the library
+API rejects exactly the commands and options that argv rejects.
+
 Exit codes: 0 decided-pass, 1 decided-fail, 2 undecided or size-bounded,
 64 usage errors, 65 parse and input-document errors.  Undecided is read
 off the flags of the verdict records; descriptive commands exit 0.
@@ -32,7 +37,7 @@ from .quotients import (ActionError, QUOTIENT_GROUP_BOUND, SizeError,
                         fiber_sequence_check, orbit_graph,
                         quotient_is_fibration, shape_of_quotient)
 from . import suites
-from .textio import ParseError, cycles_of_perm, parse_document
+from .textio import ParseError, _atom, cycles_of_perm, parse_document
 
 __all__ = ["AnalysisRequest", "Report", "run", "main",
            "UsageError", "InputError"]
@@ -46,15 +51,6 @@ class InputError(Exception):
     """Well-formed invocation, unusable document content."""
 
 
-_KNOWN_OPTIONS = {
-    "format", "dot", "radius", "seed", "samples", "n", "vertex",
-    "max_group",
-}
-
-_INT_OPTIONS = {"radius": 0, "seed": None, "samples": 1, "n": 1,
-                "max_group": 1}
-
-
 @dataclass(frozen=True)
 class AnalysisRequest:
     """One dispatchable unit of work: a command, its parsed input
@@ -65,20 +61,18 @@ class AnalysisRequest:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = sorted(set(self.options) - _KNOWN_OPTIONS)
-        if unknown:
-            raise UsageError("unknown option keys: %s" % ", ".join(unknown))
-        for key, low in _INT_OPTIONS.items():
-            if key not in self.options:
-                continue
-            v = self.options[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise UsageError("option %r wants an integer" % key)
-            if low is not None and v < low:
-                raise UsageError("option %r must be at least %d" % (key, low))
-        fmt = self.options.get("format", "text")
-        if fmt not in ("text", "json"):
-            raise UsageError("format must be text or json")
+        if self.command not in _COMMANDS:
+            raise UsageError("unknown command %r" % (self.command,))
+        takes = _COMMANDS[self.command][2]
+        for key, value in self.options.items():
+            if key == "format":
+                if value not in _FORMATS:
+                    raise UsageError("format must be text or json")
+            elif key in takes:
+                _checked(key, takes[key], value)
+            else:
+                raise UsageError("command %r takes no option %r"
+                                 % (self.command, key))
 
     def opt(self, key, default=None):
         return self.options.get(key, default)
@@ -108,11 +102,20 @@ class Report:
         return "\n".join(out)
 
 
-def _coerce(tok):
-    try:
-        return int(tok)
-    except (TypeError, ValueError):
-        return tok
+_FORMATS = ("text", "json")
+
+
+def _checked(key, kind, value):
+    """The value of option `key`, if it is of its kind: str, any integer
+    (None) or an integer at least `kind`; else a UsageError."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise UsageError("option %r wants a string" % (key,))
+    elif not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError("option %r wants an integer" % (key,))
+    elif kind is not None and value < kind:
+        raise UsageError("option %r must be at least %d" % (key, kind))
+    return value
 
 
 def _status(*levels):
@@ -253,7 +256,7 @@ def _cmd_prism(request):
         if y is None:
             raise InputError("target has no basepoint; pass --vertex")
     else:
-        y = _coerce(y)
+        y = _atom(y)
     if y not in f.target.vertices:
         raise InputError("vertex %r is not in the target" % (y,))
     F = induce_functor(f)
@@ -281,11 +284,10 @@ def _cmd_prism(request):
 
 
 def _cmd_covers_enumerate(request):
-    doc = request.documents[0]
-    g = _single(doc, "graph", "the base space")
     n = request.opt("n")
     if n is None:
         raise UsageError("covers enumerate needs --n")
+    g = _single(request.documents[0], "graph", "the base space")
     out = enumerate_covers(g, n)
     listed = [{l: cycles_of_perm(m.perms[l]) for l in m.letters}
               for m in out]
@@ -476,32 +478,60 @@ def _cmd_suite(suite, request):
     return data, lines, 0 if counts["ok"] else 1
 
 
-_HANDLERS = {
-    "classify": (_cmd_classify, True),
-    "factor0": (_cmd_factor0, True),
-    "criteria": (_cmd_criteria, True),
-    "prism": (_cmd_prism, True),
-    "covers enumerate": (_cmd_covers_enumerate, True),
-    "covers monodromy": (_cmd_covers_monodromy, True),
-    "covers total": (_cmd_covers_total, True),
-    "covers universal-ball": (_cmd_covers_universal_ball, True),
-    "covers verify-shape": (_cmd_covers_verify_shape, True),
-    "quotient shape": (_cmd_quotient_shape, True),
-    "quotient verify": (_cmd_quotient_verify, True),
-    "suite nine-way": (partial(_cmd_suite, _suite_nine_way), False),
-    "suite closure": (partial(_cmd_suite, _suite_closure), False),
-    "suite compare-modalities": (partial(_cmd_suite, _suite_compare), False),
+_SUITE_OPTIONS = {"samples": 1, "seed": None}
+
+# One row per command: its handler, its help line and the options it
+# takes besides --format.  An option maps to its least value, to None
+# for any integer, or to str.  The parser, the request check and run()
+# read these rows; only the suites read no document.
+_COMMANDS = {
+    "classify": (_cmd_classify, "five-way verdicts at both levels", {}),
+    "factor0": (_cmd_factor0, "connected/discrete factorization",
+                {"dot": str}),
+    "criteria": (_cmd_criteria, "cross-check fiber criteria", {}),
+    "prism": (_cmd_prism, "fiber triangle over one vertex",
+              {"vertex": str}),
+    "covers enumerate": (_cmd_covers_enumerate,
+                         "all marked n-sheeted covers", {"n": 1}),
+    "covers monodromy": (_cmd_covers_monodromy,
+                         "fiber permutations of a cover", {}),
+    "covers total": (_cmd_covers_total,
+                     "total space of a monodromy action", {"dot": str}),
+    "covers universal-ball": (_cmd_covers_universal_ball,
+                              "finite ball of the universal cover",
+                              {"radius": 0, "dot": str}),
+    "covers verify-shape": (_cmd_covers_verify_shape,
+                            "certify orbits against components", {}),
+    "quotient shape": (_cmd_quotient_shape,
+                       "shape of the homotopy quotient",
+                       {"dot": str, "max_group": 1}),
+    "quotient verify": (_cmd_quotient_verify,
+                        "fibration and fiber-sequence check",
+                        {"max_group": 1}),
+    "suite nine-way": (partial(_cmd_suite, _suite_nine_way),
+                       "agreement of all decision routes", _SUITE_OPTIONS),
+    "suite closure": (partial(_cmd_suite, _suite_closure),
+                      "pullback and composite closure", _SUITE_OPTIONS),
+    "suite compare-modalities": (partial(_cmd_suite, _suite_compare),
+                                 "level-comparison implications",
+                                 _SUITE_OPTIONS),
 }
+
+_GROUPS = {"covers": "covering-space analyses",
+           "quotient": "group-action quotients",
+           "suite": "randomized theorem suites"}
+
+
+def _reads_document(command):
+    return not command.startswith("suite ")
 
 
 def run(request):
     """Dispatch one request and package the outcome as a Report."""
-    if request.command not in _HANDLERS:
-        raise UsageError("unknown command %r" % request.command)
-    handler, wants_doc = _HANDLERS[request.command]
-    if wants_doc and not request.documents:
+    if _reads_document(request.command) and not request.documents:
         raise UsageError("command %r needs an input document"
                          % request.command)
+    handler = _COMMANDS[request.command][0]
     t0 = time.perf_counter()
     data, lines, status = handler(request)
     elapsed = time.perf_counter() - t0
@@ -517,91 +547,54 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
+def _option_type(key, kind):
+    """The argparse type of an option: the token itself, or an integer
+    checked as the request checks it."""
+    if kind is str:
+        return str
 
-
-def _add_doc(p):
-    p.add_argument("document", help="input file in the shared text format")
+    def integer(tok):
+        return _checked(key, kind, int(tok))
+    return integer
 
 
 def _build_parser():
     parser = _Parser(prog="modalfib",
                      description="Modal classification toolkit for maps "
                                  "of graphs and finite groupoids.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="five-way verdicts at both levels")
-    _add_doc(p); _add_format(p)
-
-    p = sub.add_parser("factor0", help="connected/discrete factorization")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--dot", metavar="PATH")
-
-    p = sub.add_parser("criteria", help="cross-check fiber criteria")
-    _add_doc(p); _add_format(p)
-
-    p = sub.add_parser("prism", help="fiber triangle over one vertex")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--vertex", metavar="V")
-
-    covers = sub.add_parser("covers", help="covering-space analyses")
-    csub = covers.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("enumerate", help="all marked n-sheeted covers")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--n", type=int, required=True, metavar="N")
-    p = csub.add_parser("monodromy", help="fiber permutations of a cover")
-    _add_doc(p); _add_format(p)
-    p = csub.add_parser("total", help="total space of a monodromy action")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--dot", metavar="PATH")
-    p = csub.add_parser("universal-ball",
-                        help="finite ball of the universal cover")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--radius", type=int, metavar="R")
-    p.add_argument("--dot", metavar="PATH")
-    p = csub.add_parser("verify-shape",
-                        help="certify orbits against components")
-    _add_doc(p); _add_format(p)
-
-    quot = sub.add_parser("quotient", help="group-action quotients")
-    qsub = quot.add_subparsers(dest="subcommand", required=True)
-    p = qsub.add_parser("shape", help="shape of the homotopy quotient")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--dot", metavar="PATH")
-    p.add_argument("--max-group", type=int, metavar="N")
-    p = qsub.add_parser("verify", help="fibration and fiber-sequence check")
-    _add_doc(p); _add_format(p)
-    p.add_argument("--max-group", type=int, metavar="N")
-
-    suite = sub.add_parser("suite", help="randomized theorem suites")
-    ssub = suite.add_subparsers(dest="subcommand", required=True)
-    for name, hlp in (("nine-way", "agreement of all decision routes"),
-                      ("closure", "pullback and composite closure"),
-                      ("compare-modalities", "level-comparison implications")):
-        p = ssub.add_parser(name, help=hlp)
-        _add_format(p)
-        p.add_argument("--samples", type=int, metavar="N")
-        p.add_argument("--seed", type=int, metavar="S")
-
+    # the subparsers of each group, the top level's under ""
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (_, hlp, options) in _COMMANDS.items():
+        group, _, leaf = command.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help=_GROUPS[group]).add_subparsers(
+                    dest="command", required=True)
+        p = groups[group].add_parser(leaf, help=hlp)
+        p.set_defaults(command=command)
+        if _reads_document(command):
+            p.add_argument("document",
+                           help="input file in the shared text format")
+        p.add_argument("--format", choices=_FORMATS, default="text")
+        for key, kind in options.items():
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=_option_type(key, kind))
     return parser
 
 
 def _request_from(ns):
-    command = ns.command
-    if getattr(ns, "subcommand", None):
-        command = "%s %s" % (command, ns.subcommand)
-    options = {}
-    for key in sorted(_KNOWN_OPTIONS):
-        if getattr(ns, key, None) is not None:
-            options[key] = getattr(ns, key)
+    """The request for the parsed argv: every option argparse set, and
+    the document read and parsed."""
+    options = {k: v for k, v in sorted(vars(ns).items()) if v is not None}
+    command = options.pop("command")
+    path = options.pop("document", None)
     documents = ()
-    if getattr(ns, "document", None) is not None:
+    if path is not None:
         try:
-            with open(ns.document, "rb") as fh:
+            with open(path, "rb") as fh:
                 raw = fh.read()
         except OSError as e:
-            raise UsageError("cannot read %s: %s" % (ns.document, e.strerror))
+            raise UsageError("cannot read %s: %s" % (path, e.strerror))
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as e:

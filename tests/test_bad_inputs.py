@@ -8,8 +8,11 @@ header or generator block line when no row did, as for a missing image.
 
 Each case is run as a document, which must fail with a ParseError at the
 stated line, and as the direct constructor call, which must fail with
-the stated error naming the same id as its `subject`.  Arity and
-repeated-row cases have no constructor call; a constructor input that no
+the stated error naming the same id as its `subject`.  What only the
+parser rejects (row and header arity, cycle syntax, non-integer numbers,
+missing, unknown and repeated rows) has no constructor call, and nor do
+the errors of the group and groupoid constructors, which carry no
+subject and land at the section header; a constructor input that no
 document can spell (a missing perm row is the identity) has no document.
 """
 
@@ -47,14 +50,22 @@ ID2 = "{1: 1, 2: 2}"
 # 7, the blocks start at lines 8 and 15
 T3 = ("graph: t\nvertices: 0 1 2\nedges: e0 0 1\nedges: e1 1 2\n"
       "edges: e2 2 0\n\naction: r t\n")
-ROT = ("group-gen: 1 2 0\nvertex-perm: 0 -> 1\nvertex-perm: 1 -> 2\n"
-       "vertex-perm: 2 -> 0\nedge-perm: e0 -> e1 +\nedge-perm: e1 -> e2 +\n"
-       "edge-perm: e2 -> e0 +\n")
+ROT_BLOCK = ("vertex-perm: 0 -> 1\nvertex-perm: 1 -> 2\nvertex-perm: 2 -> 0\n"
+             "edge-perm: e0 -> e1 +\nedge-perm: e1 -> e2 +\n"
+             "edge-perm: e2 -> e0 +\n")
+ROT = "group-gen: 1 2 0\n" + ROT_BLOCK
 ROT2_ROWS = ["vertex-perm: 0 -> 2", "vertex-perm: 1 -> 0", "vertex-perm: 2 -> 1",
              "edge-perm: e0 -> e2 +", "edge-perm: e1 -> e0 +",
              "edge-perm: e2 -> e1 +"]
 ROT2_VM = {0: 2, 1: 0, 2: 1}
 ROT2_EM = {"e0": ("e2", 1), "e1": ("e0", 1), "e2": ("e1", 1)}
+
+
+# an automaton before its states line, which is line 3
+AUT = "automaton: a\nletters: a\n"
+
+# the trivial groupoid on one object but for its compose row, line 5
+FG = "fingroupoid: q\nobjects: x\nmorphisms: i x x\nidentity: x i\n"
 
 
 def rot2(rows):
@@ -180,6 +191,73 @@ CASES = [
          None, None, None),
     Case("repeated vertex-perm row in a block",
          rot2(ROT2_ROWS[:1] + ROT2_ROWS), 17, None, None, None),
+    Case("edges row with two tokens", "graph: g\nvertices: 0\nedges: e0 0\n",
+         3, None, None, None),
+    Case("basepoint row with two vertices",
+         "graph: g\nvertices: 0 1\nbasepoint: 0 1\n", 3, None, None, None),
+    Case("states row with two numbers", AUT + "states: 1 2\n", 3,
+         None, None, None),
+    Case("delta row with two tokens", AUT + "states: 1\ndelta: 0 a\n", 4,
+         None, None, None),
+    Case("morphisms row with two tokens",
+         "fingroupoid: q\nobjects: x\nmorphisms: i x\n", 3, None, None, None),
+    Case("identity row with one token",
+         "fingroupoid: q\nobjects: x\nmorphisms: i x x\nidentity: x\n", 4,
+         None, None, None),
+    Case("compose row with two tokens", FG + "compose: i i\n", 5,
+         None, None, None),
+    # -- header arity
+    Case("map header without a target", C2.replace("f c c", "f c"), 6,
+         None, None, None),
+    Case("monodromy header with two bases",
+         LOOP.replace("m g", "m g g") + "degree: 2\n", 6, None, None, None),
+    Case("action header with two spaces",
+         T3.replace("r t", "r t t") + ROT, 7, None, None, None),
+    # -- cycles, degrees and perm rows
+    Case("cycle spec with a stray token",
+         LOOP + "degree: 2\nperm: e0 (1 2) 3\n", 8, None, None, None),
+    Case("one-point cycle", LOOP + "degree: 2\nperm: e0 (1)\n", 8,
+         None, None, None),
+    Case("cycle through an unknown point",
+         LOOP + "degree: 2\nperm: e0 (1 3)\n", 8, None, None, None),
+    Case("point repeated in cycles",
+         LOOP + "degree: 3\nperm: e0 (1 2)(2 3)\n", 8, None, None, None),
+    Case("degree zero", LOOP + "degree: 0\n", 7, None, None, None),
+    Case("degree that is not a number", LOOP + "degree: two\n", 7,
+         None, None, None),
+    Case("perm row without a letter", LOOP + "degree: 2\nperm:\n", 8,
+         None, None, None),
+    # -- group generators
+    Case("group-gen with a non-integer image", T3 + "group-gen: 1 2 x\n", 8,
+         None, None, None),
+    Case("vertex-perm before any group-gen",
+         T3 + "vertex-perm: 0 -> 1\n", 8, None, None, None),
+    Case("generators of different degree", T3 + ROT + "group-gen: 1 0\n", 7,
+         None, None, None),
+    # -- non-integer states
+    Case("states row that is not an integer", AUT + "states: one\n", 3,
+         None, None, None),
+    Case("delta row with a non-integer state",
+         AUT + "states: 1\ndelta: 0 a x\n", 4, None, None, None),
+    # -- missing rows, reported at the header
+    Case("monodromy without a degree or fiber row", LOOP + "perm: e0\n", 6,
+         None, None, None),
+    Case("automaton without a states row", AUT + "delta: 0 a 0\n", 1,
+         None, None, None),
+    # -- unknown row keys
+    Case("unknown map row", C2 + "w 0 -> 0\n", 7, None, None, None),
+    Case("unknown monodromy row", LOOP + "degree: 2\nsheets: 2\n", 8,
+         None, None, None),
+    Case("unknown action row", T3 + "group-gen: 1 2 0\nfixes: 0\n", 9,
+         None, None, None),
+    Case("unknown automaton row", AUT + "states: 1\nstart: 0\n", 4,
+         None, None, None),
+    Case("unknown fingroupoid row", FG + "compose: i i i\ninverse: i i\n", 6,
+         None, None, None),
+    # -- group and groupoid constructor errors, reported at the header
+    Case("action that breaks the group's relations",
+         T3 + "group-gen: 1 0\n" + ROT_BLOCK, 7, None, None, None),
+    Case("fingroupoid without its composition", FG, 1, None, None, None),
 ]
 
 
@@ -229,6 +307,10 @@ def test_good_versions_of_the_documents_parse():
     assert doc.single("action").group.order == 3
     doc = parse_document(LOOP + "degree: 2\nperm: e0 (1 2)\n")
     assert doc.single("monodromy").perms["e0"] == {1: 2, 2: 1}
+    doc = parse_document(AUT + "states: 1\ndelta: 0 a 0\n")
+    assert doc.single("automaton").n == 1
+    doc = parse_document(FG + "compose: i i i\n")
+    assert doc.single("fingroupoid").objects == ("x",)
 
 
 @pytest.mark.parametrize("command", ["monodromy", "total"])

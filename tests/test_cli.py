@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,29 @@ edge-perm: e4 -> e1 +
 edge-perm: e5 -> e2 +
 """
 
+# the reflection of a 4-cycle that fixes vertices 0 and 2: not free
+SQUARE_FLIP = """\
+graph: square
+vertices: 0 1 2 3
+edges: e0 0 1
+edges: e1 1 2
+edges: e2 2 3
+edges: e3 3 0
+
+action: flip square
+group-gen: 1 0
+vertex-perm: 0 -> 0
+vertex-perm: 1 -> 3
+vertex-perm: 2 -> 2
+vertex-perm: 3 -> 1
+edge-perm: e0 -> e3 -
+edge-perm: e1 -> e2 -
+edge-perm: e2 -> e1 -
+edge-perm: e3 -> e0 -
+"""
+
+PATH_REFLECTION = Path(__file__).parent / "golden" / "path_reflection.txt"
+
 
 @pytest.fixture
 def docs(tmp_path):
@@ -183,6 +207,31 @@ def test_quotient_verify_passes(docs, capsys):
     assert all(r["exact"] for r in data["rows"])
 
 
+def test_quotient_shape_of_a_forest_writes_its_groupoid(tmp_path, capsys):
+    dot = tmp_path / "q.dot"
+    code, data = run_json(capsys, ["quotient", "shape", str(PATH_REFLECTION),
+                                   "--dot", str(dot)])
+    assert code == 0
+    assert data["kind"] == "groupoid"
+    body = dot.read_text()
+    assert body.startswith('digraph "quotient"')
+    # one object and one arrow; the identities are not drawn
+    assert body.count("[label=") == 2 and body.count(" -> ") == 1
+
+
+def test_quotient_shape_of_a_non_free_action_on_a_cycle(tmp_path, capsys):
+    p = tmp_path / "flip.txt"
+    p.write_text(SQUARE_FLIP)
+    dot = tmp_path / "orbit.dot"
+    code, data = run_json(capsys, ["quotient", "shape", str(p),
+                                   "--dot", str(dot)])
+    assert code == 0
+    assert data["kind"] == "presented"
+    assert data["ranks"] == {"0": "unavailable (action not free)"}
+    assert data["dot"] == "unavailable (action not free)"
+    assert not dot.exists()
+
+
 def test_factor0_recomposes_and_writes_dot(docs, capsys, tmp_path):
     dot = str(tmp_path / "mid.dot")
     code, data = run_json(capsys, ["factor0", docs["c6c3"], "--dot", dot])
@@ -208,6 +257,24 @@ def test_prism_over_basepoint(docs, capsys):
     assert data["symbolic_cosets"] == 2
     assert data["triangle_commutes"] is True
     assert data["gamma_equivalence"] is True
+
+
+@pytest.mark.parametrize("token, integer", [("+7", 7), ("1_0", 10)])
+def test_prism_vertex_is_a_document_token(token, integer, tmp_path, capsys):
+    # --vertex reads its value as the text format reads an id, so a token
+    # that int() would take for an integer names its own vertex
+    p = tmp_path / "two.txt"
+    p.write_text("graph: s\nvertices: a\n\ngraph: t\nvertices: %s %d\n\n"
+                 "map: f s t\nv a -> %s\n" % (token, integer, token))
+    code, data = run_json(capsys, ["prism", str(p), "--vertex", token])
+    assert code == 0
+    assert data["vertex"] == token and data["fiber_vertices"] == 1
+    code, data = run_json(capsys, ["prism", str(p), "--vertex", str(integer)])
+    assert code == 0
+    assert data["vertex"] == integer and data["fiber_vertices"] == 0
+    # no id holds whitespace
+    assert main(["prism", str(p), "--vertex", " %d" % integer]) == 65
+    assert "input error: vertex ' %d'" % integer in capsys.readouterr().err
 
 
 def test_suite_commands_pass_on_small_samples(capsys):
@@ -276,7 +343,65 @@ def test_request_rejects_unknown_option_keys():
     with pytest.raises(UsageError):
         AnalysisRequest(command="classify", options={"samples": "many"})
     with pytest.raises(UsageError):
+        AnalysisRequest(command="prism", options={"vertex": 7})
+    with pytest.raises(UsageError):
         run(AnalysisRequest(command="no-such-command"))
+
+
+# ---------------------------------------------------------------------------
+# the parser and the request check read the same command rows
+
+def _parser_accepts(parser, command, key, value):
+    argv = command.split() + (["DOC"] if cli._reads_document(command) else [])
+    try:
+        parser.parse_args(argv + ["--" + key.replace("_", "-"), str(value)])
+    except UsageError:
+        return False
+    return True
+
+
+def _api_accepts(command, key, value):
+    try:
+        AnalysisRequest(command, (), {key: value})
+    except UsageError:
+        return False
+    return True
+
+
+def _values(kind):
+    """A value of each option kind, and for a least value the one below."""
+    if kind is str:
+        return ["x"]
+    return [0] if kind is None else [kind, kind - 1]
+
+
+def test_parser_and_request_accept_the_same_options():
+    # every option of every row, tried on every command; no document is
+    # read
+    kinds = {("format", "json"), ("format", "xml")}
+    for _, _, options in cli._COMMANDS.values():
+        kinds |= {(key, v) for key, kind in options.items()
+                  for v in _values(kind)}
+    parser = cli._build_parser()
+    differ = [(command, key, value)
+              for command in cli._COMMANDS for key, value in sorted(kinds)
+              if _parser_accepts(parser, command, key, value)
+              != _api_accepts(command, key, value)]
+    assert differ == []
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("covers enumerate", "n", 0),
+    ("covers universal-ball", "radius", -1),
+    ("suite closure", "samples", 0),
+    ("quotient verify", "max_group", 0),
+    ("classify", "format", "xml"),
+    ("classify", "radius", 3),
+])
+def test_bad_values_and_foreign_options_are_rejected_both_ways(command, key,
+                                                               value):
+    assert not _parser_accepts(cli._build_parser(), command, key, value)
+    assert not _api_accepts(command, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +413,18 @@ def test_usage_errors_exit_64(docs, capsys):
     assert main(["classify", docs["c6c3"], "--bogus"]) == 64
     assert main(["classify", "/nonexistent/file.txt"]) == 64
     assert "usage error" in capsys.readouterr().err
+
+
+def test_enumerate_without_n_exits_64_whatever_the_document_holds(
+        tmp_path, capsys):
+    # two graphs: the base is ambiguous, but the missing --n comes first
+    p = tmp_path / "two.txt"
+    p.write_text(CIRCLE + "\ngraph: other\nvertices: 0\n")
+    assert main(["covers", "enumerate", str(p)]) == 64
+    assert "--n" in capsys.readouterr().err
+    with pytest.raises(UsageError):
+        run(AnalysisRequest("covers enumerate",
+                            (parse_document(p.read_text()),)))
 
 
 def test_parse_errors_exit_65(tmp_path, capsys):
