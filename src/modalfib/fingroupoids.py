@@ -8,6 +8,12 @@ to its set of components; level -1 collapses it to inhabitedness.
 
 Composition is written in diagram order throughout: comp[(g, h)] is "g
 then h", matching the word convention used for graphs.
+
+FinGroup is the one finite group type of the package: the catalog's
+vertex groups (c1-c4, v4, s3) here, and the permutation groups that act
+on graphs (quotients.permutation_group).  It keeps each element's
+generator word, and FinGroup.extend carries generator images along those
+words, for the homomorphisms out of a catalog group and for actions.
 """
 
 import random as _random
@@ -32,7 +38,7 @@ __all__ = [
     "homotopy_pullback", "product_groupoid",
     "compare_modalities", "nine_way", "instability_witness",
     "random_groupoid", "random_functor", "random_functor_into",
-    "GROUP_NAMES",
+    "FinGroup", "GROUP_NAMES",
 ]
 
 
@@ -41,81 +47,103 @@ class FinGroupoidError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small groups, used as vertex groups by the builders and generators
+# finite groups: the vertex groups of the catalog, and (through
+# quotients.permutation_group) the groups that act on graphs
 
 @dataclass(frozen=True)
-class _Group:
-    name: str
-    elements: tuple
-    mul: dict
-    unit: object
-    gens: tuple
-    words: dict     # element -> tuple of generator indices reaching it
+class FinGroup:
+    """The finite group generated by `generators` under `product`.
 
+    One breadth-first search from the identity, multiplying on the right
+    by each generator in turn, reaches every element and keeps a word of
+    generator indices for it (`words`, in the order the search reached
+    them).  Then the product of every pair of elements fills the table
+    `mul`, each product must be an element found, and `inv` is read off
+    the table.  Elements are kept sorted, and products are in diagram
+    order: mul[(g, h)] is "g then h".  Two groups are equal when they
+    have the same generators, product and identity.
+    """
 
-def _make_group(name, elements, mul, unit, gens):
-    words = {unit: ()}
-    frontier = [unit]
-    while frontier:
-        nxt = []
-        for a in frontier:
+    generators: tuple
+    product: object
+    identity: object
+
+    def __post_init__(self):
+        gens, unit = tuple(self.generators), self.identity
+        product = self.product
+        words = {unit: ()}
+        queue = [unit]
+        for a in queue:
             for i, g in enumerate(gens):
-                b = mul[(a, g)]
+                b = product(a, g)
                 if b not in words:
                     words[b] = words[a] + (i,)
-                    nxt.append(b)
-        frontier = nxt
-    if len(words) != len(elements):
-        raise FinGroupoidError("generators do not generate %s" % name)
-    return _Group(name, tuple(elements), mul, unit, tuple(gens), words)
+                    queue.append(b)
+        elements = tuple(sorted(words))
+        mul = {}
+        for a in elements:
+            for b in elements:
+                c = mul[(a, b)] = product(a, b)
+                if c not in words:
+                    raise FinGroupoidError(
+                        "not closed under product at %r, %r" % (a, b))
+        inv = {a: b for (a, b), c in mul.items() if c == unit}
+        if len(inv) != len(elements):
+            raise FinGroupoidError("some element has no inverse")
+        for name, value in (("generators", gens), ("words", words),
+                            ("elements", elements), ("mul", mul),
+                            ("inv", inv)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    def extend(self, images, product, identity):
+        """Each element -> the product of `images` (one per generator)
+        along its word: the homomorphism with these generator images,
+        when there is one.  Each word extends a word found before it, so
+        every element costs one product."""
+        at = {(): identity}
+        for w in self.words.values():
+            if w:
+                at[w] = product(at[w[:-1]], images[w[-1]])
+        return {el: at[self.words[el]] for el in self.elements}
 
 
-def _cyclic(n):
-    mul = {(a, b): (a + b) % n for a in range(n) for b in range(n)}
-    gens = (1,) if n > 1 else ()
-    return _make_group("c%d" % n, tuple(range(n)), mul, 0, gens)
+def _add_mod(n):
+    return lambda a, b: (a + b) % n
 
 
-def _klein():
-    els = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    mul = {(a, b): ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
-           for a in els for b in els}
-    return _make_group("v4", tuple(els), mul, (0, 0), ((1, 0), (0, 1)))
+def _perm_then(p, q):
+    """The permutation tuple p, then q."""
+    return tuple(q[i] for i in p)
 
 
-def _sym3():
-    els = [p for p in iproduct(range(3), repeat=3) if len(set(p)) == 3]
-    mul = {(a, b): tuple(b[a[i]] for i in range(3)) for a in els for b in els}
-    return _make_group("s3", tuple(els), mul, (0, 1, 2),
-                       ((1, 2, 0), (1, 0, 2)))
-
-
-_GROUPS = {g.name: g for g in
-           (_cyclic(1), _cyclic(2), _cyclic(3), _cyclic(4), _klein(), _sym3())}
+_GROUPS = {
+    "c1": FinGroup((), _add_mod(1), 0),
+    "c2": FinGroup((1,), _add_mod(2), 0),
+    "c3": FinGroup((1,), _add_mod(3), 0),
+    "c4": FinGroup((1,), _add_mod(4), 0),
+    "v4": FinGroup(((1, 0), (0, 1)),
+                   lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2),
+                   (0, 0)),
+    "s3": FinGroup(((1, 2, 0), (1, 0, 2)), _perm_then, (0, 1, 2)),
+}
 GROUP_NAMES = tuple(sorted(_GROUPS))
 
 
 def _homs_into(group, elements, mul, unit):
-    """All homomorphisms from a catalog group into the abstract group
-    (elements, mul, unit), found by generator images and verified on
-    every product."""
+    """All homomorphisms from the FinGroup `group` into the group
+    (elements, mul, unit) given by its table, such as a FinGroup's own
+    fields: generator images extended along words, and verified on every
+    product."""
     out = []
-    for images in iproduct(elements, repeat=len(group.gens)):
-        phi = {}
-        ok = True
-        for el in group.elements:
-            v = unit
-            for i in group.words[el]:
-                v = mul[(v, images[i])]
-            phi[el] = v
-        for a in group.elements:
-            for b in group.elements:
-                if mul[(phi[a], phi[b])] != phi[group.mul[(a, b)]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    times = lambda a, b: mul[(a, b)]
+    for images in iproduct(elements, repeat=len(group.generators)):
+        phi = group.extend(images, times, unit)
+        if all(mul[(phi[a], phi[b])] == phi[c]
+               for (a, b), c in group.mul.items()):
             out.append(phi)
     return out
 
@@ -617,7 +645,7 @@ def connected_groupoid(labels, group_name):
     return FinGroupoid(
         labels, mors,
         {m: m[0] for m in mors}, {m: m[2] for m in mors},
-        comp, {o: (o, G.unit, o) for o in labels})
+        comp, {o: (o, G.identity, o) for o in labels})
 
 
 def group_groupoid(group_name, label="o"):
@@ -630,12 +658,7 @@ def group_hom_functor(src_name, dst_name, images, label="o"):
     sends the generators of the source group to the given images."""
     A, B = group_groupoid(src_name, label), group_groupoid(dst_name, label)
     G, H = _GROUPS[src_name], _GROUPS[dst_name]
-    phi = {}
-    for el in G.elements:
-        v = H.unit
-        for i in G.words[el]:
-            v = H.mul[(v, images[i])]
-        phi[el] = v
+    phi = G.extend(images, lambda a, b: H.mul[(a, b)], H.identity)
     return FinFunctor(A, B, {label: label},
                       {(label, g, label): (label, phi[g], label)
                        for g in G.elements})
@@ -1440,7 +1463,7 @@ def _build_blocks(blocks):
         index = {g: i for i, g in enumerate(G.elements)}
         mul = [[index[G.mul[(g, h)]] for h in G.elements]
                for g in G.elements]
-        e = index[G.unit]
+        e = index[G.identity]
         for a in range(k):
             for i in range(n):
                 for b in range(k):
@@ -1465,16 +1488,16 @@ def random_groupoid(rng, max_objects=6, max_morphisms=24):
     return g
 
 
-def _homs_into_aut(G, T, y):
-    """_homs_into of the catalog group G into aut(y) of T, computed once
-    per (group, object) and kept on T; callers only read the list."""
+def _homs_into_aut(gname, T, y):
+    """_homs_into of the catalog group gname into aut(y) of T, computed
+    once per (group, object) and kept on T; callers only read the list."""
     memo = T._homs_memo
-    key = (G.name, y)
+    key = (gname, y)
     homs = memo.get(key)
     if homs is None:
         els = T.aut(y)
         mul = {(a, b): T.comp[(a, b)] for a in els for b in els}
-        homs = memo[key] = _homs_into(G, els, mul, T.ident[y])
+        homs = memo[key] = _homs_into(_GROUPS[gname], els, mul, T.ident[y])
     return homs
 
 
@@ -1496,7 +1519,7 @@ def random_functor_into(rng, target, max_objects=6, max_morphisms=24):
     for k, gname in blocks:
         G = _GROUPS[gname]
         y = rng.choice(target.objects)
-        phi = rng.choice(_homs_into_aut(G, target, y))
+        phi = rng.choice(_homs_into_aut(gname, target, y))
         t = [rng.choice(out[y]) for _ in range(k)]
         obj_images.extend([target.dst[ta] for ta in t])
         for ta in t:

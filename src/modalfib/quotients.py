@@ -1,26 +1,29 @@
 """Finite group actions on graphs and their homotopy quotients.
 
-A FinGroup is a permutation group given by generators; a GraphAction
-assigns a graph automorphism to every element and is checked
-exhaustively against the multiplication table.  The quotient of the
-shape groupoid by an action is realized either as an explicit
-FinGroupoid (when every component of the space is a tree) or as a lazy
-ActionGroupoid over the presented shape.  Group elements compose in
-diagram order like everything else here: mul(g, h) is "g then h".
+The groups that act are permutation groups: permutation_group checks
+its generators and builds the one finite group type, fingroupoids'
+FinGroup, on permutation tuples.  A GraphAction assigns a graph
+automorphism to every element and is checked exhaustively against the
+multiplication table.  The quotient of the shape groupoid by an action
+is realized either as an explicit FinGroupoid (when every component of
+the space is a tree) or as a lazy ActionGroupoid over the presented
+shape.  Group elements compose in diagram order like everything else
+here: mul[(g, h)] is "g then h".
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .graphs import (FinGraph, GraphMap, _least_id, _sorted_ids,
                      enumerate_graph_maps)
 from .groupoids import shape1, induce_functor
-from .fingroupoids import FinGroupoid, FinFunctor, discrete_groupoid
+from .fingroupoids import (FinGroup, FinGroupoid, FinFunctor, _perm_then,
+                           discrete_groupoid)
 
 __all__ = [
-    "ActionError", "SizeError", "FinGroup", "GraphAction", "ActionGroupoid",
-    "trivial_group", "cyclic_group", "klein_group", "graph_action",
+    "ActionError", "SizeError", "GraphAction", "ActionGroupoid",
+    "permutation_group", "trivial_group", "cyclic_group", "klein_group",
+    "graph_action",
     "enumerate_automorphisms", "enumerate_actions",
     "shape_of_quotient", "shape_quotient_functor", "orbit_graph",
     "quotient_is_fibration", "fiber_sequence_check",
@@ -31,85 +34,33 @@ QUOTIENT_GROUP_BOUND = 24
 
 
 class ActionError(ValueError):
-    pass
+    """`subject` names the offending generator, as ("generator", 1), or
+    is None."""
+
+    def __init__(self, message, subject=None):
+        super().__init__(message)
+        self.subject = subject
 
 
 class SizeError(ActionError):
     """A group too large for the exhaustive quotient routines."""
 
 
-def _mul_perm(p, q):
-    # apply p, then q
-    return tuple(q[i] for i in p)
-
-
-def _inv_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class FinGroup:
-    """Permutation group on range(degree), closed over the generators.
-
-    Elements are permutation tuples.  The constructor generates the
-    whole group by breadth-first search, keeps a generator word for
-    every element, and then checks closure under product and inverse
-    outright rather than trusting the search.
-    """
-
-    degree: int
-    generators: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators",
-                           tuple(tuple(p) for p in self.generators))
-        base = tuple(range(self.degree))
-        for p in self.generators:
-            if tuple(sorted(p)) != base:
-                raise ActionError(
-                    "generator %r is not a permutation of range(%d)"
-                    % (p, self.degree))
-        words = {base: ()}
-        queue = deque([base])
-        while queue:
-            a = queue.popleft()
-            for i, g in enumerate(self.generators):
-                b = _mul_perm(a, g)
-                if b not in words:
-                    words[b] = words[a] + (i,)
-                    queue.append(b)
-        elements = tuple(sorted(words))
-        inv = {}
-        for p in elements:
-            q = _inv_perm(p)
-            if q not in words:
-                raise ActionError("not closed under inverse at %r" % (p,))
-            inv[p] = q
-        for p in elements:
-            for q in elements:
-                if _mul_perm(p, q) not in words:
-                    raise ActionError(
-                        "not closed under product at %r, %r" % (p, q))
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "identity", base)
-        object.__setattr__(self, "inv", inv)
-
-    @property
-    def order(self):
-        return len(self.elements)
-
-    @staticmethod
-    def mul(p, q):
-        """p then q."""
-        return _mul_perm(p, q)
+def permutation_group(degree, generators):
+    """The group of permutations of range(degree) that the generators,
+    permutation tuples, generate."""
+    base = tuple(range(degree))
+    gens = tuple(tuple(p) for p in generators)
+    for i, p in enumerate(gens):
+        if tuple(sorted(p)) != base:
+            raise ActionError(
+                "generator %d %r is not a permutation of range(%d)"
+                % (i, p, degree), ("generator", i))
+    return FinGroup(gens, _perm_then, base)
 
 
 def trivial_group():
-    return FinGroup(1, ())
+    return permutation_group(1, ())
 
 
 def cyclic_group(n):
@@ -118,12 +69,12 @@ def cyclic_group(n):
         raise ActionError("order must be positive")
     if n == 1:
         return trivial_group()
-    return FinGroup(n, (tuple((i + 1) % n for i in range(n)),))
+    return permutation_group(n, (tuple((i + 1) % n for i in range(n)),))
 
 
 def klein_group():
     """Double swaps on four points: the non-cyclic group of order 4."""
-    return FinGroup(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
+    return permutation_group(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
 
 
 def _check_automorphism(m):
@@ -167,7 +118,7 @@ class GraphAction:
         for g in G.elements:
             for h in G.elements:
                 got = self.maps[g].compose(self.maps[h])
-                want = self.maps[G.mul(g, h)]
+                want = self.maps[G.mul[(g, h)]]
                 if got.vertex_map != want.vertex_map or \
                         got.edge_map != want.edge_map:
                     raise ActionError(
@@ -201,17 +152,21 @@ def graph_action(group, space, gen_images):
     """Extend automorphisms chosen for the generators to a full action.
 
     gen_images lines up with group.generators.  Raises ActionError when
-    the chosen maps fail the group's relations.
+    the chosen maps fail the group's relations, or when a generator that
+    is the identity or repeats an earlier generator is given a map other
+    than the one its element already gets.
     """
     gens = list(gen_images)
     if len(gens) != len(group.generators):
         raise ActionError("need one image per generator")
-    maps = {}
-    for el in group.elements:
-        m = GraphMap.identity(space)
-        for i in group.words[el]:
-            m = m.compose(gens[i])
-        maps[el] = m
+    maps = group.extend(gens, GraphMap.compose, GraphMap.identity(space))
+    for i, g in enumerate(group.generators):
+        m = maps[g]
+        if m.vertex_map != gens[i].vertex_map or \
+                m.edge_map != gens[i].edge_map:
+            raise ActionError(
+                "generator %d is given a map other than the one element %r "
+                "already gets" % (i, g), ("generator", i))
     return GraphAction(group, space, maps)
 
 
@@ -342,7 +297,7 @@ def shape_of_quotient(a, max_group_order=QUOTIENT_GROUP_BOUND):
     for m1 in mors:
         for m2 in mors:
             if m1[2] == m2[0]:
-                comp[(m1, m2)] = (m1[0], G.mul(m1[1], m2[1]), m2[2])
+                comp[(m1, m2)] = (m1[0], G.mul[(m1[1], m2[1])], m2[2])
     ident = {c: (c, G.identity, c) for c in reps}
     return FinGroupoid(tuple(reps), tuple(mors), src, dst, comp, ident)
 

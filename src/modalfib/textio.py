@@ -30,7 +30,7 @@ from .groupoids import PresGroupoid, shape1
 from .automata import SubgroupAutomaton
 from .covers import MonodromyAction, CoverError
 from .fingroupoids import FinGroupoid, FinGroupoidError
-from .quotients import FinGroup, ActionError, graph_action
+from .quotients import ActionError, graph_action, permutation_group
 
 __all__ = [
     "ParseError", "Document", "parse_document", "serialize_document",
@@ -366,9 +366,18 @@ def _build_action(sec, doc):
             blocks[-1][1].append(row)
         else:
             raise ParseError(line, "unknown action line %r" % (key,))
-    degree = len(gens[0]) if gens else 1
-    if any(len(g) != degree for g in gens):
-        raise ParseError(sec.header_line, "generators disagree on degree")
+
+    def bad(e):
+        # a generator's error lands at its group-gen line
+        line = sec.header_line
+        if e.subject and e.subject[0] == "generator":
+            line = blocks[e.subject[1]][0]
+        return ParseError(line, "bad action %r: %s" % (sec.name, e))
+
+    try:
+        group = permutation_group(len(gens[0]) if gens else 1, gens)
+    except ActionError as e:
+        raise bad(e)
     maps = []
     for line, rows in blocks:
         vm, em, _ = _read_images(rows, "vertex-perm", "edge-perm", "action")
@@ -378,9 +387,9 @@ def _build_action(sec, doc):
             raise ParseError(_line_of(rows, e, line),
                              "bad action %r: %s" % (sec.name, e))
     try:
-        return graph_action(FinGroup(degree, tuple(gens)), space, maps)
+        return graph_action(group, space, maps)
     except (ActionError, GraphError) as e:
-        raise ParseError(sec.header_line, "bad action %r: %s" % (sec.name, e))
+        raise bad(e)
 
 
 def _build_automaton(sec, doc):

@@ -1,11 +1,44 @@
-"""The catalog assembly as it was built before its morphisms were
-numbered, kept as an independent reference for the tests: each morphism
-is an (a, g, b) triple of its source, its group element and its target,
-composing through the group as in `connected_groupoid`."""
+"""The catalog groups and the catalog assembly as they were built before
+one group type and numbered morphisms, kept as an independent reference
+for the tests.  Each group is written out by its own formula; each
+morphism of an assembly is an (a, g, b) triple of its source, its group
+element and its target, composing through the group as in
+`connected_groupoid`."""
 
-from itertools import product
+from itertools import permutations, product
 
 from modalfib.fingroupoids import _GROUPS, GROUP_NAMES, FinGroupoid
+
+
+def _cyclic(n):
+    els = tuple(range(n))
+    return (els, 0, (1,) if n > 1 else (),
+            {k: (0,) * k for k in els},
+            {(a, b): (a + b) % n for a in els for b in els})
+
+
+def _klein():
+    els = ((0, 0), (0, 1), (1, 0), (1, 1))
+    return (els, (0, 0), ((1, 0), (0, 1)),
+            {(0, 0): (), (1, 0): (0,), (0, 1): (1,), (1, 1): (0, 1)},
+            {(a, b): ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
+             for a in els for b in els})
+
+
+def _sym3():
+    # a then b: the permutation i -> b[a[i]]
+    els = tuple(permutations(range(3)))
+    return (els, (0, 1, 2), ((1, 2, 0), (1, 0, 2)),
+            {(0, 1, 2): (), (1, 2, 0): (0,), (1, 0, 2): (1,),
+             (2, 0, 1): (0, 0), (0, 2, 1): (0, 1), (2, 1, 0): (1, 0)},
+            {(a, b): tuple(b[a[i]] for i in range(3))
+             for a in els for b in els})
+
+
+# name -> (sorted elements, identity, generators, word of each element
+# in breadth-first order, product table in diagram order)
+REF_GROUPS = {"c1": _cyclic(1), "c2": _cyclic(2), "c3": _cyclic(3),
+              "c4": _cyclic(4), "v4": _klein(), "s3": _sym3()}
 
 
 def ref_build_blocks(blocks):
@@ -28,7 +61,7 @@ def ref_build_blocks(blocks):
                 for h in G.elements:
                     comp[((a, g, b), (b, h, c))] = (a, G.mul[(g, h)], c)
         for o in labels:
-            ident[o] = (o, G.unit, o)
+            ident[o] = (o, G.identity, o)
     return FinGroupoid(tuple(objects), tuple(morphisms),
                        src, dst, comp, ident)
 

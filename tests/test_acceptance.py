@@ -25,7 +25,7 @@ from modalfib.graphs import (FinGraph, GraphMap, bouquet, cycle,
                              path_graph, pi0, pi0_by_definition, point,
                              star)
 from modalfib.groupoids import shape1
-from modalfib.quotients import (FinGroup, cyclic_group, enumerate_actions,
+from modalfib.quotients import (cyclic_group, enumerate_actions,
                                 graph_action, klein_group,
                                 quotient_is_fibration, shape_of_quotient,
                                 trivial_group)

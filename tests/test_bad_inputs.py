@@ -11,9 +11,13 @@ stated line, and as the direct constructor call, which must fail with
 the stated error naming the same id as its `subject`.  What only the
 parser rejects (row and header arity, cycle syntax, non-integer numbers,
 missing, unknown and repeated rows) has no constructor call, and nor do
-the errors of the group and groupoid constructors, which carry no
-subject and land at the section header; a constructor input that no
-document can spell (a missing perm row is the identity) has no document.
+the relation errors of an action and the errors of the groupoid
+constructor, which carry no subject and land at the section header.  A
+group generator that is not a permutation of the first one's degree, or
+whose map disagrees with the map its element already gets, is named as
+("generator", i) and lands at its group-gen line.  A constructor input
+that no document can spell (a missing perm row is the identity) has no
+document.
 """
 
 from collections import namedtuple
@@ -23,6 +27,7 @@ import pytest
 from modalfib.cli import main
 from modalfib.covers import CoverError
 from modalfib.graphs import GraphError
+from modalfib.quotients import ActionError
 from modalfib.textio import ParseError, parse_document
 
 # Every call below is evaluated against this prelude, in this process
@@ -32,7 +37,10 @@ from modalfib.automata import SubgroupAutomaton
 from modalfib.covers import CoverError, MonodromyAction
 from modalfib.graphs import GraphMap, cycle
 from modalfib.groupoids import shape1
+from modalfib.quotients import ActionError, graph_action, permutation_group
 c, t, loop = cycle(2), cycle(3), shape1(cycle(1))
+rot = GraphMap.build(t, t, {0: 1, 1: 2, 2: 0},
+                     {'e0': 'e1', 'e1': 'e2', 'e2': 'e0'})
 """
 
 Case = namedtuple("Case", "name doc line call error subject")
@@ -232,8 +240,20 @@ CASES = [
          None, None, None),
     Case("vertex-perm before any group-gen",
          T3 + "vertex-perm: 0 -> 1\n", 8, None, None, None),
-    Case("generators of different degree", T3 + ROT + "group-gen: 1 0\n", 7,
-         None, None, None),
+    Case("generators of different degree", T3 + ROT + "group-gen: 1 0\n", 15,
+         "permutation_group(3, [(1, 2, 0), (1, 0)])",
+         ActionError, ("generator", 1)),
+    Case("generator that is not a permutation",
+         T3 + "group-gen: 0 0 1\n" + ROT_BLOCK, 8,
+         "permutation_group(3, [(0, 0, 1)])", ActionError, ("generator", 0)),
+    Case("identity generator acting by the rotation",
+         T3 + "group-gen: 0 1 2\n" + ROT_BLOCK, 8,
+         "graph_action(permutation_group(3, [(0, 1, 2)]), t, [rot])",
+         ActionError, ("generator", 0)),
+    Case("repeated generator acting by another map",
+         T3 + ROT + "group-gen: 1 2 0\n" + "".join(r + "\n" for r in ROT2_ROWS),
+         15, "graph_action(permutation_group(3, [(1, 2, 0)] * 2), t, "
+         "[rot, rot.compose(rot)])", ActionError, ("generator", 1)),
     # -- non-integer states
     Case("states row that is not an integer", AUT + "states: one\n", 3,
          None, None, None),

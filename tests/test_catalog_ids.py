@@ -22,15 +22,23 @@ from modalfib.fingroupoids import (
 )
 from modalfib.graphs import _sorted_ids
 from modalfib.textio import parse_document, serialize_fingroupoid
-from reference_catalog import reachable_block_lists, ref_build_blocks
+from reference_catalog import (REF_GROUPS, reachable_block_lists,
+                               ref_build_blocks)
 
 with open(os.path.join(os.path.dirname(__file__), "suites_100.json")) as _fh:
     SUITES_100 = json.load(_fh)
 
 
 def test_catalog_group_elements_are_sorted():
-    for G in _GROUPS.values():
+    assert set(_GROUPS) == set(REF_GROUPS)
+    for name, G in _GROUPS.items():
         assert list(G.elements) == sorted(G.elements)
+        elements, identity, gens, words, table = REF_GROUPS[name]
+        assert G.elements == elements, name
+        assert G.identity == identity, name
+        assert G.generators == gens, name
+        assert list(G.words.items()) == list(words.items()), name
+        assert G.mul == table, name
 
 
 def test_ids_number_the_triples_in_id_order():

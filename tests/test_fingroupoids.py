@@ -23,7 +23,8 @@ from modalfib.fingroupoids import (
     compare_modalities, nine_way, instability_witness,
     random_groupoid, random_functor, random_functor_into,
 )
-from modalfib.fingroupoids import _fiber_pass
+from modalfib.fingroupoids import _GROUPS, _fiber_pass, _homs_into
+from modalfib.quotients import permutation_group
 from modalfib.verdicts import Flag, LevelVerdicts
 
 
@@ -88,6 +89,17 @@ def test_functor_validation_rejects_non_homomorphisms():
     # sending the 3-cycle generator to the flip breaks composition
     with pytest.raises(FinGroupoidError):
         group_hom_functor("c3", "c2", (1,))
+
+
+def test_homs_from_the_catalog_into_s3_as_a_permutation_group():
+    # |Hom(G, S_3)|: the elements of S_3 whose order divides |G| for a
+    # cyclic G; commuting pairs of involutions or units for V_4; for S_3
+    # the trivial hom, three onto a transposition and six automorphisms
+    s3 = permutation_group(3, ((1, 2, 0), (1, 0, 2)))
+    counts = {name: len(_homs_into(G, s3.elements, s3.mul, s3.identity))
+              for name, G in _GROUPS.items()}
+    assert counts == {"c1": 1, "c2": 4, "c3": 3, "c4": 4, "v4": 10,
+                      "s3": 10}
 
 
 def test_inverses_are_cached():

@@ -19,8 +19,8 @@ from modalfib.groupoids import shape1
 from modalfib.corpus import random_graph, random_connected_graph
 from modalfib.fingroupoids import FinGroupoid, hfiber
 from modalfib.quotients import (
-    ActionError, SizeError, FinGroup, ActionGroupoid,
-    trivial_group, cyclic_group, klein_group,
+    ActionError, SizeError, ActionGroupoid,
+    permutation_group, trivial_group, cyclic_group, klein_group,
     graph_action,
     enumerate_automorphisms, enumerate_actions,
     shape_of_quotient, shape_quotient_functor, orbit_graph,
@@ -95,11 +95,11 @@ def test_group_catalog_orders():
 
 
 def test_group_multiplication_is_diagram_order():
-    g = FinGroup(3, ((1, 2, 0),))
+    g = permutation_group(3, ((1, 2, 0),))
     r = (1, 2, 0)
-    assert FinGroup.mul(r, r) == (2, 0, 1)
+    assert g.mul[(r, r)] == (2, 0, 1)
     assert g.inv[r] == (2, 0, 1)
-    assert FinGroup.mul(r, g.inv[r]) == g.identity
+    assert g.mul[(r, g.inv[r])] == g.identity
 
 
 def test_group_words_reproduce_elements():
@@ -107,13 +107,13 @@ def test_group_words_reproduce_elements():
         for el in g.elements:
             acc = g.identity
             for i in g.words[el]:
-                acc = FinGroup.mul(acc, g.generators[i])
+                acc = g.mul[(acc, g.generators[i])]
             assert acc == el
 
 
 def test_group_rejects_non_permutation():
     with pytest.raises(ActionError):
-        FinGroup(3, ((0, 0, 1),))
+        permutation_group(3, ((0, 0, 1),))
 
 
 # -- action validation -----------------------------------------------------
@@ -125,6 +125,17 @@ def test_relation_violation_is_refused():
                          {"e%d" % i: "e%d" % ((i + 1) % 3) for i in range(3)})
     with pytest.raises(ActionError):
         graph_action(cyclic_group(2), c3, [rot])
+
+
+def test_repeated_generator_with_its_own_map_is_accepted():
+    c3 = cycle(3)
+    rot = GraphMap.build(c3, c3, {i: (i + 1) % 3 for i in range(3)},
+                         {"e%d" % i: "e%d" % ((i + 1) % 3) for i in range(3)})
+    r = (1, 2, 0)
+    a = graph_action(permutation_group(3, (r, r)), c3, [rot, rot])
+    assert a.group.order == 3
+    assert a.maps[r].vertex_map == rot.vertex_map
+    assert a.maps[r].edge_map == rot.edge_map
 
 
 def test_collapsing_generator_is_refused():

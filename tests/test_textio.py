@@ -95,6 +95,7 @@ def test_round_trip_preserves_action_tables():
     doc = parse_document(serialize_document(full_document()))
     a = doc.single("action")
     assert a.group.order == 3
+    assert a == full_document().entries["rot"]
     gen = next(g for g in a.group.elements if g != a.group.identity)
     assert a.maps[gen].vertex_map in ({0: 1, 1: 2, 2: 0},
                                       {0: 2, 1: 0, 2: 1})
