@@ -14,18 +14,10 @@ and the tests drive them against each other.
 
 from collections import deque
 
-from .graphs import _memo, _sorted_ids
+from .graphs import InputError, _memo, _sorted_ids
 from .words import reduce_word, mul, inv
 
 __all__ = ["SubgroupAutomaton"]
-
-
-class _AutomatonError(ValueError):
-    """`subject` names the offending transition, as ("arrow", (0, "a"))."""
-
-    def __init__(self, message, arrow):
-        super().__init__(message)
-        self.subject = ("arrow", arrow)
 
 
 def _check_word(index, word, valid, letters):
@@ -125,11 +117,17 @@ class SubgroupAutomaton:
     """Core folded automaton of a finitely generated subgroup.
 
     letters: sorted tuple of ambient free-group generator labels.
-    n: number of states, named 0..n-1 with root 0.
+    n: number of states, named 0..n-1 with root 0, so at least 1.
     delta: dict (state, letter) -> state, the positive direction.
+    An input that breaks these raises InputError, naming the states
+    count as ("states", n) or the offending transition as ("arrow", (0,
+    "a")).
     """
 
     def __init__(self, letters, n, delta):
+        if not (isinstance(n, int) and n >= 1):
+            raise InputError("an automaton needs at least its root state, "
+                             "got %r states" % (n,), ("states", n))
         self.letters = tuple(_sorted_ids(set(letters)))
         self.n = n
         self.delta = dict(delta)
@@ -147,7 +145,7 @@ class SubgroupAutomaton:
             else:
                 rdelta[v, a] = u
                 continue
-            raise _AutomatonError(why, arrow)
+            raise InputError(why, ("arrow", arrow))
 
     # -- construction ------------------------------------------------------
 

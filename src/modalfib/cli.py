@@ -26,11 +26,11 @@ from functools import partial
 from .classify import (classify, constant_fiber_criterion,
                        etale_family_check, factor0, FactorError,
                        _classify_pi0)
-from .covers import (CoverError, CoverMap, enumerate_covers, monodromy,
-                     shape_of_total, total_space, universal_cover_ball)
+from .covers import (CoverMap, enumerate_covers, monodromy, shape_of_total,
+                     total_space, universal_cover_ball)
 from .dot import fin_groupoid_dot, graph_dot
 from .fingroupoids import FinGroupoid
-from .graphs import GraphError, pi0
+from .graphs import InputError, pi0
 from .groupoids import induce_functor
 from .hfiber import gamma_is_equivalence, prism
 from .quotients import (ActionError, QUOTIENT_GROUP_BOUND, SizeError,
@@ -45,10 +45,6 @@ __all__ = ["AnalysisRequest", "Report", "run", "main",
 
 class UsageError(Exception):
     """Bad invocation: unknown command, flag, or option value."""
-
-
-class InputError(Exception):
-    """Well-formed invocation, unusable document content."""
 
 
 @dataclass(frozen=True)
@@ -623,11 +619,11 @@ def main(argv=None):
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 65
-    except SizeError as e:      # an ActionError, so caught before them
+    except SizeError as e:      # an InputError, so caught before it
         print("size bound: %s (raise with --max-group)" % e,
               file=sys.stderr)
         return 2
-    except (InputError, GraphError, CoverError, ActionError) as e:
+    except InputError as e:
         print("input error: %s" % e, file=sys.stderr)
         return 65
     if request.opt("format", "text") == "json":

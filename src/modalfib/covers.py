@@ -15,8 +15,8 @@ letters g then h moves a fiber point i to perm[h][perm[g][i]].
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations, product
 
-from .graphs import (FinGraph, GraphMap, pi0, component_map, _Classes,
-                     _least_id, _sorted_ids)
+from .graphs import (FinGraph, GraphMap, InputError, pi0, component_map,
+                     _Classes, _least_id, _sorted_ids)
 from .words import mul, inv, Unknown
 from .automata import SubgroupAutomaton
 from .groupoids import shape1, induce_functor
@@ -30,12 +30,8 @@ __all__ = [
 ]
 
 
-class CoverError(Exception):
-    """`subject` names the offending id, as ("letter", "l0"), or is None."""
-
-    def __init__(self, message, subject=None):
-        super().__init__(message)
-        self.subject = subject
+class CoverError(InputError):
+    """A cover or monodromy action that breaks its invariants."""
 
 
 def _check_base(vertex_index, base):

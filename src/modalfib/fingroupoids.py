@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from operator import itemgetter
 
-from .graphs import _Classes, _memo, _sorted_ids
+from .graphs import InputError, _Classes, _memo, _sorted_ids
 from .verdicts import LevelVerdicts
 
 __all__ = [
@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 
-class FinGroupoidError(ValueError):
-    pass
+class FinGroupoidError(InputError):
+    """A table groupoid or functor that breaks its invariants."""
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +212,11 @@ class FinGroupoid:
                 % (len(comp), expected))
         for (g, h), k in comp.items():
             if g not in mset or h not in mset or dst[g] != src[h]:
-                raise FinGroupoidError("(%r, %r) is not composable" % (g, h))
+                raise FinGroupoidError("(%r, %r) is not composable"
+                                       % (g, h), ("pair", (g, h)))
             if k not in mset or src[k] != src[g] or dst[k] != dst[h]:
                 raise FinGroupoidError("composite of (%r, %r) ill-typed"
-                                       % (g, h))
+                                       % (g, h), ("pair", (g, h)))
         # from here on comp is defined on exactly the composable pairs, so
         # it is the normal form's composition iff each entry is its cell
         at, cells, n = self._normal_form(
@@ -226,7 +227,7 @@ class FinGroupoid:
             if cells[a * n + c][mul[i][j]] != k:
                 raise FinGroupoidError(
                     "composite of (%r, %r) does not match its vertex group"
-                    % (g, h))
+                    % (g, h), ("pair", (g, h)))
 
     def _normal_form(self, compose, label):
         """Put the groupoid in normal form, check it in full and return

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 __all__ = [
-    "GraphError", "FinGraph", "GraphMap", "VertexFiber", "DEG",
+    "InputError", "GraphError", "FinGraph", "GraphMap", "VertexFiber", "DEG",
     "fiber", "pullback", "product", "terminal_map",
     "pi0", "component_map", "pi0_by_definition",
     "flat", "is_discrete",
@@ -46,12 +46,18 @@ __all__ = [
 DEG = "deg"
 
 
-class GraphError(ValueError):
-    """`subject` names the offending id, as ("vertex", 7), or is None."""
+class InputError(ValueError):
+    """An input that a constructor rejects, and the base of each module's
+    error for one.  `subject` names the offending id as a (kind, id)
+    pair, as ("vertex", 7), or is None."""
 
     def __init__(self, message, subject=None):
         super().__init__(message)
         self.subject = subject
+
+
+class GraphError(InputError):
+    """A graph or graph map that breaks its invariants."""
 
 
 def _sort_key(x):

@@ -14,7 +14,7 @@ here: mul[(g, h)] is "g then h".
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .graphs import (FinGraph, GraphMap, _least_id, _sorted_ids,
+from .graphs import (FinGraph, GraphMap, InputError, _least_id, _sorted_ids,
                      enumerate_graph_maps)
 from .groupoids import shape1, induce_functor
 from .fingroupoids import (FinGroup, FinGroupoid, FinFunctor, _perm_then,
@@ -33,13 +33,9 @@ __all__ = [
 QUOTIENT_GROUP_BOUND = 24
 
 
-class ActionError(ValueError):
-    """`subject` names the offending generator, as ("generator", 1), or
-    is None."""
-
-    def __init__(self, message, subject=None):
-        super().__init__(message)
-        self.subject = subject
+class ActionError(InputError):
+    """A group or graph action that breaks its invariants; its subject,
+    if any, names a generator, as ("generator", 1)."""
 
 
 class SizeError(ActionError):

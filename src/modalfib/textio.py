@@ -21,16 +21,23 @@ Section kinds and their body lines:
 
 Maps, monodromy data, and actions refer to graphs defined earlier in
 the same document.  Parse errors carry 1-based line numbers.
+
+The builders check only what the text alone shows: row shapes, signs
+and repeated rows.  Every other invariant is the constructor's, which
+raises graphs.InputError naming the offending id as its `subject`.
+parse_document turns that one error type into a ParseError, "bad KIND
+NAME: ...", at the row that introduced the id (_line_of), or at the
+section header when no row did.
 """
 
 import re
 
-from .graphs import FinGraph, GraphMap, GraphError, _sorted_ids
+from .graphs import FinGraph, GraphMap, InputError, _sorted_ids
 from .groupoids import PresGroupoid, shape1
 from .automata import SubgroupAutomaton
-from .covers import MonodromyAction, CoverError
-from .fingroupoids import FinGroupoid, FinGroupoidError
-from .quotients import ActionError, graph_action, permutation_group
+from .covers import MonodromyAction
+from .fingroupoids import FinGroupoid
+from .quotients import graph_action, permutation_group
 
 __all__ = [
     "ParseError", "Document", "parse_document", "serialize_document",
@@ -99,7 +106,7 @@ class Document:
 
     def add(self, kind, name, obj):
         if name in self.entries:
-            raise ValueError("duplicate section name %r" % (name,))
+            raise InputError("duplicate section name %r" % (name,))
         self.entries[name] = obj
         self.kinds[name] = kind
         self.order.append(name)
@@ -185,10 +192,7 @@ def _build_graph(sec, doc):
             bp = _atom(toks[0])
         else:
             raise ParseError(line, "unknown graph line %r" % (key,))
-    try:
-        return FinGraph(tuple(verts), tuple(edges), bp)
-    except GraphError as e:
-        raise ParseError(sec.header_line, str(e))
+    return FinGraph(tuple(verts), tuple(edges), bp)
 
 
 def _build_groupoid(sec, doc):
@@ -197,24 +201,41 @@ def _build_groupoid(sec, doc):
 
 _SIGNS = {"+": +1, "-": -1}
 
-# The rows that introduce each kind of id a constructor error can name.
-_INTRODUCED_BY = {"vertex": ("v", "vertex-perm"), "edge": ("e", "edge-perm"),
-                  "letter": ("perm",), "arrow": ("delta",)}
+# The rows that introduce each kind of id a constructor error can name,
+# and how many leading tokens spell the id.  The one fiber row lists every
+# point, so it introduces each (width 0).
+_INTRODUCED_BY = {
+    "vertex": (("v", "vertex-perm"), 1), "edge": (("e", "edge-perm"), 1),
+    "letter": (("perm",), 1), "states": (("states",), 1),
+    "arrow": (("delta",), 2), "pair": (("compose",), 2),
+    "point": (("fiber",), 0),
+}
 
 
-def _line_of(rows, err, fallback):
-    """The line of the first of `rows` that introduced the id the error's
-    `subject` names, or `fallback` (a header or block line) when none
-    did, as for a missing image.  Only error paths scan the rows."""
-    subject = getattr(err, "subject", None)
+def _line_of(sec, subject):
+    """The line of the first row of `sec` that introduced the id named by
+    `subject`, or the header when no row did, as for a missing image.
+
+    ("generator", i) names the i-th group-gen row.  It may carry a third
+    entry, the subject of an error in that generator's map, which is
+    then placed among the rows of its block, or else at the group-gen
+    row.  Only error paths scan the rows."""
+    rows, line = sec.rows, sec.header_line
+    if subject is not None and subject[0] == "generator":
+        starts = [k for k, row in enumerate(rows) if row[1] == "group-gen"]
+        starts.append(len(rows))
+        i = subject[1]
+        line = rows[starts[i]][0]
+        rows = rows[starts[i] + 1:starts[i + 1]]
+        subject = subject[2] if len(subject) == 3 else None
     if subject is not None:
-        kind, x = subject
-        for line, key, toks in rows:
-            if key in _INTRODUCED_BY[kind] and x == (
-                    (_atom(toks[0]), _atom(toks[1])) if kind == "arrow"
-                    else _atom(toks[0])):
-                return line
-    return fallback
+        (keys, width), x = _INTRODUCED_BY[subject[0]], subject[1]
+        for n, key, toks in rows:
+            if key in keys:
+                lead = tuple(_atom(t) for t in toks[:width])
+                if width == 0 or x == (lead[0] if width == 1 else lead):
+                    return n
+    return line
 
 
 def _graph_arg(sec, doc, i, role):
@@ -271,13 +292,9 @@ def _build_map(sec, doc):
     src = _graph_arg(sec, doc, 0, "source")
     dst = _graph_arg(sec, doc, 1, "target")
     vm, em, bare = _read_images(sec.rows, "v", "e", "map")
-    try:
-        if bare:
-            return GraphMap.build(src, dst, vm, em)
-        return GraphMap(src, dst, vm, em)
-    except GraphError as e:
-        raise ParseError(_line_of(sec.rows, e, sec.header_line),
-                         "bad map %r: %s" % (sec.name, e))
+    if bare:
+        return GraphMap.build(src, dst, vm, em)
+    return GraphMap(src, dst, vm, em)
 
 
 def _parse_cycles(line, toks, points):
@@ -310,7 +327,7 @@ def _build_monodromy(sec, doc):
         raise ParseError(sec.header_line, "base graph needs a basepoint")
     shape = shape1(base_graph)
     letters = shape.components[shape.comp_of[base_graph.basepoint]].letters
-    fiber = fiber_line = None
+    fiber = None
     perm_rows = {}
     for line, key, toks in sec.rows:
         if key in ("degree", "fiber") and fiber is not None:
@@ -320,7 +337,7 @@ def _build_monodromy(sec, doc):
                 raise ParseError(line, "degree wants a positive integer")
             fiber = tuple(range(1, int(toks[0]) + 1))
         elif key == "fiber":
-            fiber, fiber_line = tuple(_atom(t) for t in toks), line
+            fiber = tuple(_atom(t) for t in toks)
         elif key == "perm":
             if not toks:
                 raise ParseError(line, "perm wants a letter")
@@ -337,13 +354,7 @@ def _build_monodromy(sec, doc):
     perms = {l: {p: p for p in fiber} for l in letters}
     for letter, (line, toks) in perm_rows.items():
         perms[letter] = _parse_cycles(line, toks, fiber)
-    try:
-        return MonodromyAction(shape, base_graph.basepoint, fiber, perms)
-    except CoverError as e:
-        # a repeated point is the fiber line's fault, not a later row's
-        if e.subject is not None and e.subject[0] == "point":
-            raise ParseError(fiber_line, str(e))
-        raise ParseError(_line_of(sec.rows, e, sec.header_line), str(e))
+    return MonodromyAction(shape, base_graph.basepoint, fiber, perms)
 
 
 def _build_action(sec, doc):
@@ -366,30 +377,16 @@ def _build_action(sec, doc):
             blocks[-1][1].append(row)
         else:
             raise ParseError(line, "unknown action line %r" % (key,))
-
-    def bad(e):
-        # a generator's error lands at its group-gen line
-        line = sec.header_line
-        if e.subject and e.subject[0] == "generator":
-            line = blocks[e.subject[1]][0]
-        return ParseError(line, "bad action %r: %s" % (sec.name, e))
-
-    try:
-        group = permutation_group(len(gens[0]) if gens else 1, gens)
-    except ActionError as e:
-        raise bad(e)
+    group = permutation_group(len(gens[0]) if gens else 1, gens)
     maps = []
-    for line, rows in blocks:
+    for i, (line, rows) in enumerate(blocks):
         vm, em, _ = _read_images(rows, "vertex-perm", "edge-perm", "action")
         try:
             maps.append(GraphMap.build(space, space, vm, em))
-        except GraphError as e:
-            raise ParseError(_line_of(rows, e, line),
-                             "bad action %r: %s" % (sec.name, e))
-    try:
-        return graph_action(group, space, maps)
-    except (ActionError, GraphError) as e:
-        raise bad(e)
+        except InputError as e:
+            # an error in a generator's map lands inside its block
+            raise InputError(str(e), ("generator", i, e.subject))
+    return graph_action(group, space, maps)
 
 
 def _build_automaton(sec, doc):
@@ -419,11 +416,7 @@ def _build_automaton(sec, doc):
             raise ParseError(line, "unknown automaton line %r" % (key,))
     if n is None:
         raise ParseError(sec.header_line, "automaton needs a states line")
-    try:
-        return SubgroupAutomaton(tuple(letters), n, delta)
-    except ValueError as e:
-        raise ParseError(_line_of(sec.rows, e, sec.header_line),
-                         "bad automaton %r: %s" % (sec.name, e))
+    return SubgroupAutomaton(tuple(letters), n, delta)
 
 
 def _build_fingroupoid(sec, doc):
@@ -462,11 +455,7 @@ def _build_fingroupoid(sec, doc):
             comp[(f, g)] = h
         else:
             raise ParseError(line, "unknown fingroupoid line %r" % (key,))
-    try:
-        return FinGroupoid(tuple(objs), tuple(mors), src, dst, comp, ident)
-    except FinGroupoidError as e:
-        raise ParseError(sec.header_line,
-                         "bad fingroupoid %r: %s" % (sec.name, e))
+    return FinGroupoid(tuple(objs), tuple(mors), src, dst, comp, ident)
 
 
 _BUILDERS = {
@@ -481,11 +470,11 @@ _KIND_SET = frozenset(_BUILDERS)
 def parse_document(text):
     doc = Document()
     for sec in _split_sections(text):
-        obj = _BUILDERS[sec.kind](sec, doc)
         try:
-            doc.add(sec.kind, sec.name, obj)
-        except ValueError as e:
-            raise ParseError(sec.header_line, str(e))
+            doc.add(sec.kind, sec.name, _BUILDERS[sec.kind](sec, doc))
+        except InputError as e:
+            raise ParseError(_line_of(sec, e.subject), "bad %s %r: %s"
+                             % (sec.kind, sec.name, e))
     return doc
 
 

@@ -1,18 +1,22 @@
 """One table of bad inputs, each rejected by the parser and by the API.
 
-Every invariant of a map, an action, an automaton or a monodromy action
-is checked once, by its constructor.  The parser adds only what the text
-alone knows (row syntax and arity, repeated rows) and places each
-constructor error at the row that introduced the offending id, or at the
-header or generator block line when no row did, as for a missing image.
+Every invariant of a map, an action, an automaton, a monodromy action or
+a table groupoid is checked once, by its constructor, which raises an
+InputError.  The parser adds only what the text alone knows (row syntax
+and arity, repeated rows) and places each constructor error at the row
+that introduced the offending id, or at the header or generator block
+line when no row did, as for a missing image.
 
 Each case is run as a document, which must fail with a ParseError at the
 stated line, and as the direct constructor call, which must fail with
 the stated error naming the same id as its `subject`.  What only the
 parser rejects (row and header arity, cycle syntax, non-integer numbers,
 missing, unknown and repeated rows) has no constructor call, and nor do
-the relation errors of an action and the errors of the groupoid
-constructor, which carry no subject and land at the section header.  A
+the relation errors of an action and the groupoid constructor's errors
+other than its compose-table checks, which carry no subject and land at
+the section header.  A compose entry that is not composable, ill-typed
+or not the vertex group's product is named as ("pair", (g, h)) and lands
+at its compose row, and a states count below 1 at the states row.  A
 group generator that is not a permutation of the first one's degree, or
 whose map disagrees with the map its element already gets, is named as
 ("generator", i) and lands at its group-gen line.  A constructor input
@@ -26,21 +30,37 @@ import pytest
 
 from modalfib.cli import main
 from modalfib.covers import CoverError
-from modalfib.graphs import GraphError
+from modalfib.fingroupoids import FinGroupoidError
+from modalfib.graphs import GraphError, InputError
 from modalfib.quotients import ActionError
-from modalfib.textio import ParseError, parse_document
+from modalfib.textio import ParseError, parse_document, serialize_fingroupoid
 
 # Every call below is evaluated against this prelude, in this process
 # and under python -O.
 PRELUDE = """\
 from modalfib.automata import SubgroupAutomaton
-from modalfib.covers import CoverError, MonodromyAction
-from modalfib.graphs import GraphMap, cycle
+from modalfib.covers import MonodromyAction
+from modalfib.fingroupoids import FinGroupoid
+from modalfib.graphs import GraphMap, InputError, cycle
 from modalfib.groupoids import shape1
-from modalfib.quotients import ActionError, graph_action, permutation_group
+from modalfib.quotients import graph_action, permutation_group
 c, t, loop = cycle(2), cycle(3), shape1(cycle(1))
 rot = GraphMap.build(t, t, {0: 1, 1: 2, 2: 0},
                      {'e0': 'e1', 'e1': 'e2', 'e2': 'e0'})
+# the groupoid i : x -> x, j : y -> y, with the given compose table
+two = lambda comp: FinGroupoid(('x', 'y'), ('i', 'j'), {'i': 'x', 'j': 'y'},
+                               {'i': 'x', 'j': 'y'}, comp, {'x': 'i', 'y': 'j'})
+# x and y joined, with vertex groups of order 2: ARROW[m] spells m's
+# source, target and group element, and composing adds the elements
+ARROW = {'i': 'xx0', 'a': 'xx1', 'j': 'yy0', 'b': 'yy1',
+         'f': 'xy0', 'g': 'xy1', 'h': 'yx0', 'k': 'yx1'}
+NAME = {v: m for m, v in ARROW.items()}
+Z2 = {(p, q): NAME[u[0] + v[1] + str((int(u[2]) + int(v[2])) % 2)]
+      for p, u in ARROW.items() for q, v in ARROW.items() if u[1] == v[0]}
+z2 = lambda comp: FinGroupoid(('x', 'y'), tuple(ARROW),
+                              {m: v[0] for m, v in ARROW.items()},
+                              {m: v[1] for m, v in ARROW.items()},
+                              comp, {'x': 'i', 'y': 'j'})
 """
 
 Case = namedtuple("Case", "name doc line call error subject")
@@ -74,6 +94,20 @@ AUT = "automaton: a\nletters: a\n"
 
 # the trivial groupoid on one object but for its compose row, line 5
 FG = "fingroupoid: q\nobjects: x\nmorphisms: i x x\nidentity: x i\n"
+
+# the prelude's `two` but for its compose rows, which start at line 7
+FG2 = ("fingroupoid: q\nobjects: x y\nmorphisms: i x x\nmorphisms: j y y\n"
+       "identity: x i\nidentity: y j\n")
+
+
+def z2_doc(row, wrong):
+    """The prelude's z2(Z2) as text, with the compose row `row`
+    replaced by `wrong`."""
+    scope = {}
+    exec(PRELUDE, scope)
+    text = serialize_fingroupoid("q", scope["z2"](scope["Z2"]))
+    assert row + "\n" in text
+    return text.replace(row + "\n", wrong + "\n")
 
 
 def rot2(rows):
@@ -127,18 +161,35 @@ CASES = [
     Case("automaton state out of range",
          "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 5\n", 4,
          "SubgroupAutomaton(('a',), 1, {(0, 'a'): 5})",
-         ValueError, ("arrow", (0, "a"))),
+         InputError, ("arrow", (0, "a"))),
     Case("automaton state that is not an int", None, None,
          "SubgroupAutomaton(('a',), 1, {('0', 'a'): 0})",
-         ValueError, ("arrow", ("0", "a"))),
+         InputError, ("arrow", ("0", "a"))),
     Case("automaton letter not declared",
          "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 0\ndelta: 0 b 0\n",
          5, "SubgroupAutomaton(('a',), 1, {(0, 'a'): 0, (0, 'b'): 0})",
-         ValueError, ("arrow", (0, "b"))),
+         InputError, ("arrow", (0, "b"))),
     Case("automaton not folded",
          "automaton: a\nletters: a\nstates: 2\ndelta: 0 a 1\ndelta: 1 a 1\n",
          5, "SubgroupAutomaton(('a',), 2, {(0, 'a'): 1, (1, 'a'): 1})",
-         ValueError, ("arrow", (1, "a"))),
+         InputError, ("arrow", (1, "a"))),
+    Case("automaton without states", AUT + "states: 0\n", 3,
+         "SubgroupAutomaton(('a',), 0, {})", InputError, ("states", 0)),
+    Case("automaton with a negative states count", AUT + "states: -1\n", 3,
+         "SubgroupAutomaton(('a',), -1, {})", InputError, ("states", -1)),
+    # -- fingroupoids: the three checks of a compose entry
+    Case("compose row that is not composable",
+         FG2 + "compose: i i i\ncompose: i j j\n", 8,
+         "two({('i', 'i'): 'i', ('i', 'j'): 'j'})",
+         FinGroupoidError, ("pair", ("i", "j"))),
+    Case("compose row that is ill-typed",
+         FG2 + "compose: i i i\ncompose: j j i\n", 8,
+         "two({('i', 'i'): 'i', ('j', 'j'): 'i'})",
+         FinGroupoidError, ("pair", ("j", "j"))),
+    Case("compose row that is not the vertex group's product",
+         z2_doc("compose: j j j", "compose: j j b"), 39,
+         "z2({**Z2, ('j', 'j'): 'b'})",
+         FinGroupoidError, ("pair", ("j", "j"))),
     # -- monodromy: a foreign letter, a missing one, a repeated fiber
     # point, a non-permutation
     Case("monodromy foreign letter",
@@ -289,7 +340,7 @@ def raised(call):
     """The error that `call` raises, evaluated against PRELUDE."""
     scope = {}
     exec(PRELUDE, scope)
-    with pytest.raises((ValueError, CoverError)) as info:
+    with pytest.raises(InputError) as info:
         eval(call, scope)
     return info.value
 
@@ -312,7 +363,7 @@ def test_constructor_checks_hold_without_asserts(run_optimized):
     run = run_optimized(
         PRELUDE + "for call in %r:\n"
         "    try:\n        eval(call)\n"
-        "    except (ValueError, CoverError) as e:\n"
+        "    except InputError as e:\n"
         "        print(repr(e.subject))\n"
         "    else:\n        print('accepted')\n" % ([c.call for c in calls],))
     assert run.returncode == 0, run.stderr
@@ -331,6 +382,10 @@ def test_good_versions_of_the_documents_parse():
     assert doc.single("automaton").n == 1
     doc = parse_document(FG + "compose: i i i\n")
     assert doc.single("fingroupoid").objects == ("x",)
+    doc = parse_document(FG2 + "compose: i i i\ncompose: j j j\n")
+    assert doc.single("fingroupoid").objects == ("x", "y")
+    doc = parse_document(z2_doc("compose: j j j", "compose: j j j"))
+    assert len(doc.single("fingroupoid").comp) == 32
 
 
 @pytest.mark.parametrize("command", ["monodromy", "total"])
@@ -340,4 +395,4 @@ def test_repeated_fiber_point_exits_65_at_the_fiber_line(command, tmp_path,
     p.write_text(LOOP + "fiber: 1 1 2\nperm: e0 (1 2)\n")
     assert main(["covers", command, str(p)]) == 65
     err = capsys.readouterr().err
-    assert "line 7: fiber point 1 is listed twice" in err
+    assert "line 7: bad monodromy 'm': fiber point 1 is listed twice" in err

@@ -8,6 +8,7 @@ from modalfib import cli
 from modalfib.classify import _classify_pi0, classify
 from modalfib.cli import AnalysisRequest, Report, UsageError, main, run
 from modalfib.covers import CoverError
+from modalfib.fingroupoids import FinGroupoidError
 from modalfib.graphs import GraphError
 from modalfib.quotients import ActionError, SizeError
 from modalfib.textio import parse_document
@@ -538,6 +539,7 @@ def test_cover_errors_exit_65(tmp_path, capsys):
     (CoverError("x"), 65, "input error"),
     (ActionError("x"), 65, "input error"),
     (SizeError("x"), 2, "size bound"),
+    (FinGroupoidError("x"), 65, "input error"),
 ])
 def test_library_errors_reach_their_exit_codes(error, code, prefix, docs,
                                                monkeypatch, capsys):
