@@ -25,7 +25,7 @@ component-collapsing left part and a discrete-fiber right part, the
 constant-fiber criterion, and the discrete-family check.
 """
 
-from .graphs import FinGraph, GraphMap, component_map
+from .graphs import FinGraph, GraphMap, _composes_to, component_map
 from .groupoids import induce_functor
 from .hfiber import GammaAnalyzer
 from .covers import is_cover
@@ -193,7 +193,9 @@ def factor0(f):
     Vertices of the middle graph are the components of the subgraph of
     collapsing edges; the left map crushes each piece to its point and
     is connected at the component level, the right map keeps every edge
-    and is discrete-fibered.  The composite equals f on the nose.
+    and is discrete-fibered.  The composite equals f on the nose, which
+    is checked image by image, so only a factorization that recomposes
+    is returned.
     """
     X = f.source
     piece_of = f.pieces
@@ -210,7 +212,7 @@ def factor0(f):
                      {p: f.vertex_map[p] for p in mid.vertices},
                      {e: f.edge_map[e] for e, _, _ in mid_edges})
 
-    if left.compose(right) != f:
+    if not _composes_to(left, right, f):
         raise FactorError("factorization does not recompose")
     if not _connected0(left):
         raise FactorError("left factor is not component-connected")

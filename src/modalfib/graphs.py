@@ -251,6 +251,7 @@ class GraphMap:
         if len(vm) != len(src.vertices):
             x = next(x for x in vm if x not in src.vertex_set)
             raise GraphError("vertex %r not in source" % (x,), ("vertex", x))
+        tends = self.target.ends
         for eid, u, v in src.edges:
             if eid not in em:
                 raise GraphError("edge %r has no image" % (eid,), ("edge", eid))
@@ -265,14 +266,17 @@ class GraphMap:
                     raise GraphError("edge %r has image %r, not an (edge, "
                                      "sign) pair" % (eid, img), ("edge", eid))
                 e2, s = img
-                if e2 not in self.target.ends:
+                if e2 not in tends:
                     raise GraphError("edge image %r not in target" % (e2,),
                                      ("edge", eid))
                 if s != 1 and s != -1:
                     raise GraphError("edge %r has sign %r, not +1 or -1"
                                      % (eid, s), ("edge", eid))
-                a, b = self.target.dart_ends(e2, s)
-                if (vm[u], vm[v]) != (a, b):
+                # the image dart runs tail -> head for +1, head -> tail
+                # for -1
+                ends = (vm[u], vm[v]) if s == 1 else (vm[v], vm[u])
+                if ends != tends[e2]:
+                    a, b = self.target.dart_ends(e2, s)
                     raise GraphError(
                         "edge %r endpoints map to (%r,%r), image dart has (%r,%r)"
                         % (eid, vm[u], vm[v], a, b), ("edge", eid))
@@ -419,6 +423,29 @@ class GraphMap:
 
     def __repr__(self):
         return "GraphMap(%r -> %r)" % (self.source, self.target)
+
+
+def _composes_to(f, g, h):
+    """Whether f then g equals h, for maps f : X -> Y, g : Y -> Z and
+    h : X -> Z: `f.compose(g)`'s images, worked out one at a time as
+    `compose` works them out and compared with h's, stopping at the
+    first that differs.  No GraphMap is built.  A map's image dicts are
+    keyed by exactly its source's ids, so this answers as comparing the
+    image dicts of `f.compose(g)` and h does."""
+    gv, hv = g.vertex_map, h.vertex_map
+    for x, y in f.vertex_map.items():
+        if hv[x] != gv[y]:
+            return False
+    ge, he = g.edge_map, h.edge_map
+    for e, img in f.edge_map.items():
+        if img is not None:
+            e2, s = img
+            img = ge[e2]
+            if img is not None:
+                img = (img[0], img[1] * s)
+        if he[e] != img:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,20 @@
 The groups that act are permutation groups: permutation_group checks
 its generators and builds the one finite group type, fingroupoids'
 FinGroup, on permutation tuples.  A GraphAction assigns a graph
-automorphism to every element and is checked exhaustively against the
-multiplication table.  The quotient of the shape groupoid by an action
-is realized either as an explicit FinGroupoid (when every component of
-the space is a tree) or as a lazy ActionGroupoid over the presented
-shape.  Group elements compose in diagram order like everything else
-here: mul[(g, h)] is "g then h".
+automorphism to every element and is checked against the
+multiplication table at each element and generator, which decides the
+whole table.  The quotient of the shape groupoid by an action is
+realized either as an explicit FinGroupoid (when every component of the
+space is a tree) or as a lazy ActionGroupoid over the presented shape.
+Group elements compose in diagram order like everything else here:
+mul[(g, h)] is "g then h".
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .graphs import (FinGraph, GraphMap, InputError, _least_id, _sorted_ids,
-                     enumerate_graph_maps)
+from .graphs import (FinGraph, GraphMap, InputError, _composes_to, _least_id,
+                     _sorted_ids, enumerate_graph_maps)
 from .groupoids import shape1, induce_functor
 from .fingroupoids import (FinGroup, FinGroupoid, FinFunctor, _perm_then,
                            discrete_groupoid)
@@ -89,10 +90,24 @@ def _check_automorphism(m):
 class GraphAction:
     """A finite group acting on a graph by automorphisms.
 
-    maps assigns a GraphMap to every group element.  Validation is
-    exhaustive: each map must be an automorphism of the space, the unit
-    must act as the identity map, and composition must match the
-    multiplication table on every pair of elements.
+    maps assigns a GraphMap to every group element.  Each map must be
+    an automorphism of the space, the unit must act as the identity
+    map, and maps[g . s] must be maps[g] then maps[s] for every element
+    g and every generator s.
+
+    That decides the whole multiplication table.  Say maps[e] is the
+    identity and the law holds at every (g, s).  Every element h is a
+    positive word in the generators: FinGroup's breadth-first search
+    reaches each element as a product a . s of an element a reached
+    before and a generator s.  By induction on that word, maps[g . h]
+    is maps[g] then maps[h] for every g: for h = e both sides are
+    maps[g], and for h = a . s, by associativity, the law at (g . a, s),
+    the induction hypothesis for a and the law at (a, s),
+      maps[g . a . s] = maps[g . a] maps[s] = maps[g] maps[a] maps[s]
+                      = maps[g] maps[a . s].
+    So n |S| comparisons (graphs._composes_to, which builds no map)
+    replace the n^2 products of the full table; tests/test_quotients.py
+    checks that both accept the same tables.
     """
 
     group: FinGroup
@@ -111,15 +126,13 @@ class GraphAction:
         if unit.vertex_map != {v: v for v in self.space.vertices} or \
                 unit.edge_map != {e: (e, +1) for e in self.space.edge_ids()}:
             raise ActionError("unit element must act as the identity map")
+        maps, mul = self.maps, G.mul
         for g in G.elements:
-            for h in G.elements:
-                got = self.maps[g].compose(self.maps[h])
-                want = self.maps[G.mul[(g, h)]]
-                if got.vertex_map != want.vertex_map or \
-                        got.edge_map != want.edge_map:
+            for s in G.generators:
+                if not _composes_to(maps[g], maps[s], maps[mul[(g, s)]]):
                     raise ActionError(
                         "action breaks the multiplication table at %r, %r"
-                        % (g, h))
+                        % (g, s))
 
     def orbit(self, x):
         if x not in self.space.vertex_set:

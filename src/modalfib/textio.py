@@ -64,22 +64,29 @@ def _is_int(tok):
 
 # Ids repeat across the rows and the documents of a session, so tokens
 # are memoized, in at most _ATOM_BOUND entries (about 0.8 MB when full of
-# short tokens); a full memo is emptied and starts over.  A dict is used
-# rather than functools.lru_cache, whose wrapper builds an argument tuple
-# on every call.
+# short tokens); a full memo is emptied and starts over.  The builders
+# read the memo by subscript, so a token seen before costs one dict
+# lookup and no Python call; only a new token reaches __missing__.
 _ATOM_BOUND = 8192
-_ATOMS = {}
+
+
+class _Atoms(dict):
+    """dict token -> id, filled on the first lookup of each token."""
+
+    __slots__ = ()
+
+    def __missing__(self, tok):
+        if len(self) >= _ATOM_BOUND:
+            self.clear()
+        a = self[tok] = int(tok) if _is_int(tok) else tok
+        return a
+
+
+_ATOMS = _Atoms()
 
 
 def _atom(tok):
-    try:
-        return _ATOMS[tok]
-    except KeyError:
-        pass
-    if len(_ATOMS) >= _ATOM_BOUND:
-        _ATOMS.clear()
-    a = _ATOMS[tok] = int(tok) if _is_int(tok) else tok
-    return a
+    return _ATOMS[tok]
 
 
 def token(x):
@@ -131,7 +138,9 @@ class _Section:
         self.name = name
         self.header_line = header_line
         self.args = args
-        self.rows = []          # (line_no, key, tokens)
+        # (line_no, tokens); tokens[0] is the row's head as written, with
+        # or without its colon
+        self.rows = []
 
 
 def _uncomment(line):
@@ -144,9 +153,10 @@ def _before_any_section(row):
 
 def _split_sections(text):
     """The sections in file order, each with its rows.  Each line is
-    split once; comments are cut only from lines that hold a '#'.  Rows
-    go to the section open at the time, and before the first header to
-    _before_any_section, which rejects them."""
+    split once, and its token list is the row; comments are cut only
+    from lines that hold a '#'.  Rows go to the section open at the
+    time, and before the first header to _before_any_section, which
+    rejects them."""
     lines = text.splitlines()
     if "#" in text:
         lines = list(map(_uncomment, lines))
@@ -155,43 +165,53 @@ def _split_sections(text):
     for i, toks in enumerate(map(str.split, lines), start=1):
         if not toks:
             continue
-        key = head = toks[0]
-        if head[-1] == ":":
-            key = head[:-1]
-            # a header starts at the left margin (a commented line that
-            # starts with '#' has no tokens)
-            if key in _KIND_SET and not lines[i - 1][0].isspace():
-                if len(toks) < 2:
-                    raise ParseError(i, "section %s needs a name" % (head,))
-                current = _Section(key, toks[1], i, toks[2:])
-                sections.append(current)
-                add_row = current.rows.append
-                continue
-        del toks[0]
-        add_row((i, key, toks))
+        # a header starts at the left margin (a commented line that
+        # starts with '#' has no tokens)
+        if toks[0] in _HEADERS and not lines[i - 1][0].isspace():
+            if len(toks) < 2:
+                raise ParseError(i, "section %s needs a name" % (toks[0],))
+            current = _Section(toks[0][:-1], toks[1], i, toks[2:])
+            sections.append(current)
+            add_row = current.rows.append
+            continue
+        add_row((i, toks))
     return sections
+
+
+def _key(head):
+    """A row's key: its head without the colon it may end with."""
+    return head[:-1] if head[-1] == ":" else head
+
+
+def _heads(*keys):
+    """The heads that spell the keys: each bare and with its colon."""
+    return frozenset(h for k in keys for h in (k, k + ":"))
 
 
 def _build_graph(sec, doc):
     verts = []
     edges = []
     bp = None
-    for line, key, toks in sec.rows:
-        if key == "edges":
-            if len(toks) != 3:
-                raise ParseError(line, "edges line wants: id tail head")
-            e, u, v = toks
-            edges.append((_atom(e), _atom(u), _atom(v)))
-        elif key == "vertices":
-            verts.extend(map(_atom, toks))
-        elif key == "basepoint":
-            if len(toks) != 1:
+    atom = _ATOMS
+    for line, toks in sec.rows:
+        head = toks[0]
+        if head == "edges:" or head == "edges":
+            try:
+                _, e, u, v = toks
+            except ValueError:
+                raise ParseError(line, "edges line wants: id tail head") \
+                    from None
+            edges.append((atom[e], atom[u], atom[v]))
+        elif head == "vertices:" or head == "vertices":
+            verts.extend(map(atom.__getitem__, toks[1:]))
+        elif head == "basepoint:" or head == "basepoint":
+            if len(toks) != 2:
                 raise ParseError(line, "basepoint wants one vertex")
             if bp is not None:
                 raise ParseError(line, "second basepoint line")
-            bp = _atom(toks[0])
+            bp = atom[toks[1]]
         else:
-            raise ParseError(line, "unknown graph line %r" % (key,))
+            raise ParseError(line, "unknown graph line %r" % (_key(head),))
     return FinGraph(tuple(verts), tuple(edges), bp)
 
 
@@ -201,15 +221,19 @@ def _build_groupoid(sec, doc):
 
 _SIGNS = {"+": +1, "-": -1}
 
-# The rows that introduce each kind of id a constructor error can name,
-# and how many leading tokens spell the id.  The one fiber row lists every
-# point, so it introduces each (width 0).
+# The heads of the rows that introduce each kind of id a constructor
+# error can name, and how many tokens after the head spell the id.  The
+# one fiber row lists every point, so it introduces each (width 0).
 _INTRODUCED_BY = {
-    "vertex": (("v", "vertex-perm"), 1), "edge": (("e", "edge-perm"), 1),
-    "letter": (("perm",), 1), "states": (("states",), 1),
-    "arrow": (("delta",), 2), "pair": (("compose",), 2),
-    "point": (("fiber",), 0),
+    "vertex": (_heads("v", "vertex-perm"), 1),
+    "edge": (_heads("e", "edge-perm"), 1),
+    "letter": (_heads("perm"), 1), "states": (_heads("states"), 1),
+    "arrow": (_heads("delta"), 2), "pair": (_heads("compose"), 2),
+    "point": (_heads("fiber"), 0),
 }
+_GROUP_GEN = _heads("group-gen")
+_PERM_HEADS = _heads("vertex-perm", "edge-perm")
+_FIBER_HEADS = _heads("degree", "fiber")
 
 
 def _line_of(sec, subject):
@@ -222,17 +246,18 @@ def _line_of(sec, subject):
     row.  Only error paths scan the rows."""
     rows, line = sec.rows, sec.header_line
     if subject is not None and subject[0] == "generator":
-        starts = [k for k, row in enumerate(rows) if row[1] == "group-gen"]
+        starts = [k for k, (_, toks) in enumerate(rows)
+                  if toks[0] in _GROUP_GEN]
         starts.append(len(rows))
         i = subject[1]
         line = rows[starts[i]][0]
         rows = rows[starts[i] + 1:starts[i + 1]]
         subject = subject[2] if len(subject) == 3 else None
     if subject is not None:
-        (keys, width), x = _INTRODUCED_BY[subject[0]], subject[1]
-        for n, key, toks in rows:
-            if key in keys:
-                lead = tuple(_atom(t) for t in toks[:width])
+        (heads, width), x = _INTRODUCED_BY[subject[0]], subject[1]
+        for n, toks in rows:
+            if toks[0] in heads:
+                lead = tuple(_atom(t) for t in toks[1:1 + width])
                 if width == 0 or x == (lead[0] if width == 1 else lead):
                     return n
     return line
@@ -250,39 +275,42 @@ def _graph_arg(sec, doc, i, role):
 def _read_images(rows, vkey, ekey, kind):
     """The vertex and edge images of a map section or an action block,
     from its rows `vkey u -> w` and `ekey id -> id' [+|-]` or `ekey id ->
-    deg`; and whether some edge image is a bare edge, with its sign left
-    to infer."""
+    deg` (either key bare or with its colon); and whether some edge
+    image is a bare edge, with its sign left to infer."""
     vm = {}
     em = {}             # source edge -> None, (edge, sign) or bare edge
     bare = False
-    for line, key, toks in rows:
+    atom = _ATOMS
+    vcolon, ecolon = vkey + ":", ekey + ":"
+    for line, toks in rows:
         # map rows are the bulk of a document: the row checks are written
         # out here rather than called
-        if key == vkey:
-            if len(toks) != 3 or toks[1] != "->":
-                raise ParseError(line, "expected: %s u -> w" % (key,))
-            u = _atom(toks[0])
+        head = toks[0]
+        if head == vkey or head == vcolon:
+            if len(toks) != 4 or toks[2] != "->":
+                raise ParseError(line, "expected: %s u -> w" % (vkey,))
+            u = atom[toks[1]]
             if u in vm:
-                raise ParseError(line, "second %s line for %r" % (key, u))
-            vm[u] = _atom(toks[2])
-        elif key == ekey:
+                raise ParseError(line, "second %s line for %r" % (vkey, u))
+            vm[u] = atom[toks[3]]
+        elif head == ekey or head == ecolon:
             n = len(toks)
-            s = _SIGNS.get(toks[3]) if n == 4 and toks[2] != "deg" else None
-            if (n != 3 and s is None) or toks[1] != "->":
+            s = _SIGNS.get(toks[4]) if n == 5 and toks[3] != "deg" else None
+            if (n != 4 and s is None) or toks[2] != "->":
                 raise ParseError(line, "expected: %s id -> id' [+|-] or %s "
-                                 "id -> deg" % (key, key))
-            e = _atom(toks[0])
+                                 "id -> deg" % (ekey, ekey))
+            e = atom[toks[1]]
             if e in em:
-                raise ParseError(line, "second %s line for %r" % (key, e))
+                raise ParseError(line, "second %s line for %r" % (ekey, e))
             if s is not None:
-                em[e] = (_atom(toks[2]), s)
-            elif toks[2] == "deg":
+                em[e] = (atom[toks[3]], s)
+            elif toks[3] == "deg":
                 em[e] = None
             else:
-                em[e] = _atom(toks[2])
+                em[e] = atom[toks[3]]
                 bare = True
         else:
-            raise ParseError(line, "unknown %s line %r" % (kind, key))
+            raise ParseError(line, "unknown %s line %r" % (kind, _key(head)))
     return vm, em, bare
 
 
@@ -329,24 +357,25 @@ def _build_monodromy(sec, doc):
     letters = shape.components[shape.comp_of[base_graph.basepoint]].letters
     fiber = None
     perm_rows = {}
-    for line, key, toks in sec.rows:
-        if key in ("degree", "fiber") and fiber is not None:
+    for line, toks in sec.rows:
+        head = toks[0]
+        if head in _FIBER_HEADS and fiber is not None:
             raise ParseError(line, "second degree or fiber line")
-        if key == "degree":
-            if len(toks) != 1 or not _is_int(toks[0]) or int(toks[0]) < 1:
+        if head == "degree:" or head == "degree":
+            if len(toks) != 2 or not _is_int(toks[1]) or int(toks[1]) < 1:
                 raise ParseError(line, "degree wants a positive integer")
-            fiber = tuple(range(1, int(toks[0]) + 1))
-        elif key == "fiber":
-            fiber = tuple(_atom(t) for t in toks)
-        elif key == "perm":
-            if not toks:
+            fiber = tuple(range(1, int(toks[1]) + 1))
+        elif head == "fiber:" or head == "fiber":
+            fiber = tuple(_atom(t) for t in toks[1:])
+        elif head == "perm:" or head == "perm":
+            if len(toks) < 2:
                 raise ParseError(line, "perm wants a letter")
-            letter = _atom(toks[0])
+            letter = _atom(toks[1])
             if letter in perm_rows:
                 raise ParseError(line, "second perm line for %r" % (letter,))
-            perm_rows[letter] = (line, toks[1:])
+            perm_rows[letter] = (line, toks[2:])
         else:
-            raise ParseError(line, "unknown monodromy line %r" % (key,))
+            raise ParseError(line, "unknown monodromy line %r" % (_key(head),))
     if fiber is None:
         raise ParseError(sec.header_line,
                          "monodromy needs a degree or fiber line")
@@ -364,19 +393,21 @@ def _build_action(sec, doc):
     gens = []
     blocks = []         # (group-gen line, rows of its block)
     for row in sec.rows:
-        line, key, toks = row
-        if key == "group-gen":
+        line, toks = row
+        head = toks[0]
+        if head in _GROUP_GEN:
             try:
-                gens.append(tuple(int(t) for t in toks))
+                gens.append(tuple(int(t) for t in toks[1:]))
             except ValueError:
                 raise ParseError(line, "group-gen wants integer images")
             blocks.append((line, []))
-        elif key == "vertex-perm" or key == "edge-perm":
+        elif head in _PERM_HEADS:
             if not blocks:
-                raise ParseError(line, "%s before any group-gen" % (key,))
+                raise ParseError(line, "%s before any group-gen"
+                                 % (_key(head),))
             blocks[-1][1].append(row)
         else:
-            raise ParseError(line, "unknown action line %r" % (key,))
+            raise ParseError(line, "unknown action line %r" % (_key(head),))
     group = permutation_group(len(gens[0]) if gens else 1, gens)
     maps = []
     for i, (line, rows) in enumerate(blocks):
@@ -393,27 +424,29 @@ def _build_automaton(sec, doc):
     letters = []
     n = None
     delta = {}
-    for line, key, toks in sec.rows:
-        if key == "letters":
-            letters.extend(_atom(t) for t in toks)
-        elif key == "states":
-            if len(toks) != 1 or not _is_int(toks[0]):
-                raise ParseError(line, "states wants an integer")
-            if n is not None:
-                raise ParseError(line, "second states line")
-            n = int(toks[0])
-        elif key == "delta":
-            if len(toks) != 3:
+    for line, toks in sec.rows:
+        head = toks[0]
+        # delta rows are the bulk of an automaton, so they are tested first
+        if head == "delta:" or head == "delta":
+            if len(toks) != 4:
                 raise ParseError(line, "delta line wants: state letter state")
-            s, a, t = toks
+            _, s, a, t = toks
             if not (_is_int(s) and _is_int(t)):
                 raise ParseError(line, "states are integers")
             arrow = (int(s), _atom(a))
             if arrow in delta:
                 raise ParseError(line, "second delta line for %r %r" % arrow)
             delta[arrow] = int(t)
+        elif head == "letters:" or head == "letters":
+            letters.extend(_atom(t) for t in toks[1:])
+        elif head == "states:" or head == "states":
+            if len(toks) != 2 or not _is_int(toks[1]):
+                raise ParseError(line, "states wants an integer")
+            if n is not None:
+                raise ParseError(line, "second states line")
+            n = int(toks[1])
         else:
-            raise ParseError(line, "unknown automaton line %r" % (key,))
+            raise ParseError(line, "unknown automaton line %r" % (_key(head),))
     if n is None:
         raise ParseError(sec.header_line, "automaton needs a states line")
     return SubgroupAutomaton(tuple(letters), n, delta)
@@ -426,35 +459,37 @@ def _build_fingroupoid(sec, doc):
     dst = {}
     comp = {}
     ident = {}
-    for line, key, toks in sec.rows:
-        if key == "objects":
-            objs.extend(_atom(t) for t in toks)
-        elif key == "morphisms":
-            if len(toks) != 3:
+    for line, toks in sec.rows:
+        head = toks[0]
+        if head == "objects:" or head == "objects":
+            objs.extend(_atom(t) for t in toks[1:])
+        elif head == "morphisms:" or head == "morphisms":
+            if len(toks) != 4:
                 raise ParseError(line, "morphisms line wants: id src dst")
-            m, a, b = (_atom(t) for t in toks)
+            m, a, b = (_atom(t) for t in toks[1:])
             if m in src:
                 raise ParseError(line, "second morphisms line for %r" % (m,))
             mors.append(m)
             src[m] = a
             dst[m] = b
-        elif key == "identity":
-            if len(toks) != 2:
+        elif head == "identity:" or head == "identity":
+            if len(toks) != 3:
                 raise ParseError(line, "identity line wants: object morphism")
-            o = _atom(toks[0])
+            o = _atom(toks[1])
             if o in ident:
                 raise ParseError(line, "second identity line for %r" % (o,))
-            ident[o] = _atom(toks[1])
-        elif key == "compose":
-            if len(toks) != 3:
+            ident[o] = _atom(toks[2])
+        elif head == "compose:" or head == "compose":
+            if len(toks) != 4:
                 raise ParseError(line, "compose line wants: f g h")
-            f, g, h = (_atom(t) for t in toks)
+            f, g, h = (_atom(t) for t in toks[1:])
             if (f, g) in comp:
                 raise ParseError(line, "second compose line for %r %r"
                                  % (f, g))
             comp[(f, g)] = h
         else:
-            raise ParseError(line, "unknown fingroupoid line %r" % (key,))
+            raise ParseError(line, "unknown fingroupoid line %r"
+                             % (_key(head),))
     return FinGroupoid(tuple(objs), tuple(mors), src, dst, comp, ident)
 
 
@@ -464,7 +499,8 @@ _BUILDERS = {
     "automaton": _build_automaton, "fingroupoid": _build_fingroupoid,
 }
 SECTION_KINDS = tuple(_BUILDERS)
-_KIND_SET = frozenset(_BUILDERS)
+# the header heads, "graph:" and the like
+_HEADERS = frozenset(kind + ":" for kind in _BUILDERS)
 
 
 def parse_document(text):

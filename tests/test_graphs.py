@@ -15,7 +15,7 @@ from modalfib.graphs import (
     pi0, pi0_by_definition, component_map,
     flat, is_discrete, enumerate_graph_maps, graph_isomorphic,
     point, interval, cycle, path_graph, star, bouquet, disjoint_union,
-    _sort_key,
+    _composes_to, _sort_key,
 )
 from modalfib.corpus import random_graph, random_map
 
@@ -70,6 +70,45 @@ def test_compose_associative_and_unital():
         idb = GraphMap.identity(b)
         assert ida.compose(f).edge_map == f.edge_map
         assert f.compose(idb).edge_map == f.edge_map
+
+
+def test_composes_to_agrees_with_compose_on_random_maps():
+    rng = random.Random(907)
+    for _ in range(40):
+        a = random_graph(rng, 5, 6)
+        b = random_graph(rng, 5, 6)
+        c = random_graph(rng, 5, 6)
+        f = random_map(rng, a, b)
+        g = random_map(rng, b, c)
+        for h in (f.compose(g), random_map(rng, a, c)):
+            assert _composes_to(f, g, h) == (f.compose(g) == h)
+
+
+def test_composes_to_rejects_each_kind_of_mismatch():
+    c4 = cycle(4)
+
+    def rot(k):
+        return GraphMap.build(c4, c4, {i: (i + k) % 4 for i in range(4)},
+                              {"e%d" % i: "e%d" % ((i + k) % 4)
+                               for i in range(4)})
+
+    assert _composes_to(rot(1), rot(1), rot(2))
+    assert _composes_to(rot(1), terminal_map(c4), terminal_map(c4))
+    # a vertex image
+    assert not _composes_to(rot(1), rot(1), rot(3))
+    # an edge id: the two parallel edges swapped, every vertex fixed
+    two = FinGraph((0, 1), (("a", 0, 1), ("b", 0, 1)))
+    ident = GraphMap.identity(two)
+    swap = GraphMap(two, two, {0: 0, 1: 1}, {"a": ("b", 1), "b": ("a", 1)})
+    assert _composes_to(swap, swap, ident)
+    assert not _composes_to(ident, ident, swap)
+    # an edge sign: the loop reversed, its vertex fixed
+    loop = bouquet(1)
+    one = GraphMap.identity(loop)
+    flip = GraphMap(loop, loop, {"w": "w"}, {"l0": ("l0", -1)})
+    assert _composes_to(flip, flip, one)
+    assert not _composes_to(one, one, flip)
+    assert not _composes_to(flip, one, one)
 
 
 def test_dart_image_respects_reversal():

@@ -53,13 +53,20 @@ def old_split_sections(text):
     return sections
 
 
+def old_rows(rows):
+    """The parser's rows, (line, tokens with the head as written), in the
+    old splitter's form: (line, head without its colon, the rest)."""
+    return [(i, toks[0][:-1] if toks[0].endswith(":") else toks[0], toks[1:])
+            for i, toks in rows]
+
+
 def outcome(split, text):
     try:
         sections = split(text)
     except ParseError as e:
         return ("error", e.line, str(e))
     return [s if isinstance(s, tuple)
-            else (s.kind, s.name, s.header_line, s.args, s.rows)
+            else (s.kind, s.name, s.header_line, s.args, old_rows(s.rows))
             for s in sections]
 
 
@@ -101,7 +108,7 @@ def test_atom_matches_the_old_rule_on_decimal_tokens(tok):
 
 
 def test_atom_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(textio, "_ATOMS", {})
+    monkeypatch.setattr(textio, "_ATOMS", textio._Atoms())
     for i in range(textio._ATOM_BOUND + 10):
         assert _atom("t%d" % i) == "t%d" % i
         assert len(textio._ATOMS) <= textio._ATOM_BOUND

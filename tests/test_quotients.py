@@ -7,6 +7,7 @@ shape of an independently built orbit graph.
 """
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -19,13 +20,15 @@ from modalfib.groupoids import shape1
 from modalfib.corpus import random_graph, random_connected_graph
 from modalfib.fingroupoids import FinGroupoid, hfiber
 from modalfib.quotients import (
-    ActionError, SizeError, ActionGroupoid,
+    ActionError, SizeError, ActionGroupoid, GraphAction,
     permutation_group, trivial_group, cyclic_group, klein_group,
     graph_action,
     enumerate_automorphisms, enumerate_actions,
     shape_of_quotient, shape_quotient_functor, orbit_graph,
     quotient_is_fibration, fiber_sequence_check,
 )
+
+from reference_action_laws import all_pairs_law_holds
 
 
 def swap_star_action():
@@ -310,6 +313,61 @@ def test_action_counts_for_hand_checked_cells():
     # order dividing 3: the unit and both rotations
     assert len(enumerate_actions(cyclic_group(3), cycle(3))) == 3
     assert len(enumerate_actions(trivial_group(), cycle(6))) == 1
+
+
+# -- the law on generators against the all-pairs reference ----------------
+
+
+def _images(space, m):
+    return (tuple(m.vertex_map[v] for v in space.vertices),
+            tuple(m.edge_map[e] for e in space.edge_ids()))
+
+
+def test_generator_law_accepts_exactly_the_tables_all_pairs_accepts():
+    """Every table that sends the unit to the identity and each other
+    element to an automorphism: GraphAction accepts it exactly when the
+    all-pairs reference does, and the accepted tables are the actions
+    that enumerate_actions finds."""
+    groups = (cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              klein_group())
+    outcomes = {True: 0, False: 0}
+    for space in (cycle(4), path_graph(3), star(3)):
+        auts = enumerate_automorphisms(space)
+        index = {_images(space, m): i for i, m in enumerate(auts)}
+        unit = GraphMap.identity(space)
+        for group in groups:
+            others = [g for g in group.elements if g != group.identity]
+            accepted = set()
+            for choice in iproduct(range(len(auts)), repeat=len(others)):
+                maps = {g: auts[i] for g, i in zip(others, choice)}
+                maps[group.identity] = unit
+                try:
+                    GraphAction(group, space, maps)
+                except ActionError:
+                    ok = False
+                else:
+                    ok = True
+                    accepted.add(choice)
+                assert ok == all_pairs_law_holds(group, maps), (space, choice)
+                outcomes[ok] += 1
+            found = {tuple(index[_images(space, a.maps[g])] for g in others)
+                     for a in enumerate_actions(group, space)}
+            assert found == accepted
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_swapping_two_non_generator_maps_breaks_the_table():
+    c4 = cycle(4)
+    rot = GraphMap.build(c4, c4, {i: (i + 1) % 4 for i in range(4)},
+                         {"e%d" % i: "e%d" % ((i + 1) % 4) for i in range(4)})
+    group = cyclic_group(4)
+    maps = dict(graph_action(group, c4, [rot]).maps)
+    x, y = [g for g in group.elements
+            if g != group.identity and g not in group.generators]
+    maps[x], maps[y] = maps[y], maps[x]
+    assert not all_pairs_law_holds(group, maps)
+    with pytest.raises(ActionError, match="multiplication table"):
+        GraphAction(group, c4, maps)
 
 
 # -- free-action comparison with the orbit graph ---------------------------
