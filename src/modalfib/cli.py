@@ -21,7 +21,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 from .classify import (classify, constant_fiber_criterion,
                        etale_family_check, factor0, FactorError,
@@ -38,6 +37,7 @@ from .quotients import (ActionError, QUOTIENT_GROUP_BOUND, SizeError,
                         quotient_is_fibration, shape_of_quotient)
 from . import suites
 from .textio import ParseError, _atom, cycles_of_perm, parse_document
+from .verdicts import FLAGS
 
 __all__ = ["AnalysisRequest", "Report", "run", "main",
            "UsageError", "InputError"]
@@ -116,8 +116,7 @@ def _checked(key, kind, value):
 
 def _status(*levels):
     """2 if a flag of these LevelVerdicts is undecided, else 0."""
-    decided = all(f.decided for v in levels for f in (
-        v.modal, v.connected, v.etale, v.equivalence, v.fibration))
+    decided = all(getattr(v, k).decided for v in levels for k in FLAGS)
     return 0 if decided else 2
 
 
@@ -146,10 +145,7 @@ def _single(doc, kind, what):
 
 def _flag_line(name, verdicts):
     d = verdicts.as_dict()
-    return "%s: %s" % (name, " ".join("%s=%s" % (k, d[k])
-                                      for k in ("modal", "connected",
-                                                "etale", "equivalence",
-                                                "fibration")))
+    return "%s: %s" % (name, " ".join("%s=%s" % (k, d[k]) for k in FLAGS))
 
 
 def _tri(v):
@@ -443,38 +439,14 @@ def _cmd_quotient_verify(request):
     return data, lines, 0 if ok else 1
 
 
-# Each suite runs on the seeded functor stream and its rng, and returns
-# its counts and the text lines above the verdict.
-
-def _suite_nine_way(head, functors, rng):
-    c = suites.nine_way((F, rng) for F in functors)
-    return c, [head, "disagreements: %d" % c["disagreements"],
-               "connecting-map failures: %d" % c["connecting_failures"],
-               "gamma equivalence: %d true, %d false"
-               % (c["gamma_true"], c["gamma_false"])]
-
-
-def _suite_closure(head, functors, rng):
-    c = suites.closure(functors, rng)
-    return c, ["%s, %d fibrations exercised" % (head, c["fibrations_seen"]),
-               "pullback violations: %d" % c["pullback_violations"],
-               "composite violations: %d" % c["composite_violations"]]
-
-
-def _suite_compare(head, functors, rng):
-    c = suites.compare_modalities(functors)
-    return c, [head, "implication violations: %d" % c["violations"]]
-
-
-def _cmd_suite(suite, request):
-    samples = request.opt("samples", 1000)
-    seed = request.opt("seed", 0)
-    rng = random.Random(seed)
-    counts, lines = suite("%d samples (seed %d)" % (samples, seed),
-                          suites.seeded(rng, samples), rng)
-    lines.append("verdict: %s" % ("pass" if counts["ok"] else "fail"))
+def _cmd_suite(request):
+    name = request.command[len("suite "):]
+    samples, seed = request.opt("samples", 1000), request.opt("seed", 0)
+    counts = suites.run(name, suites.seeded(random.Random(seed), samples))
+    out = suites.lines(name, "%d samples (seed %d)" % (samples, seed), counts)
+    out.append("verdict: %s" % ("pass" if counts["ok"] else "fail"))
     data = dict(counts, command=request.command, samples=samples, seed=seed)
-    return data, lines, 0 if counts["ok"] else 1
+    return data, out, 0 if counts["ok"] else 1
 
 
 _SUITE_OPTIONS = {"samples": 1, "seed": None}
@@ -482,7 +454,8 @@ _SUITE_OPTIONS = {"samples": 1, "seed": None}
 # One row per command: its handler, its help line and the options it
 # takes besides --format.  An option maps to its least value, to None
 # for any integer, or to str.  The parser, the request check and run()
-# read these rows; only the suites read no document.
+# read these rows; only the suites read no document, and their rows
+# come from the suite table.
 _COMMANDS = {
     "classify": (_cmd_classify, "five-way verdicts at both levels", {}),
     "factor0": (_cmd_factor0, "connected/discrete factorization",
@@ -507,13 +480,8 @@ _COMMANDS = {
     "quotient verify": (_cmd_quotient_verify,
                         "fibration and fiber-sequence check",
                         {"max_group": 1}),
-    "suite nine-way": (partial(_cmd_suite, _suite_nine_way),
-                       "agreement of all decision routes", _SUITE_OPTIONS),
-    "suite closure": (partial(_cmd_suite, _suite_closure),
-                      "pullback and composite closure", _SUITE_OPTIONS),
-    "suite compare-modalities": (partial(_cmd_suite, _suite_compare),
-                                 "level-comparison implications",
-                                 _SUITE_OPTIONS),
+    **{"suite " + name: (_cmd_suite, suite.help, _SUITE_OPTIONS)
+       for name, suite in suites.SUITES.items()},
 }
 
 _GROUPS = {"covers": "covering-space analyses",

@@ -8,7 +8,11 @@ never silently pass an if-statement.
 from dataclasses import dataclass
 from itertools import product
 
-__all__ = ["Flag", "LevelVerdicts", "MapClassification", "lemma_identities"]
+__all__ = ["FLAGS", "Flag", "LevelVerdicts", "MapClassification",
+           "lemma_identities"]
+
+# the five flags of a level, in the order of its fields and reports
+FLAGS = ("modal", "connected", "etale", "equivalence", "fibration")
 
 
 @dataclass(frozen=True)
@@ -68,13 +72,7 @@ class LevelVerdicts:
         return _DECIDED[modal, connected, etale, equivalence, fibration]
 
     def as_dict(self):
-        return {
-            "modal": self.modal.render(),
-            "connected": self.connected.render(),
-            "etale": self.etale.render(),
-            "equivalence": self.equivalence.render(),
-            "fibration": self.fibration.render(),
-        }
+        return {k: getattr(self, k).render() for k in FLAGS}
 
 
 _DECIDED = {bits: LevelVerdicts(*map(Flag.of, bits))
@@ -89,20 +87,11 @@ def lemma_identities(level):
     where an undecided flag blocks the comparison.
     """
     out = {}
-    trio = (level.etale, level.modal, level.fibration)
-    if all(f.decided for f in trio):
-        out["etale_eq_modal_and_fibration"] = (
-            level.etale.is_true == (level.modal.is_true
-                                    and level.fibration.is_true))
-    else:
-        out["etale_eq_modal_and_fibration"] = None
-    trio = (level.connected, level.equivalence, level.fibration)
-    if all(f.decided for f in trio):
-        out["connected_eq_equivalence_and_fibration"] = (
-            level.connected.is_true == (level.equivalence.is_true
-                                        and level.fibration.is_true))
-    else:
-        out["connected_eq_equivalence_and_fibration"] = None
+    for flag, part in (("etale", "modal"), ("connected", "equivalence")):
+        trio = (getattr(level, flag), getattr(level, part), level.fibration)
+        out["%s_eq_%s_and_fibration" % (flag, part)] = (
+            trio[0].is_true == (trio[1].is_true and trio[2].is_true)
+            if all(f.decided for f in trio) else None)
     return out
 
 

@@ -12,13 +12,14 @@ The sample is fixed: `sample_functor` of each kind at seeds 0 to
 per_kind - 1, with the rng that built a functor passed on to
 `nine_way`.  Each run builds the functors afresh, so nothing a helper
 caches on a functor carries over from one mutant to the next.  A sample
-is judged by `classify_trunc` at levels 0 and -1, `nine_way` and
-`compare_modalities`, against the same calls without the mutant.  It is
-caught when a suite check fails (`nine_way`'s `agree` or
-`connecting_ok`, or `compare_modalities`' `all_hold`); a sample on which
-a call raises is counted apart.  The readings that moved are the
-`nine_way` readings, lettered (a) to (i) as in its code, and the level
-flags, `flag@level`, whose values differ from the unmutated run.
+is judged by `classify_trunc` at levels 0 and -1 and by the readers of
+the `nine-way` and `compare-modalities` suites (`modalfib.suites`),
+against the same calls without the mutant.  It is caught when a check
+row of those suites fails on it, and the report names the rows that
+caught each mutant's samples; a sample on which a call raises is
+counted apart.  The readings that moved are the `nine_way` readings,
+lettered (a) to (i) as in its code, and the level flags, `flag@level`,
+whose values differ from the unmutated run.
 
 Stdlib only; run from a checkout, with N samples per kind:
 
@@ -38,11 +39,10 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from modalfib import fingroupoids  # noqa: E402
+from modalfib import fingroupoids, suites  # noqa: E402
 from modalfib.fingroupoids import (  # noqa: E402
-    GROUP_NAMES, classify_trunc, compare_modalities, connected_groupoid,
-    homotopy_pullback, nine_way, product_groupoid, random_functor,
-    random_functor_into, random_groupoid,
+    GROUP_NAMES, classify_trunc, connected_groupoid, homotopy_pullback,
+    product_groupoid, random_functor, random_functor_into, random_groupoid,
 )
 
 
@@ -147,17 +147,31 @@ LETTERS = {
 }
 
 
+# the suites whose checks judge a sample; closure draws samples of its
+# own, so it judges none
+JUDGES = ("nine-way", "compare-modalities")
+
+
+def failing(reports):
+    """The (suite, count key) of each check row that fails on a
+    sample's suite reports."""
+    return [(name, key) for name in JUDGES
+            for key, _, holds in suites.SUITES[name].checks
+            if not holds(reports[name])]
+
+
 def outcome(F, rng):
-    """(readings, suite checks hold, the whole report) for one functor."""
+    """(readings, suite checks hold, the whole report) for one functor;
+    the whole report holds the level flags and each judging suite's
+    reading."""
     levels = {level: classify_trunc(F, level).as_dict() for level in (0, -1)}
-    rep = nine_way(F, rng)
-    cmp = compare_modalities(F)
-    readings = {letter: rep[key] for key, letter in LETTERS.items()}
+    reports = {name: suites.SUITES[name].read(F, rng) for name in JUDGES}
+    readings = {letter: reports["nine-way"][key]
+                for key, letter in LETTERS.items()}
     for level, flags in levels.items():
         readings.update(("%s@%d" % (flag, level), v)
                         for flag, v in flags.items())
-    holds = rep["agree"] and rep["connecting_ok"] and cmp["all_hold"]
-    return readings, holds, (levels, rep, cmp)
+    return readings, not failing(reports), (levels, reports)
 
 
 def run(per_kind, mutant=None):
@@ -180,14 +194,15 @@ def run(per_kind, mutant=None):
     return results
 
 
-Score = namedtuple("Score", "changed caught raised moved")
+Score = namedtuple("Score", "changed caught raised moved rows")
 
 
 def score(base, results):
     """Score of one mutant's results against the unmutated ones; moved
-    counts each set of readings that moved together."""
+    counts each set of readings that moved together, and rows the
+    samples each check row caught."""
     changed = caught = raised = 0
-    moved = Counter()
+    moved, rows = Counter(), Counter()
     for (readings, _, whole), got in zip(base, results):
         if isinstance(got, str):
             changed += 1
@@ -197,10 +212,11 @@ def score(base, results):
             changed += 1
         if not got[1]:
             caught += 1
+            rows.update(failing(got[2][1]))
         diff = "+".join(k for k in readings if got[0][k] != readings[k])
         if diff:
             moved[diff] += 1
-    return Score(changed, caught, raised, moved)
+    return Score(changed, caught, raised, moved, rows)
 
 
 def score_all(per_kind, mutants=MUTANTS):
@@ -218,18 +234,21 @@ def main(argv=None):
         ap.error("--per-kind must be at least 1")
     t = time.perf_counter()
     base, scores = score_all(args.per_kind)
-    failing = sum(1 for _, holds, _ in base if not holds)
+    failures = sum(1 for _, holds, _ in base if not holds)
     print("%d samples; unmutated, suite checks fail on %d"
-          % (len(base), failing))
+          % (len(base), failures))
     print("%-26s %7s %7s %7s" % ("mutant", "changed", "caught", "raised"))
     for name, s in scores.items():
         print("%-26s %7d %7d %7d" % (name, s.changed, s.caught, s.raised))
         moved = ", ".join("%s %d" % kv for kv in s.moved.most_common())
-        print(textwrap.fill("moved: " + (moved or "none"), 79,
-                            initial_indent="    ",
-                            subsequent_indent="      "))
+        rows = ", ".join("%s %s %d" % (suite, key, n)
+                         for (suite, key), n in s.rows.most_common())
+        for label, text in (("moved", moved), ("caught by", rows)):
+            print(textwrap.fill("%s: %s" % (label, text or "none"), 79,
+                                initial_indent="    ",
+                                subsequent_indent="      "))
     print("%.1f s" % (time.perf_counter() - t))
-    return 1 if failing else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

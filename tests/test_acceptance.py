@@ -86,22 +86,24 @@ def test_acceptance_03_orbits_match_components(criterion):
 
 def test_acceptance_04_nine_way_agreement(criterion):
     t0 = time.perf_counter()
-    counts = suites.nine_way(
-        (F, random.Random(10000 + i)) for i, F in enumerate(functor_corpus()))
+    counts = suites.run("nine-way", (
+        (F, random.Random(10000 + i)) for i, F in enumerate(functor_corpus())))
     criterion(4, "nine-way agreement", 60.0, counts["ok"],
               time.perf_counter() - t0)
 
 
 def test_acceptance_05_fibration_closure(criterion):
     t0 = time.perf_counter()
-    counts = suites.closure(functor_corpus(), random.Random(43))
+    rng = random.Random(43)
+    counts = suites.run("closure", ((F, rng) for F in functor_corpus()))
     ok = counts["ok"] and counts["fibrations_seen"] > 100
     criterion(5, "fibration closure", 60.0, ok, time.perf_counter() - t0)
 
 
 def test_acceptance_06_modality_comparison(criterion):
     t0 = time.perf_counter()
-    counts = suites.compare_modalities(functor_corpus())
+    counts = suites.run("compare-modalities",
+                        ((F, None) for F in functor_corpus()))
     criterion(6, "modality comparison", 30.0, counts["ok"],
               time.perf_counter() - t0)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from modalfib import cli
-from modalfib.classify import _classify_pi0, classify
+from modalfib.classify import FactorError, _classify_pi0, classify
 from modalfib.cli import AnalysisRequest, Report, UsageError, main, run
 from modalfib.covers import CoverError
 from modalfib.fingroupoids import FinGroupoidError
@@ -395,6 +395,7 @@ def test_parser_and_request_accept_the_same_options():
     ("covers enumerate", "n", 0),
     ("covers universal-ball", "radius", -1),
     ("suite closure", "samples", 0),
+    ("suite closure", "samples", "many"),
     ("quotient verify", "max_group", 0),
     ("classify", "format", "xml"),
     ("classify", "radius", 3),
@@ -531,6 +532,53 @@ def test_cover_errors_exit_65(tmp_path, capsys):
                  "map: f a b\nv 0 -> 0\ne x -> l +\ne y -> l +\n")
     assert main(["covers", "monodromy", str(p)]) == 65
     assert "input error: not a covering" in capsys.readouterr().err
+
+
+# a loop with no basepoint, the same loop pointed beside a second one,
+# and the identity map of the unpointed loop
+UNPOINTED = "graph: g\nvertices: 0\nedges: l 0 0\n"
+TWO_LOOPS = ("graph: g\nvertices: 0 1\nedges: l 0 0\nedges: m 1 1\n"
+             "basepoint: 0\n")
+UNPOINTED_MAP = UNPOINTED + "\nmap: f g g\nv 0 -> 0\ne l -> l +\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    ("prism DOC", UNPOINTED_MAP, "target has no basepoint; pass --vertex"),
+    ("covers monodromy DOC", UNPOINTED_MAP, "cover target needs a basepoint"),
+    ("covers total DOC", UNPOINTED_MAP, "cover target needs a basepoint"),
+    ("covers universal-ball DOC", UNPOINTED, "base needs a basepoint"),
+    ("covers universal-ball DOC", TWO_LOOPS, "base not connected"),
+    ("covers enumerate DOC --n 2", UNPOINTED, "base not pointed"),
+], ids=["prism", "monodromy", "total", "ball-unpointed", "ball-disconnected",
+        "enumerate-unpointed"])
+def test_missing_basepoints_and_disconnected_bases_exit_65(argv, text,
+                                                           message, tmp_path,
+                                                           capsys):
+    p = tmp_path / "doc.txt"
+    p.write_text(text)
+    assert main([str(p) if a == "DOC" else a for a in argv.split()]) == 65
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def test_library_requests_name_what_they_lack():
+    with pytest.raises(UsageError, match="command 'classify' needs an "
+                                         "input document"):
+        run(AnalysisRequest(command="classify"))
+    with pytest.raises(UsageError, match="option 'samples' wants an integer"):
+        AnalysisRequest(command="suite closure", options={"samples": "many"})
+
+
+def test_a_failed_factorization_is_reported_and_exits_1(docs, monkeypatch,
+                                                         capsys):
+    def fail(f):
+        raise FactorError("no middle")
+    monkeypatch.setattr(cli, "factor0", fail)
+    code, data = run_json(capsys, ["factor0", docs["c6c3"]])
+    assert code == 1
+    assert data == {"command": "factor0", "ok": False, "reason": "no middle"}
+    assert main(["factor0", docs["c6c3"]]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "factorization failed: no middle"
 
 
 @pytest.mark.parametrize("error, code, prefix", [

@@ -8,9 +8,11 @@ shape of an independently built orbit graph.
 
 import random
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 
+from modalfib import quotients
 from modalfib.graphs import (
     FinGraph, GraphMap, _sort_key,
     point, interval, star, cycle, path_graph, bouquet, disjoint_union,
@@ -147,6 +149,22 @@ def test_collapsing_generator_is_refused():
                            {"a0": None, "a1": "a1"})
     with pytest.raises(ActionError):
         graph_action(cyclic_group(2), s, [crush])
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no map", "need exactly one map per group element"),
+    ("foreign space", "does not act on the space"),
+    ("unit rotates", "unit element must act as the identity map"),
+])
+def test_action_constructor_refuses_bad_maps(case, message):
+    c3 = cycle(3)
+    rot = GraphMap.build(c3, c3, {i: (i + 1) % 3 for i in range(3)},
+                         {"e%d" % i: "e%d" % ((i + 1) % 3) for i in range(3)})
+    e = trivial_group().identity
+    maps = {"no map": {}, "foreign space": {e: GraphMap.identity(cycle(4))},
+            "unit rotates": {e: rot}}[case]
+    with pytest.raises(ActionError, match=message):
+        GraphAction(trivial_group(), c3, maps)
 
 
 def test_orbit_and_stabilizer():
@@ -304,6 +322,44 @@ def test_fibration_exhaustive_suite():
         free += a.is_free()
     assert total == 237
     assert free == 30
+
+
+class _Induced:
+    """A stand-in induced functor: each image subgroup has the given
+    index, and each vertex-group map is injective or not."""
+
+    def __init__(self, index, injective):
+        self.index, self.injective = index, injective
+
+    def image_subgroup(self, c):
+        return SimpleNamespace(index=lambda: self.index)
+
+    def injective_on_vertex_group(self, c):
+        return self.injective
+
+
+def _merged_shape1(graph):
+    """shape1 of the graph, with every vertex put in one component."""
+    S = shape1(graph)
+    S.comp_of = dict.fromkeys(S.comp_of, next(iter(S.components)))
+    return S
+
+
+@pytest.mark.parametrize("index, injective, merge", [
+    (2, True, False), (1, False, False), (1, True, True),
+], ids=["image-of-index-2", "vertex-group-map-not-injective",
+        "more-pairs-than-the-group"])
+def test_quotient_is_fibration_fails_at_each_clause(index, injective, merge,
+                                                    monkeypatch):
+    # each clause is forced to fail on its own: the stand-in passes the
+    # other clauses, and only the merged components break the pair count
+    a = graph_action(trivial_group(), disjoint_union(point(), point()), [])
+    assert quotient_is_fibration(a)
+    monkeypatch.setattr(quotients, "induce_functor",
+                        lambda f, S, T: _Induced(index, injective))
+    if merge:
+        monkeypatch.setattr(quotients, "shape1", _merged_shape1)
+    assert quotient_is_fibration(a) is False
 
 
 def test_action_counts_for_hand_checked_cells():

@@ -2,14 +2,17 @@
 
 The break is a monkeypatch on `modalfib.fingroupoids`, so these tests
 also pin that the suites reach the library through that module, where a
-wrapper sees every call.
+wrapper sees every call.  A throwaway check row appended to the suite
+table reaches every reader of the table with no other edit.
 """
 
 import json
+import random
 
 import pytest
 
-from modalfib import fingroupoids
+import mutants
+from modalfib import fingroupoids, suites
 from modalfib.cli import main
 from modalfib.fingroupoids import group_groupoid, object_inclusion
 
@@ -85,3 +88,27 @@ def test_text_reports(sub, lines, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:-1] == lines + ["verdict: pass"]
     assert out[-1].startswith("elapsed: ")
+
+
+def test_a_throwaway_check_row_reaches_every_reader(monkeypatch, capsys):
+    # one row appended to the table, and no other edit, shows up in the
+    # counts, the command line and the mutation harness's judgement
+    suite = suites.SUITES["compare-modalities"]
+    row = ("throwaway", "throwaway failures", lambda reading: False)
+    monkeypatch.setitem(suites.SUITES, "compare-modalities",
+                        suite._replace(checks=suite.checks + (row,)))
+    counts = suites.run("compare-modalities",
+                        suites.seeded(random.Random(0), 5))
+    assert counts == {"violations": 0, "throwaway": 5, "ok": False}
+    code, data = run_suite(capsys, "compare-modalities")
+    assert code == 1
+    assert data["throwaway"] == 5 and data["ok"] is False
+    assert main(["suite", "compare-modalities", "--samples", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:4] == ["implication violations: 0",
+                        "throwaway failures: 5", "verdict: fail"]
+    rng = random.Random(0)
+    got = mutants.outcome(mutants.sample_functor("random", rng), rng)
+    assert got[1] is False
+    assert mutants.score([got], [got]).rows == {
+        ("compare-modalities", "throwaway"): 1}

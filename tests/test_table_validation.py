@@ -6,7 +6,9 @@ references below are the plain scans over every composable triple and
 every composable pair.  Both must accept the same tables and reject every
 single-entry corruption of a valid one: a changed composite or image, an
 identity swapped for another automorphism, a dropped entry or an extra
-one on a pair that does not compose.  The memoized catalog assemblies
+one on a pair that does not compose.  A functor names the first object
+or morphism without an image, or with an ill-typed one, and refuses to
+compose with one whose source is not its target.  The memoized catalog assemblies
 must equal fresh ones and leave the rng stream as it was, and the cached
 component map must equal a fresh union-find.  `object_inclusion` and
 `full_subgroupoid` name the first object that is not in the groupoid.
@@ -21,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, FinGroupoid, FinGroupoidError, _assemble_blocks,
-    _build_blocks, connected_groupoid, full_subgroupoid, group_groupoid,
-    group_hom_functor, hfiber, homotopy_pullback, nine_way,
-    object_inclusion, product_groupoid, random_functor,
-    random_functor_into, random_groupoid,
+    _build_blocks, connected_groupoid, discrete_groupoid, full_subgroupoid,
+    group_groupoid, group_hom_functor, hfiber, homotopy_pullback,
+    identity_fin_functor, nine_way, object_inclusion, product_groupoid,
+    random_functor, random_functor_into, random_groupoid,
 )
 from reference_catalog import ref_build_blocks
 from reference_union_find import UnionFind
@@ -357,6 +359,25 @@ def test_functor_rejects_foreign_keys():
     with pytest.raises(FinGroupoidError,
                        match="morphism 'junk' not in source"):
         FinFunctor(g, g, {"o": "o"}, {**ident, "junk": g.ident["o"]})
+
+
+C2, AB = group_groupoid("c2"), discrete_groupoid("ab")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FinFunctor(C2, C2, {}, {m: m for m in C2.morphisms}),
+     "object 'o' has no image"),
+    (lambda: FinFunctor(C2, C2, {"o": "o"}, {}), "morphism .* has no image"),
+    (lambda: FinFunctor(C2, AB, {"o": "a"},
+                        dict.fromkeys(C2.morphisms, AB.ident["b"])),
+     "image of .* ill-typed"),
+    (lambda: identity_fin_functor(AB).compose(identity_fin_functor(C2)),
+     "functors do not compose"),
+], ids=["object-without-image", "morphism-without-image",
+        "ill-typed-image", "mismatched-compose"])
+def test_functor_rejects_missing_and_ill_typed_images(make, message):
+    with pytest.raises(FinGroupoidError, match=message):
+        make()
 
 
 def test_functor_rejects_foreign_keys_without_asserts(run_optimized):
