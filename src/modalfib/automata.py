@@ -21,17 +21,19 @@ __all__ = ["SubgroupAutomaton"]
 
 
 def _check_word(index, word, valid, letters):
-    """Raise ValueError at the first letter of the word (number `index`)
-    that is not in `valid`, the pairs (generator in `letters`, +1 or
-    -1); an unhashable letter or one that is not a pair is not in it."""
+    """Raise InputError, naming ("word", index), at the first letter of
+    the word that is not in `valid`, the pairs (generator in `letters`,
+    +1 or -1); an unhashable letter or one that is not a pair is not in
+    it."""
     for i, x in enumerate(word):
         try:
             if tuple(x) in valid:
                 continue
         except TypeError:
             pass
-        raise ValueError("word %d, letter %d is %r, not a generator of %r "
-                         "with sign +1 or -1" % (index, i, x, letters))
+        raise InputError("word %d, letter %d is %r, not a generator of %r "
+                         "with sign +1 or -1" % (index, i, x, letters),
+                         ("word", index))
 
 
 def _fold_darts(darts, pending):
@@ -177,7 +179,8 @@ class SubgroupAutomaton:
         that reduction shortened is checked as given, since no walk reads
         the letters it cancelled.  A letter that is not a pair of a
         generator in `letters` and a sign +1 or -1, an unhashable one
-        included, raises ValueError naming the word and the letter.
+        included, raises InputError naming the word, as ("word", 1), and
+        the letter.
         """
         letters = tuple(_sorted_ids(set(letters)))
         valid = {(a, sign) for a in letters for sign in (1, -1)}
@@ -261,32 +264,33 @@ class SubgroupAutomaton:
         The resulting automaton is complete, with one state per point
         reachable from the basepoint.  A missing letter, a key of perms
         that is not a letter, a letter that does not permute the common
-        point set, or a basepoint outside it raises ValueError naming
-        it.
+        point set, or a basepoint outside it raises InputError naming
+        it, as ("letter", a) or ("point", basepoint).
         """
         letters = tuple(_sorted_ids(set(letters)))
         points = None
         for a in letters:
             pa = perms.get(a)
             if pa is None:
-                raise ValueError("letter %r has no permutation" % (a,))
+                raise InputError("letter %r has no permutation" % (a,),
+                                 ("letter", a))
             # as many values as keys, so equal sets make a bijection
             if set(pa.values()) != pa.keys():
-                raise ValueError("letter %r does not act by a permutation"
-                                 % (a,))
+                raise InputError("letter %r does not act by a permutation"
+                                 % (a,), ("letter", a))
             if points is None:
                 points = pa.keys()
             elif pa.keys() != points:
-                raise ValueError("letter %r permutes other points than "
-                                 "letter %r" % (a, letters[0]))
+                raise InputError("letter %r permutes other points than "
+                                 "letter %r" % (a, letters[0]), ("letter", a))
         # every letter is a key, so a longer dict has a foreign key
         if len(perms) != len(letters):
             x = next(x for x in perms if x not in letters)
-            raise ValueError("%r is not a letter; letters are %s"
-                             % (x, list(letters)))
+            raise InputError("%r is not a letter; letters are %s"
+                             % (x, list(letters)), ("letter", x))
         if points is not None and basepoint not in points:
-            raise ValueError("basepoint %r is not a point of the action"
-                             % (basepoint,))
+            raise InputError("basepoint %r is not a point of the action"
+                             % (basepoint,), ("point", basepoint))
         # the points reachable from the basepoint, numbered as found
         number = {basepoint: 0}
         found = [basepoint]
@@ -424,11 +428,6 @@ class SubgroupAutomaton:
             gens.append(mul(paths[u], ((a, +1),), inv(paths[v])))
         return gens
 
-    def conjugate_by(self, w):
-        """Automaton of w^-1 H w."""
-        return SubgroupAutomaton.from_words(
-            self.letters, [mul(inv(w), g, w) for g in self.generators()])
-
     # -- comparisons -------------------------------------------------------
 
     def key(self):
@@ -437,11 +436,6 @@ class SubgroupAutomaton:
     def same(self, other):
         """Structural equality of canonical forms."""
         return self.key() == other.key()
-
-    def subgroup_equal(self, other):
-        """Mutual membership of generators; independent of `same`."""
-        return (all(other.contains(g) for g in self.generators()) and
-                all(self.contains(g) for g in other.generators()))
 
     def __repr__(self):
         return "SubgroupAutomaton(%d states, rank %d%s)" % (

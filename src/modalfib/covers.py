@@ -222,7 +222,12 @@ def components_vs_orbits(m):
 
 def universal_cover_ball(x, base, r):
     """The radius-r ball of the universal cover: reduced dart paths from
-    the base, one edge per extension.  Always a tree."""
+    the base, one edge per extension.  Always a tree.  A radius that is
+    not an integer of at least 0 raises CoverError naming ("radius", r),
+    as the CLI's --radius check does."""
+    if not isinstance(r, int) or r < 0:
+        raise CoverError("radius must be an integer of at least 0, got %r"
+                         % (r,), ("radius", r))
     if len(pi0(x)) != 1:
         raise CoverError("base not connected")
     _check_base(component_map(x), base)

@@ -14,23 +14,18 @@ the vertex group of the component's base.
 
 A functor induced by a graph map is stored as generator images (words in
 the target's letters) together with one conjugator word per source
-vertex, recording where the source spanning forest lands.  Natural
-isomorphism of two functors then reduces, per source component, to a
-simultaneous conjugacy problem over the target letters, which
-words.solve_simultaneous_conjugacy decides exactly.
+vertex, recording where the source spanning forest lands.
 """
 
 from dataclasses import dataclass
 
 from .graphs import _sorted_ids, component_map, FinGraph
-from .words import (
-    reduce_word, mul, inv, solve_simultaneous_conjugacy, Unknown,
-)
+from .words import reduce_word, mul, inv
 from .automata import SubgroupAutomaton
 
 __all__ = [
     "Component", "PresGroupoid", "shape1",
-    "GroupoidFunctor", "induce_functor", "identity_functor", "natural_iso",
+    "GroupoidFunctor", "induce_functor",
 ]
 
 
@@ -87,10 +82,6 @@ class PresGroupoid:
             return ((eid, sign),)
         return ()
 
-    def path_word(self, darts):
-        return reduce_word(tuple(
-            letter for eid, sign in darts for letter in self.dart_word(eid, sign)))
-
     def letters_at(self, v):
         return self.components[self.comp_of[v]].letters
 
@@ -109,15 +100,6 @@ class PresGroupoid:
     def inverse(self, m):
         u, v, w = m
         return (v, u, inv(w))
-
-    def morphism_from_path(self, u, darts):
-        v = u
-        for eid, sign in darts:
-            a, b = self.graph.dart_ends(eid, sign)
-            if a != v:
-                raise ValueError("%r does not leave %r" % ((eid, sign), v))
-            v = b
-        return (u, v, self.path_word(darts))
 
     def summary(self):
         out = []
@@ -153,11 +135,6 @@ class GroupoidFunctor:
             img = self.gen_images[g]
             out = mul(out, img if s > 0 else inv(img))
         return out
-
-    def map_morphism(self, m):
-        u, v, w = m
-        return (self.obj[u], self.obj[v],
-                mul(inv(self.conj[u]), self.map_word(w), self.conj[v]))
 
     def compose(self, other):
         """self then other."""
@@ -219,39 +196,3 @@ def induce_functor(f, src_shape=None, dst_shape=None):
             u, v = f.source.ends[l]
             gen_images[l] = mul(conj[u], image_word(l, +1), inv(conj[v]))
     return GroupoidFunctor(S, T, dict(f.vertex_map), gen_images, conj)
-
-
-def identity_functor(shape):
-    obj = {v: v for v in shape.comp_of}
-    gens = {}
-    conj = {v: () for v in shape.comp_of}
-    for comp in shape.components.values():
-        for l in comp.letters:
-            gens[l] = ((l, +1),)
-    return GroupoidFunctor(shape, shape, obj, gens, conj)
-
-
-def natural_iso(F, G, max_power=None):
-    """Decide whether two parallel functors are naturally isomorphic.
-
-    Returns True, False, or a words.Unknown when an explicit max_power
-    cut the conjugacy search short.  Per source component the functors
-    must land in one target component and their generator images must be
-    simultaneously conjugate.
-    """
-    if F.src is not G.src and F.src.graph != G.src.graph:
-        raise ValueError("functors are not parallel: %r and %r"
-                         % (F.src.graph, G.src.graph))
-    undecided = None
-    for base, comp in F.src.components.items():
-        fb = F.dst.comp_of[F.obj[base]]
-        gb = G.dst.comp_of[G.obj[base]]
-        if fb != gb:
-            return False
-        pairs = [(F.gen_images[l], G.gen_images[l]) for l in comp.letters]
-        h = solve_simultaneous_conjugacy(pairs, max_power=max_power)
-        if h is None:
-            return False
-        if isinstance(h, Unknown):
-            undecided = h
-    return True if undecided is None else undecided

@@ -13,20 +13,16 @@ mul[(g, h)] is "g then h".
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .graphs import (FinGraph, GraphMap, InputError, _composes_to, _least_id,
-                     _sorted_ids, enumerate_graph_maps)
+                     _sorted_ids)
 from .groupoids import shape1, induce_functor
-from .fingroupoids import (FinGroup, FinGroupoid, FinFunctor, _perm_then,
-                           discrete_groupoid)
+from .fingroupoids import FinGroup, FinGroupoid, _perm_then
 
 __all__ = [
     "ActionError", "SizeError", "GraphAction", "ActionGroupoid",
-    "permutation_group", "trivial_group", "cyclic_group", "klein_group",
-    "graph_action",
-    "enumerate_automorphisms", "enumerate_actions",
-    "shape_of_quotient", "shape_quotient_functor", "orbit_graph",
+    "permutation_group", "trivial_group", "cyclic_group", "graph_action",
+    "shape_of_quotient", "orbit_graph",
     "quotient_is_fibration", "fiber_sequence_check",
     "QUOTIENT_GROUP_BOUND",
 ]
@@ -67,11 +63,6 @@ def cyclic_group(n):
     if n == 1:
         return trivial_group()
     return permutation_group(n, (tuple((i + 1) % n for i in range(n)),))
-
-
-def klein_group():
-    """Double swaps on four points: the non-cyclic group of order 4."""
-    return permutation_group(4, ((1, 0, 3, 2), (2, 3, 0, 1)))
 
 
 def _check_automorphism(m):
@@ -146,16 +137,6 @@ class GraphAction:
         return tuple(g for g in self.group.elements
                      if self.maps[g].vertex_map[x] == x)
 
-    def is_free(self):
-        """No element besides the unit fixes a vertex."""
-        for g in self.group.elements:
-            if g == self.group.identity:
-                continue
-            vm = self.maps[g].vertex_map
-            if any(vm[v] == v for v in self.space.vertices):
-                return False
-        return True
-
 
 def graph_action(group, space, gen_images):
     """Extend automorphisms chosen for the generators to a full action.
@@ -177,35 +158,6 @@ def graph_action(group, space, gen_images):
                 "generator %d is given a map other than the one element %r "
                 "already gets" % (i, g), ("generator", i))
     return GraphAction(group, space, maps)
-
-
-def enumerate_automorphisms(g):
-    """All automorphisms of a graph, loop reversals included."""
-    out = []
-    for m in enumerate_graph_maps(g, g):
-        try:
-            _check_automorphism(m)
-        except ActionError:
-            continue
-        out.append(m)
-    return out
-
-
-def enumerate_actions(group, space):
-    """Every action of the group on the space.
-
-    Exhausts assignments of automorphisms to the generators and keeps
-    the ones that satisfy the relations.  Distinct assignments give
-    distinct actions, so no deduplication is needed.
-    """
-    auts = enumerate_automorphisms(space)
-    out = []
-    for choice in iproduct(auts, repeat=len(group.generators)):
-        try:
-            out.append(graph_action(group, space, choice))
-        except ActionError:
-            continue
-    return out
 
 
 def _check_bound(group, bound):
@@ -309,23 +261,6 @@ def shape_of_quotient(a, max_group_order=QUOTIENT_GROUP_BOUND):
                 comp[(m1, m2)] = (m1[0], G.mul[(m1[1], m2[1])], m2[2])
     ident = {c: (c, G.identity, c) for c in reps}
     return FinGroupoid(tuple(reps), tuple(mors), src, dst, comp, ident)
-
-
-def shape_quotient_functor(a, max_group_order=QUOTIENT_GROUP_BOUND):
-    """The quotient map on shapes as an explicit functor (forests only).
-
-    Source: the discrete groupoid on the component representatives,
-    which is the shape of a forest.  Target: the quotient groupoid.
-    Components with loops have infinite hom-sets on the quotient side
-    and are refused.
-    """
-    Q = shape_of_quotient(a, max_group_order)
-    if not isinstance(Q, FinGroupoid):
-        raise ActionError("quotient functor needs a forest space")
-    disc = discrete_groupoid(Q.objects)
-    obj_map = {c: c for c in Q.objects}
-    mor_map = {disc.ident[c]: Q.ident[c] for c in Q.objects}
-    return FinFunctor(disc, Q, obj_map, mor_map)
 
 
 def orbit_graph(a):

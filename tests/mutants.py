@@ -41,9 +41,10 @@ if __name__ == "__main__":
 
 from modalfib import fingroupoids, suites  # noqa: E402
 from modalfib.fingroupoids import (  # noqa: E402
-    GROUP_NAMES, classify_trunc, connected_groupoid, homotopy_pullback,
-    product_groupoid, random_functor, random_functor_into, random_groupoid,
+    GROUP_NAMES, classify_trunc, homotopy_pullback, product_groupoid,
+    random_functor, random_functor_into, random_groupoid,
 )
+from lib_fingroupoids import connected_groupoid  # noqa: E402
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,21 @@ import pytest
 from modalfib import suites
 from modalfib.automata import SubgroupAutomaton
 from modalfib.classify import classify
-from modalfib.corpus import figure_eight, loop, random_graph, random_words
 from modalfib.covers import (MonodromyAction, components_vs_orbits,
                              enumerate_covers, total_space,
                              universal_cover_ball,
                              universal_cover_initiality)
 from modalfib.fingroupoids import random_functor
-from modalfib.graphs import (FinGraph, GraphMap, bouquet, cycle,
-                             disjoint_union, graph_isomorphic, interval,
-                             path_graph, pi0, pi0_by_definition, point,
-                             star)
+from modalfib.graphs import FinGraph, GraphMap, bouquet, pi0, point
 from modalfib.groupoids import shape1
-from modalfib.quotients import (cyclic_group, enumerate_actions,
-                                graph_action, klein_group,
+from modalfib.quotients import (cyclic_group, graph_action,
                                 quotient_is_fibration, shape_of_quotient,
                                 trivial_group)
 from modalfib.words import inv, mul, reduce_word
+from lib_corpus import figure_eight, loop, random_graph, random_words
+from lib_graphs import (cycle, disjoint_union, graph_isomorphic, interval,
+                        path_graph, pi0_by_definition, star)
+from lib_quotients import enumerate_actions, klein_group
 
 
 @pytest.fixture
@@ -136,7 +135,7 @@ def test_acceptance_07_quotient_fibration(criterion):
 
 def test_acceptance_08_total_space_shape(criterion):
     from modalfib.covers import shape_of_total
-    from modalfib.corpus import random_permutation
+    from lib_corpus import random_permutation
     t0 = time.perf_counter()
     rng = random.Random(88)
     ok = True

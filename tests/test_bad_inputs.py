@@ -39,11 +39,12 @@ from modalfib.textio import ParseError, parse_document, serialize_fingroupoid
 # and under python -O.
 PRELUDE = """\
 from modalfib.automata import SubgroupAutomaton
-from modalfib.covers import MonodromyAction
+from modalfib.covers import MonodromyAction, universal_cover_ball
 from modalfib.fingroupoids import FinGroupoid
-from modalfib.graphs import GraphMap, InputError, cycle
+from modalfib.graphs import GraphMap, InputError, bouquet
 from modalfib.groupoids import shape1
 from modalfib.quotients import graph_action, permutation_group
+from lib_graphs import cycle
 c, t, loop = cycle(2), cycle(3), shape1(cycle(1))
 rot = GraphMap.build(t, t, {0: 1, 1: 2, 2: 0},
                      {'e0': 'e1', 'e1': 'e2', 'e2': 'e0'})
@@ -177,6 +178,22 @@ CASES = [
          "SubgroupAutomaton(('a',), 0, {})", InputError, ("states", 0)),
     Case("automaton with a negative states count", AUT + "states: -1\n", 3,
          "SubgroupAutomaton(('a',), -1, {})", InputError, ("states", -1)),
+    # -- the automaton builders: a word's letter, a Schreier table
+    Case("automaton word with an undeclared letter", None, None,
+         "SubgroupAutomaton.from_words(('a',), [(('a', 1),), (('b', 1),)])",
+         InputError, ("word", 1)),
+    Case("Schreier letter without a permutation", None, None,
+         "SubgroupAutomaton.from_schreier(('a', 'b'), {'a': {0: 0}}, 0)",
+         InputError, ("letter", "b")),
+    Case("Schreier letter that is not a permutation", None, None,
+         "SubgroupAutomaton.from_schreier(('a',), {'a': {0: 0, 1: 0}}, 0)",
+         InputError, ("letter", "a")),
+    Case("Schreier key that is not a letter", None, None,
+         "SubgroupAutomaton.from_schreier(('a',), "
+         "{'a': {0: 0}, 'z': {0: 0}}, 0)", InputError, ("letter", "z")),
+    Case("Schreier basepoint outside the points", None, None,
+         "SubgroupAutomaton.from_schreier(('a',), {'a': {0: 0}}, 5)",
+         InputError, ("point", 5)),
     # -- fingroupoids: the three checks of a compose entry
     Case("compose row that is not composable",
          FG2 + "compose: i i i\ncompose: i j j\n", 8,
@@ -211,6 +228,13 @@ CASES = [
     Case("monodromy not a permutation", None, None,
          "MonodromyAction(loop, 0, (1, 2), {'e0': {1: 1, 2: 1}})",
          CoverError, ("letter", "e0")),
+    # -- universal-cover balls: the radius, as the CLI's --radius check
+    Case("ball of negative radius", None, None,
+         "universal_cover_ball(bouquet(1), 'w', -1)",
+         CoverError, ("radius", -1)),
+    Case("ball of fractional radius", None, None,
+         "universal_cover_ball(bouquet(1), 'w', 1.5)",
+         CoverError, ("radius", 1.5)),
     # -- actions: the error lands in the failing generator block
     Case("action image outside the space, second block",
          rot2(["vertex-perm: 0 -> 9"] + ROT2_ROWS[1:]), 16,

@@ -10,22 +10,20 @@ import random
 import pytest
 
 from modalfib.graphs import (
-    FinGraph, GraphMap, cycle, interval, point, disjoint_union, product,
-    pullback, terminal_map, component_map,
-    enumerate_graph_maps,
+    FinGraph, GraphMap, point, product, pullback, terminal_map, component_map,
 )
-from modalfib.corpus import (
-    circle, figure_eight, loop,
-    wedge_fold, retraction_fold, collapse_fold, double_cover,
-    triangle_with_tail_fold, box_projection, bad_fold_figure_eight,
-    two_sheets, split_fibration, tree_collapse,
-    random_graph, random_connected_graph, random_map,
-)
+from modalfib.corpus import random_connected_graph, random_map
 from modalfib.covers import enumerate_covers, is_cover, total_space
 from modalfib.classify import (
     classify, factor0, constant_fiber_criterion, etale_family_check,
 )
 from modalfib.verdicts import Flag
+from lib_corpus import (bad_fold_figure_eight, box_projection, circle,
+                        collapse_fold, double_cover, figure_eight, loop,
+                        random_graph, retraction_fold, split_fibration,
+                        tree_collapse, triangle_with_tail_fold, two_sheets,
+                        wedge_fold)
+from lib_graphs import cycle, disjoint_union, enumerate_graph_maps, interval
 
 
 def identity_map(g):

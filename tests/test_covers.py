@@ -7,17 +7,11 @@ from math import factorial, prod
 
 import pytest
 
-from modalfib.graphs import (
-    FinGraph, GraphMap, cycle, path_graph, star, point, bouquet,
-    disjoint_union, pi0, graph_isomorphic, enumerate_graph_maps,
-)
+from modalfib.graphs import FinGraph, GraphMap, point, bouquet, pi0
 from modalfib.groupoids import shape1
 from modalfib.words import Unknown
 from modalfib.automata import SubgroupAutomaton
-from modalfib.corpus import (
-    circle, loop, figure_eight, wedge_fold, collapse_fold, double_cover,
-    bad_fold_figure_eight, two_sheets, random_connected_graph,
-)
+from modalfib.corpus import random_connected_graph
 from modalfib.covers import (
     CoverError, CoverMap, MonodromyAction,
     is_cover, monodromy, total_space, enumerate_covers,
@@ -25,6 +19,11 @@ from modalfib.covers import (
     shape_of_total, universal_cover_initiality,
     decompose_cover, unmarked_cover_count,
 )
+from lib_corpus import (bad_fold_figure_eight, circle, collapse_fold,
+                        double_cover, figure_eight, loop, two_sheets,
+                        wedge_fold)
+from lib_graphs import (cycle, disjoint_union, enumerate_graph_maps,
+                        graph_isomorphic, path_graph, star)
 
 
 # The 5-point permutation from the worked covering example, in cycle
@@ -198,7 +197,7 @@ def test_base_that_is_not_a_vertex_rejected(call):
 
 def test_base_that_is_not_a_vertex_rejected_without_asserts(run_optimized):
     run = run_optimized(
-        "from modalfib.corpus import loop\n"
+        "from lib_corpus import loop\n"
         "from modalfib.covers import CoverError, universal_cover_ball\n"
         "try:\n    %s\nexcept CoverError as e:\n    print(e.subject)\n"
         % BAD_BASES[-1])

@@ -26,17 +26,17 @@ from modalfib.classify import (
     _classify_pi0, _etale_shape_route, classify,
     constant_fiber_criterion, factor0,
 )
-from modalfib import corpus
 from modalfib.automata import SubgroupAutomaton
 from modalfib.corpus import random_map
 from modalfib.graphs import (
-    FinGraph, GraphMap, _sort_key, component_map, cycle, disjoint_union,
-    fiber, pi0,
+    FinGraph, GraphMap, _sort_key, component_map, fiber, pi0,
 )
 from modalfib.groupoids import induce_functor, shape1
 from modalfib.hfiber import GammaAnalyzer
 from modalfib.verdicts import Flag, LevelVerdicts
 from modalfib.words import inv, mul
+import lib_corpus as corpus
+from lib_graphs import cycle, disjoint_union
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,14 @@ from hypothesis import given, settings, strategies as st
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     FinFunctor, _Classes, _classes_over, _fiber_aut_trivial, _fiber_pass,
-    _middle_readings, _pullback_preserved, _transport,
-    connected_groupoid, discrete_groupoid, group_groupoid, nine_way,
-    object_inclusion, product_groupoid, random_functor, random_functor_into,
+    _middle_readings, _pullback_preserved, _transport, discrete_groupoid,
+    nine_way, object_inclusion, product_groupoid, random_functor,
+    random_functor_into,
 )
 from modalfib.graphs import _sort_key
 from mutants import SAMPLE_KINDS, sample_functor
 from reference_union_find import UnionFind
+from lib_fingroupoids import connected_groupoid, group_groupoid
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,20 @@ import random
 import pytest
 
 from modalfib.fingroupoids import (
-    FinGroupoid, FinFunctor, FinGroupoidError,
-    empty_groupoid, discrete_groupoid,
-    connected_groupoid, group_groupoid, group_hom_functor,
-    identity_fin_functor, object_inclusion,
-    trunc0, trunc_prop, hfiber, classify_trunc,
-    factor_connected_modal, factor_equiv_etale, connecting_functor,
-    functor_is_equivalence, essentially_surjective,
-    automorphism_surjective,
-    homotopy_pullback, product_groupoid,
-    compare_modalities, nine_way, instability_witness,
+    FinGroupoid, FinFunctor, FinGroupoidError, empty_groupoid,
+    discrete_groupoid, object_inclusion, hfiber, classify_trunc,
+    functor_is_equivalence, essentially_surjective, automorphism_surjective,
+    homotopy_pullback, product_groupoid, compare_modalities, nine_way,
     random_groupoid, random_functor, random_functor_into,
 )
 from modalfib.fingroupoids import _GROUPS, _fiber_pass, _homs_into
 from modalfib.quotients import permutation_group
 from modalfib.verdicts import Flag, LevelVerdicts
+from lib_fingroupoids import (connected_groupoid, connecting_functor,
+                              factor_connected_modal, factor_equiv_etale,
+                              group_groupoid, group_hom_functor,
+                              identity_fin_functor, instability_witness,
+                              trunc0, trunc_prop)
 
 
 def row(v):

@@ -8,18 +8,16 @@ import random
 
 import pytest
 
-from modalfib.graphs import (
-    cycle, star, bouquet, path_graph, point, disjoint_union, GraphMap,
-)
-from modalfib.corpus import (
-    random_graph, random_map, double_cover, bad_fold_figure_eight,
-    random_words,
-)
-from modalfib.groupoids import (
-    shape1, induce_functor, identity_functor, natural_iso,
-)
+from modalfib.graphs import bouquet, point, GraphMap
+from modalfib.corpus import random_map
+from modalfib.groupoids import shape1, induce_functor
 from modalfib.words import mul, inv, conj, reduce_word
 from modalfib.graphs import pi0
+from lib_corpus import (bad_fold_figure_eight, double_cover, random_graph,
+                        random_words)
+from lib_graphs import cycle, disjoint_union, path_graph, star
+from lib_groupoids import (identity_functor, map_morphism, morphism_from_path,
+                           natural_iso, path_word)
 
 
 def euler_ranks(g):
@@ -57,7 +55,7 @@ def test_tree_paths_have_empty_words():
         S = shape1(g)
         for comp in S.components.values():
             for v in comp.vertices:
-                assert S.path_word(comp.tree_path(v)) == ()
+                assert path_word(S, comp.tree_path(v)) == ()
 
 
 def test_loop_words_around_cycle():
@@ -67,7 +65,7 @@ def test_loop_words_around_cycle():
     l = comp.letters[0]
     # walk all the way around: must read the letter exactly once
     darts = [("e0", +1), ("e1", +1), ("e2", +1)]
-    m = S.morphism_from_path(0, darts)
+    m = morphism_from_path(S, 0, darts)
     assert m[0] == m[1] == 0
     assert m[2] in (((l, +1),), ((l, -1),))
 
@@ -129,10 +127,10 @@ def test_map_morphism_preserves_composition():
             w2 = tuple((rng.choice(ls), rng.choice((1, -1))) for _ in range(3))
             m1 = (base, base, reduce_word(w1))
             m2 = (base, base, reduce_word(w2))
-            lhs = F.map_morphism(S.compose(m1, m2))
-            rhs = F.dst.compose(F.map_morphism(m1), F.map_morphism(m2))
+            lhs = map_morphism(F, S.compose(m1, m2))
+            rhs = F.dst.compose(map_morphism(F, m1), map_morphism(F, m2))
             assert lhs == rhs
-            ident = F.map_morphism(S.identity(base))
+            ident = map_morphism(F, S.identity(base))
             assert ident == (F.obj[base], F.obj[base], ())
 
 
@@ -203,9 +201,9 @@ def test_natural_iso_rejects_component_mismatch():
 
 def test_natural_iso_rejects_non_parallel_without_asserts(run_optimized):
     run = run_optimized(
-        "from modalfib.graphs import cycle, path_graph\n"
-        "from modalfib.groupoids import shape1, identity_functor, "
-        "natural_iso\n"
+        "from modalfib.groupoids import shape1\n"
+        "from lib_graphs import cycle, path_graph\n"
+        "from lib_groupoids import identity_functor, natural_iso\n"
         "F = identity_functor(shape1(cycle(3)))\n"
         "G = identity_functor(shape1(path_graph(3)))\n"
         "try:\n    natural_iso(F, G)\n"
@@ -216,13 +214,15 @@ def test_natural_iso_rejects_non_parallel_without_asserts(run_optimized):
 
 @pytest.mark.parametrize("call", [
     "S.compose((0, 1, ()), (0, 1, ()))",
-    "S.morphism_from_path(0, [('e0', 1), ('e0', 1)])",
+    pytest.param("morphism_from_path(S, 0, [('e0', 1), ('e0', 1)])",
+                 id="S.morphism_from_path(0, [('e0', 1), ('e0', 1)])"),
 ])
 def test_morphisms_that_do_not_meet_rejected_without_asserts(
         call, run_optimized):
     run = run_optimized(
-        "from modalfib.graphs import cycle\n"
         "from modalfib.groupoids import shape1\n"
+        "from lib_graphs import cycle\n"
+        "from lib_groupoids import morphism_from_path\n"
         "S = shape1(cycle(3))\n"
         "try:\n    %s\nexcept ValueError:\n    print('rejected')\n" % call)
     assert run.returncode == 0, run.stderr

@@ -10,22 +10,21 @@ to the fiber being one tree-connected piece of the right rank.
 import random
 from itertools import product as iproduct
 
-from modalfib.graphs import (
-    GraphMap, cycle, interval, point, star, path_graph, disjoint_union,
-    fiber, pi0,
-)
+from modalfib.graphs import GraphMap, point, fiber, pi0
 from modalfib.words import reduce_word
 from modalfib.automata import SubgroupAutomaton
 from modalfib.groupoids import shape1, induce_functor
 from modalfib.hfiber import (
     homotopy_fiber, prism, gamma_is_equivalence, GammaAnalyzer,
 )
-from modalfib.corpus import (
-    wedge_fold, retraction_fold, collapse_fold, double_cover,
-    triangle_with_tail_fold, box_projection, bad_fold_figure_eight,
-    two_sheets, split_fibration, tree_collapse,
-    random_graph, random_map,
-)
+from modalfib.corpus import random_map
+from lib_corpus import (bad_fold_figure_eight, box_projection, collapse_fold,
+                        double_cover, random_graph, retraction_fold,
+                        split_fibration, tree_collapse,
+                        triangle_with_tail_fold, two_sheets, wedge_fold)
+from lib_automata import conjugate_by
+from lib_graphs import cycle, disjoint_union, interval, path_graph, star
+from lib_hfiber import enumerate_cosets
 
 
 # --- oracles ---------------------------------------------------------------
@@ -74,7 +73,7 @@ def test_point_into_circle_coset_ball():
     assert len(hf.entries) == 1
     entry = hf.entries[0]
     assert entry.subgroup.index() is None
-    reps, truncated = entry.enumerate_cosets(radius=3)
+    reps, truncated = enumerate_cosets(entry, radius=3)
     assert len(reps) == count_reduced_words(1, 3) == 7
     assert truncated
     assert not gamma_is_equivalence(f, 0)
@@ -85,7 +84,7 @@ def test_trivial_subgroup_ball_matches_word_count_rank2():
     from modalfib.graphs import bouquet
     f = GraphMap.build(point(), bouquet(2), {"pt": "w"}, {})
     entry = homotopy_fiber(induce_functor(f), "w").entries[0]
-    reps, truncated = entry.enumerate_cosets(radius=2, max_cosets=100)
+    reps, truncated = enumerate_cosets(entry, radius=2, max_cosets=100)
     assert len(reps) == count_reduced_words(2, 2) == 17
     assert truncated
 
@@ -112,9 +111,9 @@ def test_double_cover_symbolic_fiber():
 
     # stabilizers at both cosets are the same squared subgroup
     for x in (0, 3):
-        assert entry.subgroup.conjugate_by(entry.marked[x]).same(squares)
+        assert conjugate_by(entry.subgroup, entry.marked[x]).same(squares)
 
-    reps, truncated = entry.enumerate_cosets()
+    reps, truncated = enumerate_cosets(entry)
     assert len(reps) == 2 and not truncated
 
 

@@ -21,11 +21,12 @@ import modalfib
 from modalfib import fingroupoids
 from modalfib.automata import SubgroupAutomaton
 from modalfib.cli import main
-from modalfib.fingroupoids import connected_groupoid, discrete_groupoid
+from modalfib.fingroupoids import discrete_groupoid
 from modalfib.graphs import FinGraph, GraphMap, _sort_key, pi0
 from modalfib.groupoids import shape1
 from modalfib.quotients import ActionGroupoid, cyclic_group, graph_action
 from modalfib.textio import cycles_of_perm, token
+from lib_fingroupoids import connected_groupoid
 
 MODULES = [importlib.import_module("modalfib." + m.name)
            for m in pkgutil.iter_modules(modalfib.__path__)]

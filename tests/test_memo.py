@@ -15,8 +15,10 @@ import pytest
 
 import modalfib
 from modalfib.automata import SubgroupAutomaton
-from modalfib.fingroupoids import FinGroupoid, connected_groupoid
-from modalfib.graphs import FinGraph, GraphMap, _memo, cycle
+from modalfib.fingroupoids import FinGroupoid
+from modalfib.graphs import FinGraph, GraphMap, _memo
+from lib_fingroupoids import connected_groupoid
+from lib_graphs import cycle
 
 PACKAGE = Path(modalfib.__file__).resolve().parent
 

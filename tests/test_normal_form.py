@@ -18,12 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 from modalfib import fingroupoids, textio
 from modalfib.fingroupoids import (
-    FinGroupoid, FinGroupoidError, _arrow_groupoid, connected_groupoid,
-    connecting_functor, factor_connected_modal, factor_equiv_etale, hfiber,
-    homotopy_pullback, instability_witness, product_groupoid, random_functor,
-    random_functor_into, random_groupoid,
+    FinGroupoid, FinGroupoidError, _arrow_groupoid, hfiber, homotopy_pullback,
+    product_groupoid, random_functor, random_functor_into, random_groupoid,
 )
 from modalfib.textio import serialize_fingroupoid
+from lib_fingroupoids import (connected_groupoid, connecting_functor,
+                              factor_connected_modal, factor_equiv_etale,
+                              instability_witness)
 
 
 def table_arrow_groupoid(objs, mors, compose, ident):

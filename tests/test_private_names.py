@@ -1,23 +1,31 @@
-"""Every private function, every import and every exported name of the
-package is used.
+"""Every definition, every import and every exported name of the package
+is reachable.
 
-A private module-level function or method (one `_`, not a dunder) is no
-API: if nothing in `src/modalfib` names it outside its own definition, it
-is dead code, kept alive only by the tests that call it.  A module-level
-import that its module never names, and does not list in `__all__`, is
-dead too.  A name in a module's `__all__` is public: it needs a caller in
-the package or in `perfbench/`, or a line under the README's "Library
-API" heading, which names the fixtures, oracles and builders kept for
-callers outside the package.  The public methods of an exported class
-follow the same rule, and a README line names one as `Class.method`.
-Every public module-level function and class is listed in its module's
-`__all__`.  These tests read the sources with `ast` and list the names
-that break these rules.
+The package's code counts as used only when something that runs can call
+it.  The roots are:
+- the statements at module level of each package module, other than its
+  imports and its `__all__` (so the command table `cli._COMMANDS` and the
+  suite table `suites.SUITES` are roots);
+- `main`, the `[project.scripts]` entry of pyproject.toml;
+- every name that `perfbench/*.py` uses;
+- the names listed under the README's "Library API" heading, which open
+  ROADMAP items will call.
+
+A module-level function or class is reached when a root or a reached
+definition names it; a method, once its class is reached, through an
+attribute of its name; a dunder method with its class.  The scan goes by
+name: a name that a function binds itself (a parameter, a local variable
+or a nested definition) is not a use of a module-level name.  An
+unreached caller does not count, so one dead name cannot vouch for
+another.  A module-level import that its module never names, and does not
+list in `__all__`, is dead too.  Every public module-level function and
+class is listed in its module's `__all__`.  A README entry leaves the list
+once its name has another caller.  These tests read the sources with
+`ast` and list the names that break these rules.
 """
 
 import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 import modalfib
@@ -25,52 +33,160 @@ import modalfib
 PACKAGE = Path(modalfib.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
 
-
-def referenced(tree):
-    """Counter of the names a tree uses: bare names and attributes."""
-    names = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-    return names
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def private_defs(tree):
-    """The private functions at module level and in module-level
-    classes."""
+def trees():
+    """module name -> parsed source, for every package module."""
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def named(tree, local=frozenset()):
+    """The names a tree uses: the bare names it reads, except those in
+    `local`, and the attribute names."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store) \
+                and n.id not in local:
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def bound(fn):
+    """The names a function binds itself: its parameters, the names it
+    assigns and its nested definitions, less those it declares global."""
+    out, free = set(), set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.arg):
+            out.add(n.arg)
+        elif isinstance(n, DEFS) and n is not fn:
+            out.add(n.name)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            free.update(n.names)
+    return out - free
+
+
+def is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def definitions(tree):
+    """(class name or None, def) for the module-level functions and
+    classes and the methods of module-level classes."""
     for node in tree.body:
-        inner = node.body if isinstance(node, ast.ClassDef) else [node]
-        for d in inner:
-            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and d.name.startswith("_") \
-                    and not d.name.endswith("__"):
-                yield d
+        if isinstance(node, DEFS):
+            yield None, node
+        if isinstance(node, ast.ClassDef):
+            for d in node.body:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, d
 
 
-def test_every_private_function_is_referenced_in_the_package():
-    trees = {p.name: ast.parse(p.read_text(), str(p))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    uses = Counter()
-    for tree in trees.values():
-        uses.update(referenced(tree))
-    defs = [(name, d) for name, tree in trees.items()
-            for d in private_defs(tree)]
-    assert any(d.name == "_fold_darts" for _, d in defs)
-    unused = ["%s:%d %s" % (name, d.lineno, d.name) for name, d in defs
-              if uses[d.name] - referenced(d)[d.name] <= 0]
-    assert unused == []
+def passes_on(node):
+    """The names a reached definition makes reachable.  A class passes on
+    its decorators, bases and class-level statements, not its methods; a
+    function passes on the names it uses and does not bind."""
+    if isinstance(node, ast.ClassDef):
+        out = set()
+        for part in node.decorator_list + node.bases + node.keywords + [
+                d for d in node.body
+                if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+            out |= named(part)
+        return out
+    return named(node, bound(node))
+
+
+def package_roots(modules):
+    """`main` and the names that the package's module-level statements
+    use, imports and `__all__` aside."""
+    scripts = (ROOT / "pyproject.toml").read_text()
+    roots = set(re.findall(r'"modalfib\.[\w.]+:(\w+)"', scripts))
+    for tree in modules.values():
+        for node in tree.body:
+            if not isinstance(node, DEFS + (ast.Import, ast.ImportFrom)) \
+                    and not is_all(node):
+                roots |= named(node)
+    return roots
+
+
+def bench_names():
+    out = set()
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        out |= named(ast.parse(p.read_text(), str(p)))
+    return out
+
+
+def library_api():
+    """The names in backticks in the list items under the README's
+    "Library API" heading, up to the next heading of its level: `name`
+    for a function or class, `Class.method` for a method.  The prose
+    around the list may name anything."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- .*(?:\n  .*)*", section, re.M)
+    return set(re.findall(r"`([^`]+)`", "\n".join(items)))
+
+
+def reach(modules, roots):
+    """The definitions that the roots reach, as (module, class or None,
+    name) keys, and every name that the roots and those definitions use.
+    A `Class.method` root reaches the method once its class is reached."""
+    defs = {(mod, cls, d.name): (cls, d) for mod, tree in modules.items()
+            for cls, d in definitions(tree)}
+    names = {r.split(".")[-1] for r in roots}
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for (mod, cls, name), (_, d) in defs.items():
+            if (mod, cls, name) in reached:
+                continue
+            if cls is not None and ((mod, None, cls) not in reached or not (
+                    name in names
+                    or name.startswith("__") and name.endswith("__"))):
+                continue
+            if cls is None and name not in names:
+                continue
+            reached.add((mod, cls, name))
+            names |= passes_on(d)
+            grew = True
+    return reached, names
+
+
+def all_roots(modules):
+    return package_roots(modules) | bench_names() | library_api()
 
 
 def exported(tree):
     """The names a module lists in `__all__`."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
+        if is_all(node):
             return set(ast.literal_eval(node.value))
     return set()
+
+
+def module_defs(tree):
+    """The functions and classes at module level, by name."""
+    return {node.name: node for node in tree.body if isinstance(node, DEFS)}
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    modules = trees()
+    reached, _ = reach(modules, all_roots(modules))
+    defs = [(mod, cls, d) for mod, tree in modules.items()
+            for cls, d in definitions(tree)
+            if not isinstance(d, ast.ClassDef) and d.name.startswith("_")
+            and not d.name.endswith("__")]
+    assert any(d.name == "_fold_darts" for _, _, d in defs)
+    unused = ["%s:%d %s" % (mod, d.lineno, d.name) for mod, cls, d in defs
+              if (mod, cls, d.name) not in reached]
+    assert unused == []
 
 
 def test_every_module_level_import_is_used():
@@ -91,81 +207,56 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
-def module_defs(tree):
-    """The functions and classes at module level, by name."""
-    return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
-
-
-def library_api():
-    """The names in backticks under the README's "Library API" heading,
-    up to the next heading of its level."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`([^`]+)`", section))
-
-
 def test_every_exported_name_has_a_caller_or_is_library_api():
-    trees = {p.name: ast.parse(p.read_text(), str(p))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    uses = Counter()
-    for tree in trees.values():
-        uses.update(referenced(tree))
-    bench = Counter()
-    for p in sorted((ROOT / "perfbench").glob("*.py")):
-        bench.update(referenced(ast.parse(p.read_text(), str(p))))
+    modules = trees()
     documented = library_api()
-    assert {"random_map", "trunc0", "natural_iso"} <= documented
+    assert "hfiber" in documented
+    reached, names = reach(modules, all_roots(modules))
+    # the benchmark's inputs draw from corpus.random_map
+    assert "random_map" in bench_names()
+    assert ("corpus", None, "random_map") in reached
     unused = []
-    for name, tree in trees.items():
+    for mod, tree in modules.items():
         defs = module_defs(tree)
         for e in sorted(exported(tree)):
-            own = referenced(defs[e])[e] if e in defs else 0
-            if uses[e] - own <= 0 and not bench[e] and e not in documented:
-                unused.append("%s %s" % (name, e))
+            # a constant is reached when reached code or a root reads it
+            if ((mod, None, e) not in reached if e in defs
+                    else e not in names):
+                unused.append("%s %s" % (mod, e))
     assert unused == []
-
-
-def attributes(tree):
-    """Counter of the attribute names a tree uses: a method is reached
-    only through an attribute."""
-    return Counter(n.attr for n in ast.walk(tree)
-                   if isinstance(n, ast.Attribute))
 
 
 def public_methods(tree):
     """(class name, def) for the public methods, properties included, of
     the module-level classes that a module exports."""
     names = exported(tree)
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name in names:
-            for d in node.body:
-                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and not d.name.startswith("_"):
-                    yield node.name, d
+    for cls, d in definitions(tree):
+        if cls in names and not d.name.startswith("_"):
+            yield cls, d
 
 
 def test_every_public_method_has_a_caller_or_is_library_api():
-    trees = {p.name: ast.parse(p.read_text(), str(p))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    uses = Counter()
-    for tree in trees.values():
-        uses.update(attributes(tree))
-    bench = Counter()
-    for p in sorted((ROOT / "perfbench").glob("*.py")):
-        bench.update(attributes(ast.parse(p.read_text(), str(p))))
-    documented = library_api()
-    methods = [(name, cls, d) for name, tree in trees.items()
+    modules = trees()
+    reached, _ = reach(modules, all_roots(modules))
+    methods = [(mod, cls, d) for mod, tree in modules.items()
                for cls, d in public_methods(tree)]
     assert any(cls == "FinFunctor" and d.name == "compose"
                for _, cls, d in methods)
-    unused = ["%s:%d %s.%s" % (name, d.lineno, cls, d.name)
-              for name, cls, d in methods
-              if uses[d.name] - attributes(d)[d.name] <= 0
-              and not bench[d.name]
-              and "%s.%s" % (cls, d.name) not in documented]
+    unused = ["%s:%d %s.%s" % (mod, d.lineno, cls, d.name)
+              for mod, cls, d in methods if (mod, cls, d.name) not in reached]
     assert unused == []
+
+
+def test_no_library_api_name_is_reached_otherwise():
+    # a README entry names a definition that exists, and leaves the list
+    # once the package or the benchmark calls it
+    modules = trees()
+    documented = library_api()
+    defs = {(cls + "." if cls else "") + d.name: (mod, cls, d.name)
+            for mod, tree in modules.items() for cls, d in definitions(tree)}
+    assert sorted(documented - set(defs)) == []
+    reached, _ = reach(modules, package_roots(modules) | bench_names())
+    assert sorted(n for n in documented if defs[n] in reached) == []
 
 
 def test_every_public_function_and_class_is_exported():

@@ -13,24 +13,22 @@ from types import SimpleNamespace
 import pytest
 
 from modalfib import quotients
-from modalfib.graphs import (
-    FinGraph, GraphMap, _sort_key,
-    point, interval, star, cycle, path_graph, bouquet, disjoint_union,
-    graph_isomorphic, pi0, pi0_by_definition,
-)
+from modalfib.graphs import FinGraph, GraphMap, _sort_key, point, bouquet, pi0
 from modalfib.groupoids import shape1
-from modalfib.corpus import random_graph, random_connected_graph
+from modalfib.corpus import random_connected_graph
 from modalfib.fingroupoids import FinGroupoid, hfiber
 from modalfib.quotients import (
-    ActionError, SizeError, ActionGroupoid, GraphAction,
-    permutation_group, trivial_group, cyclic_group, klein_group,
-    graph_action,
-    enumerate_automorphisms, enumerate_actions,
-    shape_of_quotient, shape_quotient_functor, orbit_graph,
+    ActionError, SizeError, ActionGroupoid, GraphAction, permutation_group,
+    trivial_group, cyclic_group, graph_action, shape_of_quotient, orbit_graph,
     quotient_is_fibration, fiber_sequence_check,
 )
 
 from reference_action_laws import all_pairs_law_holds
+from lib_corpus import random_graph
+from lib_graphs import (cycle, disjoint_union, graph_isomorphic, interval,
+                        path_graph, pi0_by_definition, star)
+from lib_quotients import (enumerate_actions, enumerate_automorphisms, is_free,
+                           klein_group, shape_quotient_functor)
 
 
 def swap_star_action():
@@ -173,8 +171,8 @@ def test_orbit_and_stabilizer():
     assert a.orbit(0) == (0, 1)
     assert len(a.stabilizer("c")) == 2
     assert len(a.stabilizer(0)) == 1
-    assert not a.is_free()
-    assert rotation_c6_action().is_free()
+    assert not is_free(a)
+    assert is_free(rotation_c6_action())
     with pytest.raises(ActionError):
         a.orbit("nope")
 
@@ -319,7 +317,7 @@ def test_fibration_exhaustive_suite():
     for a in suite_actions():
         assert quotient_is_fibration(a)
         total += 1
-        free += a.is_free()
+        free += is_free(a)
     assert total == 237
     assert free == 30
 
@@ -445,7 +443,7 @@ def _quotient_profile(a):
 def test_free_quotients_match_orbit_graph_shape():
     compared = 0
     for a in suite_actions():
-        if not a.is_free():
+        if not is_free(a):
             continue
         try:
             og = orbit_graph(a)

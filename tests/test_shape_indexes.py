@@ -15,13 +15,12 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from modalfib.classify import classify
-from modalfib.corpus import double_cover, random_map
-from modalfib.graphs import (
-    FinGraph, GraphMap, _sort_key, cycle, disjoint_union, fiber, path_graph,
-    terminal_map,
-)
+from modalfib.corpus import random_map
+from modalfib.graphs import FinGraph, GraphMap, _sort_key, fiber, terminal_map
 from modalfib.groupoids import induce_functor, shape1
 from modalfib.words import inv, mul, reduce_word
+from lib_corpus import double_cover
+from lib_graphs import cycle, disjoint_union, path_graph
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 import mutants
 from modalfib import fingroupoids, suites
 from modalfib.cli import main
-from modalfib.fingroupoids import group_groupoid, object_inclusion
+from modalfib.fingroupoids import object_inclusion
+from lib_fingroupoids import group_groupoid
 
 
 def break_call(monkeypatch, name, breaker, at=0):

@@ -22,14 +22,15 @@ from hypothesis import given, settings, strategies as st
 
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
-    FinFunctor, FinGroupoid, FinGroupoidError, _assemble_blocks,
-    _build_blocks, connected_groupoid, discrete_groupoid, full_subgroupoid,
-    group_groupoid, group_hom_functor, hfiber, homotopy_pullback,
-    identity_fin_functor, nine_way, object_inclusion, product_groupoid,
-    random_functor, random_functor_into, random_groupoid,
+    FinFunctor, FinGroupoid, FinGroupoidError, _assemble_blocks, _build_blocks,
+    discrete_groupoid, hfiber, homotopy_pullback, nine_way, object_inclusion,
+    product_groupoid, random_functor, random_functor_into, random_groupoid,
 )
 from reference_catalog import ref_build_blocks
 from reference_union_find import UnionFind
+from lib_fingroupoids import (connected_groupoid, full_subgroupoid,
+                              group_groupoid, group_hom_functor,
+                              identity_fin_functor)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,7 @@ def test_catalog_memo_keeps_tables_and_rng_stream(monkeypatch):
 def test_mismatched_functors_rejected_without_asserts(call, run_optimized):
     run = run_optimized(
         "from modalfib.fingroupoids import *\n"
+        "from lib_fingroupoids import group_groupoid, identity_fin_functor\n"
         "try:\n    %s\nexcept FinGroupoidError:\n    print('rejected')\n"
         % call)
     assert run.returncode == 0, run.stderr
@@ -383,6 +385,7 @@ def test_functor_rejects_missing_and_ill_typed_images(make, message):
 def test_functor_rejects_foreign_keys_without_asserts(run_optimized):
     run = run_optimized(
         "from modalfib.fingroupoids import *\n"
+        "from lib_fingroupoids import group_groupoid\n"
         "g = group_groupoid('c2')\n"
         "ident = {m: m for m in g.morphisms}\n"
         "for omap, mmap in (({'o': 'o', 'zzz': 'o'}, ident),\n"
@@ -411,6 +414,7 @@ def test_full_subgroupoid_rejects_objects_outside_the_groupoid():
 def test_foreign_objects_rejected_without_asserts(run_optimized):
     run = run_optimized(
         "from modalfib.fingroupoids import *\n"
+        "from lib_fingroupoids import full_subgroupoid, group_groupoid\n"
         "g = group_groupoid('c2')\n"
         "for call in (lambda: object_inclusion(g, 'zzz'),\n"
         "             lambda: full_subgroupoid(g, ['o', 'zzz'])):\n"

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 import modalfib
-from modalfib.graphs import FinGraph, GraphMap, cycle
+from modalfib.graphs import FinGraph, GraphMap
 from modalfib.groupoids import shape1
-from modalfib.corpus import figure_eight
 from modalfib.automata import SubgroupAutomaton
 from modalfib.covers import MonodromyAction, monodromy, CoverMap
 from modalfib.fingroupoids import FinGroupoid
@@ -17,6 +16,8 @@ from modalfib.textio import (
     Document, ParseError, cycles_of_perm, parse_document,
     serialize_document, serialize_graph, token,
 )
+from lib_corpus import figure_eight
+from lib_graphs import cycle
 
 
 def named_b2():

@@ -12,15 +12,14 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modalfib.words import (
-    reduce_word, mul, inv, conj, power,
-    cyclic_reduce, is_cyclically_reduced, primitive_root,
-    conjugacy_witness, solve_simultaneous_conjugacy, Unknown,
-)
+from modalfib.words import reduce_word, mul, inv, conj, Unknown
 from modalfib import automata
 from modalfib.automata import SubgroupAutomaton
-from modalfib.corpus import random_words, random_permutation
 from reference_union_find import UnionFind
+from lib_automata import conjugate_by, subgroup_equal
+from lib_corpus import random_permutation, random_words
+from lib_words import (conjugacy_witness, cyclic_reduce, is_cyclically_reduced,
+                       power, primitive_root, solve_simultaneous_conjugacy)
 
 letters2 = st.tuples(st.integers(0, 1), st.sampled_from((-1, +1)))
 letters3 = st.tuples(st.integers(0, 2), st.sampled_from((-1, +1)))
@@ -79,7 +78,7 @@ def test_primitive_root_cases():
 def test_primitive_root_rejects_bad_words_without_asserts(word, run_optimized):
     # the empty word and a word that is not cyclically reduced
     run = run_optimized(
-        "from modalfib.words import primitive_root\n"
+        "from lib_words import primitive_root\n"
         "try:\n    primitive_root(%s)\n"
         "except ValueError:\n    print('rejected')\n" % word)
     assert run.returncode == 0, run.stderr
@@ -298,7 +297,7 @@ def test_generators_regenerate_same_automaton():
         A = SubgroupAutomaton.from_words((0, 1), gens)
         B = SubgroupAutomaton.from_words((0, 1), A.generators())
         assert A.same(B)
-        assert A.subgroup_equal(B)
+        assert subgroup_equal(A, B)
         assert len(A.generators()) == A.rank()
 
 
@@ -312,7 +311,7 @@ def test_structural_equality_survives_nielsen_moves():
         rng.shuffle(moved)
         B = SubgroupAutomaton.from_words((0, 1), moved)
         assert A.same(B)
-        assert A.subgroup_equal(B)
+        assert subgroup_equal(A, B)
 
 
 def test_distinct_subgroups_differ():
@@ -320,7 +319,7 @@ def test_distinct_subgroups_differ():
     A1 = SubgroupAutomaton.from_words((0, 1), [a])
     A2 = SubgroupAutomaton.from_words((0, 1), [power(a, 2)])
     assert not A1.same(A2)
-    assert not A1.subgroup_equal(A2)
+    assert not subgroup_equal(A1, A2)
     assert A1.contains(a) and not A2.contains(a)
     assert A2.contains(power(a, 2))
 
@@ -350,10 +349,10 @@ def test_conjugate_by_translates_membership():
         gens = random_words(rng, 2, rng.randint(1, 3), 4)
         w = random_words(rng, 2, 1, 4)[0]
         H = SubgroupAutomaton.from_words((0, 1), gens)
-        Hw = H.conjugate_by(w)
+        Hw = conjugate_by(H, w)
         for h in closure(gens, 3):
             assert Hw.contains(mul(inv(w), h, w))
-        assert Hw.conjugate_by(inv(w)).same(H)
+        assert conjugate_by(Hw, inv(w)).same(H)
 
 
 def test_trivial_and_hanging_tree_cases():
