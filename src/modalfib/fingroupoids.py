@@ -12,8 +12,10 @@ then h", matching the word convention used for graphs.
 FinGroup is the one finite group type of the package: the catalog's
 vertex groups (c1-c4, v4, s3) here, and the permutation groups that act
 on graphs (quotients.permutation_group).  It keeps each element's
-generator word, and FinGroup.extend carries generator images along those
-words, for the homomorphisms out of a catalog group and for actions.
+generator word and its right Cayley graph, and no product table.
+FinGroup.extend carries generator images along the words, and
+FinGroup.respects checks the homomorphism law at (element, generator)
+pairs, for the homomorphisms out of a catalog group and for actions.
 """
 
 import random as _random
@@ -54,11 +56,17 @@ class FinGroup:
     One breadth-first search from the identity, multiplying on the right
     by each generator in turn, reaches every element and keeps a word of
     generator indices for it (`words`, in the order the search reached
-    them).  Then the product of every pair of elements fills the table
-    `mul`, each product must be an element found, and `inv` is read off
-    the table.  Elements are kept sorted, and products are in diagram
-    order: mul[(g, h)] is "g then h".  Two groups are equal when they
-    have the same generators, product and identity.
+    them) and the right Cayley graph `cayley`: (element, generator index)
+    -> element . generator, the only products kept.  Elements are kept
+    sorted, and products are in diagram order: product(g, h) is "g then
+    h".  Two groups are equal when they have the same generators,
+    product and identity.
+
+    `product` must be associative with unit `identity`, as _perm_then
+    and the catalog's sums are.  Then the elements form a group once each
+    generator s has some a with a . s = e in `cayley`: every element is a
+    word, so products stay among them, and s^i = s^j (i < j) with
+    a^i s^i = e gives s^(j-i) = e, an inverse for s.
     """
 
     generators: tuple
@@ -67,29 +75,19 @@ class FinGroup:
 
     def __post_init__(self):
         gens, unit = tuple(self.generators), self.identity
-        product = self.product
-        words = {unit: ()}
+        words, cayley = {unit: ()}, {}
         queue = [unit]
         for a in queue:
             for i, g in enumerate(gens):
-                b = product(a, g)
+                b = cayley[(a, i)] = self.product(a, g)
                 if b not in words:
                     words[b] = words[a] + (i,)
                     queue.append(b)
-        elements = tuple(sorted(words))
-        mul = {}
-        for a in elements:
-            for b in elements:
-                c = mul[(a, b)] = product(a, b)
-                if c not in words:
-                    raise FinGroupoidError(
-                        "not closed under product at %r, %r" % (a, b))
-        inv = {a: b for (a, b), c in mul.items() if c == unit}
-        if len(inv) != len(elements):
-            raise FinGroupoidError("some element has no inverse")
+        if len({i for (a, i), b in cayley.items() if b == unit}) < len(gens):
+            raise FinGroupoidError("some generator has no inverse")
         for name, value in (("generators", gens), ("words", words),
-                            ("elements", elements), ("mul", mul),
-                            ("inv", inv)):
+                            ("elements", tuple(sorted(words))),
+                            ("cayley", cayley)):
             object.__setattr__(self, name, value)
 
     @property
@@ -106,6 +104,24 @@ class FinGroup:
             if w:
                 at[w] = product(at[w[:-1]], images[w[-1]])
         return {el: at[self.words[el]] for el in self.elements}
+
+    def respects(self, phi, then_is):
+        """The first (element a, generator s), elements sorted and
+        generators in order, where then_is(phi[a], phi[s], phi[a . s])
+        fails, or None.  None proves phi[g . h] = phi[g] phi[h] for all g
+        and h, when phi[e] is a unit and "then" is associative: by
+        induction on the word of h, trivially for h = e, and for
+        h = a . s by the law at (g . a, s), induction for a and the law
+        at (a, s),
+          phi[g . a . s] = phi[g . a] phi[s] = phi[g] phi[a] phi[s]
+                         = phi[g] phi[a . s].
+        So n |S| checks replace the n^2 products of a full table.
+        """
+        for a in self.elements:
+            for i, s in enumerate(self.generators):
+                if not then_is(phi[a], phi[s], phi[self.cayley[(a, i)]]):
+                    return a, s
+        return None
 
 
 def _add_mod(n):
@@ -130,17 +146,16 @@ _GROUPS = {
 GROUP_NAMES = tuple(sorted(_GROUPS))
 
 
-def _homs_into(group, elements, mul, unit):
-    """All homomorphisms from the FinGroup `group` into the group
-    (elements, mul, unit) given by its table, such as a FinGroup's own
-    fields: generator images extended along words, and verified on every
-    product."""
+def _homs_into(group, elements, compose, unit):
+    """All homomorphisms from the FinGroup `group` into the group of
+    `elements` under `compose` with unit `unit`, such as a FinGroup's own
+    fields: generator images extended along words, and checked by
+    FinGroup.respects at each element and generator."""
     out = []
-    times = lambda a, b: mul[(a, b)]
+    then_is = lambda x, y, z: compose(x, y) == z
     for images in iproduct(elements, repeat=len(group.generators)):
-        phi = group.extend(images, times, unit)
-        if all(mul[(phi[a], phi[b])] == phi[c]
-               for (a, b), c in group.mul.items()):
+        phi = group.extend(images, compose, unit)
+        if group.respects(phi, then_is) is None:
             out.append(phi)
     return out
 
@@ -161,8 +176,8 @@ class FinGroupoid:
       parser, the catalog or a direct caller; the normal form reads its
       labels off the dict, every entry must be its cell, and the dict is
       kept; or
-    - built: the _ArrowComp of an arrow groupoid (_arrow_groupoid: the
-      products, pullbacks, fibers and factorization middles); the normal
+    - built: the _ArrowComp of an arrow groupoid (_arrow_groupoid, for
+      product_groupoid, homotopy_pullback and hfiber); the normal
       form composes the triples' labels, and comp becomes a read-only
       mapping computed from the vertex groups.
     """
@@ -450,10 +465,10 @@ def _keep_frame(g, base, tree, gens):
     check that passes at s passes at inv(s), and the identities need none
     either, because it passes at every identity once identities are
     preserved, which FinFunctor checks first.  The same set drives the
-    level-0 component passes (fibers, the pullback square, the two
-    middles and the connecting map's fibers): each unites along the
-    generators only, since the morphisms whose relation holds are closed
-    under composition and inverses.
+    level-0 component passes (fibers, the pullback square and nine_way's
+    first-middle pass): each unites along the generators only, since
+    the morphisms whose relation holds are closed under composition and
+    inverses.
     """
     objs, ident = g.objects, g.ident
     gens.extend(tree[a] for a in objs if tree[a] != ident[a])
@@ -590,12 +605,12 @@ def _arrow_groupoid(objs, mors, compose, ident):
     (o, o, ident(o)).  The table is never written out: FinGroupoid keeps
     the triples in normal form (_normal_form).
 
-    That normal form composes as the labels do, for every caller here.
-    The labels compose in a validated groupoid (X x Y for products and
-    pullbacks, the source for hfiber, the target for the two middles),
-    and each caller carries its endpoints along functorially (m =
-    F(g);m2;inv(G(h)), m = F(g);m2, the transport h.c, or a class held
-    fixed).  So the triples are closed under the labelled composite, a
+    That normal form composes as the labels do, for each caller
+    (product_groupoid, homotopy_pullback, hfiber).  The labels compose
+    in a validated groupoid (X x Y for products and pullbacks, the
+    source for hfiber), and each caller carries its endpoints along
+    functorially (componentwise, m = F(g);m2;inv(G(h)), m = F(g);m2).
+    So the triples are closed under the labelled composite, a
     triple is fixed by its source and label, and the triples inherit
     associativity, units and inverses from the labels: (p;q);r and
     p;(q;r), or p;1 and p, share source and label.  In a groupoid the
@@ -1242,7 +1257,7 @@ def _build_blocks(blocks):
         G = _GROUPS[gname]
         n = len(G.elements)
         index = {g: i for i, g in enumerate(G.elements)}
-        mul = [[index[G.mul[(g, h)]] for h in G.elements]
+        mul = [[index[G.product(g, h)] for h in G.elements]
                for g in G.elements]
         e = index[G.identity]
         for a in range(k):
@@ -1276,9 +1291,9 @@ def _homs_into_aut(gname, T, y):
     key = (gname, y)
     homs = memo.get(key)
     if homs is None:
-        els = T.aut(y)
-        mul = {(a, b): T.comp[(a, b)] for a in els for b in els}
-        homs = memo[key] = _homs_into(_GROUPS[gname], els, mul, T.ident[y])
+        comp = T.comp
+        homs = memo[key] = _homs_into(_GROUPS[gname], T.aut(y),
+                                      lambda a, b: comp[(a, b)], T.ident[y])
     return homs
 
 

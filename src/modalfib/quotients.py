@@ -2,14 +2,15 @@
 
 The groups that act are permutation groups: permutation_group checks
 its generators and builds the one finite group type, fingroupoids'
-FinGroup, on permutation tuples.  A GraphAction assigns a graph
-automorphism to every element and is checked against the
-multiplication table at each element and generator, which decides the
-whole table.  The quotient of the shape groupoid by an action is
-realized either as an explicit FinGroupoid (when every component of the
-space is a tree) or as a lazy ActionGroupoid over the presented shape.
-Group elements compose in diagram order like everything else here:
-mul[(g, h)] is "g then h".
+FinGroup, on permutation tuples; a FinGroup keeps its Cayley graph,
+not a product table.  A GraphAction assigns a graph automorphism to
+every element and is checked at each element and generator
+(FinGroup.respects), which decides the whole multiplication table.  The
+quotient of the shape groupoid by an action is realized either as an
+explicit FinGroupoid (when every component of the space is a tree) or
+as a lazy ActionGroupoid over the presented shape.  Group elements
+compose in diagram order like everything else here: G.product(g, h) is
+"g then h".
 """
 
 from dataclasses import dataclass
@@ -84,21 +85,10 @@ class GraphAction:
     maps assigns a GraphMap to every group element.  Each map must be
     an automorphism of the space, the unit must act as the identity
     map, and maps[g . s] must be maps[g] then maps[s] for every element
-    g and every generator s.
-
-    That decides the whole multiplication table.  Say maps[e] is the
-    identity and the law holds at every (g, s).  Every element h is a
-    positive word in the generators: FinGroup's breadth-first search
-    reaches each element as a product a . s of an element a reached
-    before and a generator s.  By induction on that word, maps[g . h]
-    is maps[g] then maps[h] for every g: for h = e both sides are
-    maps[g], and for h = a . s, by associativity, the law at (g . a, s),
-    the induction hypothesis for a and the law at (a, s),
-      maps[g . a . s] = maps[g . a] maps[s] = maps[g] maps[a] maps[s]
-                      = maps[g] maps[a . s].
-    So n |S| comparisons (graphs._composes_to, which builds no map)
-    replace the n^2 products of the full table; tests/test_quotients.py
-    checks that both accept the same tables.
+    g and every generator s.  FinGroup.respects checks that law with
+    graphs._composes_to, which builds no map, and proves that it decides
+    the whole multiplication table; tests/test_quotients.py checks that
+    an all-pairs reference accepts the same tables.
     """
 
     group: FinGroup
@@ -117,13 +107,10 @@ class GraphAction:
         if unit.vertex_map != {v: v for v in self.space.vertices} or \
                 unit.edge_map != {e: (e, +1) for e in self.space.edge_ids()}:
             raise ActionError("unit element must act as the identity map")
-        maps, mul = self.maps, G.mul
-        for g in G.elements:
-            for s in G.generators:
-                if not _composes_to(maps[g], maps[s], maps[mul[(g, s)]]):
-                    raise ActionError(
-                        "action breaks the multiplication table at %r, %r"
-                        % (g, s))
+        broken = G.respects(self.maps, _composes_to)
+        if broken:
+            raise ActionError(
+                "action breaks the multiplication table at %r, %r" % broken)
 
     def orbit(self, x):
         if x not in self.space.vertex_set:
@@ -258,7 +245,7 @@ def shape_of_quotient(a, max_group_order=QUOTIENT_GROUP_BOUND):
     for m1 in mors:
         for m2 in mors:
             if m1[2] == m2[0]:
-                comp[(m1, m2)] = (m1[0], G.mul[(m1[1], m2[1])], m2[2])
+                comp[(m1, m2)] = (m1[0], G.product(m1[1], m2[1]), m2[2])
     ident = {c: (c, G.identity, c) for c in reps}
     return FinGroupoid(tuple(reps), tuple(mors), src, dst, comp, ident)
 

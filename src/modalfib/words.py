@@ -6,7 +6,7 @@ return fully reduced words.  `Unknown` marks a search that an explicit
 bound cut short.
 """
 
-__all__ = ["reduce_word", "mul", "inv", "conj", "Unknown"]
+__all__ = ["reduce_word", "mul", "inv", "Unknown"]
 
 
 def reduce_word(w):
@@ -32,11 +32,6 @@ def mul(*words):
 
 def inv(w):
     return tuple((g, -s) for g, s in reversed(w))
-
-
-def conj(p, w):
-    """p w p^-1."""
-    return mul(p, w, inv(p))
 
 
 class Unknown:

@@ -32,7 +32,7 @@ def connected_groupoid(labels, group_name):
     for a, g, b in mors:
         for c in labels:
             for h in G.elements:
-                comp[((a, g, b), (b, h, c))] = (a, G.mul[(g, h)], c)
+                comp[((a, g, b), (b, h, c))] = (a, G.product(g, h), c)
     return FinGroupoid(
         labels, mors,
         {m: m[0] for m in mors}, {m: m[2] for m in mors},
@@ -49,7 +49,7 @@ def group_hom_functor(src_name, dst_name, images, label="o"):
     sends the generators of the source group to the given images."""
     A, B = group_groupoid(src_name, label), group_groupoid(dst_name, label)
     G, H = _GROUPS[src_name], _GROUPS[dst_name]
-    phi = G.extend(images, lambda a, b: H.mul[(a, b)], H.identity)
+    phi = G.extend(images, H.product, H.identity)
     return FinFunctor(A, B, {label: label},
                       {(label, g, label): (label, phi[g], label)
                        for g in G.elements})

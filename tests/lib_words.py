@@ -1,8 +1,8 @@
 """Free-group words beyond reduction, for the tests.
 
-Powers, cyclic reduction, primitive roots and exact simultaneous
-conjugacy.  `natural_iso` (lib_groupoids) decides natural isomorphism of
-induced functors with `solve_simultaneous_conjugacy`.
+Conjugates, powers, cyclic reduction, primitive roots and exact
+simultaneous conjugacy.  `natural_iso` (lib_groupoids) decides natural
+isomorphism of induced functors with `solve_simultaneous_conjugacy`.
 
 The conjugacy machinery at the bottom decides simultaneous conjugacy
 exactly: given pairs (a_i, b_i), is there a single h with
@@ -18,6 +18,11 @@ from math import ceil
 from modalfib.words import Unknown, inv, mul, reduce_word
 
 EMPTY = ()
+
+
+def conj(p, w):
+    """p w p^-1."""
+    return mul(p, w, inv(p))
 
 
 def power(w, k):

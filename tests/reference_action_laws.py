@@ -10,7 +10,7 @@ def all_pairs_law_holds(group, maps):
     for g in group.elements:
         for h in group.elements:
             got = maps[g].compose(maps[h])
-            want = maps[group.mul[(g, h)]]
+            want = maps[group.product(g, h)]
             if got.vertex_map != want.vertex_map or \
                     got.edge_map != want.edge_map:
                 return False

@@ -59,7 +59,7 @@ def ref_build_blocks(blocks):
             dst[(a, g, b)] = b
             for c in labels:
                 for h in G.elements:
-                    comp[((a, g, b), (b, h, c))] = (a, G.mul[(g, h)], c)
+                    comp[((a, g, b), (b, h, c))] = (a, G.product(g, h), c)
         for o in labels:
             ident[o] = (o, G.identity, o)
     return FinGroupoid(tuple(objects), tuple(morphisms),

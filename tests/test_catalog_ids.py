@@ -38,7 +38,8 @@ def test_catalog_group_elements_are_sorted():
         assert G.identity == identity, name
         assert G.generators == gens, name
         assert list(G.words.items()) == list(words.items()), name
-        assert G.mul == table, name
+        assert {(a, b): G.product(a, b) for a in elements
+                for b in elements} == table, name
 
 
 def test_ids_number_the_triples_in_id_order():

@@ -466,6 +466,22 @@ def test_size_bound_exits_2_and_names_the_flag(docs, capsys):
     assert "bound" in err
 
 
+def test_size_bound_exits_2_for_s6_before_any_product_table(tmp_path,
+                                                             capsys):
+    # S_6 acting on six points: 720 elements, past the default bound 24
+    rows = ["graph: points", "vertices: 0 1 2 3 4 5", "basepoint: 0", "",
+            "action: s6 points"]
+    for gen in ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)):
+        rows.append("group-gen: " + " ".join(map(str, gen)))
+        rows += ["vertex-perm: %d -> %d" % (i, j) for i, j in enumerate(gen)]
+    p = tmp_path / "s6.txt"
+    p.write_text("\n".join(rows) + "\n")
+    assert main(["quotient", "shape", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "size bound: group order 720 exceeds the bound 24 "
+        "(raise with --max-group)\n")
+
+
 def test_ids_that_read_undecided_leave_the_exit_status_alone(tmp_path,
                                                              capsys):
     # the status comes from the verdict records, not from report strings

@@ -17,9 +17,11 @@ from modalfib.fingroupoids import (
     homotopy_pullback, product_groupoid, compare_modalities, nine_way,
     random_groupoid, random_functor, random_functor_into,
 )
-from modalfib.fingroupoids import _GROUPS, _fiber_pass, _homs_into
+from modalfib.fingroupoids import (_GROUPS, _fiber_pass, _homs_into,
+                                   _homs_into_aut)
 from modalfib.quotients import permutation_group
 from modalfib.verdicts import Flag, LevelVerdicts
+from reference_homs import all_pairs_homs
 from lib_fingroupoids import (connected_groupoid, connecting_functor,
                               factor_connected_modal, factor_equiv_etale,
                               group_groupoid, group_hom_functor,
@@ -95,10 +97,38 @@ def test_homs_from_the_catalog_into_s3_as_a_permutation_group():
     # cyclic G; commuting pairs of involutions or units for V_4; for S_3
     # the trivial hom, three onto a transposition and six automorphisms
     s3 = permutation_group(3, ((1, 2, 0), (1, 0, 2)))
-    counts = {name: len(_homs_into(G, s3.elements, s3.mul, s3.identity))
+    counts = {name: len(_homs_into(G, s3.elements, s3.product, s3.identity))
               for name, G in _GROUPS.items()}
     assert counts == {"c1": 1, "c2": 4, "c3": 3, "c4": 4, "v4": 10,
                       "s3": 10}
+
+
+def test_homs_into_matches_the_all_pairs_reference_in_order():
+    # the order of the list decides random_functor_into's rng draws
+    s3 = permutation_group(3, ((1, 2, 0), (1, 0, 2)))
+    targets = dict(_GROUPS, perm_s3=s3)
+    for name, G in _GROUPS.items():
+        for tname, H in targets.items():
+            args = (G, H.elements, H.product, H.identity)
+            assert _homs_into(*args) == all_pairs_homs(*args), (name, tname)
+        for tname in _GROUPS:
+            T = group_groupoid(tname)
+            els = T.aut("o")
+            compose = lambda a, b: T.comp[(a, b)]
+            assert _homs_into_aut(name, T, "o") == all_pairs_homs(
+                G, els, compose, T.ident["o"]), (name, tname)
+
+
+def test_respects_names_the_first_pair_that_breaks_the_law():
+    # the image 1 of c4's generator, carried into c3 along the words:
+    # the law holds at (0, 1), (1, 1) and (2, 1) and fails at (3, 1),
+    # where 3 + 1 = 0 in c4 but 0 + 1 = 1 in c3
+    c4, c3 = _GROUPS["c4"], _GROUPS["c3"]
+    phi = c4.extend((1,), c3.product, c3.identity)
+    assert phi == {0: 0, 1: 1, 2: 2, 3: 0}
+    assert c4.respects(phi, lambda x, y, z: c3.product(x, y) == z) == (3, 1)
+    assert _homs_into(c4, c3.elements, c3.product, c3.identity) == [
+        {0: 0, 1: 0, 2: 0, 3: 0}]
 
 
 def test_inverses_are_cached():

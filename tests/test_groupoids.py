@@ -11,7 +11,7 @@ import pytest
 from modalfib.graphs import bouquet, point, GraphMap
 from modalfib.corpus import random_map
 from modalfib.groupoids import shape1, induce_functor
-from modalfib.words import mul, inv, conj, reduce_word
+from modalfib.words import mul, inv, reduce_word
 from modalfib.graphs import pi0
 from lib_corpus import (bad_fold_figure_eight, double_cover, random_graph,
                         random_words)

@@ -13,11 +13,16 @@ it.  The roots are:
 
 A module-level function or class is reached when a root or a reached
 definition names it; a method, once its class is reached, through an
-attribute of its name; a dunder method with its class.  The scan goes by
-name: a name that a function binds itself (a parameter, a local variable
-or a nested definition) is not a use of a module-level name.  An
-unreached caller does not count, so one dead name cannot vouch for
-another.  A module-level import that its module never names, and does not
+attribute of its name; a dunder method with its class.  A name in the
+package resolves in its module: a bare name through the module's own
+definitions and its `from .m import` lines, and `x.f` names the
+module-level `f` of m only when `x` is a package module m (`from . import
+m`).  So an attribute such as `F.conj`, or the name `product` that
+`covers` imports from itertools, reaches no package function of that
+name.  The roots from `perfbench/` and the README go by name alone.  A
+name that a function binds itself (a parameter, a local variable or a
+nested definition) is not a use of a module-level name.  An unreached
+caller does not count, so one dead name cannot vouch for another.  A module-level import that its module never names, and does not
 list in `__all__`, is dead too.  Every public module-level function and
 class is listed in its module's `__all__`.  A README entry leaves the list
 once its name has another caller.  These tests read the sources with
@@ -55,6 +60,55 @@ def named(tree, local=frozenset()):
     return out
 
 
+def scopes(modules):
+    """module -> (bare name -> the key (module, None, name) of the
+    module-level definition it names, local name -> package module it
+    names), read off the module's own definitions, its `from .m import`
+    lines, followed through re-imports, and its `from . import m` lines."""
+    defs = {mod: {n.name for n in tree.body if isinstance(n, DEFS)}
+            for mod, tree in modules.items()}
+    imports = {mod: {} for mod in modules}
+    packaged = {mod: {} for mod in modules}
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        packaged[mod][local] = alias.name
+                    else:
+                        imports[mod][local] = (node.module, alias.name)
+
+    def resolve(mod, name):
+        while name not in defs[mod]:
+            if name not in imports[mod]:
+                return None
+            mod, name = imports[mod][name]
+        return mod, None, name
+
+    return {mod: ({n: key for n in defs[mod] | set(imports[mod])
+                   if (key := resolve(mod, n))}, packaged[mod])
+            for mod in modules}
+
+
+def uses(tree, scope, mod, local=frozenset()):
+    """The definitions that a tree in module `mod` names, by `scope`
+    (scopes): a bare name not in `local`, and `m.f` where m names a
+    package module."""
+    bare, packaged = scope[mod]
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store) \
+                and n.id in bare and n.id not in local:
+            out.add(bare[n.id])
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                and n.value.id in packaged and n.value.id not in local:
+            key = scope[packaged[n.value.id]][0].get(n.attr)
+            if key:
+                out.add(key)
+    return out
+
+
 def bound(fn):
     """The names a function binds itself: its parameters, the names it
     assigns and its nested definitions, less those it declares global."""
@@ -88,31 +142,38 @@ def definitions(tree):
                     yield node.name, d
 
 
-def passes_on(node):
-    """The names a reached definition makes reachable.  A class passes on
-    its decorators, bases and class-level statements, not its methods; a
-    function passes on the names it uses and does not bind."""
+def passes_on(node, scope, mod):
+    """(definition keys, names) that a reached definition makes
+    reachable.  A class passes on its decorators, bases and class-level
+    statements, not its methods; a function passes on what it uses and
+    does not bind."""
     if isinstance(node, ast.ClassDef):
-        out = set()
+        keys, names = set(), set()
         for part in node.decorator_list + node.bases + node.keywords + [
                 d for d in node.body
                 if not isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]:
-            out |= named(part)
-        return out
-    return named(node, bound(node))
+            keys |= uses(part, scope, mod)
+            names |= named(part)
+        return keys, names
+    local = bound(node)
+    return uses(node, scope, mod, local), named(node, local)
 
 
 def package_roots(modules):
-    """`main` and the names that the package's module-level statements
-    use, imports and `__all__` aside."""
+    """(definition keys, names): `main`, and what the package's
+    module-level statements use, imports and `__all__` aside."""
+    scope = scopes(modules)
     scripts = (ROOT / "pyproject.toml").read_text()
-    roots = set(re.findall(r'"modalfib\.[\w.]+:(\w+)"', scripts))
-    for tree in modules.values():
+    keys = {scope[mod][0][name] for mod, name in
+            re.findall(r'"modalfib\.(\w+):(\w+)"', scripts)}
+    names = set()
+    for mod, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, DEFS + (ast.Import, ast.ImportFrom)) \
                     and not is_all(node):
-                roots |= named(node)
-    return roots
+                keys |= uses(node, scope, mod)
+                names |= named(node)
+    return keys, names
 
 
 def bench_names():
@@ -133,34 +194,45 @@ def library_api():
     return set(re.findall(r"`([^`]+)`", "\n".join(items)))
 
 
-def reach(modules, roots):
-    """The definitions that the roots reach, as (module, class or None,
-    name) keys, and every name that the roots and those definitions use.
-    A `Class.method` root reaches the method once its class is reached."""
-    defs = {(mod, cls, d.name): (cls, d) for mod, tree in modules.items()
+def reach(modules, keys, names=frozenset(), by_name=frozenset()):
+    """The definitions reached from the root definition keys, the root
+    names and the names in `by_name`, which reach a module-level
+    definition of that name in any module, as (module, class or None,
+    name) keys; and every name that the roots and those definitions
+    use.  A method is reached through a name once its class is reached,
+    and a `Class.method` root is such a name."""
+    scope = scopes(modules)
+    defs = {(mod, cls, d.name): d for mod, tree in modules.items()
             for cls, d in definitions(tree)}
-    names = {r.split(".")[-1] for r in roots}
+    by_name = {r.split(".")[-1] for r in by_name}
+    keys, names = set(keys), set(names) | by_name
     reached = set()
     grew = True
     while grew:
         grew = False
-        for (mod, cls, name), (_, d) in defs.items():
+        for (mod, cls, name), d in defs.items():
             if (mod, cls, name) in reached:
                 continue
             if cls is not None and ((mod, None, cls) not in reached or not (
                     name in names
                     or name.startswith("__") and name.endswith("__"))):
                 continue
-            if cls is None and name not in names:
+            if cls is None and (mod, None, name) not in keys \
+                    and name not in by_name:
                 continue
             reached.add((mod, cls, name))
-            names |= passes_on(d)
+            more_keys, more_names = passes_on(d, scope, mod)
+            keys |= more_keys
+            names |= more_names
             grew = True
     return reached, names
 
 
-def all_roots(modules):
-    return package_roots(modules) | bench_names() | library_api()
+def reach_all(modules):
+    """reach from every root: the package's own, and by name the names
+    that `perfbench/` uses and the README lists."""
+    keys, names = package_roots(modules)
+    return reach(modules, keys, names, bench_names() | library_api())
 
 
 def exported(tree):
@@ -178,7 +250,7 @@ def module_defs(tree):
 
 def test_every_private_function_is_referenced_in_the_package():
     modules = trees()
-    reached, _ = reach(modules, all_roots(modules))
+    reached, _ = reach_all(modules)
     defs = [(mod, cls, d) for mod, tree in modules.items()
             for cls, d in definitions(tree)
             if not isinstance(d, ast.ClassDef) and d.name.startswith("_")
@@ -211,7 +283,7 @@ def test_every_exported_name_has_a_caller_or_is_library_api():
     modules = trees()
     documented = library_api()
     assert "hfiber" in documented
-    reached, names = reach(modules, all_roots(modules))
+    reached, names = reach_all(modules)
     # the benchmark's inputs draw from corpus.random_map
     assert "random_map" in bench_names()
     assert ("corpus", None, "random_map") in reached
@@ -237,7 +309,7 @@ def public_methods(tree):
 
 def test_every_public_method_has_a_caller_or_is_library_api():
     modules = trees()
-    reached, _ = reach(modules, all_roots(modules))
+    reached, _ = reach_all(modules)
     methods = [(mod, cls, d) for mod, tree in modules.items()
                for cls, d in public_methods(tree)]
     assert any(cls == "FinFunctor" and d.name == "compose"
@@ -255,7 +327,8 @@ def test_no_library_api_name_is_reached_otherwise():
     defs = {(cls + "." if cls else "") + d.name: (mod, cls, d.name)
             for mod, tree in modules.items() for cls, d in definitions(tree)}
     assert sorted(documented - set(defs)) == []
-    reached, _ = reach(modules, package_roots(modules) | bench_names())
+    keys, names = package_roots(modules)
+    reached, _ = reach(modules, keys, names, bench_names())
     assert sorted(n for n in documented if defs[n] in reached) == []
 
 

@@ -16,7 +16,8 @@ from modalfib import quotients
 from modalfib.graphs import FinGraph, GraphMap, _sort_key, point, bouquet, pi0
 from modalfib.groupoids import shape1
 from modalfib.corpus import random_connected_graph
-from modalfib.fingroupoids import FinGroupoid, hfiber
+from modalfib.fingroupoids import (FinGroup, FinGroupoid, FinGroupoidError,
+                                   _perm_then, hfiber)
 from modalfib.quotients import (
     ActionError, SizeError, ActionGroupoid, GraphAction, permutation_group,
     trivial_group, cyclic_group, graph_action, shape_of_quotient, orbit_graph,
@@ -100,9 +101,11 @@ def test_group_catalog_orders():
 def test_group_multiplication_is_diagram_order():
     g = permutation_group(3, ((1, 2, 0),))
     r = (1, 2, 0)
-    assert g.mul[(r, r)] == (2, 0, 1)
-    assert g.inv[r] == (2, 0, 1)
-    assert g.mul[(r, g.inv[r])] == g.identity
+    inv = {a: b for a in g.elements for b in g.elements
+           if g.product(a, b) == g.identity}
+    assert g.product(r, r) == (2, 0, 1)
+    assert inv[r] == (2, 0, 1)
+    assert g.product(r, inv[r]) == g.identity
 
 
 def test_group_words_reproduce_elements():
@@ -110,8 +113,27 @@ def test_group_words_reproduce_elements():
         for el in g.elements:
             acc = g.identity
             for i in g.words[el]:
-                acc = g.mul[(acc, g.generators[i])]
+                acc = g.product(acc, g.generators[i])
             assert acc == el
+
+
+def test_group_builds_with_one_product_per_element_and_generator():
+    # S_5: 120 elements, 2 generators; no product table is filled
+    calls = []
+
+    def counted(p, q):
+        calls.append(None)
+        return _perm_then(p, q)
+
+    g = FinGroup(((1, 2, 3, 4, 0), (1, 0, 2, 3, 4)), counted, tuple(range(5)))
+    assert g.order == 120
+    assert len(calls) <= 240
+
+
+def test_group_rejects_a_generator_without_an_inverse():
+    # multiplication mod 4 from 1 reaches 2 and 0, and nothing times 2 is 1
+    with pytest.raises(FinGroupoidError, match="no inverse"):
+        FinGroup((2,), lambda a, b: a * b % 4, 1)
 
 
 def test_group_rejects_non_permutation():

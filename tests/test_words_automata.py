@@ -12,14 +12,15 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modalfib.words import reduce_word, mul, inv, conj, Unknown
+from modalfib.words import reduce_word, mul, inv, Unknown
 from modalfib import automata
 from modalfib.automata import SubgroupAutomaton
 from reference_union_find import UnionFind
 from lib_automata import conjugate_by, subgroup_equal
 from lib_corpus import random_permutation, random_words
-from lib_words import (conjugacy_witness, cyclic_reduce, is_cyclically_reduced,
-                       power, primitive_root, solve_simultaneous_conjugacy)
+from lib_words import (conj, conjugacy_witness, cyclic_reduce,
+                       is_cyclically_reduced, power, primitive_root,
+                       solve_simultaneous_conjugacy)
 
 letters2 = st.tuples(st.integers(0, 1), st.sampled_from((-1, +1)))
 letters3 = st.tuples(st.integers(0, 2), st.sampled_from((-1, +1)))
