@@ -593,6 +593,97 @@ class FinFunctor:
     def __repr__(self):
         return "FinFunctor(%r -> %r)" % (self.source, self.target)
 
+    # -- fiber analysis, shared by the flag routes; no tables built --------
+
+    @_memo
+    def _fiber_classes(self):
+        """Fiber base y -> (fiber object -> least member of its class,
+        those members), in id order (graphs._sorted_ids), filled for every
+        base by one union-find pass.
+
+        The fiber's arrows are the source morphisms g : x -> x2, one from
+        (x, F(g);m2) to (x2, m2) for each m2 : F(x2) -> y.  The pass
+        unites their ends only for g in the source's generating set.  That
+        is enough: the g whose arrows all join united ends contain the
+        identities and are closed under composition (F(g;h);m3 = F(g);
+        (F(h);m3)) and inverses (take m2 = F(inv g);m), and the tree
+        arrows with the vertex-group generators generate every morphism,
+        as m = inv(t_a);(t_a;m;inv(t_c));t_c.
+
+        The pass numbers the fiber objects over all bases densely: the
+        block of x starts at start[x], the number of fiber objects before
+        x, and (x, m) gets start[x] plus the position of m among the
+        morphisms leaving F(x) (FinGroupoid._out_index).  Fibers over
+        different bases never meet, and within one fiber the codes follow
+        the id order of its objects (sorted source objects, then sorted
+        hom-sets), so the smaller root that wins each join is the least
+        member of its class."""
+        S, T = self.source, self.target
+        out, pos = T._out_index
+        fm, om, tcomp, tdst = self.mor_map, self.obj_map, T.comp, T.dst
+        start, items = {}, []
+        for x in S.objects:
+            start[x] = len(items)
+            items.extend([(x, m) for m in out[om[x]]])
+        uf = _Classes(items)
+        join = uf.join
+        for s in S._gens:
+            x2, fs = S.dst[s], fm[s]
+            i, j = start[S.src[s]], start[x2]
+            for m2 in out[om[x2]]:
+                join(i + pos[tcomp[(fs, m2)]], j)
+                j += 1
+        fcms = {b: {} for b in T.objects}
+        for o, r in uf.roots().items():
+            fcms[tdst[o[1]]][o] = r
+        return {b: (fcm, tuple(dict.fromkeys(fcm.values())))
+                for b, fcm in fcms.items()}
+
+    @_memo
+    def _fiber_trivial(self):
+        """Fiber base y -> whether every fiber object over y has only the
+        identity automorphism.
+
+        An automorphism of (x, m) is a g in aut(x) with F(g);m = m, that
+        is F(g) = id, and some (x, m) lies over y iff F x is in y's
+        component (_classes_over).  So the fiber over y is trivial iff no
+        such x has a g != id in aut(x) with F(g) = id."""
+        S, T = self.source, self.target
+        ycm, om, fm = T._components, self.obj_map, self.mor_map
+        kernels = set()
+        for x in S.objects:
+            c = ycm[om[x]]
+            if c not in kernels:
+                one, sid = T.ident[om[x]], S.ident[x]
+                if any(fm[g] == one and g != sid for g in S.aut(x)):
+                    kernels.add(c)
+        return {b: ycm[b] not in kernels for b in T.objects}
+
+    @_memo
+    def _classes_over(self):
+        """(source component map, target component map, dict target
+        component rep -> sorted source component reps over it).
+
+        Level 0 rests on one fact: hom(F x, y) is nonempty iff F x and y
+        share a component [y] (R. Brown, "Fibrations of groupoids", J.
+        Algebra 15, 1970).  The shadow of a fiber class is the source
+        class of its objects (x, m), well defined as the fiber's arrows
+        are source morphisms.  Hence:
+        - Shadows: those of the classes over y are exactly over[[y]], as
+          some (x, m) lies over y iff F x is in [y].
+        - Transport: each y' in [y] has some h : y' -> y, and (x, m) |->
+          (x, m;h) keeps x, so each first-middle component over [y] with
+          shadow d holds some (y, h.c') with shadow d.
+        So no reading compares a set over y with the one over [y]: that
+        clause always holds, and only its count or distinctness can
+        fail."""
+        xcm = self.source.component_map()
+        ycm = self.target.component_map()
+        over = {r: [] for r in set(ycm.values())}
+        for r in _sorted_ids(set(xcm.values())):
+            over[ycm[self.obj_map[r]]].append(r)
+        return xcm, ycm, over
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -672,61 +763,7 @@ def hfiber(F, y):
 
 
 # ---------------------------------------------------------------------------
-# lightweight fiber analysis (shared by the flag routes; no tables built)
-#
-# _fiber_pass, _fiber_aut_trivial and _classes_over keep their results on
-# the functor by hand, not as `_memo` methods: the mutation harness
-# (tests/mutants.py) swaps each in by its name in this module, which a
-# method read through the functor would not see.
-
-def _fiber_pass(F, y):
-    """(fiber object -> least member of its class, those members), in
-    id order (graphs._sorted_ids).  One union-find pass fills them for
-    every base of F; they are kept on F: read them, do not change them.
-
-    The fiber's arrows are the source morphisms g : x -> x2, one from
-    (x, F(g);m2) to (x2, m2) for each m2 : F(x2) -> y.  The pass unites
-    their ends only for g in the source's generating set.  That is
-    enough: the g whose arrows all join united ends contain the
-    identities and are closed under composition (F(g;h);m3 = F(g);
-    (F(h);m3)) and inverses (take m2 = F(inv g);m), and the tree arrows
-    with the vertex-group generators generate every morphism, as
-    m = inv(t_a);(t_a;m;inv(t_c));t_c.
-
-    The pass numbers the fiber objects over all bases densely: the block
-    of x starts at start[x], the number of fiber objects before x, and
-    (x, m) gets start[x] plus the position of m among the morphisms
-    leaving F(x) (FinGroupoid._out_index).  Fibers over different bases
-    never meet, and within one fiber the codes follow the id order of its
-    objects (sorted source objects, then sorted hom-sets), so the smaller
-    root that wins each join is the least member of its class."""
-    try:
-        return F._fiber_cms[y]
-    except AttributeError:
-        pass
-    S, T = F.source, F.target
-    out, pos = T._out_index
-    fm, om, tcomp, tdst = F.mor_map, F.obj_map, T.comp, T.dst
-    start, items = {}, []
-    for x in S.objects:
-        start[x] = len(items)
-        items.extend([(x, m) for m in out[om[x]]])
-    uf = _Classes(items)
-    join = uf.join
-    for s in S._gens:
-        x2, fs = S.dst[s], fm[s]
-        i, j = start[S.src[s]], start[x2]
-        for m2 in out[om[x2]]:
-            join(i + pos[tcomp[(fs, m2)]], j)
-            j += 1
-    fcms = {b: {} for b in T.objects}
-    for o, r in uf.roots().items():
-        fcms[tdst[o[1]]][o] = r
-    cms = {b: (fcm, tuple(dict.fromkeys(fcm.values())))
-           for b, fcm in fcms.items()}
-    object.__setattr__(F, "_fiber_cms", cms)
-    return cms[y]
-
+# transport of fiber classes
 
 def _transport(F, h, rep, target_map):
     """Move a fiber class over src(h) to one over dst(h) by composing
@@ -735,86 +772,29 @@ def _transport(F, h, rep, target_map):
     return target_map[(x, F.target.comp[(m, h)])]
 
 
-def _fiber_aut_trivial(F, y):
-    """Whether every fiber object over y has only the identity
-    automorphism; decided for every base at once and kept on F.
-
-    An automorphism of (x, m) is a g in aut(x) with F(g);m = m, that is
-    F(g) = id, and some (x, m) lies over y iff F x is in y's component
-    (_classes_over).  So the fiber over y is trivial iff no such x has a
-    g != id in aut(x) with F(g) = id."""
-    try:
-        return F._fiber_trivial[y]
-    except AttributeError:
-        pass
-    S, T = F.source, F.target
-    ycm, om, fm = T._components, F.obj_map, F.mor_map
-    kernels = set()
-    for x in S.objects:
-        c = ycm[om[x]]
-        if c not in kernels:
-            one, sid = T.ident[om[x]], S.ident[x]
-            if any(fm[g] == one and g != sid for g in S.aut(x)):
-                kernels.add(c)
-    trivial = {b: ycm[b] not in kernels for b in T.objects}
-    object.__setattr__(F, "_fiber_trivial", trivial)
-    return trivial[y]
-
-
-def _classes_over(F):
-    """(source component map, target component map, dict target
-    component rep -> sorted source component reps over it), computed
-    once per functor and shared by every caller: read it, do not change
-    it.
-
-    Level 0 rests on one fact: hom(F x, y) is nonempty iff F x and y
-    share a component [y] (R. Brown, "Fibrations of groupoids", J.
-    Algebra 15, 1970).  The shadow of a fiber class is the source class
-    of its objects (x, m), well defined as the fiber's arrows are source
-    morphisms.  Hence:
-    - Shadows: those of the classes over y are exactly over[[y]], as
-      some (x, m) lies over y iff F x is in [y].
-    - Transport: each y' in [y] has some h : y' -> y, and (x, m) |->
-      (x, m;h) keeps x, so each first-middle component over [y] with
-      shadow d holds some (y, h.c') with shadow d.
-    So no reading compares a set over y with the one over [y]: that
-    clause always holds, and only its count or distinctness can fail."""
-    try:
-        return F._over
-    except AttributeError:
-        pass
-    xcm = F.source.component_map()
-    ycm = F.target.component_map()
-    over = {r: [] for r in set(ycm.values())}
-    for r in _sorted_ids(set(xcm.values())):
-        over[ycm[F.obj_map[r]]].append(r)
-    object.__setattr__(F, "_over", (xcm, ycm, over))
-    return F._over
-
-
 # ---------------------------------------------------------------------------
 # the five flags at the two levels
 
 def _flags_level0(F):
     T = F.target
-    xcm, ycm, over = _classes_over(F)
+    xcm, ycm, over = F._classes_over
+    fibers, trivial = F._fiber_classes, F._fiber_trivial
 
-    modal = all(_fiber_aut_trivial(F, y) for y in T.objects)
+    modal = all(trivial.values())
 
     connected = True
     equivalence = all(len(v) == 1 for v in over.values())
     fibration = True
     etale = True
     for y in T.objects:
-        classes = _fiber_pass(F, y)[1]
+        classes = fibers[y][1]
         if len(classes) != 1:
             connected = False
         if len({xcm[x] for (x, _) in classes}) != len(classes):
             fibration = False
         # etale, by the unit-square route: the fiber must be equivalent,
         # through its own data, to the discrete set of classes downstairs
-        if not _fiber_aut_trivial(F, y) \
-                or len(classes) != len(over[ycm[y]]):
+        if not trivial[y] or len(classes) != len(over[ycm[y]]):
             etale = False
     return LevelVerdicts.of(modal, connected, etale, equivalence, fibration)
 
@@ -822,15 +802,16 @@ def _flags_level0(F):
 def _flags_level_prop(F):
     T = F.target
     x_inhabited = bool(F.source.objects)
+    fibers, trivial = F._fiber_classes, F._fiber_trivial
 
     modal = True
     connected = True
     fibration = True
     etale = True
     for y in T.objects:
-        ncomp = len(_fiber_pass(F, y)[1])
+        ncomp = len(fibers[y][1])
         inhabited = ncomp > 0
-        contractible = ncomp == 1 and _fiber_aut_trivial(F, y)
+        contractible = ncomp == 1 and trivial[y]
         if inhabited and not contractible:
             modal = False
         if not inhabited:
@@ -856,9 +837,9 @@ def classify_trunc(F, level):
 
 
 def essentially_surjective(F):
-    """Every fiber is inhabited: by _classes_over, every target
-    component has a class over it."""
-    return all(_classes_over(F)[2].values())
+    """Every fiber is inhabited: by FinFunctor._classes_over, every
+    target component has a class over it."""
+    return all(F._classes_over[2].values())
 
 
 def automorphism_surjective(F):
@@ -950,11 +931,11 @@ def compare_modalities(F):
     shadow's fiber over a class d is inhabited iff some x has F x in d,
     so its level -1 flag is read off the source classes over each target
     class, and no shadow is built.  That flag is also F's own level -1
-    flag (_classes_over): the premise contains the conclusion, and this
-    implication cannot fail here."""
+    flag (FinFunctor._classes_over): the premise contains the
+    conclusion, and this implication cannot fail here."""
     lo = classify_trunc(F, -1)
     hi = classify_trunc(F, 0)
-    xcm, _, over = _classes_over(F)
+    xcm, _, over = F._classes_over
     shadow_fibration = not xcm or all(over.values())
 
     def imp(premise, conclusion):
@@ -978,42 +959,48 @@ def compare_modalities(F):
 # ---------------------------------------------------------------------------
 # the agreement suite at level 0
 
-def nine_way(F, rng=None, sampled_bases=3):
+# how many random functors into the target nine_way's reading (c) pulls
+# back along, after the point bases
+_SAMPLED_BASES = 3
+
+
+def nine_way(F, rng=None):
     """All the equivalent readings of the level-0 fibration condition,
     plus the surjective-case criterion and the one-way connecting-map
     check.
 
     Readings that decide one fact share its pass:
     - (a), (b) and (d) are one count, no two classes over y share a
-      shadow.  The shadows over y are over[[y]] (_classes_over), so (b)
-      is that count.  The connecting functor is onto the classes and
-      transport keeps shadows, so (d), that it is an equivalence, is too.
+      shadow.  The shadows over y are over[[y]]
+      (FinFunctor._classes_over), so (b) is that count.  The connecting
+      functor is onto the classes and transport keeps shadows, so (d),
+      that it is an equivalence, is too.
     - (e) and (h) read one first-middle pass (_middle_readings).
     - (c), (f) and (g) keep their own code.  (f) counts the classes over
       y for each class in over[[y]], so it alone catches some faults of
-      _classes_over (tests/mutants.py).
+      FinFunctor._classes_over (tests/mutants.py).
 
     Returns a dict of booleans; "agree" ands together the routes that
     must coincide, "connecting_ok" is the one-way implication.
     """
     T = F.target
-    xcm, ycm, over = _classes_over(F)
+    xcm, ycm, over = F._classes_over
     fcms, classes = {}, {}
     for y in T.objects:
-        fcms[y], classes[y] = _fiber_pass(F, y)
+        fcms[y], classes[y] = F._fiber_classes[y]
     gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
 
     # (a) the comparison from collapsed fibers to classes is bijective;
-    #     it is onto the classes over [y] by _classes_over
+    #     it is onto the classes over [y] by FinFunctor._classes_over
     a = all(len(set(gamma[y].values())) == len(classes[y])
             for y in T.objects)
 
     # (c) pullback preservation: every point base, then sampled bases
     c = all(_pullback_preserved(F, object_inclusion(T, y))
             for y in T.objects)
-    if c and sampled_bases:
+    if c:
         rng = rng or _random.Random(0)
-        for _ in range(sampled_bases):
+        for _ in range(_SAMPLED_BASES):
             G = random_functor_into(rng, T, max_objects=2)
             if not _pullback_preserved(F, G):
                 c = False
@@ -1065,7 +1052,7 @@ def _pullback_preserved(F, G):
     (id_x, t) for t in Y's: on each side the morphisms whose arrows all
     join united ends contain the identities and are closed under
     composition and inverses, so they are every morphism (see
-    _fiber_pass).
+    FinFunctor._fiber_classes).
 
     The pass joins codes and never hashes an object of the square: (x,
     y, m) is start + the position of m in hom(F x, G y) (Z._hom_positions),
@@ -1078,7 +1065,7 @@ def _pullback_preserved(F, G):
     once iff their pairs are distinct and as many as those pairs.
     """
     X, Y, Z = F.source, G.source, F.target
-    xcm, zcm, over = _classes_over(F)
+    xcm, zcm, over = F._classes_over
     ycm = Y.component_map()
     hom, hpos, zcomp = Z._hom, Z._hom_positions, Z.comp
     gys = [G.obj_map[y] for y in Y.objects]
@@ -1143,15 +1130,15 @@ def _middle_readings(F, fcms, classes, gamma):
     y2, where h.c is the transport of the class c.  Transport is
     functorial on classes, (h;k).c = k.(h.c) and inv(h).(h.c) = c, so
     uniting along the target's generating set finds its components, as
-    in _fiber_pass.  The pass joins the codes of _class_codes, which
-    follow the order of the objects (y, c), so each root is the least
-    member of its class and a middle component is named by its root's
-    code.
+    in FinFunctor._fiber_classes.  The pass joins the codes of
+    _class_codes, which follow the order of the objects (y, c), so each
+    root is the least member of its class and a middle component is
+    named by its root's code.
 
     (e): the fiber components of the projection over y are exactly the
     transports of classes to y; delta sends each to its middle
-    component, onto those over [y] (_classes_over), and must be
-    injective.
+    component, onto those over [y] (FinFunctor._classes_over), and must
+    be injective.
 
     (h): the class middle and the connecting map's fibers have a closed
     form: both middles are action groupoids of the target and the map is
@@ -1161,7 +1148,8 @@ def _middle_readings(F, fcms, classes, gamma):
 
     - The class middle has an arrow (y, d) -> (y2, d) for each h : y ->
       y2, and the shadows over y are the source classes over [y]
-      (_classes_over).  So the component of (y, d) is ([y], d).
+      (FinFunctor._classes_over).  So the component of (y, d) is ([y],
+      d).
     - The fiber over (y, d) has the objects ((y2, c2), h) with gamma(c2)
       = d and h : y2 -> y, and an arrow ((y2, c2), h) -> ((y3, k.c2),
       inv(k);h) for each k : y2 -> y3.  Transport is functorial, so h.c2
@@ -1172,8 +1160,8 @@ def _middle_readings(F, fcms, classes, gamma):
 
     Hence the map is a fibration iff, for every y and d, the first-middle
     components of the classes over y with shadow d are pairwise distinct
-    (by Transport in _classes_over, they are all those over [y]).  So (e)
-    implies (h), and (h) is read only where (e) fails."""
+    (by Transport in FinFunctor._classes_over, they are all those over
+    [y]).  So (e) implies (h), and (h) is read only where (e) fails."""
     T = F.target
     start, at = _class_codes(T, classes)
     uf = _Classes([(y, c) for y in T.objects for c in classes[y]])

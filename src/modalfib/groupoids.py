@@ -85,22 +85,6 @@ class PresGroupoid:
     def letters_at(self, v):
         return self.components[self.comp_of[v]].letters
 
-    # -- morphisms as (u, v, word) ----------------------------------------
-
-    def identity(self, v):
-        return (v, v, ())
-
-    def compose(self, m1, m2):
-        u1, v1, w1 = m1
-        u2, v2, w2 = m2
-        if v1 != u2:
-            raise ValueError("%r then %r do not compose" % (m1, m2))
-        return (u1, v2, mul(w1, w2))
-
-    def inverse(self, m):
-        u, v, w = m
-        return (v, u, inv(w))
-
     def summary(self):
         out = []
         for base in _sorted_ids(self.components):
@@ -128,28 +112,6 @@ class GroupoidFunctor:
         self.gen_images = {k: reduce_word(v) for k, v in gen_images.items()}
         self.conj = {k: reduce_word(v) for k, v in conj.items()}
         self._images = {}               # component base -> image automaton
-
-    def map_word(self, w):
-        out = ()
-        for g, s in w:
-            img = self.gen_images[g]
-            out = mul(out, img if s > 0 else inv(img))
-        return out
-
-    def compose(self, other):
-        """self then other."""
-        obj = {v: other.obj[self.obj[v]] for v in self.obj}
-        gen_images = {}
-        conj = {}
-        for base, comp in self.src.components.items():
-            fb = self.obj[base]
-            cb = other.conj[fb]
-            for l in comp.letters:
-                gen_images[l] = mul(inv(cb), other.map_word(self.gen_images[l]), cb)
-            for v in comp.vertices:
-                conj[v] = mul(inv(cb), other.map_word(self.conj[v]),
-                              other.conj[self.obj[v]])
-        return GroupoidFunctor(self.src, other.dst, obj, gen_images, conj)
 
     def image_subgroup(self, base):
         """Folded automaton of the image of the base's vertex group,

@@ -15,8 +15,8 @@ its table oracle reaches these middles too.
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
     _GROUPS, _POINT, FinFunctor, FinGroupoid, FinGroupoidError,
-    _classes_over, _fiber_pass, _transport, classify_trunc,
-    discrete_groupoid, empty_groupoid, homotopy_pullback, object_inclusion,
+    _transport, classify_trunc, discrete_groupoid, empty_groupoid,
+    homotopy_pullback, object_inclusion,
 )
 from modalfib.graphs import _sorted_ids
 
@@ -115,7 +115,7 @@ def factor_connected_modal(F, level):
     S, T = F.source, F.target
     fcms, classes = {}, {}
     for y in T.objects:
-        fcms[y], classes[y] = _fiber_pass(F, y)
+        fcms[y], classes[y] = F._fiber_classes[y]
     objs = tuple((y, c) for y in T.objects for c in classes[y])
     mors = []
     for h in T.morphisms:
@@ -143,7 +143,7 @@ def factor_connected_modal(F, level):
 
 def _factor_cm_prop(F):
     S, T = F.source, F.target
-    _, ycm, over = _classes_over(F)
+    _, ycm, over = F._classes_over
     hit = [y for y in T.objects if over[ycm[y]]]
     mid = full_subgroupoid(T, hit)
     left = FinFunctor(S, mid, dict(F.obj_map), dict(F.mor_map))
@@ -161,7 +161,7 @@ def factor_equiv_etale(F, level):
     if level != 0:
         raise FinGroupoidError("level must be -1 or 0, got %r" % (level,))
     S, T = F.source, F.target
-    xcm, ycm, over = _classes_over(F)
+    xcm, ycm, over = F._classes_over
     objs = tuple((y, d) for y in T.objects for d in over[ycm[y]])
     mors = tuple(((T.src[h], d), (T.dst[h], d), h)
                  for h in T.morphisms for d in over[ycm[T.src[h]]])

@@ -1,10 +1,12 @@
 """Presented-groupoid helpers that only the tests use.
 
-Morphisms of a `modalfib.groupoids.PresGroupoid` from paths of darts,
-functor images of morphisms, the identity functor, and natural
-isomorphism.  Natural isomorphism of two functors reduces, per source
-component, to a simultaneous conjugacy problem over the target letters,
-which lib_words.solve_simultaneous_conjugacy decides exactly.
+Morphisms of a `modalfib.groupoids.PresGroupoid` as (u, v, word)
+triples, from paths of darts, with their identities, composites and
+inverses; functor images of words and morphisms, composites of
+functors, the identity functor, and natural isomorphism.  Natural
+isomorphism of two functors reduces, per source component, to a
+simultaneous conjugacy problem over the target letters, which
+lib_words.solve_simultaneous_conjugacy decides exactly.
 """
 
 from modalfib.groupoids import GroupoidFunctor
@@ -27,10 +29,51 @@ def morphism_from_path(shape, u, darts):
     return (u, v, path_word(shape, darts))
 
 
+def identity(shape, v):
+    return (v, v, ())
+
+
+def compose(shape, m1, m2):
+    u1, v1, w1 = m1
+    u2, v2, w2 = m2
+    if v1 != u2:
+        raise ValueError("%r then %r do not compose" % (m1, m2))
+    return (u1, v2, mul(w1, w2))
+
+
+def inverse(shape, m):
+    u, v, w = m
+    return (v, u, inv(w))
+
+
+def map_word(F, w):
+    out = ()
+    for g, s in w:
+        img = F.gen_images[g]
+        out = mul(out, img if s > 0 else inv(img))
+    return out
+
+
 def map_morphism(F, m):
     u, v, w = m
     return (F.obj[u], F.obj[v],
-            mul(inv(F.conj[u]), F.map_word(w), F.conj[v]))
+            mul(inv(F.conj[u]), map_word(F, w), F.conj[v]))
+
+
+def compose_functors(F, other):
+    """F then other."""
+    obj = {v: other.obj[F.obj[v]] for v in F.obj}
+    gen_images = {}
+    conj = {}
+    for base, comp in F.src.components.items():
+        fb = F.obj[base]
+        cb = other.conj[fb]
+        for l in comp.letters:
+            gen_images[l] = mul(inv(cb), map_word(other, F.gen_images[l]), cb)
+        for v in comp.vertices:
+            conj[v] = mul(inv(cb), map_word(other, F.conj[v]),
+                          other.conj[F.obj[v]])
+    return GroupoidFunctor(F.src, other.dst, obj, gen_images, conj)
 
 
 def identity_functor(shape):

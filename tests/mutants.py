@@ -1,20 +1,28 @@
 """Mutation harness for the level-0 table readings.
 
-Each mutant is a one-line fault in a shared helper of
-`modalfib.fingroupoids`, given as a (function, old text, new text)
-triple.  The harness applies it by compiling the function's source with
-the old text replaced and binding the result in the module while one
-sample is judged; no file is edited.  An old text that does not occur
-exactly once in the function's source raises, so a stale mutant fails
-loudly instead of running as a no-op.
+Each mutant is a one-line fault in a function of the package, given as
+a (function, old text, new text) triple.  The function is a dotted path
+from a package module: a module function, "fingroupoids._transport",
+or a method, "fingroupoids.FinFunctor._fiber_classes", which may be a
+`graphs._memo` field.  The harness applies a mutant by compiling the
+function's source with the old text replaced, in its module's namespace
+(a method dedented, with its decorator kept), and binding the result
+while one sample is judged; no file is edited.  A method is rebound on
+its class.  A module function is rebound in every package module that
+holds it, so the modules that import it by name call the mutant too.
+An old text that does not occur exactly once in the function's source
+raises, so a stale mutant fails loudly instead of running as a no-op.
 
+A `_memo` mutant reaches only the objects that first read the field
+while it is bound: one read earlier keeps the value the original built.
 The sample is fixed: `sample_functor` of each kind at seeds 0 to
 per_kind - 1, with the rng that built a functor passed on to
-`nine_way`.  Each run builds the functors afresh, so nothing a helper
-caches on a functor carries over from one mutant to the next.  A sample
-is judged by `classify_trunc` at levels 0 and -1 and by the readers of
-the `nine-way` and `compare-modalities` suites (`modalfib.suites`),
-against the same calls without the mutant.  It is caught when a check
+`nine_way`.  Each run builds the functors afresh and reads no fiber
+field before the mutant is bound, so nothing cached on a functor
+carries over from one mutant to the next.  A sample is judged by
+`classify_trunc` at levels 0 and -1 and by the readers of the
+`nine-way` and `compare-modalities` suites (`modalfib.suites`), against
+the same calls without the mutant.  It is caught when a check
 row of those suites fails on it, and the report names the rows that
 caught each mutant's samples; a sample on which a call raises is
 counted apart.  The readings that moved are the `nine_way` readings,
@@ -27,7 +35,9 @@ Stdlib only; run from a checkout, with N samples per kind:
 """
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 import random
 import sys
 import textwrap
@@ -39,12 +49,19 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from modalfib import fingroupoids, suites  # noqa: E402
+import modalfib  # noqa: E402
+from modalfib import suites  # noqa: E402
 from modalfib.fingroupoids import (  # noqa: E402
     GROUP_NAMES, classify_trunc, homotopy_pullback, product_groupoid,
     random_functor, random_functor_into, random_groupoid,
 )
+from modalfib.graphs import _memo  # noqa: E402
 from lib_fingroupoids import connected_groupoid  # noqa: E402
+
+# every module of the package, imported up front: a module imported while
+# a mutant is bound would keep the mutant
+MODULES = [importlib.import_module("modalfib." + m.name)
+           for m in pkgutil.iter_modules(modalfib.__path__)]
 
 
 # ---------------------------------------------------------------------------
@@ -79,27 +96,27 @@ def sample_functor(kind, rng):
 Mutant = namedtuple("Mutant", "name function old new")
 
 MUTANTS = (
-    Mutant("fiber_pass_first", "_fiber_pass",
+    Mutant("fiber_pass_first", "fingroupoids.FinFunctor._fiber_classes",
            "for s in S._gens:", "for s in S._gens[1:]:"),
-    Mutant("fiber_pass_last", "_fiber_pass",
+    Mutant("fiber_pass_last", "fingroupoids.FinFunctor._fiber_classes",
            "for s in S._gens:", "for s in S._gens[:-1]:"),
-    Mutant("fiber_aut_trivial", "_fiber_aut_trivial",
+    Mutant("fiber_aut_trivial", "fingroupoids.FinFunctor._fiber_trivial",
            "for g in S.aut(x))", "for g in S.aut(x)[:-1])"),
-    Mutant("classes_over_last", "_classes_over",
+    Mutant("classes_over_last", "fingroupoids.FinFunctor._classes_over",
            "_sorted_ids(set(xcm.values()))",
            "_sorted_ids(set(xcm.values()))[:-1]"),
-    Mutant("class_codes_index1", "_class_codes",
+    Mutant("class_codes_index1", "fingroupoids._class_codes",
            "{c: i for i, c in enumerate(classes[y])}",
            "{c: i - (i == 1) for i, c in enumerate(classes[y])}"),
-    Mutant("transport_inverse", "_transport",
+    Mutant("transport_inverse", "fingroupoids._transport",
            "comp[(m, h)]", "comp[(m, F.target.inv[h])]"),
-    Mutant("transport_loops_identity", "_transport",
+    Mutant("transport_loops_identity", "fingroupoids._transport",
            "return target_map[(x, F.target.comp[(m, h)])]",
            "return target_map[rep if F.target.src[h] == F.target.dst[h]"
            " else (x, F.target.comp[(m, h)])]"),
-    Mutant("pullback_y_gens", "_pullback_preserved",
+    Mutant("pullback_y_gens", "fingroupoids._pullback_preserved",
            "for t in Y._gens:", "for t in Y._gens[1:]:"),
-    Mutant("pullback_want", "_pullback_preserved",
+    Mutant("pullback_want", "fingroupoids._pullback_preserved",
            "len(over[zc]) * n for", "len(over[zc]) for"),
 )
 
@@ -108,32 +125,55 @@ class StaleMutant(Exception):
     """A mutant whose old text does not occur exactly once."""
 
 
+def resolve(path):
+    """(owner, name, original) for a dotted path from a package module:
+    the module or class that defines the function, its name there, and
+    the object bound to that name, a `_memo` for a memo field."""
+    module, *rest = path.split(".")
+    owner = importlib.import_module("modalfib." + module)
+    for part in rest[:-1]:
+        owner = getattr(owner, part)
+    return owner, rest[-1], vars(owner)[rest[-1]]
+
+
 def compile_mutant(mutant):
-    """The mutated function, compiled in the module's namespace."""
-    original = getattr(fingroupoids, mutant.function)
-    source = inspect.getsource(original)
+    """The mutated function, or `_memo`, compiled in its module's
+    namespace."""
+    _, name, original = resolve(mutant.function)
+    fn = original.fn if isinstance(original, _memo) else original
+    source = textwrap.dedent(inspect.getsource(fn))
     n = source.count(mutant.old)
     if n != 1:
         raise StaleMutant("%s: %r occurs %d times in %s" % (
             mutant.name, mutant.old, n, mutant.function))
     # the def binds into `made`, and the function looks its names up in
-    # the module, so it calls the helpers bound there
+    # the module, so it calls the helpers bound there; a method's
+    # decorator wraps it again
     made = {}
     exec(compile(source.replace(mutant.old, mutant.new),
                  "<mutant %s>" % mutant.name, "exec"),
-         vars(fingroupoids), made)
-    return made[mutant.function]
+         vars(sys.modules[fn.__module__]), made)
+    return made[name]
 
 
 @contextmanager
-def bound(name, fn):
-    """`fingroupoids.<name>` is fn inside the block."""
-    saved = getattr(fingroupoids, name)
-    setattr(fingroupoids, name, fn)
+def bound(path, fn):
+    """The function at `path` is fn inside the block: a method on its
+    class, a module function under every name that holds it in a package
+    module."""
+    owner, name, original = resolve(path)
+    if isinstance(owner, type):
+        saved = [(owner, name)]
+    else:
+        saved = [(m, k) for m in MODULES
+                 for k, v in vars(m).items() if v is original]
     try:
+        for holder, k in saved:
+            setattr(holder, k, fn)
         yield
     finally:
-        setattr(fingroupoids, name, saved)
+        for holder, k in saved:
+            setattr(holder, k, original)
 
 
 # ---------------------------------------------------------------------------

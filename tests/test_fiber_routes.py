@@ -12,7 +12,8 @@ map's reference builds the first middle, the class middle and every
 fiber.  Each route must build the same partitions, return the same
 verdict, and keep the same representatives and the same order of
 classes; the roots of each `_Classes` a route builds must be those least
-members, the invariant `_fiber_pass` reads its representatives by.
+members, the invariant `FinFunctor._fiber_classes` reads its representatives
+by.
 Routes (e) and (h) share one pass, which must be the first pass of both
 references.  Routes (b) and (d) read route (a)'s count: (d) is checked
 against the pair-by-pair transports of the connecting functor, and a
@@ -42,9 +43,8 @@ from hypothesis import given, settings, strategies as st
 
 from modalfib import fingroupoids
 from modalfib.fingroupoids import (
-    FinFunctor, _Classes, _classes_over, _fiber_aut_trivial, _fiber_pass,
-    _middle_readings, _pullback_preserved, _transport, discrete_groupoid,
-    nine_way, object_inclusion, product_groupoid, random_functor,
+    FinFunctor, _Classes, _middle_readings, _pullback_preserved, _transport,
+    discrete_groupoid, nine_way, object_inclusion, product_groupoid, random_functor,
     random_functor_into,
 )
 from modalfib.graphs import _sort_key
@@ -173,7 +173,7 @@ def ref_fiber_aut_trivial(F, y):
 def ref_factorizations_agree(F, fcms, classes, gamma):
     """Route (d) of nine_way, transporting once per pair of classes."""
     T = F.target
-    _, ycm, over = _classes_over(F)
+    _, ycm, over = F._classes_over
     d = all(set(gamma[y].values()) == set(over[ycm[y]]) for y in T.objects)
     if d:
         for h in T.morphisms:
@@ -216,7 +216,7 @@ def level0_data(F):
     T = F.target
     fcms, classes = {}, {}
     for y in T.objects:
-        fcms[y], classes[y] = _fiber_pass(F, y)
+        fcms[y], classes[y] = F._fiber_classes[y]
     xcm = F.source.component_map()
     gamma = {y: {c: xcm[c[0]] for c in classes[y]} for y in T.objects}
     return fcms, classes, gamma
@@ -231,12 +231,12 @@ def test_fiber_component_map_matches_all_morphism_pass(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     for y in F.target.objects:
         ref = ref_fiber_component_map(F, y)
-        fcm, classes = _fiber_pass(F, y)
+        fcm, classes = F._fiber_classes[y]
         assert fcm == ref
         assert list(fcm) == list(ref)
         assert list(classes) == sorted(set(ref.values()), key=_sort_key)
         # computed once and shared
-        assert _fiber_pass(F, y)[0] is fcm
+        assert F._fiber_classes[y][0] is fcm
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,10 +245,10 @@ def test_one_fiber_pass_fills_every_base(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     objs = F.target.objects
     with recorded_passes() as made:
-        _fiber_pass(F, objs[seed % len(objs)])
-        assert set(F._fiber_cms) == set(objs)
+        F._fiber_classes[objs[seed % len(objs)]]
+        assert set(F._fiber_classes) == set(objs)
         for y in objs:
-            _fiber_pass(F, y)
+            F._fiber_classes[y]
     assert len(made) == 1
     assert len(made[0].items) \
         == sum(len(fiber_objects(F, y)) for y in objs)
@@ -261,7 +261,7 @@ def test_one_fiber_pass_fills_every_base(kind, seed):
 def test_fiber_kernels_decided_by_component(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     for y in F.target.objects:
-        assert _fiber_aut_trivial(F, y) is ref_fiber_aut_trivial(F, y)
+        assert F._fiber_trivial[y] is ref_fiber_aut_trivial(F, y)
 
 
 def test_fiber_kernel_over_one_component_only():
@@ -270,7 +270,7 @@ def test_fiber_kernel_over_one_component_only():
     S, T = group_groupoid("c2"), discrete_groupoid(("a", "b"))
     F = FinFunctor(S, T, {"o": "a"},
                    {m: T.ident["a"] for m in S.morphisms})
-    assert [_fiber_aut_trivial(F, y) for y in T.objects] \
+    assert [F._fiber_trivial[y] for y in T.objects] \
         == [ref_fiber_aut_trivial(F, y) for y in T.objects] == [False, True]
 
 
@@ -373,7 +373,7 @@ def test_hom_positions_match_hom_sets(kind, seed):
 def test_factorizations_route_matches_pairwise_transports(kind, seed):
     F = sample_functor(kind, random.Random(seed))
     want = ref_factorizations_agree(F, *level0_data(F))
-    assert nine_way(F, sampled_bases=0)["factorizations_agree"] is want
+    assert nine_way(F)["factorizations_agree"] is want
 
 
 def test_loops_that_move_fiber_classes():
@@ -423,10 +423,10 @@ def test_nine_way_transports_each_class_once_per_generator_and_loop(
 @settings(max_examples=60, deadline=None)
 @given(KINDS, st.integers(0, 2 ** 32))
 def test_shadows_and_middles_over_y_are_those_over_its_component(kind, seed):
-    # the fact the level-0 readings rely on (_classes_over), so that
-    # none of them compares a set over y with the one over [y]
+    # the fact the level-0 readings rely on (FinFunctor._classes_over), so
+    # that none of them compares a set over y with the one over [y]
     F = sample_functor(kind, random.Random(seed))
-    xcm, ycm, over = _classes_over(F)
+    xcm, ycm, over = F._classes_over
     fcms, classes, gamma = level0_data(F)
     uf = middle_pass(F, fcms, classes)
     mids, mids_over = {}, {}
@@ -445,7 +445,7 @@ def test_shadows_and_middles_over_y_are_those_over_its_component(kind, seed):
 
 def test_classes_over_computed_once_per_functor():
     F = random_functor(random.Random(8))
-    assert _classes_over(F) is _classes_over(F)
+    assert F._classes_over is F._classes_over
 
 
 # ---------------------------------------------------------------------------

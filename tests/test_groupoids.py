@@ -16,8 +16,9 @@ from modalfib.graphs import pi0
 from lib_corpus import (bad_fold_figure_eight, double_cover, random_graph,
                         random_words)
 from lib_graphs import cycle, disjoint_union, path_graph, star
-from lib_groupoids import (identity_functor, map_morphism, morphism_from_path,
-                           natural_iso, path_word)
+from lib_groupoids import (compose, compose_functors, identity,
+                           identity_functor, inverse, map_morphism,
+                           morphism_from_path, natural_iso, path_word)
 
 
 def euler_ranks(g):
@@ -77,8 +78,8 @@ def test_morphism_groupoid_laws():
     for w1 in random_words(rng, 1, 10, 4):
         w = tuple((S.components[0].letters[0], s) for _, s in w1)
         m = (0, 0, reduce_word(w))
-        assert S.compose(m, S.inverse(m)) == S.identity(0)
-        assert S.compose(S.identity(0), m) == m
+        assert compose(S, m, inverse(S, m)) == identity(S, 0)
+        assert compose(S, identity(S, 0), m) == m
 
 
 def test_identity_functor_from_identity_map():
@@ -104,7 +105,7 @@ def test_induce_respects_composition_strictly():
         Sa, Sb, Sc = shape1(a), shape1(b), shape1(c)
         F = induce_functor(f, Sa, Sb)
         G = induce_functor(g, Sb, Sc)
-        FG = F.compose(G)
+        FG = compose_functors(F, G)
         direct = induce_functor(f.compose(g), Sa, Sc)
         assert (FG.obj, FG.gen_images, FG.conj) \
             == (direct.obj, direct.gen_images, direct.conj)
@@ -127,10 +128,10 @@ def test_map_morphism_preserves_composition():
             w2 = tuple((rng.choice(ls), rng.choice((1, -1))) for _ in range(3))
             m1 = (base, base, reduce_word(w1))
             m2 = (base, base, reduce_word(w2))
-            lhs = map_morphism(F, S.compose(m1, m2))
-            rhs = F.dst.compose(map_morphism(F, m1), map_morphism(F, m2))
+            lhs = map_morphism(F, compose(S, m1, m2))
+            rhs = compose(F.dst, map_morphism(F, m1), map_morphism(F, m2))
             assert lhs == rhs
-            ident = map_morphism(F, S.identity(base))
+            ident = map_morphism(F, identity(S, base))
             assert ident == (F.obj[base], F.obj[base], ())
 
 
@@ -213,7 +214,8 @@ def test_natural_iso_rejects_non_parallel_without_asserts(run_optimized):
 
 
 @pytest.mark.parametrize("call", [
-    "S.compose((0, 1, ()), (0, 1, ()))",
+    pytest.param("compose(S, (0, 1, ()), (0, 1, ()))",
+                 id="S.compose((0, 1, ()), (0, 1, ()))"),
     pytest.param("morphism_from_path(S, 0, [('e0', 1), ('e0', 1)])",
                  id="S.morphism_from_path(0, [('e0', 1), ('e0', 1)])"),
 ])
@@ -222,7 +224,7 @@ def test_morphisms_that_do_not_meet_rejected_without_asserts(
     run = run_optimized(
         "from modalfib.groupoids import shape1\n"
         "from lib_graphs import cycle\n"
-        "from lib_groupoids import morphism_from_path\n"
+        "from lib_groupoids import compose, morphism_from_path\n"
         "S = shape1(cycle(3))\n"
         "try:\n    %s\nexcept ValueError:\n    print('rejected')\n" % call)
     assert run.returncode == 0, run.stderr

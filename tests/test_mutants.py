@@ -7,12 +7,21 @@ on the samples that raised.  A known survivor (a FOUND line in
 CHANGES.md names it) must still change verdicts and still escape every
 suite check, so a change that starts to catch it fails here until its
 status is updated.
+
+The harness binds a mutant of a `_memo` field on its class and a mutant
+of a module function in every package module that imports it, and puts
+every binding back afterwards; two throwaway graph mutants, which are
+not scored, show both.
 """
 
 import pytest
 
-from modalfib import fingroupoids
-from mutants import MUTANTS, Mutant, StaleMutant, compile_mutant, score_all
+from modalfib import classify, graphs, quotients
+from modalfib.graphs import FinGraph, GraphMap, terminal_map
+from modalfib.quotients import cyclic_group, graph_action
+from lib_graphs import path_graph
+from mutants import (MODULES, MUTANTS, Mutant, StaleMutant, bound,
+                     compile_mutant, resolve, score_all)
 
 PER_KIND = 100
 
@@ -61,13 +70,69 @@ def test_mutant_keeps_its_status(scores, name):
 @pytest.mark.parametrize("old", ["for s in S._gens[1:]:", "S"])
 def test_stale_mutant_fails_loudly(old):
     # an old text that is gone, or occurs more than once, is refused
-    # before the mutant runs
-    with pytest.raises(StaleMutant):
-        compile_mutant(Mutant("stale", "_fiber_pass", old, "pass"))
+    # before the mutant runs, in a `_memo` field as in a module function
+    for path in ("fingroupoids.FinFunctor._fiber_classes",
+                 "fingroupoids._transport"):
+        with pytest.raises(StaleMutant):
+            compile_mutant(Mutant("stale", path, old, "pass"))
+
+
+def bindings():
+    """Every name bound in a package module or on one of its classes,
+    with the object bound to it."""
+    out = {}
+    for m in MODULES:
+        for k, v in vars(m).items():
+            out[m.__name__, k] = v
+            if isinstance(v, type) and v.__module__ == m.__name__:
+                out.update(((m.__name__, k, a), w)
+                           for a, w in vars(v).items())
+    return out
+
+
+def assert_unchanged(before):
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
 
 
 def test_mutants_leave_the_module_as_it_was():
-    names = {m.function for m in MUTANTS}
-    before = {n: getattr(fingroupoids, n) for n in names}
+    before = bindings()
+    originals = {m.function: resolve(m.function)[2] for m in MUTANTS}
     score_all(1)
-    assert {n: getattr(fingroupoids, n) for n in names} == before
+    assert {p: resolve(p)[2] for p in originals} == originals
+    assert_unchanged(before)
+
+
+def test_bound_rebinds_a_memo_field_and_a_module_function():
+    before = bindings()
+    # a `_memo` field: the pieces of a map skip its last edge
+    pieces = compile_mutant(Mutant(
+        "pieces_last", "graphs.GraphMap.pieces",
+        "for e, u, v in self.source.edges:",
+        "for e, u, v in self.source.edges[:-1]:"))
+    with bound("graphs.GraphMap.pieces", pieces):
+        assert vars(GraphMap)["pieces"] is pieces
+        assert terminal_map(path_graph(3)).pieces == {0: 0, 1: 0, 2: 2}
+    assert terminal_map(path_graph(3)).pieces == {0: 0, 1: 0, 2: 0}
+    assert_unchanged(before)
+
+    # a module function that classify and quotients import by name: every
+    # composite with a vertex then fails
+    composes_to = compile_mutant(Mutant(
+        "composes_to_vertex", "graphs._composes_to",
+        "if hv[x] != gv[y]:", "if hv[x] == gv[y]:"))
+    f = terminal_map(path_graph(3))
+    g = FinGraph((0, 1), ())
+    swap = [GraphMap(g, g, {0: 1, 1: 0}, {})]
+    with bound("graphs._composes_to", composes_to):
+        assert graphs._composes_to is composes_to
+        assert classify._composes_to is composes_to
+        assert quotients._composes_to is composes_to
+        with pytest.raises(classify.FactorError):
+            classify.factor0(f)
+        with pytest.raises(quotients.ActionError):
+            graph_action(cyclic_group(2), g, swap)
+    assert classify.factor0(f)[0].vertices == (0,)
+    assert graph_action(cyclic_group(2), g, swap).orbit(0) == (0, 1)
+    assert_unchanged(before)

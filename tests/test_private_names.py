@@ -7,7 +7,10 @@ it.  The roots are:
   imports and its `__all__` (so the command table `cli._COMMANDS` and the
   suite table `suites.SUITES` are roots);
 - `main`, the `[project.scripts]` entry of pyproject.toml;
-- every name that `perfbench/*.py` uses;
+- every attribute name that `perfbench/*.py` reads, such as `run` in
+  `mods.cli.run` or `machine` in `report.machine`: the benchmark reaches
+  the package through attributes only, so a bare name there, such as a
+  local variable `inverse`, is its own;
 - the names listed under the README's "Library API" heading, which open
   ROADMAP items will call.
 
@@ -22,11 +25,12 @@ m`).  So an attribute such as `F.conj`, or the name `product` that
 name.  The roots from `perfbench/` and the README go by name alone.  A
 name that a function binds itself (a parameter, a local variable or a
 nested definition) is not a use of a module-level name.  An unreached
-caller does not count, so one dead name cannot vouch for another.  A module-level import that its module never names, and does not
-list in `__all__`, is dead too.  Every public module-level function and
-class is listed in its module's `__all__`.  A README entry leaves the list
-once its name has another caller.  These tests read the sources with
-`ast` and list the names that break these rules.
+caller does not count, so one dead name cannot vouch for another.  A
+module-level import that its module never names, and does not list in
+`__all__`, is dead too.  Every public module-level function and class is
+listed in its module's `__all__`.  A README entry leaves the list once
+its name has another caller.  These tests read the sources with `ast`
+and list the names that break these rules.
 """
 
 import ast
@@ -177,9 +181,14 @@ def package_roots(modules):
 
 
 def bench_names():
+    """The attribute names that `perfbench/*.py` reads, as
+    `mods.cli.run` or `report.machine`: the benchmark reaches the package
+    through attributes only, so a bare name it binds or reads is its
+    own."""
     out = set()
     for p in sorted((ROOT / "perfbench").glob("*.py")):
-        out |= named(ast.parse(p.read_text(), str(p)))
+        out |= {n.attr for n in ast.walk(ast.parse(p.read_text(), str(p)))
+                if isinstance(n, ast.Attribute)}
     return out
 
 
