@@ -115,12 +115,32 @@ def _numbered(letters, darts, parent):
     return len(queue), delta
 
 
+def _first_unreached(n, delta):
+    """The least of the n states that delta's transitions, read in either
+    direction, do not join to the root 0, or None.  Its memory grows
+    with delta, not with n."""
+    near = {}
+    for (u, _), v in delta.items():
+        near.setdefault(u, []).append(v)
+        near.setdefault(v, []).append(u)
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        for v in near.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return next((s for s in range(n) if s not in seen), None)
+
+
 class SubgroupAutomaton:
     """Core folded automaton of a finitely generated subgroup.
 
     letters: sorted tuple of ambient free-group generator labels.
     n: number of states, named 0..n-1 with root 0, so at least 1.
     delta: dict (state, letter) -> state, the positive direction.
+    Every state is reached from the root along delta's transitions,
+    read in either direction.
     An input that breaks these raises InputError, naming the states
     count as ("states", n) or the offending transition as ("arrow", (0,
     "a")).
@@ -148,6 +168,15 @@ class SubgroupAutomaton:
                 rdelta[v, a] = u
                 continue
             raise InputError(why, ("arrow", arrow))
+        # if every state but the root is joined to a smaller one, every
+        # state is reached (induction on the state), so the breadth-first
+        # numbering that the builders here make needs no search
+        up = {u if u > v else v for (u, _), v in self.delta.items() if u != v}
+        if len(up) < n - 1:
+            s = _first_unreached(n, self.delta)
+            if s is not None:
+                raise InputError("state %d is not reached from the root 0"
+                                 % s, ("states", n))
 
     # -- construction ------------------------------------------------------
 
@@ -320,38 +349,61 @@ class SubgroupAutomaton:
 
     @_memo
     def _columns(self):
-        """dict letter (g, +1) or (g, -1) -> dict state -> state."""
-        cols = {}
+        """(forward, backward): each a dict letter -> list state -> state,
+        or None where the step is undefined; forward reads delta and
+        backward rdelta."""
+        n = self.n
+        fw = {a: [None] * n for a in self.letters}
+        bw = {a: [None] * n for a in self.letters}
         for (u, a), v in self.delta.items():
-            cols.setdefault((a, 1), {})[u] = v
-            cols.setdefault((a, -1), {})[v] = u
-        return cols
+            fw[a][u] = v
+            bw[a][v] = u
+        return fw, bw
 
     def trace(self, word, start=0):
         """State reached from `start` along the reduced form of `word`,
         or None where the reduced word leaves the automaton.
 
-        One pass reads the word as given through per-letter columns,
-        built on the first trace.  This is exact: `__init__` makes rdelta
-        invert delta, so the automaton is folded, and a cancelling pair
-        x x^-1 returns to the state it left.  Free reduction only deletes
-        such pairs, so if every step of the unreduced word is defined, it
-        ends where the reduced word ends.  Whenever a step is undefined,
-        or a letter is not a hashable (g, +-1) of some transition, the
-        word is reduced and traced again from `start` (`_trace_reduced`),
-        which rejects such a letter, cancelled or not.  So the fast pass
-        answers only for words whose every letter is valid.
+        One pass reads the word as given, each letter unpacked once as
+        (g, sign), through per-letter int columns built on the first
+        trace.  This is exact: `__init__` makes rdelta invert delta, so
+        the automaton is folded, and a cancelling pair x x^-1 returns to
+        the state it left.  Free reduction only deletes such pairs, so
+        if every step of the unreduced word is defined, it ends where the
+        reduced word ends.  The pass answers only where every step is
+        defined and every letter is a generator with sign +1 or -1 (as
+        `==` reads it, which `reduce_word` also uses).  Everything else
+        is reduced and traced again from `start` (`_trace_reduced`),
+        which rejects a bad letter, cancelled or not:
+          - a sign other than +1 or -1, or a letter that does not unpack
+            into two;
+          - an unhashable generator, or one without a column (a foreign
+            letter: its cancelling pairs may still leave a valid word);
+          - an undefined step, a None in a column: the reduced word may
+            avoid it, and a column indexed by None raises TypeError;
+          - a start that is not an int state 0..n-1: a list would read
+            -1 as the last state, where delta and rdelta hold no state
+            -1.
         """
-        cols = self._columns
+        fw, bw = self._columns
         if not isinstance(word, (tuple, list)):
             word = tuple(word)
-        s = start
-        try:
-            for x in word:
-                s = cols[x][s]
-        except (KeyError, TypeError):
-            return self._trace_reduced(word, start)
-        return s
+        if type(start) is int and 0 <= start < self.n:
+            s = start
+            try:
+                for g, sg in word:
+                    if sg == 1:
+                        s = fw[g][s]
+                    elif sg == -1:
+                        s = bw[g][s]
+                    else:
+                        break
+                else:
+                    if s is not None:
+                        return s
+            except (KeyError, TypeError, ValueError):
+                pass
+        return self._trace_reduced(word, start)
 
     def _trace_reduced(self, word, start):
         """Reduce, then trace: the exact route for any word.  A letter

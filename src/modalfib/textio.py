@@ -424,19 +424,22 @@ def _build_automaton(sec, doc):
     letters = []
     n = None
     delta = {}
+    atom = _ATOMS
     for line, toks in sec.rows:
         head = toks[0]
-        # delta rows are the bulk of an automaton, so they are tested first
+        # delta rows are the bulk of an automaton, so they are tested first;
+        # a token reads as an int id exactly when it reads as an integer
         if head == "delta:" or head == "delta":
             if len(toks) != 4:
                 raise ParseError(line, "delta line wants: state letter state")
             _, s, a, t = toks
-            if not (_is_int(s) and _is_int(t)):
+            u, v = atom[s], atom[t]
+            if type(u) is not int or type(v) is not int:
                 raise ParseError(line, "states are integers")
-            arrow = (int(s), _atom(a))
+            arrow = (u, atom[a])
             if arrow in delta:
                 raise ParseError(line, "second delta line for %r %r" % arrow)
-            delta[arrow] = int(t)
+            delta[arrow] = v
         elif head == "letters:" or head == "letters":
             letters.extend(_atom(t) for t in toks[1:])
         elif head == "states:" or head == "states":

@@ -7,9 +7,12 @@ or a method, "fingroupoids.FinFunctor._fiber_classes", which may be a
 `graphs._memo` field.  The harness applies a mutant by compiling the
 function's source with the old text replaced, in its module's namespace
 (a method dedented, with its decorator kept), and binding the result
-while one sample is judged; no file is edited.  A method is rebound on
+while the samples are judged; no file is edited.  A method is rebound on
 its class.  A module function is rebound in every package module that
 holds it, so the modules that import it by name call the mutant too.
+A function that a package table holds as an object, such as a handler
+in a row of `cli._COMMANDS` or a reader in `suites.SUITES`, is refused:
+its callers read it from the table, so no rebinding reaches them.
 An old text that does not occur exactly once in the function's source
 raises, so a stale mutant fails loudly instead of running as a no-op.
 
@@ -17,15 +20,15 @@ A `_memo` mutant reaches only the objects that first read the field
 while it is bound: one read earlier keeps the value the original built.
 The sample is fixed: `sample_functor` of each kind at seeds 0 to
 per_kind - 1, with the rng that built a functor passed on to
-`nine_way`.  Each run builds the functors afresh and reads no fiber
-field before the mutant is bound, so nothing cached on a functor
-carries over from one mutant to the next.  A sample is judged by
-`classify_trunc` at levels 0 and -1 and by the readers of the
-`nine-way` and `compare-modalities` suites (`modalfib.suites`), against
-the same calls without the mutant.  It is caught when a check
-row of those suites fails on it, and the report names the rows that
-caught each mutant's samples; a sample on which a call raises is
-counted apart.  The readings that moved are the `nine_way` readings,
+`nine_way`.  Each run builds every functor afresh, unmutated, and
+reads no fiber field before it binds the mutant for the judging, so
+nothing cached on a functor carries over from one mutant to the next.
+A sample is judged by `classify_trunc` at levels 0 and -1 and by the
+readers of the `nine-way` and `compare-modalities` suites
+(`modalfib.suites`), against the same calls without the mutant.  It is
+caught when a check row of those suites fails on it, and the report
+names the rows that caught each mutant's samples; a sample on which a
+call raises is counted apart.  The readings that moved are the `nine_way` readings,
 lettered (a) to (i) as in its code, and the level flags, `flag@level`,
 whose values differ from the unmutated run.
 
@@ -125,6 +128,23 @@ class StaleMutant(Exception):
     """A mutant whose old text does not occur exactly once."""
 
 
+class HeldMutant(Exception):
+    """A mutant of a function that a package table holds as an object."""
+
+
+TABLES = (dict, tuple, list)
+
+
+def holds(table, obj):
+    """Does the dict, tuple (a namedtuple too) or list `table` hold obj,
+    as a key or a value at any depth?  `in` compares by `==`, which a
+    function and a `_memo` answer by identity."""
+    if isinstance(table, dict):
+        table = (*table, *table.values())
+    return obj in table or any(holds(x, obj) for x in table
+                               if isinstance(x, TABLES))
+
+
 def resolve(path):
     """(owner, name, original) for a dotted path from a package module:
     the module or class that defines the function, its name there, and
@@ -160,8 +180,16 @@ def compile_mutant(mutant):
 def bound(path, fn):
     """The function at `path` is fn inside the block: a method on its
     class, a module function under every name that holds it in a package
-    module."""
+    module.  A function that a module-level table holds raises
+    HeldMutant before anything is bound."""
     owner, name, original = resolve(path)
+    tables = ["%s.%s" % (m.__name__, k) for m in MODULES
+              for k, v in vars(m).items()
+              if isinstance(v, TABLES) and not k.startswith("__")
+              and holds(v, original)]
+    if tables:
+        raise HeldMutant("%s is held by %s, whose readers no rebinding "
+                         "reaches" % (path, ", ".join(tables)))
     if isinstance(owner, type):
         saved = [(owner, name)]
     else:
@@ -219,19 +247,20 @@ def run(per_kind, mutant=None):
     """One entry per sample: an outcome, or the name of the exception a
     call raised under the mutant."""
     fn = compile_mutant(mutant) if mutant else None
-    results = []
+    samples = []
     for kind in SAMPLE_KINDS:
         for seed in range(per_kind):
             rng = random.Random(seed)
-            F = sample_functor(kind, rng)
-            if fn is None:
+            samples.append((sample_functor(kind, rng), rng))
+    if fn is None:
+        return [outcome(F, rng) for F, rng in samples]
+    results = []
+    with bound(mutant.function, fn):
+        for F, rng in samples:
+            try:
                 results.append(outcome(F, rng))
-                continue
-            with bound(mutant.function, fn):
-                try:
-                    results.append(outcome(F, rng))
-                except Exception as e:  # a crash is a result here
-                    results.append(type(e).__name__)
+            except Exception as e:  # a crash is a result here
+                results.append(type(e).__name__)
     return results
 
 

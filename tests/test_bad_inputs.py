@@ -16,9 +16,10 @@ the relation errors of an action and the groupoid constructor's errors
 other than its compose-table checks, which carry no subject and land at
 the section header.  A compose entry that is not composable, ill-typed
 or not the vertex group's product is named as ("pair", (g, h)) and lands
-at its compose row, and a states count below 1 at the states row.  A
-group generator that is not a permutation of the first one's degree, or
-whose map disagrees with the map its element already gets, is named as
+at its compose row, and a states count below 1, or a state that no
+chain of transitions joins to the root, at the states row.  A group
+generator that is not a permutation of the first one's degree, or whose
+map disagrees with the map its element already gets, is named as
 ("generator", i) and lands at its group-gen line.  A constructor input
 that no document can spell (a missing perm row is the identity) has no
 document.
@@ -158,7 +159,8 @@ CASES = [
          C2 + "v 0 -> 0\nv 1 -> 1\ne e0 -> e1 +\ne e1 -> e1 +\n", 9,
          "GraphMap(c, c, {0: 0, 1: 1}, {'e0': ('e1', 1), 'e1': ('e1', 1)})",
          GraphError, ("edge", "e0")),
-    # -- automata: states out of range, undeclared letters, unfolded
+    # -- automata: states out of range, undeclared letters, unfolded,
+    # unreached
     Case("automaton state out of range",
          "automaton: a\nletters: a\nstates: 1\ndelta: 0 a 5\n", 4,
          "SubgroupAutomaton(('a',), 1, {(0, 'a'): 5})",
@@ -178,6 +180,14 @@ CASES = [
          "SubgroupAutomaton(('a',), 0, {})", InputError, ("states", 0)),
     Case("automaton with a negative states count", AUT + "states: -1\n", 3,
          "SubgroupAutomaton(('a',), -1, {})", InputError, ("states", -1)),
+    Case("automaton state not reached from the root",
+         AUT + "states: 2\ndelta: 1 a 1\n", 3,
+         "SubgroupAutomaton(('a',), 2, {(1, 'a'): 1})",
+         InputError, ("states", 2)),
+    Case("automaton with too few transitions to reach its states",
+         AUT + "states: 3\ndelta: 0 a 1\n", 3,
+         "SubgroupAutomaton(('a',), 3, {(0, 'a'): 1})",
+         InputError, ("states", 3)),
     # -- the automaton builders: a word's letter, a Schreier table
     Case("automaton word with an undeclared letter", None, None,
          "SubgroupAutomaton.from_words(('a',), [(('a', 1),), (('b', 1),)])",

@@ -152,6 +152,41 @@ def test_cancelling_pair_across_an_undefined_edge():
         a.trace([("a", 2), ("a", -2)])
 
 
+# a complete automaton, where a list column is defined at every state,
+# and <a^2>, where the declared letter b has no transition
+HAZARD_AUTOMATA = (
+    SubgroupAutomaton.from_schreier(ALPHABET, {"a": {0: 1, 1: 2, 2: 0},
+                                               "b": {0: 0, 1: 2, 2: 1}}, 0),
+    SubgroupAutomaton.from_words(ALPHABET, [(("a", 1), ("a", 1))]),
+)
+HAZARD_WORDS = (
+    [], [("a", 1)], [("b", -1)],
+    # the last step leaves the automaton, or a middle pair of b does
+    [("a", 1), ("b", 1)], [("a", -1), ("b", 1), ("b", -1), ("a", 1)],
+    # signs that equal +1, or are not a sign at all
+    [("a", True), ("a", 1.0)], [("a", 1.0), ("a", -1)], [("a", 2)],
+    [("b", 1), ("a", 2), ("a", -2), ("b", -1)],
+    # two-character strings unpack as (generator, sign)
+    ["a+"], [("a", 1), "a-", "a+"], ["a\x01"],
+)
+
+
+@pytest.mark.parametrize("a", HAZARD_AUTOMATA)
+def test_trace_falls_back_where_a_list_column_would_misread(a):
+    # a list would read start -1 as the last state, which delta and
+    # rdelta do not hold; True and "0" are not int states
+    for start in (0, a.n - 1, -1, a.n, True, "0"):
+        for w in HAZARD_WORDS:
+            agrees(a, w, start)
+            agrees(a, tuple(w), start)
+            try:
+                want = ref_trace(a, w, start)
+            except ValueError:
+                continue
+            assert a.trace(iter(w), start) == want
+            assert a._trace_reduced(w, start) == want
+
+
 def test_columns_are_built_on_the_first_trace():
     a = SubgroupAutomaton.from_schreier(ALPHABET, {"a": {0: 1, 1: 0},
                                                    "b": {0: 0, 1: 1}}, 0)

@@ -11,7 +11,8 @@ status is updated.
 The harness binds a mutant of a `_memo` field on its class and a mutant
 of a module function in every package module that imports it, and puts
 every binding back afterwards; two throwaway graph mutants, which are
-not scored, show both.
+not scored, show both.  It refuses a function that a package table
+holds, which no rebinding would reach.
 """
 
 import pytest
@@ -20,8 +21,8 @@ from modalfib import classify, graphs, quotients
 from modalfib.graphs import FinGraph, GraphMap, terminal_map
 from modalfib.quotients import cyclic_group, graph_action
 from lib_graphs import path_graph
-from mutants import (MODULES, MUTANTS, Mutant, StaleMutant, bound,
-                     compile_mutant, resolve, score_all)
+from mutants import (MODULES, MUTANTS, HeldMutant, Mutant, StaleMutant,
+                     bound, compile_mutant, resolve, score_all)
 
 PER_KIND = 100
 
@@ -135,4 +136,20 @@ def test_bound_rebinds_a_memo_field_and_a_module_function():
             graph_action(cyclic_group(2), g, swap)
     assert classify.factor0(f)[0].vertices == (0,)
     assert graph_action(cyclic_group(2), g, swap).orbit(0) == (0, 1)
+    assert_unchanged(before)
+
+
+@pytest.mark.parametrize("path, old, table", [
+    ("cli._cmd_classify", "doc = request.documents[0]", "cli._COMMANDS"),
+    ("suites._closure_step", "return None", "suites.SUITES"),
+])
+def test_bound_refuses_a_function_that_a_table_holds(path, old, table):
+    # `cli.run` reads the handler from its row of `_COMMANDS`, and the
+    # suites read `_closure_step` from `SUITES`, so a rebound name would
+    # leave them calling the original: a silent no-op
+    before = bindings()
+    fn = compile_mutant(Mutant("raises", path, old, "raise RuntimeError"))
+    with pytest.raises(HeldMutant, match=table):
+        with bound(path, fn):
+            pass
     assert_unchanged(before)
